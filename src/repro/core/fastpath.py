@@ -16,8 +16,9 @@ flattened re-statement of the same machine:
   instead of ~20 ``STORE_ATTR`` per instruction, constant-index
   subscripts instead of attribute lookups in the wakeup loops);
 * per-record decode work (opclass index, fetch block, cache line /
-  chunk / byte mask, the dependence-wiring plan) is batched into one
-  O(n) precompute pass over the trace;
+  chunk / byte mask, the dependence-wiring plan) is precomputed from
+  the trace's columns (:class:`repro.trace.io.Trace`) by vector ops,
+  into flat int lists, without building a record;
 * functional-unit arbitration uses per-opclass int-indexed arrays, so
   the issue loop never hashes an enum;
 * statistics, the stall ledger and the load-latency histogram
@@ -43,15 +44,20 @@ to the instrumented reference loop.
 
 from __future__ import annotations
 
+import gc
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 from ..func.exceptions import SimError
-from ..isa import Opcode, OpClass
-from ..isa.opcodes import Bank
+from ..isa import OpClass
 from ..mem.config import LineBufferFill, LineBufferOnStore
 from ..obs.stall import CAUSE_ORDER, StallCause
 from ..stats.histogram import Histogram
+from ..trace.io import (MAX_SOURCES, NO_DEST, NO_SPLIT, F_CONTROL,
+                        F_LOAD, F_REDIRECT, F_SERIALIZES, F_STORE, F_TAKEN,
+                        OPCLASSES, Trace, as_trace)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..trace.record import TraceRecord
@@ -61,9 +67,10 @@ __all__ = ["run_fast"]
 
 _INFINITY = float("inf")
 
-#: Opclasses in a fixed order; uops carry the index, the FU tables are
-#: indexed by it, and the enum never gets hashed inside the loop.
-_OPCS = tuple(OpClass)
+#: Opclasses in a fixed order (the trace's ``opclass`` column order);
+#: uops carry the index, the FU tables are indexed by it, and the enum
+#: never gets hashed inside the loop.
+_OPCS = OPCLASSES
 _OPC_INDEX = {opclass: index for index, opclass in enumerate(_OPCS)}
 
 # ----------------------------------------------------------------------
@@ -125,121 +132,97 @@ _K_JUMP = 2
 _K_SERIALIZE = 3
 
 
-def _record_serializes(record: "TraceRecord") -> bool:
-    instr = record.instr
-    if instr is None:
-        return record.serializes
-    return instr.opcode in (Opcode.SYSCALL, Opcode.ERET)
-
-
 def _precompute(trace: Sequence["TraceRecord"], line_shift: int,
                 chunk_shift: int, line_size: int,
                 fetch_bytes: int) -> tuple:
-    """One pass over the trace: everything derivable from a record
-    alone, so the cycle loop only touches flat int arrays."""
-    n = len(trace)
-    r_opc = [0] * n
-    r_kind = [0] * n
-    r_jdec = [False] * n
-    r_pc = [0] * n
-    r_npc = [0] * n
-    r_taken = [False] * n
-    r_block = [0] * n
-    r_load = [False] * n
-    r_store = [False] * n
-    r_line = [0] * n
-    r_chunk = [0] * n
-    r_mask = [0] * n
-    r_prod: list[tuple] = [()] * n
-    r_is_prod = [False] * n
-    r_proto: list[list] = [None] * n  # type: ignore[list-item]
-    # tuple.index with identity fast-path beats hashing the enum (the
-    # pure-Python enum.__hash__ would dominate this pass).
-    opcs = _OPCS
-    branch_cls = OpClass.BRANCH
-    system_cls = OpClass.SYSTEM
-    offset_mask = line_size - 1
-    last_writer: dict = {}
-    for i, record in enumerate(trace):
-        pc = record.pc
-        opclass = record.opclass
-        r_opc[i] = opcs.index(opclass)
-        r_pc[i] = pc
-        npc = record.next_pc
-        r_npc[i] = npc
-        r_taken[i] = record.taken
-        r_block[i] = pc // fetch_bytes
-        is_store = record.is_store
-        is_load = record.is_load
-        r_load[i] = is_load
-        r_store[i] = is_store
-        if is_load or is_store:
-            address = record.mem_addr
-            offset = address & offset_mask
-            if offset + record.mem_size > line_size:
-                raise ValueError("access crosses the line boundary")
-            r_line[i] = address >> line_shift
-            r_chunk[i] = address >> chunk_shift
-            r_mask[i] = ((1 << record.mem_size) - 1) << offset
-        instr = record.instr
-        if is_store:
-            if instr is not None:
-                deps = []
-                if instr.rs1 != 0:
-                    deps.append((instr.rs1, False))
-                info = instr.info
-                if not (info.rs2_bank is Bank.INT and instr.rs2 == 0):
-                    deps.append((instr.rs2, True))
-            elif record.store_addr_count >= 0:
-                count = record.store_addr_count
-                deps = [(reg, position >= count)
-                        for position, reg
-                        in enumerate(record.sources)]
-            else:
-                deps = [(reg, position > 0)
-                        for position, reg
-                        in enumerate(record.sources)]
-        else:
-            deps = [(reg, False) for reg in record.sources]
-        # Resolve register names to static producer indices: dispatch
-        # order is trace order, so the last earlier writer of a
-        # register is exactly what the dynamic scoreboard would hold.
-        if deps:
-            prods = []
-            for reg, is_data in deps:
-                producer_index = last_writer.get(reg)
-                if producer_index is not None:
-                    prods.append((producer_index, is_data))
-                    r_is_prod[producer_index] = True
-            if prods:
-                r_prod[i] = tuple(prods)
-        if record.dest is not None:
-            last_writer[record.dest] = i
-        if record.is_control:
-            if opclass is branch_cls:
-                r_kind[i] = _K_BRANCH
-            else:
-                r_kind[i] = _K_JUMP
-                opcode = instr.opcode if instr is not None else None
-                r_jdec[i] = opcode in (Opcode.J, Opcode.JAL) or \
-                    (instr is None and record.decode_redirect)
-        elif npc != pc + 4 or \
-                opclass is system_cls and _record_serializes(record):
-            r_kind[i] = _K_SERIALIZE
-    # Prototype uop per index: fetch copies it and patches the fetch
-    # cycle, and gives producers a fresh consumer list (everyone else
-    # shares the never-mutated empty one).  The sequence number IS the
-    # trace index: fetch consumes the trace in order, one uop per
-    # record, so the two counters are always equal.
-    empty_cons = _EMPTY_CONS
-    for i in range(n):
-        r_proto[i] = [i, i, r_opc[i], r_load[i], r_store[i], 0,
-                      False, -1, 0, 0, empty_cons, 0, 0, False,
-                      r_line[i], r_chunk[i], r_mask[i], False, 0, 0,
-                      -1, False, False, False, False, -1]
-    return (r_opc, r_kind, r_jdec, r_pc, r_npc, r_taken, r_block,
-            r_load, r_store, r_line, r_chunk, r_mask, r_prod,
-            r_is_prod, r_proto)
+    """Everything derivable from a record alone, as flat int lists, so
+    the cycle loop never touches a record.  Reads the trace's columns
+    (a plain record list is encoded first) with vector ops."""
+    columns = as_trace(trace)
+    pc = columns.pc
+    next_pc = columns.next_pc
+    opclass = columns.opclass
+    flags = columns.flags
+    is_load = (flags & F_LOAD) != 0
+    is_store = (flags & F_STORE) != 0
+    is_mem = is_load | is_store
+    address = np.where(is_mem, columns.mem_addr, 0)
+    size = np.where(is_mem, columns.mem_size, 0).astype(np.uint64)
+    offset = address & (line_size - 1)
+    if np.any(offset + size > line_size):
+        raise ValueError("access crosses the line boundary")
+    if line_size <= 64:
+        one = np.uint64(1)
+        mask = (((one << size) - one) << offset).tolist()
+    else:  # masks wider than 64 bits
+        mask = [((1 << width) - 1) << shift for width, shift
+                in zip(size.tolist(), offset.tolist())]
+    control = (flags & F_CONTROL) != 0
+    branch = opclass == _OPC_INDEX[OpClass.BRANCH]
+    system = opclass == _OPC_INDEX[OpClass.SYSTEM]
+    serializes = (next_pc != pc + 4) | (system
+                                        & ((flags & F_SERIALIZES) != 0))
+    kind = np.where(control, np.where(branch, _K_BRANCH, _K_JUMP),
+                    np.where(serializes, _K_SERIALIZE, _K_PLAIN))
+    jdec = control & ~branch & ((flags & F_REDIRECT) != 0)
+    r_prod, r_is_prod = _producers(columns, is_store)
+    return (opclass.tolist(), kind.tolist(), jdec.tolist(), pc.tolist(),
+            next_pc.tolist(), ((flags & F_TAKEN) != 0).tolist(),
+            (pc // fetch_bytes).tolist(), is_load.tolist(),
+            is_store.tolist(), (address >> line_shift).tolist(),
+            (address >> chunk_shift).tolist(), mask, r_prod, r_is_prod)
+
+
+def _producers(columns: Trace, is_store: np.ndarray) -> tuple[list, list]:
+    """Each record's ``(producer index, is_data)`` pairs in operand
+    order, and whether some later record depends on each record.
+
+    Dispatch order is trace order, so an operand's producer is the last
+    earlier writer of its register: exactly what the dynamic scoreboard
+    would hold.  With the writes sorted by ``register * n + index``,
+    that writer's key is the last one below the operand's own, one
+    binary search away.
+    """
+    n = len(is_store)
+    writes = np.flatnonzero(columns.dest != NO_DEST)
+    # The trailing -1 is what a search that finds no earlier write
+    # (position -1) reads; it matches no register.
+    keys = np.append(
+        np.sort(columns.dest[writes].astype(np.int64) * n + writes), -1)
+    # Operands at or past this position feed the store data: none for
+    # non-stores, the persisted split for stores, else the positional
+    # heuristic (the first operand is the address base).
+    first_data = np.where(
+        is_store, np.where(columns.naddr == NO_SPLIT, 1, columns.naddr),
+        MAX_SOURCES)
+    index = np.arange(n)
+    is_producer = np.zeros(n, dtype=bool)
+    operands = []
+    for position in range(MAX_SOURCES):
+        register = columns.src[:, position].astype(np.int64)
+        key = keys[np.searchsorted(keys[:-1], register * n + index) - 1]
+        found = (columns.nsrc > position) & (key // n == register)
+        producer = np.where(found, key % n, -1)
+        is_producer[producer[found]] = True
+        operands.append((producer.tolist(),
+                         (first_data <= position).tolist()))
+    (first, first_is_data), (second, second_is_data) = operands
+    # The pairs are a tuple or two per record.  Tuples of ints are
+    # untracked at their first collection, so collections during this
+    # burst would only re-traverse the rest of the heap: pause the
+    # cyclic GC for it.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        pairs = [((a, a_data), (b, b_data)) if a >= 0 and b >= 0
+                 else ((a, a_data),) if a >= 0
+                 else ((b, b_data),) if b >= 0 else ()
+                 for a, a_data, b, b_data
+                 in zip(first, first_is_data, second, second_is_data)]
+    finally:
+        if enabled:
+            gc.enable()
+    return pairs, is_producer.tolist()
 
 
 #: Memo for :func:`_precompute`, keyed by trace identity plus the cache
@@ -379,8 +362,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     # Trace precompute.
     # ------------------------------------------------------------------
     (r_opc, r_kind, r_jdec, r_pc, r_npc, r_taken, r_block,
-     r_load, r_store, r_line, r_chunk, r_mask, r_prod, r_is_prod,
-     r_proto) = \
+     r_load, r_store, r_line, r_chunk, r_mask, r_prod, r_is_prod) = \
         _precompute_cached(trace, dcache.line_shift, dcache.chunk_shift,
                            dcache.line_size, icache.fetch_bytes)
     total = len(trace)
@@ -426,6 +408,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     rob_popleft = rob.popleft
     fq_append = fq.append
     fq_popleft = fq.popleft
+    empty_cons = _EMPTY_CONS
     lsq_loads: list[list] = core.lsq.loads
     lsq_stores: list[list] = core.lsq.stores
     # Derived LSQ views, so the per-cycle scans touch only entries that
@@ -1376,10 +1359,17 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                     index = trace_pos
                     if r_block[index] != block:
                         break
-                    uop = r_proto[index].copy()
-                    uop[U_FETCH] = cycle
-                    if r_is_prod[index]:
-                        uop[U_CONS] = []
+                    # A fresh uop.  The sequence number IS the trace
+                    # index: fetch consumes the trace in order, one uop
+                    # per record.  Producers get a private consumer
+                    # list; everyone else shares the never-mutated
+                    # empty one.
+                    uop = [index, index, r_opc[index], r_load[index],
+                           r_store[index], cycle, False, -1, 0, 0,
+                           [] if r_is_prod[index] else empty_cons, 0, 0,
+                           False, r_line[index], r_chunk[index],
+                           r_mask[index], False, 0, 0, -1, False, False,
+                           False, False, -1]
                     fq_append(uop)
                     fetched += 1
                     trace_pos += 1

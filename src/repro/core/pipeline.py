@@ -41,6 +41,7 @@ from ..obs.stall import DEFAULT_INTERVAL, StallCause, StallLedger
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..stats.counters import Stats
 from ..stats.histogram import Histogram
+from ..trace.io import Trace
 from ..trace.record import TraceRecord
 from .bpred import BranchPredictor
 from .config import CoreConfig, MachineConfig
@@ -243,6 +244,8 @@ class OoOCore:
             self._critpath.begin_run(self.cfg)
         if self._hotspots is not None:
             self._hotspots.begin_run(self.cfg, self.mem.dcache)
+        if not use_fast and isinstance(trace, Trace):
+            self._trace = trace.records  # the reference loop reads records
         if use_fast:
             cycle = run_fast(self, trace)
         elif self.profiler is not None:

@@ -43,6 +43,8 @@ trace identity and generator seed, and records it in the run summary.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import multiprocessing
 import os
 import time
@@ -56,7 +58,8 @@ from ..core.pipeline import CoreResult, OoOCore
 from ..obs import spans as obs_spans
 from ..obs.report import build_run_report
 from ..obs.spans import SpanRecorder, merge_events
-from ..trace.record import TraceRecord
+from ..trace import synthetic
+from ..trace.io import Trace
 from ..trace.synthetic import SyntheticConfig, generate
 from ..workloads import suite
 from .progress import ProgressDisplay
@@ -140,31 +143,36 @@ class TraceSpec:
             label += f" seed={self.seed}"
         return label
 
-    def build(self) -> list[TraceRecord]:
+    def build(self) -> Trace:
         """Materialise the trace through the suite's two-tier cache."""
         if self.kind == "workload":
             return suite.build_trace(self.name, self.scale)
         if self.kind == "os-mix":
             return suite.build_os_mix_trace(self.scale)
         if self.kind == "os-mix-user":
-            return [record
-                    for record in suite.build_os_mix_trace(self.scale)
-                    if not record.kernel]
+            return suite.build_os_mix_trace(self.scale).user_only()
         if self.kind == "scenario":
             return suite.build_scenario_trace(self.name, self.scale,
                                               seed=self.scenario_seed)
         if self.kind == "scenario-user":
-            return [record for record in
-                    suite.build_scenario_trace(self.name, self.scale,
-                                               seed=self.scenario_seed)
-                    if not record.kernel]
+            return suite.build_scenario_trace(
+                self.name, self.scale, seed=self.scenario_seed).user_only()
         if self.kind == "synthetic":
             config = self.synthetic
             return suite.cached_trace(
                 f"synthetic-seed{config.seed}",
-                suite.content_digest(repr(config)),
+                suite.content_digest(repr(config),
+                                     _generator_fingerprint()),
                 lambda: generate(config))
         raise ValueError(f"unknown trace kind {self.kind!r}")
+
+
+@functools.lru_cache(maxsize=1)
+def _generator_fingerprint() -> str:
+    """Digest of the synthetic generator's source, so an edit to it
+    invalidates cached synthetic traces (as the kernel fingerprint does
+    for full-system ones)."""
+    return suite.content_digest(inspect.getsource(synthetic))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from ..core.pipeline import CoreResult, OoOCore
 from ..obs.report import build_run_report
 from ..presets import DUAL_PORT, STRONG_DUAL_PORT
 from ..presets import machine as preset_machine
+from ..trace.io import Trace
 from ..trace.record import TraceRecord
 from ..workloads.suite import SUITE_NAMES, build_os_mix_trace, build_trace
 
@@ -45,9 +46,9 @@ REFERENCE_CONFIGS = frozenset({DUAL_PORT, STRONG_DUAL_PORT})
 
 def suite_traces(scale: str = "small",
                  names: Sequence[str] = ROW_NAMES,
-                 ) -> dict[str, list[TraceRecord]]:
+                 ) -> dict[str, Trace]:
     """Build (or fetch cached) traces for the requested workloads."""
-    traces: dict[str, list[TraceRecord]] = {}
+    traces: dict[str, Trace] = {}
     for name in names:
         if name == "os-mix":
             traces[name] = build_os_mix_trace(scale)

@@ -1,36 +1,73 @@
-"""Trace serialisation: save and load dynamic traces as ``.npz`` files.
+"""Columnar traces: the in-memory :class:`Trace` and its ``.npz`` files.
 
 Functional simulation is the slow half of a study; persisting traces
-lets a parameter sweep rerun the timing core alone.  The format is a
-columnar numpy archive — compact and fast to load.  Instruction
-back-references are not persisted; instead, format v2 persists the
-three *timing hints* the core would otherwise derive from them (the
-store address/data operand split, SYSCALL/ERET serialisation, and
-J/JAL decode redirects), so a reloaded trace times **identically** to
-the fresh instruction-bearing one.  Bump :data:`FORMAT_VERSION` on any
-change that can alter timing — the on-disk trace cache keys on it.
+lets a parameter sweep rerun the timing core alone.  A :class:`Trace`
+holds a dynamic trace as ten numpy columns, the same ten a ``.npz``
+file stores, so a reload is one ``np.load`` with no per-record work and
+the fast cycle loop precomputes straight from the columns.  Records
+(:class:`~repro.trace.record.TraceRecord`) are built only when
+something indexes or iterates the trace — the reference loop, a
+recorder, a checker, the CLI — and then once, column-wise.
+
+Instruction back-references are not persisted; instead, format v2
+persists the three *timing hints* the core would otherwise derive from
+them (the store address/data operand split, SYSCALL/ERET
+serialisation, and J/JAL decode redirects), so a reloaded trace times
+**identically** to the fresh instruction-bearing one.  Bump
+:data:`FORMAT_VERSION` on any change that can alter timing — the
+on-disk trace cache keys on it.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
+import zipfile
+import zlib
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..isa import Bank, OpClass, Opcode
 from .record import TraceRecord
 
-_OPCLASS_IDS = {opclass: idx for idx, opclass in enumerate(OpClass)}
-_OPCLASS_FROM_ID = {idx: opclass for opclass, idx in _OPCLASS_IDS.items()}
+#: Opclasses in column order: the ``opclass`` column holds indices into
+#: this tuple.
+OPCLASSES = tuple(OpClass)
 
-_NO_DEST = 255
-_MAX_SOURCES = 2
-#: ``store_addr_count`` sentinel for "unknown" (use the positional
-#: heuristic, as for synthetic traces).
-_NO_SPLIT = 255
+#: ``dest`` sentinel for "writes no register".
+NO_DEST = 255
+#: Source operands per record (the ``src`` column's width).
+MAX_SOURCES = 2
+#: ``naddr`` sentinel for "unknown" (use the positional heuristic, as
+#: for synthetic traces).
+NO_SPLIT = 255
 
 #: v2: store operand split + serialise/decode-redirect flag bits.
 FORMAT_VERSION = 2
+
+#: Bits of the ``flags`` column.
+F_LOAD = 1
+F_STORE = 2
+F_CONTROL = 4
+F_TAKEN = 8
+F_KERNEL = 16
+F_SERIALIZES = 32
+F_REDIRECT = 64
+
+#: The columns, in file order: name -> (dtype, per-record shape).
+COLUMNS = {
+    "pc": (np.uint64, ()),
+    "opclass": (np.uint8, ()),
+    "dest": (np.uint8, ()),              # NO_DEST when none
+    "src": (np.uint8, (MAX_SOURCES,)),   # zero-padded
+    "nsrc": (np.uint8, ()),
+    "naddr": (np.uint8, ()),             # store address operands
+    "mem_addr": (np.uint64, ()),
+    "mem_size": (np.uint8, ()),
+    "flags": (np.uint8, ()),
+    "next_pc": (np.uint64, ()),
+}
 
 _SERIALIZING_OPCODES = (Opcode.SYSCALL, Opcode.ERET)
 _DECODE_REDIRECT_OPCODES = (Opcode.J, Opcode.JAL)
@@ -46,8 +83,8 @@ def _store_operands(record: TraceRecord) -> tuple[tuple[int, ...], int]:
         # carries (round-trips loaded traces, leaves synthetic ones on
         # the positional heuristic).
         count = record.store_addr_count
-        return record.sources[:_MAX_SOURCES], \
-            count if count >= 0 else _NO_SPLIT
+        return record.sources[:MAX_SOURCES], \
+            count if count >= 0 else NO_SPLIT
     regs: list[int] = []
     count = 0
     if instr.rs1 != 0:
@@ -59,7 +96,7 @@ def _store_operands(record: TraceRecord) -> tuple[tuple[int, ...], int]:
 
 
 def _hint_flags(record: TraceRecord) -> int:
-    """Flag bits 5/6: the serialisation/decode-redirect timing hints."""
+    """Flag bits of the serialisation/decode-redirect timing hints."""
     instr = record.instr
     if instr is None:
         serializes = record.serializes
@@ -67,48 +104,148 @@ def _hint_flags(record: TraceRecord) -> int:
     else:
         serializes = instr.opcode in _SERIALIZING_OPCODES
         redirect = instr.opcode in _DECODE_REDIRECT_OPCODES
-    return (serializes << 5) | (redirect << 6)
+    return serializes * F_SERIALIZES | redirect * F_REDIRECT
 
 
-def save_trace(path: str | os.PathLike, trace: list[TraceRecord]) -> None:
-    """Write *trace* to *path* (``.npz``)."""
-    n = len(trace)
-    pc = np.empty(n, dtype=np.uint64)
-    opclass = np.empty(n, dtype=np.uint8)
-    dest = np.empty(n, dtype=np.uint8)
-    src = np.zeros((n, _MAX_SOURCES), dtype=np.uint8)
-    nsrc = np.empty(n, dtype=np.uint8)
-    naddr = np.empty(n, dtype=np.uint8)
-    mem_addr = np.empty(n, dtype=np.uint64)
-    mem_size = np.empty(n, dtype=np.uint8)
-    flags = np.empty(n, dtype=np.uint8)
-    next_pc = np.empty(n, dtype=np.uint64)
-    for i, record in enumerate(trace):
-        pc[i] = record.pc
-        opclass[i] = _OPCLASS_IDS[record.opclass]
-        dest[i] = _NO_DEST if record.dest is None else record.dest
-        if record.is_store:
-            sources, addr_count = _store_operands(record)
-        else:
-            sources, addr_count = record.sources[:_MAX_SOURCES], _NO_SPLIT
-        nsrc[i] = len(sources)
-        naddr[i] = addr_count
-        for j, reg in enumerate(sources):
-            src[i, j] = reg
-        mem_addr[i] = record.mem_addr
-        mem_size[i] = record.mem_size
-        flags[i] = (record.is_load | (record.is_store << 1)
-                    | (record.is_control << 2) | (record.taken << 3)
-                    | (record.kernel << 4) | _hint_flags(record))
-        next_pc[i] = record.next_pc
-    np.savez_compressed(
-        path, version=np.array([FORMAT_VERSION]), pc=pc, opclass=opclass,
-        dest=dest, src=src, nsrc=nsrc, naddr=naddr, mem_addr=mem_addr,
-        mem_size=mem_size, flags=flags, next_pc=next_pc)
+class Trace:
+    """A dynamic trace as columns (see :data:`COLUMNS`).
+
+    ``len`` reads a column; indexing and iteration yield
+    :class:`TraceRecord` objects, decoded from the columns on first use
+    and kept.  A trace wrapped by :meth:`from_records` keeps the records
+    it was given, instruction back-references included.  Columns and
+    records are read-only by convention: a mutated record does not
+    update the columns.
+    """
+
+    __slots__ = (*COLUMNS, "_records")
+
+    def __init__(self, columns: dict[str, np.ndarray],
+                 records: list[TraceRecord] | None = None) -> None:
+        for name in COLUMNS:
+            setattr(self, name, columns[name])
+        self._records = records
+
+    @classmethod
+    def from_records(cls, records: Sequence[TraceRecord]) -> "Trace":
+        """Encode *records* — the one encoder behind both
+        :func:`save_trace` and the fast loop's precompute."""
+        records = list(records)
+        n = len(records)
+
+        def column(values, dtype) -> np.ndarray:
+            return np.fromiter(values, dtype, n)
+
+        sources = [r.sources for r in records]
+        naddr = np.full(n, NO_SPLIT, dtype=np.uint8)
+        for i in itertools.compress(range(n), [r.is_store for r in records]):
+            sources[i], naddr[i] = _store_operands(records[i])
+        nsrc = column(map(len, sources), np.uint8)
+        if n and nsrc.max() > MAX_SOURCES:
+            raise ValueError(f"a record reads more than {MAX_SOURCES} "
+                             f"registers")
+        # Scatter the concatenated operands into their zero-padded rows.
+        rows = np.repeat(np.arange(n), nsrc)
+        starts = np.repeat(np.cumsum(nsrc, dtype=np.int64) - nsrc, nsrc)
+        src = np.zeros((n, MAX_SOURCES), dtype=np.uint8)
+        src[rows, np.arange(len(rows)) - starts] = np.fromiter(
+            itertools.chain.from_iterable(sources), np.uint8, len(rows))
+        flags = column([r.is_load * F_LOAD | r.is_store * F_STORE
+                        | r.is_control * F_CONTROL | r.taken * F_TAKEN
+                        | r.kernel * F_KERNEL for r in records], np.uint8)
+        return cls({
+            "pc": column([r.pc for r in records], np.uint64),
+            "opclass": column(map(OPCLASSES.index,
+                                  [r.opclass for r in records]), np.uint8),
+            "dest": column([NO_DEST if r.dest is None else r.dest
+                            for r in records], np.uint8),
+            "src": src,
+            "nsrc": nsrc,
+            "naddr": naddr,
+            "mem_addr": column([r.mem_addr for r in records], np.uint64),
+            "mem_size": column([r.mem_size for r in records], np.uint8),
+            "flags": flags | column(map(_hint_flags, records), np.uint8),
+            "next_pc": column([r.next_pc for r in records], np.uint64),
+        }, records)
+
+    @property
+    def columns(self) -> dict[str, np.ndarray]:
+        """The columns by name, in file order."""
+        return {name: getattr(self, name) for name in COLUMNS}
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """The records, decoded once on first use."""
+        if self._records is None:
+            self._records = self._decode()
+        return self._records
+
+    def _decode(self) -> list[TraceRecord]:
+        flags = self.flags
+
+        def flag(bit: int) -> list[bool]:
+            return ((flags & bit) != 0).tolist()
+
+        sources = [tuple(regs[:count]) for regs, count
+                   in zip(self.src.tolist(), self.nsrc.tolist())]
+        return list(map(
+            TraceRecord,
+            self.pc.tolist(),
+            [OPCLASSES[index] for index in self.opclass.tolist()],
+            [None if dest == NO_DEST else dest
+             for dest in self.dest.tolist()],
+            sources,
+            self.mem_addr.tolist(),
+            self.mem_size.tolist(),
+            flag(F_LOAD), flag(F_STORE), flag(F_CONTROL), flag(F_TAKEN),
+            self.next_pc.tolist(),
+            flag(F_KERNEL),
+            itertools.repeat(None),
+            flag(F_SERIALIZES), flag(F_REDIRECT),
+            [-1 if count == NO_SPLIT else count
+             for count in self.naddr.tolist()]))
+
+    def user_only(self) -> "Trace":
+        """The user-mode records alone (the user-only-trace view)."""
+        keep = (self.flags & F_KERNEL) == 0
+        records = None
+        if self._records is not None:
+            records = list(itertools.compress(self._records, keep.tolist()))
+        return Trace({name: column[keep]
+                      for name, column in self.columns.items()}, records)
+
+    def __len__(self) -> int:
+        return len(self.pc)
+
+    def __getitem__(self, index):
+        return self.records[index]
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return iter(self.records)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Trace):
+            other = other.records
+        if not isinstance(other, list):
+            return NotImplemented
+        return self.records == other
+
+
+def as_trace(trace: Sequence[TraceRecord]) -> Trace:
+    """*trace* as a :class:`Trace`, encoding a plain record list."""
+    return trace if isinstance(trace, Trace) else Trace.from_records(trace)
+
+
+def save_trace(path: str | os.PathLike,
+               trace: Sequence[TraceRecord]) -> None:
+    """Write *trace* (a :class:`Trace` or a record list) to *path*
+    (``.npz``)."""
+    np.savez_compressed(path, version=np.array([FORMAT_VERSION]),
+                        **as_trace(trace).columns)
 
 
 def save_trace_atomic(path: str | os.PathLike,
-                      trace: list[TraceRecord]) -> None:
+                      trace: Sequence[TraceRecord]) -> None:
     """Write *trace* to *path* via a same-directory temp file and an
     atomic rename — concurrent writers (parallel experiment workers,
     racing processes) can never expose a torn file."""
@@ -122,41 +259,39 @@ def save_trace_atomic(path: str | os.PathLike,
             os.unlink(tmp)
 
 
-def load_trace(path: str | os.PathLike) -> list[TraceRecord]:
-    """Read a trace written by :func:`save_trace`."""
+def _read_columns(path) -> dict[str, np.ndarray]:
     with np.load(path) as archive:
         version = int(archive["version"][0])
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported trace format version {version}")
-        pc = archive["pc"]
-        opclass = archive["opclass"]
-        dest = archive["dest"]
-        src = archive["src"]
-        nsrc = archive["nsrc"]
-        naddr = archive["naddr"]
-        mem_addr = archive["mem_addr"]
-        mem_size = archive["mem_size"]
-        flags = archive["flags"]
-        next_pc = archive["next_pc"]
-    trace: list[TraceRecord] = []
-    for i in range(len(pc)):
-        flag = int(flags[i])
-        addr_count = int(naddr[i])
-        trace.append(TraceRecord(
-            pc=int(pc[i]),
-            opclass=_OPCLASS_FROM_ID[int(opclass[i])],
-            dest=None if dest[i] == _NO_DEST else int(dest[i]),
-            sources=tuple(int(src[i, j]) for j in range(int(nsrc[i]))),
-            mem_addr=int(mem_addr[i]),
-            mem_size=int(mem_size[i]),
-            is_load=bool(flag & 1),
-            is_store=bool(flag & 2),
-            is_control=bool(flag & 4),
-            taken=bool(flag & 8),
-            kernel=bool(flag & 16),
-            next_pc=int(next_pc[i]),
-            serializes=bool(flag & 32),
-            decode_redirect=bool(flag & 64),
-            store_addr_count=-1 if addr_count == _NO_SPLIT else addr_count,
-        ))
-    return trace
+        return {name: archive[name] for name in COLUMNS}
+
+
+def _column_problem(columns: dict[str, np.ndarray]) -> str | None:
+    """Why *columns* cannot be a trace, or None."""
+    n = columns["pc"].size
+    for name, (dtype, shape) in COLUMNS.items():
+        column = columns[name]
+        if column.dtype != dtype or column.shape != (n, *shape):
+            return (f"column {name!r} is {column.dtype}{list(column.shape)}"
+                    f", expected {np.dtype(dtype)}{[n, *shape]}")
+    if n and columns["opclass"].max() >= len(OPCLASSES):
+        return "opclass index out of range"
+    if n and columns["nsrc"].max() > MAX_SOURCES:
+        return "operand count out of range"
+    return None
+
+
+def load_trace(path: str | os.PathLike) -> Trace:
+    """Read a trace written by :func:`save_trace` — the columns only, no
+    per-record work.  An unreadable archive, another format version or
+    a malformed column raises :class:`ValueError` naming *path*."""
+    try:
+        columns = _read_columns(path)
+    except (OSError, EOFError, KeyError, IndexError, ValueError,
+            zipfile.BadZipFile, zlib.error) as exc:
+        raise ValueError(f"cannot load trace {path}: {exc}") from exc
+    problem = _column_problem(columns)
+    if problem is not None:
+        raise ValueError(f"malformed trace {path}: {problem}")
+    return Trace(columns)

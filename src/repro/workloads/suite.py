@@ -17,7 +17,12 @@ format version): the digest covers the generated assembly source and
 build parameters, so editing a workload generator or bumping
 ``trace.io.FORMAT_VERSION`` invalidates stale entries instead of
 silently serving them.  Disk I/O failures degrade to memory-only
-caching; they never fail a run.
+caching, and an unreadable or malformed entry is rebuilt; neither ever
+fails a run.
+
+Both tiers hold :class:`~repro.trace.io.Trace` objects: a fresh build is
+wrapped (its records keep their instructions) and a disk hit is the
+file's columns, with no per-record work.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ import hashlib
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from ..asm import assemble
 from ..func.exceptions import SimError
@@ -35,6 +42,7 @@ from ..func.run import run_bare
 from ..kernel import assemble_user, run_system
 from ..obs import spans as obs_spans
 from ..trace import io as trace_io
+from ..trace.io import Trace
 from ..trace.record import TraceRecord
 from . import (
     bintree,
@@ -145,7 +153,7 @@ WORKLOADS: dict[str, WorkloadSpec] = _build_registry()
 SUITE_NAMES = ("compress", "wc", "qsort", "bintree", "linked", "spmv",
                "stream", "memops", "matmul")
 
-_trace_cache: dict[tuple, list[TraceRecord]] = {}
+_trace_cache: dict[tuple, Trace] = {}
 
 #: Values of ``REPRO_TRACE_CACHE`` (or ``--trace-cache``) that disable
 #: the disk tier.
@@ -223,8 +231,7 @@ def _kernel_fingerprint() -> str:
 
 
 def cached_trace(label: str, digest: str,
-                 build: Callable[[], list[TraceRecord]],
-                 ) -> list[TraceRecord]:
+                 build: Callable[[], list[TraceRecord]]) -> Trace:
     """Two-tier trace lookup: memory, then disk, then *build*.
 
     *label* names the entry (it becomes part of the filename); *digest*
@@ -254,13 +261,13 @@ def cached_trace(label: str, digest: str,
                 _cache_stats["disk_hits"] += 1
                 _trace_cache[key] = trace
                 return trace
-        except (OSError, ValueError, KeyError):
+        except (OSError, ValueError):
             pass  # unreadable/stale entry: rebuild and overwrite
     if recorder is None:
-        trace = build()
+        trace = Trace.from_records(build())
     else:
         with recorder.span("trace.build", "workload", label=label):
-            trace = build()
+            trace = Trace.from_records(build())
     _cache_stats["builds"] += 1
     _trace_cache[key] = trace
     if path is not None:
@@ -278,7 +285,7 @@ def cached_trace(label: str, digest: str,
 
 
 def build_trace(name: str, scale: str = "small",
-                max_instructions: int = 3_000_000) -> list[TraceRecord]:
+                max_instructions: int = 3_000_000) -> Trace:
     """Functionally execute a workload and return its verified trace."""
     spec = WORKLOADS[name]
     params = spec.params(scale)
@@ -308,8 +315,7 @@ OS_MIX_TIMER = {"tiny": 300, "small": 1500, "full": 5000}
 
 def build_os_mix_trace(scale: str = "small", members=OS_MIX_MEMBERS,
                        timer_interval: int | None = None,
-                       max_instructions: int = 8_000_000,
-                       ) -> list[TraceRecord]:
+                       max_instructions: int = 8_000_000) -> Trace:
     """A multiprogrammed mix under the mini-OS (kernel in the trace)."""
     interval = timer_interval if timer_interval is not None \
         else OS_MIX_TIMER[scale]
@@ -344,7 +350,7 @@ def build_os_mix_trace(scale: str = "small", members=OS_MIX_MEMBERS,
 def build_scenario_trace(name: str, scale: str = "small",
                          seed: int | None = None,
                          overrides: dict[str, int] | None = None,
-                         ) -> list[TraceRecord]:
+                         ) -> Trace:
     """Build (or fetch) the verified trace of one scenario-corpus entry.
 
     The cache key covers the scenario name, scale, **seed**, every
@@ -376,17 +382,18 @@ def build_scenario_trace(name: str, scale: str = "small",
                         build_fn)
 
 
-def trace_summary(trace: list[TraceRecord]) -> dict[str, float]:
+def trace_summary(trace: Sequence[TraceRecord]) -> dict[str, float]:
     """Static characteristics of a trace (for T1-style tables)."""
-    total = len(trace)
-    loads = sum(1 for r in trace if r.is_load)
-    stores = sum(1 for r in trace if r.is_store)
-    branches = sum(1 for r in trace if r.is_control)
-    kernel = sum(1 for r in trace if r.kernel)
+    flags = trace_io.as_trace(trace).flags
+    total = len(flags)
+
+    def fraction(bit: int) -> float:
+        return int(np.count_nonzero(flags & bit)) / total if total else 0.0
+
     return {
         "instructions": total,
-        "load_fraction": loads / total if total else 0.0,
-        "store_fraction": stores / total if total else 0.0,
-        "branch_fraction": branches / total if total else 0.0,
-        "kernel_fraction": kernel / total if total else 0.0,
+        "load_fraction": fraction(trace_io.F_LOAD),
+        "store_fraction": fraction(trace_io.F_STORE),
+        "branch_fraction": fraction(trace_io.F_CONTROL),
+        "kernel_fraction": fraction(trace_io.F_KERNEL),
     }

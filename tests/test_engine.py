@@ -9,16 +9,38 @@ simulations.
 
 from __future__ import annotations
 
+import re
+
+import numpy as np
 import pytest
 
+from repro.experiments import engine as engine_module
 from repro.experiments import f2_headline, run_all
 from repro.experiments.engine import Engine, SimJob, TraceSpec, execute
 from repro.experiments.runner import capture_reports, mean, run_configs
 from repro.presets import DUAL_PORT, STRONG_DUAL_PORT, machine
-from repro.trace import SyntheticConfig
+from repro.trace import SyntheticConfig, load_trace
+from repro.trace import io as trace_io
 from repro.workloads import (build_trace, clear_trace_cache,
                              set_trace_cache_dir, trace_cache_dir,
                              trace_cache_stats)
+
+
+def _corrupt(path, fault: str) -> None:
+    """Damage the ``.npz`` cache entry at *path* in the way *fault*
+    names."""
+    if fault == "truncated":
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+    elif fault == "empty":
+        path.write_bytes(b"")
+    else:
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        if fault == "short-column":
+            arrays["mem_addr"] = arrays["mem_addr"][:-1]
+        else:
+            arrays["version"] = np.array([trace_io.FORMAT_VERSION + 1])
+        np.savez_compressed(path, **arrays)
 
 
 def _strip_host(report: dict) -> dict:
@@ -144,6 +166,40 @@ class TestTraceCache:
         for config in ("1P", "1P-wide+LB+SC", "2P"):
             assert simulate(fresh, machine(config)).cycles == \
                 simulate(loaded, machine(config)).cycles
+
+    @pytest.mark.parametrize("fault", ["truncated", "empty", "short-column",
+                                       "wrong-version"])
+    def test_corrupt_entry_is_rebuilt(self, cache_dir, fault):
+        fresh = build_trace("stream", "tiny")
+        [path] = cache_dir.glob("stream-tiny-*.npz")
+        _corrupt(path, fault)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_trace(path)
+        clear_trace_cache()
+        before = trace_cache_stats()
+        rebuilt = build_trace("stream", "tiny")
+        after = trace_cache_stats()
+        assert after["builds"] == before["builds"] + 1
+        assert after["disk_hits"] == before["disk_hits"]
+        for name, column in fresh.columns.items():
+            assert np.array_equal(rebuilt.columns[name], column), name
+        assert len(load_trace(path)) == len(fresh)  # rewritten whole
+
+    def test_generator_edit_invalidates_synthetic_entries(self, cache_dir,
+                                                          monkeypatch):
+        spec = TraceSpec.from_synthetic(SyntheticConfig(instructions=200,
+                                                        seed=3))
+        spec.build()
+        clear_trace_cache()
+        before = trace_cache_stats()
+        spec.build()
+        assert trace_cache_stats()["disk_hits"] == before["disk_hits"] + 1
+        clear_trace_cache()
+        monkeypatch.setattr(engine_module, "_generator_fingerprint",
+                            lambda: "edited")
+        before = trace_cache_stats()
+        spec.build()
+        assert trace_cache_stats()["builds"] == before["builds"] + 1
 
     def test_off_disables_disk_tier(self, cache_dir):
         set_trace_cache_dir("off")

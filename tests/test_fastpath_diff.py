@@ -17,9 +17,10 @@ from __future__ import annotations
 import pytest
 
 from repro.asm import assemble
-from repro.core import pipeline
+from repro.core import fastpath, pipeline
 from repro.core.pipeline import OoOCore
 from repro.func import run_bare
+from repro.isa import Bank, Opcode, OpClass
 from repro.presets import CONFIG_NAMES, machine
 from repro.scenarios.verify import result_view as _result_view
 from repro.trace.fuzz import generate_program
@@ -80,6 +81,90 @@ def test_fastpath_matches_reference_on_fuzz_programs(seed, monkeypatch):
     for config_name in ("1P", "1P-wide+LB+SC", "2P+SC"):
         slow, fast = _run_pair(config_name, func.trace, monkeypatch)
         assert fast == slow, f"divergence on {config_name}"
+
+
+def _reference_precompute(trace, line_shift: int, chunk_shift: int,
+                          line_size: int, fetch_bytes: int) -> tuple:
+    """The fast loop's precompute, one record at a time from the
+    records' own fields and instructions: the reference the columnar
+    precompute must equal."""
+    n = len(trace)
+    lists = [[] for _ in range(12)]
+    r_prod = [()] * n
+    r_is_prod = [False] * n
+    last_writer = {}
+    for i, record in enumerate(trace):
+        instr = record.instr
+        opcode = instr.opcode if instr is not None else None
+        line = chunk = mask = 0
+        if record.is_load or record.is_store:
+            line = record.mem_addr >> line_shift
+            chunk = record.mem_addr >> chunk_shift
+            mask = ((1 << record.mem_size) - 1) \
+                << (record.mem_addr & (line_size - 1))
+        kind, jdec = fastpath._K_PLAIN, False
+        if record.is_control and record.opclass is OpClass.BRANCH:
+            kind = fastpath._K_BRANCH
+        elif record.is_control:
+            kind = fastpath._K_JUMP
+            jdec = opcode in (Opcode.J, Opcode.JAL) if instr is not None \
+                else record.decode_redirect
+        elif record.next_pc != record.pc + 4 or (
+                record.opclass is OpClass.SYSTEM
+                and (opcode in (Opcode.SYSCALL, Opcode.ERET)
+                     if instr is not None else record.serializes)):
+            kind = fastpath._K_SERIALIZE
+        for values, value in zip(lists, (
+                fastpath._OPCS.index(record.opclass), kind, jdec,
+                record.pc, record.next_pc, record.taken,
+                record.pc // fetch_bytes, record.is_load, record.is_store,
+                line, chunk, mask)):
+            values.append(value)
+        if record.is_store and instr is not None:
+            deps = [(instr.rs1, False)] if instr.rs1 != 0 else []
+            if not (instr.info.rs2_bank is Bank.INT and instr.rs2 == 0):
+                deps.append((instr.rs2, True))
+        elif record.is_store:
+            split = record.store_addr_count \
+                if record.store_addr_count >= 0 else 1
+            deps = [(reg, position >= split)
+                    for position, reg in enumerate(record.sources)]
+        else:
+            deps = [(reg, False) for reg in record.sources]
+        prods = tuple((last_writer[reg], is_data)
+                      for reg, is_data in deps if reg in last_writer)
+        if prods:
+            r_prod[i] = prods
+        for producer, _ in prods:
+            r_is_prod[producer] = True
+        if record.dest is not None:
+            last_writer[record.dest] = i
+    return (*lists, r_prod, r_is_prod)
+
+
+def _geometry(config_name: str) -> tuple[int, int, int, int]:
+    mem = OoOCore(machine(config_name)).mem
+    return (mem.dcache.line_shift, mem.dcache.chunk_shift,
+            mem.dcache.line_size, mem.icache.fetch_bytes)
+
+
+@pytest.mark.parametrize("config_name", ("1P", "1P-wide+LB+SC"))
+def test_precompute_reads_every_trace_form_alike(trace_forms, config_name):
+    # The fresh list is encoded first; the wrap and the reload are read
+    # from their columns.  All three must equal the per-record reference.
+    _, fresh, wrapped, reloaded = trace_forms
+    geometry = _geometry(config_name)
+    expected = _reference_precompute(fresh, *geometry)
+    for form in (fresh, wrapped, reloaded):
+        assert fastpath._precompute(form, *geometry) == expected
+
+
+def test_every_trace_form_times_identically_on_both_loops(trace_forms,
+                                                          monkeypatch):
+    _, fresh, wrapped, reloaded = trace_forms
+    views = [view for form in (fresh, wrapped, reloaded)
+             for view in _run_pair("1P-wide+LB+SC", form, monkeypatch)]
+    assert all(view == views[0] for view in views)
 
 
 def test_fastpath_auto_selection(stream_trace, monkeypatch):

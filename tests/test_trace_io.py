@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import simulate
+from repro.core import OoOCore, pipeline, simulate
 from repro.presets import machine
-from repro.trace import SyntheticConfig, generate, load_trace, save_trace
+from repro.trace import (SyntheticConfig, Trace, generate, load_trace,
+                         save_trace)
 
 
 class TestRoundTrip:
@@ -92,6 +93,31 @@ class TestRoundTrip:
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match="version"):
             load_trace(path)
+
+
+class TestColumnarTrace:
+    """One trace of each kind: a wrap and a reload carry the same
+    columns, and only indexing or iterating builds records."""
+
+    def test_wrap_and_reload_carry_the_same_columns(self, trace_forms):
+        _, fresh, wrapped, reloaded = trace_forms
+        assert wrapped[0] is fresh[0]  # wrapping keeps the records
+        redecoded = Trace.from_records(reloaded.records)
+        for name, column in wrapped.columns.items():
+            assert reloaded.columns[name].dtype == column.dtype, name
+            assert np.array_equal(reloaded.columns[name], column), name
+            assert np.array_equal(redecoded.columns[name], column), name
+
+    def test_fast_loop_leaves_a_loaded_trace_undecoded(
+            self, trace_forms, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "_ENV_VALIDATE", False)
+        _, fresh, _, _ = trace_forms
+        path = tmp_path / "trace.npz"
+        save_trace(path, fresh)
+        loaded = load_trace(path)
+        assert len(loaded) == len(fresh)
+        assert OoOCore(machine("1P")).run(loaded).used_fastpath
+        assert loaded._records is None
 
 
 class TestProperties:
