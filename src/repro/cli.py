@@ -203,7 +203,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     validator = None
     if args.validate:
         from .validate import InvariantChecker
-        validator = InvariantChecker(tracer=tracer)
+        validator = InvariantChecker()
     critpath = None
     if getattr(args, "critpath", None) is not None:
         critpath = CritPathRecorder(whatif=[WHATIF_PORT])

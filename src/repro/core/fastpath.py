@@ -1,11 +1,12 @@
 """The specialized fast cycle loop — the uninstrumented twin of
 :meth:`repro.core.pipeline.OoOCore._run_loop`.
 
-When a core runs with *every* observability hook off (tracer, metrics,
-pipe trace, validator, self-profiler — the zero-overhead-when-off
-discipline makes that predicate exact), :meth:`OoOCore.run` dispatches
-here instead of the instrumented reference loop.  This module is a
-flattened re-statement of the same machine:
+When a core has nothing in its ``probe`` slot and no self-profiler
+(``probe is None and profiler is None``: no tracer, validator, interval
+metrics, pipe trace, critpath or hotspots recorder listens, and no
+stage timer runs; see :mod:`repro.obs.probe`), :meth:`OoOCore.run`
+dispatches here instead of the instrumented reference loop.  This
+module is a flattened re-statement of the same machine:
 
 * the six per-cycle stage calls, the LSQ scheduler, the D-cache port
   arbitration, the write/line buffers and the I-cache hit path are

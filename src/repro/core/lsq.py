@@ -25,18 +25,11 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from typing import TYPE_CHECKING
-
 from ..mem.dcache import AccessStatus, DataCacheSystem
-from ..obs.tracer import NULL_TRACER, Tracer
+from ..obs.probe import Probe
 from ..stats.counters import Stats
 from .config import CoreConfig
 from .uop import Uop
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from ..obs.critpath import CritPathRecorder
-    from ..obs.hotspots import HotspotRecorder
-    from ..validate.base import Validator
 
 _INFINITY = float("inf")
 
@@ -49,17 +42,11 @@ class LoadStoreQueue:
 
     def __init__(self, config: CoreConfig, dcache: DataCacheSystem,
                  stats: Stats | None = None,
-                 tracer: Tracer | None = None,
-                 validator: "Validator | None" = None,
-                 critpath: "CritPathRecorder | None" = None,
-                 hotspots: "HotspotRecorder | None" = None) -> None:
+                 probe: Probe | None = None) -> None:
         self.config = config
         self.dcache = dcache
         self.stats = stats if stats is not None else Stats()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._validate = validator
-        self._critpath = critpath
-        self._hotspots = hotspots
+        self.probe = probe
         self.loads: list[Uop] = []
         self.stores: list[Uop] = []
         self._cycle = 0
@@ -122,10 +109,7 @@ class LoadStoreQueue:
             if not load.addr_known or load.mem_done:
                 continue
             if load.seq > barrier and not self.config.speculative_loads:
-                stats.inc("lsq.order_stalls")
-                load.lsq_block = "order"
-                if self._hotspots is not None:
-                    self._hotspots.note_lsq_wait(load, "order_stalls")
+                self._wait(load, "order_stalls", "order")
                 continue
             action = self._store_forwarding(load, cycle)
             if action == "forward":
@@ -133,10 +117,7 @@ class LoadStoreQueue:
                 self._finish(load, cycle + 1, complete, "sq")
                 continue
             if action == "wait":
-                stats.inc("lsq.sq_waits")
-                load.lsq_block = "sq_wait"
-                if self._hotspots is not None:
-                    self._hotspots.note_lsq_wait(load, "sq_waits")
+                self._wait(load, "sq_waits", "sq_wait")
                 continue
             wb_action = dcache.write_buffer_check(load.line, load.byte_mask)
             if wb_action == "forward":
@@ -144,10 +125,7 @@ class LoadStoreQueue:
                 self._finish(load, cycle + 1, complete, "wb")
                 continue
             if wb_action == "conflict":
-                stats.inc("lsq.wb_conflicts")
-                load.lsq_block = "wb_conflict"
-                if self._hotspots is not None:
-                    self._hotspots.note_lsq_wait(load, "wb_conflicts")
+                self._wait(load, "wb_conflicts", "wb_conflict")
                 continue
             if lb_reads < lb_cap and dcache.line_buffer_hit(load.line):
                 lb_reads += 1
@@ -157,6 +135,13 @@ class LoadStoreQueue:
                 continue
             port_requests.append(load)
         return port_requests
+
+    def _wait(self, load: Uop, counter: str, block: str) -> None:
+        """*load* waits this cycle: bump ``lsq.<counter>``, note why."""
+        self.stats.inc(f"lsq.{counter}")
+        load.lsq_block = block
+        if self.probe is not None:
+            self.probe.lsq_wait(load, counter)
 
     def _schedule_ports(self, requests: list[Uop],
                         complete: CompleteLoad) -> None:
@@ -175,10 +160,8 @@ class LoadStoreQueue:
         else:
             batches = [[load] for load in requests]
         for index, batch in enumerate(batches):
-            if self._hotspots is not None:
-                # Per-access D-cache counters land on the batch leader.
-                dcache.access_context = batch[0].record
-            result = dcache.load_access(batch[0].line)
+            # Per-access D-cache counters land on the batch leader.
+            result = dcache.load_access(batch[0].line, batch[0].record)
             if result.status is AccessStatus.NO_PORT:
                 for blocked in batches[index:]:
                     for load in blocked:
@@ -196,30 +179,20 @@ class LoadStoreQueue:
             if len(batch) > 1:
                 stats.inc("lsq.combined_loads", len(batch) - 1)
                 stats.inc("lsq.combined_accesses")
-                if self._hotspots is not None:
-                    for load in batch[1:]:
-                        self._hotspots.note_lsq_combined(load)
+                if self.probe is not None:
+                    self.probe.lsq_combine(batch)
             for load in batch:
                 self._finish(load, result.ready, complete, result.source)
 
     def _finish(self, load: Uop, ready: int, complete: CompleteLoad,
                 source: str) -> None:
-        if self._critpath is not None:
-            # The block reason must be captured before it is cleared:
-            # it names the wait between address-ready and this grant.
-            self._critpath.note_mem(load.seq, self._cycle, ready, source,
-                                    load.lsq_block)
-        if self._hotspots is not None:
-            self._hotspots.note_lsq_service(load, source)
+        if self.probe is not None:
+            # Fired before the block reason is cleared: it names the
+            # wait between address-ready and this grant.
+            self.probe.load_serviced(self, load, ready, source, self._cycle)
         load.mem_done = True
         load.mem_source = source
         load.lsq_block = None
-        if self.tracer.enabled:
-            self.tracer.emit(self._cycle, "lsq.load", seq=load.seq,
-                             line=load.line, source=source, ready=ready)
-        if self._validate is not None:
-            self._validate.on_load_serviced(self, load, ready, source,
-                                            self._cycle)
         complete(load, ready)
 
     # ------------------------------------------------------------------

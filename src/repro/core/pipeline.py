@@ -35,10 +35,11 @@ from ..obs.critpath import CritPathRecorder
 from ..obs.hotspots import HotspotRecorder
 from ..obs.metrics import IntervalMetrics
 from ..obs.pipetrace import PipeTrace
+from ..obs.probe import Probe
 from ..obs.selfprof import SelfProfiler
 from ..obs.spans import SpanRecorder
 from ..obs.stall import DEFAULT_INTERVAL, StallCause, StallLedger
-from ..obs.tracer import NULL_TRACER, Tracer
+from ..obs.tracer import Tracer
 from ..stats.counters import Stats
 from ..stats.histogram import Histogram
 from ..trace.io import Trace
@@ -148,11 +149,9 @@ class OoOCore:
         self.machine = machine
         self.cfg: CoreConfig = machine.core
         self.stats = Stats()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._tracing = self.tracer.enabled
         if validator is None and _ENV_VALIDATE:
             from ..validate.invariants import InvariantChecker
-            validator = InvariantChecker(tracer=self.tracer, strict=True)
+            validator = InvariantChecker(strict=True)
         self._validate = validator
         # Span tracing rides on the self-profiler's instrumented loop:
         # the per-stage brackets it already takes are the span slices
@@ -163,33 +162,33 @@ class OoOCore:
             elif profiler.spans is None:
                 profiler.spans = spans
         self.spans = spans
-        self.mem = MemorySystem(machine.mem, stats=self.stats,
-                                tracer=self.tracer, spans=spans)
-        # Optional telemetry: interval time series, per-instruction
-        # pipeline trace, host-time self-profile.  All default off and
-        # cost one `is None` check (metrics/profiler: per cycle;
-        # pipe trace: per commit) when disabled.
+        self.profiler = profiler
         self.metrics = IntervalMetrics(
             self.stats, ports=machine.mem.dcache.ports,
             interval=metrics_interval) if metrics_interval else None
-        self._pipe = pipe_trace
-        self.profiler = profiler
-        # Critical-path recorder: commit-time dependence-graph snapshots
-        # (see repro.obs.critpath).  Off by default; every hook site is
-        # a single `is None` check.
-        self._critpath = critpath
-        # Per-PC hotspot recorder: program-level attribution (see
-        # repro.obs.hotspots).  The D-cache carries its own reference
-        # so per-access counters land on the access-context PC.
-        self._hotspots = hotspots
-        if hotspots is not None:
-            self.mem.dcache.hotspots = hotspots
+        #: Every recorder slot, keyed by the reason it keeps a run off
+        #: the fast loop, in the priority run/bench manifests record.
+        self._attached = {"tracer attached": tracer,
+                          "validator attached": validator,
+                          "interval metrics attached": self.metrics,
+                          "pipe trace attached": pipe_trace,
+                          "self-profiler attached": profiler,
+                          "critpath recorder attached": critpath,
+                          "hotspots recorder attached": hotspots}
+        # The profiler times the stages and is no probe listener; a
+        # ValidationSuite attaches its children.
+        validators = getattr(validator, "children", [validator])
+        listeners = [recorder for recorder in (
+            tracer, *validators, self.metrics, pipe_trace, critpath,
+            hotspots) if recorder is not None]
+        #: The one recorder slot (see repro.obs.probe).
+        self.probe = Probe(listeners) if listeners else None
+        self.mem = MemorySystem(machine.mem, stats=self.stats,
+                                probe=self.probe, spans=spans)
         self.bpred = BranchPredictor(self.cfg.bpred, stats=self.stats)
         self.fu = FUPool(self.cfg.fu_specs, stats=self.stats)
         self.lsq = LoadStoreQueue(self.cfg, self.mem.dcache,
-                                  stats=self.stats, tracer=self.tracer,
-                                  validator=validator, critpath=critpath,
-                                  hotspots=hotspots)
+                                  stats=self.stats, probe=self.probe)
         # Stall attribution: one slot-conservation ledger per run.
         self.ledger = StallLedger(
             max(self.cfg.issue_width, self.cfg.commit_width),
@@ -224,26 +223,29 @@ class OoOCore:
 
     # ------------------------------------------------------------------
     def run(self, trace: Sequence[TraceRecord]) -> CoreResult:
-        """Simulate the machine over *trace*; returns timing results."""
+        """Simulate the machine over *trace*; returns timing results.
+
+        A core runs one trace: its caches, predictor, counters and
+        ledger carry the run's end state, so a second call raises."""
+        if self._trace:
+            raise ValueError("an OoOCore runs exactly one trace; build a "
+                             "new core for another run")
         if not trace:
             raise ValueError("empty trace")
         self._trace = trace
         rejection = self._fastpath_rejection()
         if self._fastpath and rejection is not None:
-            raise ValueError(
-                f"fastpath=True requires tracer, metrics, pipe trace, "
-                f"validator, profiler, critpath and hotspots to all be "
-                f"off ({rejection})")
+            raise ValueError(f"fastpath=True requires no recorder and no "
+                             f"profiler ({rejection})")
         use_fast = (rejection is None) if self._fastpath is None \
             else self._fastpath
         if not use_fast and rejection is None:
             rejection = "fastpath=False requested"
         self.used_fastpath = use_fast
         self.fastpath_reason = None if use_fast else rejection
-        if self._critpath is not None:
-            self._critpath.begin_run(self.cfg)
-        if self._hotspots is not None:
-            self._hotspots.begin_run(self.cfg, self.mem.dcache)
+        probe = self.probe
+        if probe is not None:
+            probe.run_begin(self)
         if not use_fast and isinstance(trace, Trace):
             self._trace = trace.records  # the reference loop reads records
         if use_fast:
@@ -262,16 +264,10 @@ class OoOCore:
                 recorder.end(cycles=cycle, instructions=self._committed)
         else:
             cycle = self._run_loop()
-        if self.metrics is not None:
-            self.metrics.finalize(self._committed)
-        if self._critpath is not None:
-            self._critpath.finalize(cycle, self._committed)
-        if self._hotspots is not None:
-            self._hotspots.finalize(cycle, self._committed)
-        digests = None
-        if self._validate is not None:
-            self._validate.on_drain(self, cycle)
-            digests = self._validate.digests()
+        if probe is not None:
+            probe.run_end(self, cycle, self._committed)
+        digests = None if self._validate is None else \
+            self._validate.digests()
         self.stats.set("core.cycles", cycle)
         self.stats.set("core.committed", self._committed)
         for cause, slots in self.ledger.lost.items():
@@ -288,7 +284,7 @@ class OoOCore:
     def _run_loop(self) -> int:
         """The plain (unprofiled) per-cycle loop; returns final cycle."""
         total = len(self._trace)
-        metrics = self.metrics
+        probe = self.probe
         cycle = 0
         while self._trace_pos < total or self._rob or self._fetch_queue:
             self._cycle = cycle
@@ -301,10 +297,8 @@ class OoOCore:
             self._issue_stage(cycle)
             self._dispatch_stage(cycle)
             self._fetch_stage(cycle)
-            if self._validate is not None:
-                self._validate.on_cycle(self, cycle)
-            if metrics is not None:
-                self._sample_metrics(metrics, cycle)
+            if probe is not None:
+                probe.cycle_end(self, cycle)
             self._watchdog(cycle)
             cycle += 1
         return cycle
@@ -315,7 +309,7 @@ class OoOCore:
         A separate loop so the default path pays nothing."""
         total = len(self._trace)
         profiler = self.profiler
-        metrics = self.metrics
+        probe = self.probe
         perf = time.perf_counter
         cycle = 0
         while self._trace_pos < total or self._rob or self._fetch_queue:
@@ -340,10 +334,8 @@ class OoOCore:
             profiler.add_cycle(cycle, (t1 - t0, t2 - t1, t3 - t2,
                                        t4 - t3, t5 - t4, t6 - t5,
                                        t7 - t6))
-            if self._validate is not None:
-                self._validate.on_cycle(self, cycle)
-            if metrics is not None:
-                self._sample_metrics(metrics, cycle)
+            if probe is not None:
+                probe.cycle_end(self, cycle)
             self._watchdog(cycle)
             cycle += 1
         return cycle
@@ -351,46 +343,20 @@ class OoOCore:
     def _fastpath_rejection(self) -> str | None:
         """Why the fast loop cannot run, or ``None`` when it can.
 
-        The fast loop is observably identical to the reference loop
-        only with every instrumentation layer detached; the returned
-        reason is surfaced through :attr:`CoreResult.fastpath_reason`
-        into run/bench manifests.  Span recording rides on the profiler
-        (see ``__init__``), so the profiler check covers it."""
-        if self._tracing:
-            return "tracer attached"
-        if self._validate is not None:
-            return "validator attached"
-        if self.metrics is not None:
-            return "interval metrics attached"
-        if self._pipe is not None:
-            return "pipe trace attached"
-        if self.profiler is not None:
-            return "self-profiler attached"
-        if self._critpath is not None:
-            return "critpath recorder attached"
-        if self._hotspots is not None:
-            return "hotspots recorder attached"
-        return None
-
-    def _fastpath_eligible(self) -> bool:
-        """True iff no instrumentation is attached (see
-        :meth:`_fastpath_rejection`)."""
-        return self._fastpath_rejection() is None
+        The fast loop fires no probe events and times no stages; the
+        returned reason is surfaced through
+        :attr:`CoreResult.fastpath_reason` into run/bench manifests.
+        Span recording rides on the profiler (see ``__init__``), so the
+        profiler check covers it."""
+        if self.probe is None and self.profiler is None:
+            return None
+        return next(reason for reason, recorder in self._attached.items()
+                    if recorder is not None)
 
     def _watchdog(self, cycle: int) -> None:
         """Single zero-progress check shared by both reference loops."""
         if cycle - self._last_activity > self._watchdog_limit:
             raise SimError(self._deadlock_report(cycle))
-
-    def _sample_metrics(self, metrics: IntervalMetrics,
-                        cycle: int) -> None:
-        """End-of-cycle occupancy/port sample (telemetry on only)."""
-        dcache = self.mem.dcache
-        metrics.on_cycle(cycle, self._committed,
-                         len(self._rob), len(self._iq),
-                         len(self.lsq.loads), len(self.lsq.stores),
-                         len(dcache.write_buffer), dcache.ports_used,
-                         dcache.mshrs_busy())
 
     # ------------------------------------------------------------------
     # 1. events
@@ -440,15 +406,20 @@ class OoOCore:
                                     not uop.mispredicted)
         if uop is self._waiting_branch:
             self._waiting_branch = None
-            self._fetch_block_cause = StallCause.BRANCH
-            resume = cycle + self.cfg.bpred.mispredict_redirect
-            if resume > self._fetch_blocked_until:
-                self._fetch_blocked_until = resume
-            if self._critpath is not None:
-                self._critpath.note_redirect(resume, "branch", uop.seq)
-            if self._tracing:
-                self.tracer.emit(cycle, "branch.resolve", pc=record.pc,
-                                 seq=uop.seq, resume=resume)
+            self._redirect(cycle, "branch", uop,
+                           cycle + self.cfg.bpred.mispredict_redirect)
+
+    def _redirect(self, cycle: int, kind: str, uop: Uop,
+                  resume: int) -> None:
+        """Hold fetch until *resume* because of *uop*: a ``branch``
+        resolved, a ``serialize`` instruction committed, or a
+        ``decode``-stage jump redirect."""
+        self._fetch_block_cause = StallCause.SERIALIZE \
+            if kind == "serialize" else StallCause.BRANCH
+        if resume > self._fetch_blocked_until:
+            self._fetch_blocked_until = resume
+        if self.probe is not None:
+            self.probe.redirect(cycle, kind, uop, resume)
 
     # ------------------------------------------------------------------
     # 2. commit
@@ -456,6 +427,7 @@ class OoOCore:
     def _commit_stage(self, cycle: int) -> None:
         rob = self._rob
         dcache = self.mem.dcache
+        probe = self.probe
         direct_stores = self.machine.mem.dcache.write_buffer_depth == 0
         commits = 0
         commit_block: str | None = None
@@ -465,21 +437,15 @@ class OoOCore:
                 break
             if uop.is_store:
                 if direct_stores:
-                    if self._hotspots is not None:
-                        dcache.access_context = uop.record
-                    result = dcache.store_access(uop.line)
-                    if not result.ok:
+                    if not dcache.store_access(uop.line, uop.record).ok:
                         self.stats.inc("core.commit_store_port_stalls")
                         commit_block = "store_port"
-                        if self._critpath is not None:
-                            self._critpath.note_commit_block(
-                                uop.seq, "store_port")
-                        break
                 elif not dcache.buffer_store(uop.line, uop.byte_mask):
                     self.stats.inc("core.commit_wb_full_stalls")
                     commit_block = "wb_full"
-                    if self._critpath is not None:
-                        self._critpath.note_commit_block(uop.seq, "wb_full")
+                if commit_block is not None:
+                    if probe is not None:
+                        probe.commit_block(uop, commit_block)
                     break
                 self.lsq.retire_store(uop)
             elif uop.is_load:
@@ -487,28 +453,16 @@ class OoOCore:
             rob.popleft()
             commits += 1
             self._committed += 1
-            if self._pipe is not None:
-                self._pipe.record_commit(uop, cycle)
-            if self._validate is not None:
-                self._validate.on_commit(uop, cycle)
             if uop is self._waiting_serialize:
                 self._waiting_serialize = None
-                self._fetch_block_cause = StallCause.SERIALIZE
-                resume = cycle + 1
-                if resume > self._fetch_blocked_until:
-                    self._fetch_blocked_until = resume
-                if self._critpath is not None:
-                    self._critpath.note_redirect(resume, "serialize",
-                                                 uop.seq)
-            if self._critpath is not None:
-                self._critpath.record_commit(uop, cycle)
-            if self._hotspots is not None:
-                self._hotspots.record_commit(uop)
+                self._redirect(cycle, "serialize", uop, cycle + 1)
+            if probe is not None:
+                probe.commit(uop, cycle)
         if commits:
             self._last_activity = cycle
             self.stats.inc("core.commits", commits)
-            if self._tracing:
-                self.tracer.emit(cycle, "commit", n=commits)
+            if probe is not None:
+                probe.commit_count(cycle, commits)
         self._attribute_cycle(cycle, commits, commit_block)
 
     # ------------------------------------------------------------------
@@ -523,14 +477,11 @@ class OoOCore:
             return
         cause = self._classify_stall(cycle, commit_block)
         ledger.account(cycle, commits, cause)
-        if self._hotspots is not None:
-            # Charge the lost slots to the commit-head PC the classifier
-            # blamed (empty window: the recorder's frontend bucket).
-            self._hotspots.note_stall(cause, ledger.width - commits,
-                                      self._rob[0] if self._rob else None)
-        if self._tracing:
-            self.tracer.emit(cycle, "stall", cause=cause.value,
-                             lost=ledger.width - commits)
+        if self.probe is not None:
+            # The head is the uop the classifier blamed (None: empty
+            # window, the frontend's shortfall).
+            self.probe.stall(cycle, cause, ledger.width - commits,
+                             self._rob[0] if self._rob else None)
 
     def _classify_stall(self, cycle: int,
                         commit_block: str | None) -> StallCause:
@@ -617,28 +568,20 @@ class OoOCore:
             if uop.fetch_cycle + cfg.decode_latency > cycle:
                 break
             if len(self._rob) >= cfg.rob_size:
-                self.stats.inc("core.dispatch_rob_full")
-                self.ledger.note_capacity("rob")
-                if self._critpath is not None:
-                    self._critpath.note_dispatch_block(uop.seq, "rob")
-                break
-            if len(self._iq) >= cfg.iq_size:
-                self.stats.inc("core.dispatch_iq_full")
-                self.ledger.note_capacity("iq")
-                if self._critpath is not None:
-                    self._critpath.note_dispatch_block(uop.seq, "iq")
-                break
-            if uop.is_load and self.lsq.lq_full:
-                self.stats.inc("core.dispatch_lq_full")
-                self.ledger.note_capacity("lq")
-                if self._critpath is not None:
-                    self._critpath.note_dispatch_block(uop.seq, "lq")
-                break
-            if uop.is_store and self.lsq.sq_full:
-                self.stats.inc("core.dispatch_sq_full")
-                self.ledger.note_capacity("sq")
-                if self._critpath is not None:
-                    self._critpath.note_dispatch_block(uop.seq, "sq")
+                full = "rob"
+            elif len(self._iq) >= cfg.iq_size:
+                full = "iq"
+            elif uop.is_load and self.lsq.lq_full:
+                full = "lq"
+            elif uop.is_store and self.lsq.sq_full:
+                full = "sq"
+            else:
+                full = None
+            if full is not None:
+                self.stats.inc(f"core.dispatch_{full}_full")
+                self.ledger.note_capacity(full)
+                if self.probe is not None:
+                    self.probe.dispatch_block(uop, full)
                 break
             fq.popleft()
             self._wire_dependences(uop)
@@ -696,8 +639,8 @@ class OoOCore:
                 uop.operands_ready = when
             return
         producer.consumers.append((uop, is_data))
-        if self._critpath is not None:
-            self._critpath.note_dep(uop.seq, producer.seq, is_data)
+        if self.probe is not None:
+            self.probe.dep_wired(uop, producer, is_data)
         if is_data:
             uop.data_waiting += 1
         else:
@@ -788,9 +731,8 @@ class OoOCore:
             if not correct:
                 uop.mispredicted = True
                 self._waiting_branch = uop
-                if self._tracing:
-                    self.tracer.emit(cycle, "fetch.mispredict",
-                                     pc=record.pc, seq=uop.seq)
+                if self.probe is not None:
+                    self.probe.mispredict(cycle, record.pc, uop.seq)
                 return True
             return record.taken  # a taken branch ends the fetch block
         # Unconditional transfers.
@@ -801,13 +743,11 @@ class OoOCore:
             return True  # correctly predicted taken: block ends
         if opcode in (Opcode.J, Opcode.JAL) or \
                 (instr is None and record.decode_redirect):
-            # Target is in the instruction word: redirect at decode.
-            self._fetch_blocked_until = cycle + 1 + cfg.btb_miss_redirect
-            self._fetch_block_cause = StallCause.BRANCH
+            # Target is in the instruction word: redirect at decode
+            # (fetch runs only unblocked, so this moves the block later).
             self.stats.inc("fetch.jump_decode_redirects")
-            if self._critpath is not None:
-                self._critpath.note_redirect(self._fetch_blocked_until,
-                                             "decode", uop.seq)
+            self._redirect(cycle, "decode", uop,
+                           cycle + 1 + cfg.btb_miss_redirect)
             return True
         # Register-indirect target: wait for execute.
         uop.mispredicted = True

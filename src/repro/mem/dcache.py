@@ -29,8 +29,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..obs.tracer import NULL_TRACER, Tracer
+from ..obs.probe import Probe
 from ..stats.counters import Stats
+from ..trace.record import TraceRecord
 from .cache import SetAssocCache
 from .config import DCacheConfig, LineBufferFill
 from .linebuffer import LineBuffer
@@ -66,11 +67,11 @@ class DataCacheSystem:
 
     def __init__(self, config: DCacheConfig, next_level: NextLevel,
                  stats: Stats | None = None,
-                 tracer: Tracer | None = None) -> None:
+                 probe: Probe | None = None) -> None:
         self.config = config
         self.next_level = next_level
         self.stats = stats if stats is not None else Stats()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.probe = probe
         self.cache = SetAssocCache(config.geometry, name="dcache",
                                    stats=self.stats)
         self.line_size = config.geometry.line_size
@@ -82,12 +83,11 @@ class DataCacheSystem:
             self.line_buffer = LineBuffer(config.line_buffer_entries,
                                           config.line_buffer_on_store,
                                           name="lb", stats=self.stats,
-                                          tracer=self.tracer)
+                                          probe=probe)
         self.write_buffer = WriteBuffer(config.write_buffer_depth,
                                         config.combine_stores,
                                         self.line_size, name="wb",
-                                        stats=self.stats,
-                                        tracer=self.tracer)
+                                        stats=self.stats, probe=probe)
         self.victim_cache: VictimCache | None = None
         if config.victim_entries:
             self.victim_cache = VictimCache(config.victim_entries,
@@ -97,14 +97,10 @@ class DataCacheSystem:
         self._ports_used = 0
         self._bank_mask = config.banks - 1
         self._banks_used: set[int] = set()
-        # Per-PC hotspot attribution (see repro.obs.hotspots): the LSQ /
-        # commit stage set `access_context` to the access's batch-leader
-        # trace record before a port access; write-buffer drains clear
-        # it (no program context).  Both stay None unless a recorder is
-        # attached, so the default cost is one `is None` check per
-        # counter site.
-        self.hotspots = None
-        self.access_context = None
+        #: Trace record of the port access in progress (the LSQ batch
+        #: leader or the committing store; None for a write-buffer
+        #: drain), which probe counter events are attributed to.
+        self.access_context: TraceRecord | None = None
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -137,7 +133,7 @@ class DataCacheSystem:
         self._cycle = cycle
         self._ports_used = 0
         self._banks_used.clear()
-        # The buffers emit their own trace events; keep their clocks in
+        # The buffers fire their own probe events; keep their clocks in
         # step (two attribute stores — cheaper than threading `cycle`
         # through every call).
         self.write_buffer.cycle = cycle
@@ -160,22 +156,24 @@ class DataCacheSystem:
         cycle = self._cycle
         return sum(1 for ready in self._pending.values() if ready > cycle)
 
+    def _count(self, counter: str) -> None:
+        """Bump ``dcache.<counter>`` for the access in progress."""
+        self.stats.inc(f"dcache.{counter}")
+        if self.probe is not None:
+            self.probe.dcache_count(self.access_context, counter)
+
     def _claim_port(self, line: int) -> AccessStatus:
         if self._ports_used >= self.config.ports:
             return AccessStatus.NO_PORT
         if not self.bank_free(line):
-            self.stats.inc("dcache.bank_conflicts")
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context,
-                                          "bank_conflicts")
+            self._count("bank_conflicts")
             return AccessStatus.BANK_CONFLICT
         self._ports_used += 1
         if self._bank_mask:
             self._banks_used.add(self.bank_of(line))
         self.stats.inc("dcache.port_uses")
-        if self.hotspots is not None:
-            self.hotspots.note_dcache_port(self.access_context,
-                                           self._ports_used - 1)
+        if self.probe is not None:
+            self.probe.port_use(self.access_context, self._ports_used - 1)
         return AccessStatus.OK
 
     # ------------------------------------------------------------------
@@ -200,92 +198,68 @@ class DataCacheSystem:
     # ------------------------------------------------------------------
     # Port-consuming accesses
     # ------------------------------------------------------------------
-    def load_access(self, line: int) -> AccessResult:
-        """One load port access covering one chunk of *line*."""
+    def load_access(self, line: int,
+                    context: TraceRecord | None = None) -> AccessResult:
+        """One load port access covering one chunk of *line*, made for
+        trace record *context* (see :attr:`access_context`)."""
+        self.access_context = context
         claim = self._claim_port(line)
         if claim is not AccessStatus.OK:
-            self.stats.inc("dcache.load_no_port")
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context,
-                                          "load_no_port")
+            self._count("load_no_port")
             return AccessResult(claim)
         cycle = self._cycle
         pending_ready = self._pending.get(line, 0)
         if pending_ready > cycle:
-            self.stats.inc("dcache.load_secondary_misses")
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context,
-                                          "load_secondary_misses")
+            self._count("load_secondary_misses")
             ready = pending_ready
             source = "secondary"
         elif self.cache.lookup(line):
-            self.stats.inc("dcache.load_hits")
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context, "load_hits")
+            self._count("load_hits")
             ready = cycle + self.config.hit_latency
             source = "hit"
         else:
             if self.mshrs_busy() >= self.config.mshrs:
-                self.stats.inc("dcache.load_mshr_full")
-                if self.hotspots is not None:
-                    self.hotspots.note_dcache(self.access_context,
-                                              "load_mshr_full")
+                self._count("load_mshr_full")
                 return AccessResult(AccessStatus.MSHR_FULL)
-            self.stats.inc("dcache.load_misses")
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context,
-                                          "load_misses")
+            self._count("load_misses")
             ready = self._start_fill(line)
             source = "miss"
             self._maybe_prefetch(line + 1)
         if self.config.line_buffer_fill is LineBufferFill.ON_ACCESS and \
                 self.line_buffer is not None:
             self.line_buffer.insert(line)
-        if self.tracer.enabled:
-            self.tracer.emit(cycle, "dcache.load", line=line, source=source,
-                             ready=ready)
+        if self.probe is not None:
+            self.probe.dcache_load(cycle, line, source, ready)
         return AccessResult(AccessStatus.OK, ready, source)
 
-    def store_access(self, line: int) -> AccessResult:
-        """Write one (possibly combined) line's worth of store data."""
+    def store_access(self, line: int,
+                     context: TraceRecord | None = None) -> AccessResult:
+        """Write one (possibly combined) line's worth of store data for
+        trace record *context* (None: a write-buffer drain)."""
+        self.access_context = context
         claim = self._claim_port(line)
         if claim is not AccessStatus.OK:
-            self.stats.inc("dcache.store_no_port")
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context,
-                                          "store_no_port")
+            self._count("store_no_port")
             return AccessResult(claim)
         cycle = self._cycle
         pending_ready = self._pending.get(line, 0)
         if pending_ready > cycle:
             # Merge into the in-flight fill; data lands with the line.
-            self.stats.inc("dcache.store_mshr_merges")
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context,
-                                          "store_mshr_merges")
+            self._count("store_mshr_merges")
             self.cache.mark_dirty(line)
         elif self.cache.lookup(line):
-            self.stats.inc("dcache.store_hits")
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context,
-                                          "store_hits")
+            self._count("store_hits")
             self.cache.mark_dirty(line)
         else:
             if self.mshrs_busy() >= self.config.mshrs:
-                self.stats.inc("dcache.store_mshr_full")
-                if self.hotspots is not None:
-                    self.hotspots.note_dcache(self.access_context,
-                                              "store_mshr_full")
+                self._count("store_mshr_full")
                 return AccessResult(AccessStatus.MSHR_FULL)
-            self.stats.inc("dcache.store_misses")
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context,
-                                          "store_misses")
+            self._count("store_misses")
             self._start_fill(line, dirty=True)
         if self.line_buffer is not None:
             self.line_buffer.note_store(line)
-        if self.tracer.enabled:
-            self.tracer.emit(cycle, "dcache.store", line=line)
+        if self.probe is not None:
+            self.probe.dcache_store(cycle, line)
         return AccessResult(AccessStatus.OK, cycle + 1)
 
     def _maybe_prefetch(self, line: int) -> None:
@@ -299,9 +273,7 @@ class DataCacheSystem:
             return
         if self.mshrs_busy() >= self.config.mshrs:
             return
-        self.stats.inc("dcache.prefetches")
-        if self.hotspots is not None:
-            self.hotspots.note_dcache(self.access_context, "prefetches")
+        self._count("prefetches")
         self._start_fill(line)
 
     def _start_fill(self, line: int, dirty: bool = False) -> int:
@@ -310,17 +282,16 @@ class DataCacheSystem:
         recovered = None if self.victim_cache is None else \
             self.victim_cache.extract(line)
         if recovered is not None:
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context,
-                                          "victim_hits")
+            if self.probe is not None:  # the victim cache counts the hit
+                self.probe.dcache_count(self.access_context, "victim_hits")
             ready = self._cycle + self.config.victim_latency
             dirty = dirty or recovered
         else:
             ready = self.next_level.request(line, self._cycle)
         self._pending[line] = ready
-        if self.tracer.enabled:
-            self.tracer.emit(self._cycle, "dcache.fill", line=line,
-                             ready=ready, victim=recovered is not None)
+        if self.probe is not None:
+            self.probe.dcache_fill(self._cycle, line, ready,
+                                   recovered is not None)
         victim = self.cache.fill(line, dirty=dirty)
         if victim is not None:
             self._dispose_victim(*victim)
@@ -338,10 +309,7 @@ class DataCacheSystem:
                 return
             victim_line, victim_dirty = pushed_out  # overflow writes back
         if victim_dirty:
-            self.stats.inc("dcache.writebacks")
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context,
-                                          "writebacks")
+            self._count("writebacks")
             self.next_level.writeback(victim_line, self._cycle)
 
     # ------------------------------------------------------------------
@@ -352,11 +320,8 @@ class DataCacheSystem:
         return self.write_buffer.add(line, byte_mask)
 
     def drain_write_buffer(self) -> None:
-        """Spend leftover port cycles emptying the write buffer."""
-        if self.hotspots is not None:
-            # Retired stores drain asynchronously; their port traffic
-            # lands in the recorder's unattributed bucket.
-            self.access_context = None
+        """Spend leftover port cycles emptying the write buffer (retired
+        stores drain with no program context)."""
         while self.ports_free() > 0:
             entry = self.write_buffer.head()
             if entry is None:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from ..obs.probe import Probe
 from ..obs.spans import SpanRecorder
-from ..obs.tracer import Tracer
 from ..stats.counters import Stats
 from .config import MemSystemConfig, NextLevelConfig
 from .dcache import DataCacheSystem
@@ -39,7 +39,7 @@ class MemorySystem:
 
     def __init__(self, config: MemSystemConfig,
                  stats: Stats | None = None,
-                 tracer: Tracer | None = None,
+                 probe: Probe | None = None,
                  spans: SpanRecorder | None = None) -> None:
         self.config = config
         self.stats = stats if stats is not None else Stats()
@@ -50,7 +50,7 @@ class MemorySystem:
             self.next_level = NextLevel(config.next_level,
                                         stats=self.stats)
         self.dcache = DataCacheSystem(config.dcache, self.next_level,
-                                      stats=self.stats, tracer=tracer)
+                                      stats=self.stats, probe=probe)
         self.icache = ICacheSystem(config.icache, self.next_level,
                                    stats=self.stats)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from ..obs.tracer import NULL_TRACER, Tracer
+from ..obs.probe import Probe
 from ..stats.counters import Stats
 from .config import LineBufferOnStore
 
@@ -26,14 +26,14 @@ class LineBuffer:
 
     def __init__(self, entries: int, on_store: LineBufferOnStore,
                  name: str = "lb", stats: Stats | None = None,
-                 tracer: Tracer | None = None) -> None:
+                 probe: Probe | None = None) -> None:
         if entries < 1:
             raise ValueError("line buffer needs at least one entry")
         self.entries = entries
         self.on_store = on_store
         self.name = name
         self.stats = stats if stats is not None else Stats()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.probe = probe
         #: Kept in step by the owning cache's ``begin_cycle``.
         self.cycle = 0
         self._lines: OrderedDict[int, None] = OrderedDict()
@@ -64,9 +64,8 @@ class LineBuffer:
             evicted = self._lines.popitem(last=False)[0]
         self._lines[line] = None
         self.stats.inc(f"{self.name}.fills")
-        if self.tracer.enabled:
-            self.tracer.emit(self.cycle, "lb.insert", line=line,
-                             evicted=evicted)
+        if self.probe is not None:
+            self.probe.lb_insert(self.cycle, line, evicted)
 
     def note_store(self, line: int) -> None:
         """Apply the configured store policy to a matching entry."""
@@ -75,9 +74,8 @@ class LineBuffer:
         if self.on_store is LineBufferOnStore.INVALIDATE:
             del self._lines[line]
             self.stats.inc(f"{self.name}.store_invalidations")
-            if self.tracer.enabled:
-                self.tracer.emit(self.cycle, "lb.invalidate", line=line,
-                                 reason="store")
+            if self.probe is not None:
+                self.probe.lb_invalidate(self.cycle, line, "store")
         else:
             self._lines.move_to_end(line)
             self.stats.inc(f"{self.name}.store_updates")

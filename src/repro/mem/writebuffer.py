@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..obs.tracer import NULL_TRACER, Tracer
+from ..obs.probe import Probe
 from ..stats.counters import Stats
 
 
@@ -32,7 +32,7 @@ class WriteBuffer:
 
     def __init__(self, depth: int, combine: bool, line_size: int,
                  name: str = "wb", stats: Stats | None = None,
-                 tracer: Tracer | None = None) -> None:
+                 probe: Probe | None = None) -> None:
         if depth < 0:
             raise ValueError("depth cannot be negative")
         self.depth = depth
@@ -40,8 +40,8 @@ class WriteBuffer:
         self.line_size = line_size
         self.name = name
         self.stats = stats if stats is not None else Stats()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Kept in step by the owning cache's ``begin_cycle`` so trace
+        self.probe = probe
+        #: Kept in step by the owning cache's ``begin_cycle`` so probe
         #: events carry the simulation cycle.
         self.cycle = 0
         self._entries: list[WriteBufferEntry] = []
@@ -77,19 +77,18 @@ class WriteBuffer:
                 if entry.line == line:
                     entry.byte_mask |= byte_mask
                     self.stats.inc(f"{self.name}.combined")
-                    if self.tracer.enabled:
-                        self.tracer.emit(self.cycle, "wb.add", line=line,
-                                         merged=True)
+                    if self.probe is not None:
+                        self.probe.wb_add(self.cycle, line, True)
                     return True
         if self.full:
             self.stats.inc(f"{self.name}.full_stalls")
-            if self.tracer.enabled:
-                self.tracer.emit(self.cycle, "wb.full", line=line)
+            if self.probe is not None:
+                self.probe.wb_full(self.cycle, line)
             return False
         self._entries.append(WriteBufferEntry(line, byte_mask))
         self.stats.inc(f"{self.name}.entries_allocated")
-        if self.tracer.enabled:
-            self.tracer.emit(self.cycle, "wb.add", line=line, merged=False)
+        if self.probe is not None:
+            self.probe.wb_add(self.cycle, line, False)
         return True
 
     def head(self) -> WriteBufferEntry | None:
@@ -100,9 +99,8 @@ class WriteBuffer:
         """Remove and return the oldest entry."""
         self.stats.inc(f"{self.name}.drains")
         entry = self._entries.pop(0)
-        if self.tracer.enabled:
-            self.tracer.emit(self.cycle, "wb.drain", line=entry.line,
-                             occupancy=len(self._entries))
+        if self.probe is not None:
+            self.probe.wb_drain(self.cycle, entry.line, len(self._entries))
         return entry
 
     # ------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Cycle-level observability: stall attribution, event tracing, reports.
 
-Three layers, all optional from the timing core's point of view:
+The layers below are optional from the timing core's point of view:
 
 * :mod:`repro.obs.stall` — a per-cycle **stall-attribution ledger**.
   Every cycle the core commits fewer uops than the machine width, the
   lost issue slots are charged to exactly one cause (fetch, branch,
   cache port, next-level latency, ...), so the ledger is *conservative*:
   attributed lost slots + committed uops == cycles × width.
-* :mod:`repro.obs.tracer` — an opt-in **structured event tracer**.
-  Call sites are guarded on ``tracer.enabled`` so a disabled tracer
-  costs one attribute check; an enabled :class:`JsonlTracer` streams
-  one JSON object per event (optionally gzipped).
+* :mod:`repro.obs.probe` — the **probe**: one event vocabulary and one
+  ``probe`` slot in the core, LSQ, D-cache and buffers, ``None`` unless
+  a recorder listens, so every hook site is one ``is not None`` check;
+  a :class:`Probe` fans each event out to the recorders defining it.
+* :mod:`repro.obs.tracer` — an opt-in **structured event tracer**, a
+  probe recorder: :class:`JsonlTracer` streams one JSON object per
+  event (optionally gzipped).
 * :mod:`repro.obs.report` — versioned **machine-readable run reports**
   combining configuration, counters, the stall ledger and host
   throughput, for ``repro simulate --json`` / ``repro experiment
@@ -105,6 +108,7 @@ from .pipetrace import (
     PipeTrace,
     parse_konata,
 )
+from .probe import Probe
 from .report import (
     SCHEMA_VERSION,
     SchemaError,
@@ -126,8 +130,8 @@ from .spans import (
     write_chrome_trace,
 )
 from .stall import StallCause, StallLedger
-from .tracer import (EVENT_SCHEMA, NULL_TRACER, JsonlTracer, Tracer,
-                     iter_events, summarize_events)
+from .tracer import (EVENT_SCHEMA, JsonlTracer, Tracer, iter_events,
+                     summarize_events)
 from .watch import WATCH_SCHEMA, exit_code, render_watch, watch_document
 
 __all__ = [
@@ -172,6 +176,7 @@ __all__ = [
     "PipeRecord",
     "PipeTrace",
     "parse_konata",
+    "Probe",
     "SELFPROFILE_SCHEMA",
     "SelfProfiler",
     "NULL_SPANS",
@@ -192,7 +197,6 @@ __all__ = [
     "StallCause",
     "StallLedger",
     "EVENT_SCHEMA",
-    "NULL_TRACER",
     "JsonlTracer",
     "Tracer",
     "iter_events",

@@ -15,9 +15,9 @@ back-pressure, D-cache port arbitration, MSHR waits, memory ordering,
 line-buffer / store-forward / next-level service, write-buffer
 back-pressure at commit, and branch/serialize redirects.  A
 :class:`CritPathRecorder` attached to :class:`repro.core.pipeline.OoOCore`
-snapshots one immutable record per committed instruction (the same
-zero-overhead-when-off single-``is None`` hook discipline as the tracer
-and interval metrics) and walks the graph *backwards* from the last
+snapshots one immutable record per committed instruction (a probe
+recorder, like the tracer and interval metrics: see
+:mod:`repro.obs.probe`) and walks the graph *backwards* from the last
 retirement: at every node it picks the binding (latest) predecessor and
 charges the cycles between them to that edge's class.
 
@@ -57,8 +57,9 @@ from .codeversion import code_version
 from .report import SchemaError, _check_code_version, _dcache_dict, _require
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from ..core.config import CoreConfig, MachineConfig
-    from ..core.pipeline import CoreResult
+    from ..core.config import MachineConfig
+    from ..core.lsq import LoadStoreQueue
+    from ..core.pipeline import CoreResult, OoOCore
     from ..core.uop import Uop
 
 #: Version of the critical-path manifest schema.
@@ -245,9 +246,11 @@ class CritPathRecorder:
     CPI stack plus optional what-if predictions.
 
     Attach via ``OoOCore(machine, critpath=recorder)``; after ``run()``
-    the core calls :meth:`finalize` and the stack is available through
-    :meth:`stack` / :meth:`as_dict`.  One recorder serves one run.
+    the stack is available through :meth:`stack` / :meth:`as_dict`.
+    One recorder serves one run.
     """
+
+    served = False
 
     def __init__(self, window: int = DEFAULT_WINDOW,
                  whatif: Iterable = ()) -> None:
@@ -287,14 +290,12 @@ class CritPathRecorder:
         self._finalized = False
 
     # ------------------------------------------------------------------
-    # Pipeline/LSQ hooks (every call site is behind a single `is None`)
+    # Probe events (see repro.obs.probe)
     # ------------------------------------------------------------------
-    def begin_run(self, cfg: "CoreConfig") -> None:
+    def run_begin(self, core: "OoOCore") -> None:
         """Capture pipe constants and structure sizes (the capacity
-        edges need to know which older instruction freed a slot);
-        called once at ``run()`` entry."""
-        if self._finalized:
-            raise ValueError("a CritPathRecorder serves exactly one run")
+        edges need to know which older instruction freed a slot)."""
+        cfg = core.cfg
         self._decode = cfg.decode_latency
         self._dispatch_width = cfg.dispatch_width
         self._commit_width = cfg.commit_width
@@ -304,36 +305,35 @@ class CritPathRecorder:
         self._lq_size = cfg.lq_size
         self._sq_size = cfg.sq_size
 
-    def note_dep(self, consumer_seq: int, producer_seq: int,
-                 is_data: bool) -> None:
+    def dep_wired(self, uop: "Uop", producer: "Uop",
+                  is_data: bool) -> None:
         """A register dependence was wired to a still-incomplete
         producer at dispatch."""
-        self._deps.setdefault(consumer_seq, []).append(
-            (producer_seq, is_data))
+        self._deps.setdefault(uop.seq, []).append((producer.seq, is_data))
 
-    def note_dispatch_block(self, seq: int, structure: str) -> None:
-        """Dispatch of *seq* blocked on a full *structure* this cycle."""
-        self._dispatch_block[seq] = structure
+    def dispatch_block(self, uop: "Uop", structure: str) -> None:
+        """Dispatch of *uop* blocked on a full *structure* this cycle."""
+        self._dispatch_block[uop.seq] = structure
 
-    def note_commit_block(self, seq: int, reason: str) -> None:
-        """Commit of store *seq* blocked (``store_port``/``wb_full``)."""
-        self._commit_block[seq] = reason
+    def commit_block(self, uop: "Uop", reason: str) -> None:
+        """Commit of store *uop* blocked (``store_port``/``wb_full``)."""
+        self._commit_block[uop.seq] = reason
 
-    def note_redirect(self, resume: int, kind: str, seq: int) -> None:
-        """Fetch will resume at cycle *resume* because of *seq*
+    def redirect(self, cycle: int, kind: str, uop: "Uop",
+                 resume: int) -> None:
+        """Fetch will resume at cycle *resume* because of *uop*
         (``kind``: ``branch`` resolve, ``serialize`` commit, or a
         ``decode``-stage jump redirect)."""
-        self._redirects[resume] = (kind, seq)
+        self._redirects[resume] = (kind, uop.seq)
 
-    def note_mem(self, seq: int, grant: int, ready: int, source: str,
-                 blocked: str | None) -> None:
-        """Load *seq* was serviced: granted its data path at cycle
-        *grant* from *source*, data ready at *ready*; *blocked* is the
-        last reason it waited in the LSQ (captured before the LSQ
-        clears it)."""
-        self._mem[seq] = (grant, source, blocked)
+    def load_serviced(self, lsq: "LoadStoreQueue", load: "Uop", ready: int,
+                      source: str, cycle: int) -> None:
+        """*load* was granted its data path at *cycle* from *source*;
+        its ``lsq_block`` (not yet cleared) is the last reason it
+        waited in the LSQ."""
+        self._mem[load.seq] = (cycle, source, load.lsq_block)
 
-    def record_commit(self, uop: "Uop", cycle: int) -> None:
+    def commit(self, uop: "Uop", cycle: int) -> None:
         """Snapshot one committed instruction; may flush a window."""
         seq = uop.seq
         rec = _Rec()
@@ -371,11 +371,9 @@ class CritPathRecorder:
         if len(self._records) >= self.window:
             self._flush()
 
-    def finalize(self, cycles: int, instructions: int) -> None:
-        """Flush the tail window and close the stack; called by the
-        core after its cycle loop drains."""
-        if self._finalized:
-            return
+    def run_end(self, core: "OoOCore", cycles: int,
+                instructions: int) -> None:
+        """Flush the tail window and close the stack."""
         self._flush()
         self.total_cycles = cycles
         self.instructions = instructions

@@ -7,8 +7,8 @@ whole argument turns on: *which static memory reference* burns the port
 cycles, and is it kernel or user code?
 
 A :class:`HotspotRecorder` attaches to the timing core the same way the
-tracer, metrics and critpath recorders do (zero overhead when off:
-every call site is a single ``is None`` check) and accumulates, per
+tracer, metrics and critpath recorders do (a probe recorder: see
+:mod:`repro.obs.probe`) and accumulates, per
 static PC **and privilege level** (the PR 9 kernel layout marks every
 trace record ``kernel``/user):
 
@@ -61,13 +61,12 @@ from typing import TYPE_CHECKING
 
 from .codeversion import code_version
 from .report import SchemaError, _check_code_version, _dcache_dict, _require
-from .stall import CAUSE_ORDER
+from .stall import CAUSE_ORDER, StallCause
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from ..core.config import CoreConfig
-    from ..core.pipeline import CoreResult
+    from ..core.lsq import LoadStoreQueue
+    from ..core.pipeline import CoreResult, OoOCore
     from ..core.uop import Uop
-    from ..mem.dcache import DataCacheSystem
     from ..trace.record import TraceRecord
 
 #: Version of the hotspots manifest schema.
@@ -154,9 +153,11 @@ class HotspotRecorder:
     """Streams per-PC execution/memory/stall attribution.
 
     Attach via ``OoOCore(machine, hotspots=recorder)``; after ``run()``
-    the core calls :meth:`finalize` and the rows are available through
-    :meth:`rows` / :meth:`as_dict`.  One recorder serves one run.
+    the rows are available through :meth:`rows` / :meth:`as_dict`.  One
+    recorder serves one run.
     """
+
+    served = False
 
     def __init__(self) -> None:
         self._rows: dict[tuple[int, bool], _Row] = {}
@@ -174,16 +175,12 @@ class HotspotRecorder:
         self._finalized = False
 
     # ------------------------------------------------------------------
-    # Core/LSQ/D-cache hooks (every call site is behind one `is None`)
+    # Probe events (see repro.obs.probe)
     # ------------------------------------------------------------------
-    def begin_run(self, cfg: "CoreConfig",
-                  dcache: "DataCacheSystem") -> None:
+    def run_begin(self, core: "OoOCore") -> None:
         """Capture the cache geometry the address-stream analyzer keys
-        on (line size, banking, set count, port count); called once at
-        ``run()`` entry."""
-        if self._finalized:
-            raise ValueError("a HotspotRecorder serves exactly one run")
-        del cfg  # geometry is all the analyzer needs today
+        on (line size, banking, set count, port count)."""
+        dcache = core.mem.dcache
         self._line_shift = dcache.line_shift
         self._num_banks = dcache.config.banks
         self._bank_mask = dcache.config.banks - 1
@@ -200,7 +197,7 @@ class HotspotRecorder:
                                          self._num_ports)
         return row
 
-    def record_commit(self, uop: "Uop") -> None:
+    def commit(self, uop: "Uop", cycle: int) -> None:
         """One instruction retired: count the execution and feed the
         address-stream analyzer for memory PCs."""
         record = uop.record
@@ -239,7 +236,8 @@ class HotspotRecorder:
         else:
             row.lines_full = True
 
-    def note_stall(self, cause, lost: int, uop: "Uop | None") -> None:
+    def stall(self, cycle: int, cause: StallCause, lost: int,
+              uop: "Uop | None") -> None:
         """The ledger charged *lost* slots to *cause* this cycle; *uop*
         is the commit head it blamed (``None``: empty window, the
         frontend bucket takes the slots)."""
@@ -251,28 +249,31 @@ class HotspotRecorder:
         value = cause.value
         row.stall[value] = row.stall.get(value, 0) + lost
 
-    def note_lsq_wait(self, uop: "Uop", counter: str) -> None:
+    def lsq_wait(self, uop: "Uop", counter: str) -> None:
         """The LSQ skipped this load for a cycle (``order_stalls`` /
         ``sq_waits`` / ``wb_conflicts``, mirroring ``lsq.*``)."""
         lsq = self._row(uop.record).lsq
         lsq[counter] = lsq.get(counter, 0) + 1
 
-    def note_lsq_service(self, uop: "Uop", source: str) -> None:
+    def load_serviced(self, lsq: "LoadStoreQueue", load: "Uop", ready: int,
+                      source: str, cycle: int) -> None:
         """The LSQ serviced this load from *source* (the
         ``Uop.mem_source`` vocabulary)."""
         counter = _SOURCE_COUNTER.get(source)
         if counter is None:
             return
-        lsq = self._row(uop.record).lsq
+        lsq = self._row(load.record).lsq
         lsq[counter] = lsq.get(counter, 0) + 1
 
-    def note_lsq_combined(self, uop: "Uop") -> None:
-        """This load rode another load's port access (combining win)."""
-        lsq = self._row(uop.record).lsq
-        lsq["combined_loads"] = lsq.get("combined_loads", 0) + 1
+    def lsq_combine(self, batch: "list[Uop]") -> None:
+        """``batch[1:]`` rode ``batch[0]``'s port access (combining
+        wins)."""
+        for uop in batch[1:]:
+            lsq = self._row(uop.record).lsq
+            lsq["combined_loads"] = lsq.get("combined_loads", 0) + 1
 
-    def note_dcache(self, record: "TraceRecord | None",
-                    counter: str) -> None:
+    def dcache_count(self, record: "TraceRecord | None",
+                     counter: str) -> None:
         """One D-cache event attributed to the access context *record*
         (``None``: a write-buffer drain, the unattributed bucket)."""
         if record is None:
@@ -282,8 +283,7 @@ class HotspotRecorder:
         dcache = self._row(record).dcache
         dcache[counter] = dcache.get(counter, 0) + 1
 
-    def note_dcache_port(self, record: "TraceRecord | None",
-                         port: int) -> None:
+    def port_use(self, record: "TraceRecord | None", port: int) -> None:
         """One real port access went through physical port *port*."""
         if record is None:
             bucket = self._unattributed
@@ -294,10 +294,9 @@ class HotspotRecorder:
         row.dcache["port_uses"] = row.dcache.get("port_uses", 0) + 1
         row.ports[port] += 1
 
-    def finalize(self, cycles: int, instructions: int) -> None:
-        """Close the recorder; called by the core after its loop drains."""
-        if self._finalized:
-            return
+    def run_end(self, core: "OoOCore", cycles: int,
+                instructions: int) -> None:
+        """Close the recorder."""
         self.total_cycles = cycles
         self.instructions = instructions
         self._finalized = True

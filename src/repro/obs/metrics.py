@@ -1,8 +1,8 @@
 """Interval time-series telemetry: how the run behaved *over time*.
 
 End-of-run counters answer "how much"; this module answers "when".
-When enabled, the timing core calls :meth:`IntervalMetrics.on_cycle`
-once per simulated cycle and the collector:
+When enabled, the collector listens to the timing core's probe (see
+:mod:`repro.obs.probe`), samples the core at every ``cycle_end`` and:
 
 * samples structure occupancies (ROB, IQ, LQ, SQ, write buffer), cache
   ports in use, and busy MSHRs into exact run-level
@@ -25,15 +25,19 @@ series is a partition of the end-of-run value:
 
 :meth:`check_conservation` verifies all of this and the test suite
 asserts it over the full F2 headline grid.  Telemetry is off by
-default: a run without it pays a single ``is None`` check per cycle.
+default, and a run with no recorder attached takes the fast loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..stats.counters import Stats
 from ..stats.histogram import Histogram
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+    from ..core.pipeline import OoOCore
 
 #: Default sampling interval, in cycles (matches the stall ledger).
 DEFAULT_METRICS_INTERVAL = 1024
@@ -111,10 +115,23 @@ class IntervalMetrics:
                             for name in OCCUPANCY_STRUCTURES)
 
     # ------------------------------------------------------------------
+    def cycle_end(self, core: "OoOCore", cycle: int) -> None:
+        """Probe event: sample the core's occupancies and ports."""
+        dcache = core.mem.dcache
+        self.on_cycle(cycle, core._committed, len(core._rob), len(core._iq),
+                      len(core.lsq.loads), len(core.lsq.stores),
+                      len(dcache.write_buffer), dcache.ports_used,
+                      dcache.mshrs_busy())
+
+    def run_end(self, core: "OoOCore", cycles: int,
+                instructions: int) -> None:
+        """Probe event: close the trailing interval."""
+        self.finalize(instructions)
+
     def on_cycle(self, cycle: int, committed: int, rob: int, iq: int,
                  lq: int, sq: int, wb: int, ports_used: int,
                  mshr_busy: int) -> None:
-        """Sample one finished cycle (called by the timing core)."""
+        """Sample one finished cycle."""
         samples = (rob, iq, lq, sq, wb, ports_used, mshr_busy)
         sums = self._occ_sums
         for index, (hist, value) in enumerate(zip(self._hists, samples)):

@@ -8,9 +8,9 @@ per-instruction stage timings lets port-arbitration behaviour be
 X (execute/memory) segment, a store stuck behind a full write buffer as
 a stretched C (completed, waiting to commit) segment.
 
-The timing core records one :class:`PipeRecord` per committed
-instruction when a :class:`PipeTrace` collector is attached (off by
-default — the hot loop pays one ``is None`` check).  :meth:`write`
+A :class:`PipeTrace` attached to the timing core records one
+:class:`PipeRecord` per committed instruction from the probe's
+``commit`` event (see :mod:`repro.obs.probe`).  :meth:`write`
 renders the Kanata text; :func:`parse_konata` is the matching reader
 used by the round-trip tests and by anyone post-processing traces.
 
@@ -75,13 +75,16 @@ class PipeRecord:
 
 
 class PipeTrace:
-    """Collects committed-instruction stage timings for export."""
+    """Collects committed-instruction stage timings for export; one
+    collector serves one run."""
+
+    served = False
 
     def __init__(self) -> None:
         self.records: list[PipeRecord] = []
 
-    def record_commit(self, uop: "Uop", cycle: int) -> None:
-        """Called by the timing core as *uop* retires at *cycle*."""
+    def commit(self, uop: "Uop", cycle: int) -> None:
+        """Probe event: *uop* retires at *cycle*."""
         record = uop.record
         instr = record.instr
         text = str(instr) if instr is not None else \

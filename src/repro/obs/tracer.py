@@ -1,14 +1,9 @@
-"""Structured event tracing: opt-in, zero overhead when off.
+"""Structured event tracing: one JSON object per simulation event.
 
-Every instrumented component holds a :class:`Tracer`.  The default is
-the shared :data:`NULL_TRACER`, whose class attribute ``enabled`` is
-``False`` — call sites are written as::
-
-    if self.tracer.enabled:
-        self.tracer.emit(cycle, "wb.add", line=line, merged=True)
-
-so a disabled tracer costs a single attribute check and *never* formats
-the event.  :class:`JsonlTracer` streams one compact JSON object per
+A :class:`Tracer` is a probe recorder (see :mod:`repro.obs.probe`): it
+subscribes to the probe events that have a trace record and turns each
+into one :meth:`Tracer.emit` call, so a run without a tracer formats
+nothing.  :class:`JsonlTracer` streams one compact JSON object per
 event to a file (gzipped when the path ends in ``.gz``)::
 
     {"cycle": 412, "event": "wb.add", "line": 8197, "merged": true}
@@ -24,8 +19,14 @@ from __future__ import annotations
 import gzip
 import io
 import json
-from collections.abc import Collection, Iterator
+from collections.abc import Callable, Collection, Iterator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+    from ..core.lsq import LoadStoreQueue
+    from ..core.uop import Uop
+    from .stall import StallCause
 
 
 #: Every event a simulation can emit, mapped to the tuple of
@@ -51,11 +52,19 @@ EVENT_SCHEMA: dict[str, tuple[str, ...]] = {
 }
 
 
-class Tracer:
-    """Base tracer; also the disabled no-op implementation."""
+def _emits(event: str) -> Callable[..., None]:
+    """A probe-event handler whose arguments are the cycle and then
+    *event*'s fields, in :data:`EVENT_SCHEMA` order."""
+    fields = EVENT_SCHEMA[event]
 
-    #: Class attribute so the hot-path guard is one LOAD_ATTR + jump.
-    enabled = False
+    def handler(self: "Tracer", cycle: int, *values: object) -> None:
+        self.emit(cycle, event, **dict(zip(fields, values, strict=True)))
+    return handler
+
+
+class Tracer:
+    """Base tracer: maps probe events to :meth:`emit`, which discards
+    them until a subclass overrides it."""
 
     def emit(self, cycle: int, event: str, **fields: object) -> None:
         """Record one event (no-op unless overridden)."""
@@ -69,9 +78,33 @@ class Tracer:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
+    # -- probe events (see repro.obs.probe) ------------------------------
+    commit_count = _emits("commit")
+    mispredict = _emits("fetch.mispredict")
+    dcache_load = _emits("dcache.load")
+    dcache_store = _emits("dcache.store")
+    dcache_fill = _emits("dcache.fill")
+    wb_add = _emits("wb.add")
+    wb_full = _emits("wb.full")
+    wb_drain = _emits("wb.drain")
+    lb_insert = _emits("lb.insert")
+    lb_invalidate = _emits("lb.invalidate")
+    violation = _emits("validate.violation")
 
-#: The shared disabled tracer every component defaults to.
-NULL_TRACER = Tracer()
+    def stall(self, cycle: int, cause: "StallCause", lost: int,
+              head: "Uop | None") -> None:
+        self.emit(cycle, "stall", cause=cause.value, lost=lost)
+
+    def redirect(self, cycle: int, kind: str, uop: "Uop",
+                 resume: int) -> None:
+        if kind == "branch":
+            self.emit(cycle, "branch.resolve", pc=uop.record.pc,
+                      seq=uop.seq, resume=resume)
+
+    def load_serviced(self, lsq: "LoadStoreQueue", load: "Uop", ready: int,
+                      source: str, cycle: int) -> None:
+        self.emit(cycle, "lsq.load", seq=load.seq, line=load.line,
+                  source=source, ready=ready)
 
 
 class JsonlTracer(Tracer):
@@ -80,8 +113,6 @@ class JsonlTracer(Tracer):
     ``events`` optionally restricts emission to a set of event names
     (cheap server-side filtering for long runs); ``None`` keeps all.
     """
-
-    enabled = True
 
     def __init__(self, destination: str | io.TextIOBase,
                  events: Collection[str] | None = None) -> None:

@@ -42,8 +42,3 @@ class TraceRecord:
     @property
     def is_mem(self) -> bool:
         return self.mem_size > 0
-
-    @property
-    def line_address(self) -> int:
-        """Effective address, for logging."""
-        return self.mem_addr

@@ -1,14 +1,13 @@
 """Validator plumbing shared by the golden-model and invariant checkers.
 
-A :class:`Validator` plugs into :class:`repro.core.pipeline.OoOCore`
-through four hooks — per committed uop, per serviced load, per cycle,
-and once at drain — following the repo's zero-overhead-when-off
-discipline: the core holds ``None`` by default and every hook site is a
-single ``is None`` check.
+A :class:`Validator` is a probe recorder (see :mod:`repro.obs.probe`)
+on :class:`repro.core.pipeline.OoOCore`: a checker defines the events it
+checks — ``commit`` per committed uop, ``load_serviced`` per serviced
+load, ``cycle_end`` per cycle and ``run_end`` once at drain.
 
-Violations are collected (bounded) and, when a tracer is attached,
-emitted as ``validate.violation`` events so they land in the same JSONL
-stream as the rest of the run.  ``strict=True`` turns the first
+Violations are collected (bounded) and fired as the probe's
+``violation`` event, so an attached tracer writes them into the same
+JSONL stream as the rest of the run.  ``strict=True`` turns the first
 violation into a :class:`ValidationError` so CI fails loudly.
 """
 
@@ -18,12 +17,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..func.exceptions import SimError
-from ..obs.tracer import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from ..core.lsq import LoadStoreQueue
     from ..core.pipeline import OoOCore
-    from ..core.uop import Uop
+    from ..obs.probe import Probe
 
 #: Default cap on collected violations — a broken invariant usually
 #: fires every cycle, and the first few instances carry all the signal.
@@ -55,29 +52,21 @@ class ValidationError(SimError):
 
 
 class Validator:
-    """Base class: no-op hooks plus violation bookkeeping."""
+    """Base class: violation bookkeeping; one validator checks one
+    run."""
 
-    def __init__(self, tracer: Tracer | None = None, strict: bool = False,
+    served = False
+
+    def __init__(self, strict: bool = False,
                  max_violations: int = MAX_VIOLATIONS) -> None:
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.strict = strict
         self.max_violations = max_violations
         self.violations: list[Violation] = []
+        self._probe: "Probe | None" = None
 
-    # -- hook points (called by the core when a validator is attached) --
-    def on_commit(self, uop: "Uop", cycle: int) -> None:
-        """One uop left the ROB head this cycle."""
-
-    def on_load_serviced(self, lsq: "LoadStoreQueue", load: "Uop",
-                         ready: int, source: str, cycle: int) -> None:
-        """The LSQ routed a load (``source`` names where the data
-        comes from: sq/wb/lb/hit/miss/secondary)."""
-
-    def on_cycle(self, core: "OoOCore", cycle: int) -> None:
-        """End of one simulated cycle (all stages done)."""
-
-    def on_drain(self, core: "OoOCore", cycle: int) -> None:
-        """The run loop exited; the machine should be empty."""
+    def run_begin(self, core: "OoOCore") -> None:
+        """Probe event: violations go out through *core*'s probe."""
+        self._probe = core.probe
 
     def digests(self) -> dict[str, str] | None:
         """Architectural end-state digests, when the validator tracks
@@ -93,9 +82,8 @@ class Validator:
         if len(self.violations) >= self.max_violations:
             return
         self.violations.append(violation)
-        if self.tracer.enabled:
-            self.tracer.emit(cycle, "validate.violation", check=check,
-                             detail=detail)
+        if self._probe is not None:
+            self._probe.violation(cycle, check, detail)
 
     @property
     def ok(self) -> bool:
@@ -103,28 +91,12 @@ class Validator:
 
 
 class ValidationSuite(Validator):
-    """Fans every hook out to a list of child validators."""
+    """Several validators as one: the core attaches each child to its
+    probe, and the suite aggregates their results."""
 
     def __init__(self, children: list[Validator]) -> None:
         super().__init__()
         self.children = list(children)
-
-    def on_commit(self, uop: "Uop", cycle: int) -> None:
-        for child in self.children:
-            child.on_commit(uop, cycle)
-
-    def on_load_serviced(self, lsq: "LoadStoreQueue", load: "Uop",
-                         ready: int, source: str, cycle: int) -> None:
-        for child in self.children:
-            child.on_load_serviced(lsq, load, ready, source, cycle)
-
-    def on_cycle(self, core: "OoOCore", cycle: int) -> None:
-        for child in self.children:
-            child.on_cycle(core, cycle)
-
-    def on_drain(self, core: "OoOCore", cycle: int) -> None:
-        for child in self.children:
-            child.on_drain(core, cycle)
 
     def digests(self) -> dict[str, str] | None:
         for child in self.children:

@@ -62,8 +62,8 @@ class GoldenChecker(Validator):
     def __init__(self, program: Program,
                  trace: Sequence[TraceRecord] | None = None,
                  stack_top: int = DEFAULT_STACK_TOP,
-                 tracer=None, strict: bool = False) -> None:
-        super().__init__(tracer=tracer, strict=strict)
+                 strict: bool = False) -> None:
+        super().__init__(strict=strict)
         self.memory = Memory()
         console = ConsoleDevice()
         self.memory.add_device(console)
@@ -86,7 +86,7 @@ class GoldenChecker(Validator):
         self._pending_next: str | None = None
 
     # ------------------------------------------------------------------
-    def on_commit(self, uop: "Uop", cycle: int) -> None:
+    def commit(self, uop: "Uop", cycle: int) -> None:
         if self._dead:
             return
         record = uop.record
@@ -181,7 +181,8 @@ class GoldenChecker(Validator):
                     f"recent: {context})")
 
     # ------------------------------------------------------------------
-    def on_drain(self, core: "OoOCore", cycle: int) -> None:
+    def run_end(self, core: "OoOCore", cycle: int,
+                instructions: int) -> None:
         if self._dead:
             return
         self._pending_next = None  # final record: synthesized next_pc
@@ -209,7 +210,7 @@ class SystemGoldenChecker(GoldenChecker):
     kernel-mode interpreter — kernel instructions, syscall dispatches
     and context switches are checked exactly like user instructions.
     Timer interrupts are deterministic in retired-instruction counts
-    and their delivery retires nothing, so :meth:`on_commit`'s drain
+    and their delivery retires nothing, so :meth:`commit`'s drain
     loop reproduces every delivery point without needing them in the
     trace.
 
@@ -221,8 +222,8 @@ class SystemGoldenChecker(GoldenChecker):
     def __init__(self, programs: Sequence[Program],
                  timer_interval: int = 20_000,
                  trace: Sequence[TraceRecord] | None = None,
-                 tracer=None, strict: bool = False) -> None:
-        Validator.__init__(self, tracer=tracer, strict=strict)
+                 strict: bool = False) -> None:
+        Validator.__init__(self, strict=strict)
         system = build_system(list(programs), timer_interval)
         self.memory = system.memory
         self.interp = Interpreter(self.memory, entry=system.entry,

@@ -36,14 +36,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class InvariantChecker(Validator):
     """Checks the structural invariants above on every hook."""
 
-    def __init__(self, tracer=None, strict: bool = False,
+    def __init__(self, strict: bool = False,
                  max_violations: int = MAX_VIOLATIONS) -> None:
-        super().__init__(tracer=tracer, strict=strict,
-                         max_violations=max_violations)
+        super().__init__(strict=strict, max_violations=max_violations)
         self._last_seq: int | None = None
 
     # ------------------------------------------------------------------
-    def on_commit(self, uop: "Uop", cycle: int) -> None:
+    def commit(self, uop: "Uop", cycle: int) -> None:
         if self._last_seq is not None and uop.seq <= self._last_seq:
             self.report(cycle, "rob.order",
                         f"committed seq {uop.seq} after seq "
@@ -59,8 +58,8 @@ class InvariantChecker(Validator):
                         f"completes at {uop.complete_cycle}")
 
     # ------------------------------------------------------------------
-    def on_load_serviced(self, lsq: "LoadStoreQueue", load: "Uop",
-                         ready: int, source: str, cycle: int) -> None:
+    def load_serviced(self, lsq: "LoadStoreQueue", load: "Uop",
+                      ready: int, source: str, cycle: int) -> None:
         if ready <= cycle:
             self.report(cycle, "lsq.ready_past",
                         f"load seq {load.seq} data ready at {ready} "
@@ -103,7 +102,7 @@ class InvariantChecker(Validator):
         return False
 
     # ------------------------------------------------------------------
-    def on_cycle(self, core: "OoOCore", cycle: int) -> None:
+    def cycle_end(self, core: "OoOCore", cycle: int) -> None:
         cfg = core.cfg
         dcache = core.mem.dcache
         dconf = dcache.config
@@ -151,7 +150,8 @@ class InvariantChecker(Validator):
             previous = uop.seq
 
     # ------------------------------------------------------------------
-    def on_drain(self, core: "OoOCore", cycle: int) -> None:
+    def run_end(self, core: "OoOCore", cycle: int,
+                instructions: int) -> None:
         lsq = core.lsq
         if lsq.loads or lsq.stores:
             self.report(cycle, "drain.lsq",

@@ -87,7 +87,7 @@ def _capture_injected_violation():
     LoadStoreQueue.add_load = lambda self, uop: self.loads.insert(0, uop)
     try:
         OoOCore(machine("1P"), tracer=tracer,
-                validator=InvariantChecker(tracer=tracer)).run(trace)
+                validator=InvariantChecker()).run(trace)
     finally:
         LoadStoreQueue.add_load = original
     tracer.close()
