@@ -163,7 +163,7 @@ class TraceSpec:
                 f"synthetic-seed{config.seed}",
                 suite.content_digest(repr(config),
                                      _generator_fingerprint()),
-                lambda: generate(config))
+                lambda: Trace.from_records(generate(config)))
         raise ValueError(f"unknown trace kind {self.kind!r}")
 
 

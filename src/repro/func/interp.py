@@ -1,12 +1,16 @@
 """Functional (ISA-level) simulator with tracing.
 
 The interpreter executes instructions out of simulated memory (so the
-kernel and all user processes share one image), delivers traps and timer
-interrupts, and emits one :class:`repro.trace.record.TraceRecord` per
-retired instruction.  ``next_pc`` in each record is the address of the
-*actually* executed next instruction — on traps it points into the trap
-vector, which is how the timing core learns about pipeline redirects
-that are not ordinary branches.
+kernel and all user processes share one image) and delivers traps and
+timer interrupts.  With ``collect_trace`` it records the retired stream
+as columns, not records: the decode cache holds one static row per PC,
+and each retired instruction appends only its row id, its kernel bit,
+and (memory ops and branches) its effective address or direction;
+:meth:`Interpreter.trace` gathers those into a columnar
+:class:`repro.trace.io.Trace`.  ``next_pc`` of each record is the
+address of the *actually* executed next instruction — on traps it
+points into the trap vector, which is how the timing core learns about
+pipeline redirects that are not ordinary branches.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from collections.abc import Callable
 
 from ..isa import (
     INSTRUCTION_BYTES,
+    STATUS_INT_ENABLE,
+    STATUS_KERNEL,
     Instruction,
     OpClass,
     Opcode,
@@ -22,7 +28,7 @@ from ..isa import (
     SysReg,
     decode,
 )
-from ..trace.record import TraceRecord
+from ..trace.io import Trace
 from .exceptions import SimError, SimHalted, TrapCause
 from .memory import Memory, MemoryFault
 from .state import ArchState, bits_to_float, float_to_bits, to_signed
@@ -33,6 +39,9 @@ _MASK64 = (1 << 64) - 1
 SYSCALL_REG = 17
 #: First syscall argument / return value register (a0).
 ARG_REG = 10
+
+_STATUS = int(SysReg.STATUS)
+_TIMER = int(SysReg.TIMER)
 
 
 def load_program(memory: Memory, program: Program) -> None:
@@ -70,22 +79,28 @@ class Interpreter:
         host side and faults raise :class:`SimError`.
     syscall_handler:
         Bare-mode syscall callback ``handler(interpreter) -> None``.
-    trace_sink:
-        Called once per retired instruction with a
-        :class:`TraceRecord`; ``None`` disables tracing.
+    collect_trace:
+        Record the retired instructions for :meth:`trace`.
     """
 
     def __init__(self, memory: Memory, entry: int,
                  trap_vector: int | None = None,
                  syscall_handler: Callable[["Interpreter"], None] | None = None,
-                 trace_sink: Callable[[TraceRecord], None] | None = None) -> None:
+                 collect_trace: bool = False) -> None:
         self.memory = memory
         self.state = ArchState(pc=entry)
         self.trap_vector = trap_vector
         self.syscall_handler = syscall_handler
-        self.trace_sink = trace_sink
-        self._decode_cache: dict[int, Instruction] = {}
-        self._pending_record: TraceRecord | None = None
+        #: The decode cache: PC -> static row ``(instruction, row id,
+        #: is_load, is_store)``; row ids number PCs in decode order.
+        self._rows: dict[int, tuple[Instruction, int, bool, bool]] = {}
+        # Per retired instruction: row id and kernel bit; per retired
+        # memory op its address, per retired branch its direction.
+        # None unless collecting a trace.
+        self._trace_rows: list[int] | None = [] if collect_trace else None
+        self._trace_kernel: list[int] | None = [] if collect_trace else None
+        self._trace_addr: list[int] | None = [] if collect_trace else None
+        self._trace_taken: list[bool] | None = [] if collect_trace else None
         # Statistics.
         self.retired = 0
         self.kernel_retired = 0
@@ -98,10 +113,9 @@ class Interpreter:
     # ------------------------------------------------------------------
     # Fetch / decode
     # ------------------------------------------------------------------
-    def _fetch(self, pc: int) -> Instruction:
-        instr = self._decode_cache.get(pc)
-        if instr is not None:
-            return instr
+    def _decode(self, pc: int) -> tuple[Instruction, int, bool, bool]:
+        """Decode the instruction at *pc* into its static row (a
+        decode-cache miss)."""
         if pc % INSTRUCTION_BYTES:
             raise SimError(f"misaligned pc {pc:#x}")
         try:
@@ -109,8 +123,19 @@ class Interpreter:
         except MemoryFault as exc:
             raise SimError(f"instruction fetch fault: {exc}") from exc
         instr = decode(word)
-        self._decode_cache[pc] = instr
-        return instr
+        info = instr.info
+        row = (instr, len(self._rows), info.is_load, info.is_store)
+        self._rows[pc] = row
+        return row
+
+    def trace(self) -> Trace | None:
+        """The instructions retired so far as a columnar trace, or None
+        without ``collect_trace``."""
+        if self._trace_rows is None:
+            return None
+        return Trace.gather({pc: row[0] for pc, row in self._rows.items()},
+                            self._trace_rows, self._trace_kernel,
+                            self._trace_addr, self._trace_taken)
 
     # ------------------------------------------------------------------
     # Trap delivery
@@ -128,9 +153,10 @@ class Interpreter:
         self.traps_taken += 1
 
     def _timer_pending(self) -> bool:
-        interval = self.state.read_sysreg(SysReg.TIMER)
+        sysregs = self.state.sysregs
+        interval = sysregs[_TIMER]
         return (interval > 0 and self._timer_count >= interval
-                and self.state.interrupts_enabled)
+                and sysregs[_STATUS] & STATUS_INT_ENABLE != 0)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -148,9 +174,7 @@ class Interpreter:
                 if budget > 0:
                     budget -= 1
         except SimHalted as halt:
-            self._flush_trace()
             return halt.exit_code
-        self._flush_trace()
         raise SimError(
             f"instruction budget exhausted after {self.retired} instructions "
             f"(pc={self.state.pc:#x})")
@@ -164,67 +188,46 @@ class Interpreter:
             self._take_trap(TrapCause.TIMER, state.pc)
             return
         pc = state.pc
-        kernel = state.kernel_mode
-        instr = self._fetch(pc)
-        record = self._begin_record(pc, instr)
+        kernel = state.sysregs[_STATUS] & STATUS_KERNEL
+        row = self._rows.get(pc)
+        if row is None:
+            row = self._decode(pc)
         try:
-            next_pc = self._execute(instr, pc, record)
+            next_pc = self._execute(row[0], pc)
         except _Trap as trap:
             epc = pc + INSTRUCTION_BYTES if trap.cause is TrapCause.SYSCALL \
                 else pc
             if trap.cause is TrapCause.SYSCALL:
                 # The syscall instruction itself retires before the trap.
-                self._retire(record, instr, kernel)
+                self._retire(row, kernel)
             self._take_trap(trap.cause, epc, trap.badaddr)
             return
         state.pc = next_pc
-        self._retire(record, instr, kernel)
+        self._retire(row, kernel)
 
-    def _begin_record(self, pc: int, instr: Instruction) -> TraceRecord | None:
-        if self.trace_sink is None:
-            return None
-        info = instr.info
-        return TraceRecord(
-            pc=pc,
-            opclass=info.opclass,
-            dest=instr.dest,
-            sources=instr.sources,
-            is_load=info.is_load,
-            is_store=info.is_store,
-            is_control=info.is_control,
-            kernel=self.state.kernel_mode,
-            instr=instr,
-        )
-
-    def _retire(self, record: TraceRecord | None, instr: Instruction,
-                kernel: bool) -> None:
+    def _retire(self, row: tuple[Instruction, int, bool, bool],
+                kernel: int) -> None:
         self.retired += 1
         self._timer_count += 1
         if kernel:
             self.kernel_retired += 1
-        if instr.is_load:
+        _, row_id, is_load, is_store = row
+        if is_load:
             self.loads += 1
-        elif instr.is_store:
+        elif is_store:
             self.stores += 1
-        if record is not None:
-            pending = self._pending_record
-            if pending is not None:
-                pending.next_pc = record.pc
-                self.trace_sink(pending)
-            self._pending_record = record
-
-    def _flush_trace(self) -> None:
-        pending = self._pending_record
-        if pending is not None:
-            pending.next_pc = pending.pc + INSTRUCTION_BYTES
-            self.trace_sink(pending)
-            self._pending_record = None
+        rows = self._trace_rows
+        if rows is not None:
+            rows.append(row_id)
+            self._trace_kernel.append(kernel)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _execute(self, instr: Instruction, pc: int,
-                 record: TraceRecord | None) -> int:
+    # A memory op or branch retires exactly when _execute returns (a
+    # fault raises instead), so the address and direction appends below
+    # are retirement appends.
+    def _execute(self, instr: Instruction, pc: int) -> int:
         op = instr.opcode
         state = self.state
         regs = state.regs
@@ -235,15 +238,13 @@ class Interpreter:
             return pc + 4
         info = instr.info
         if info.is_mem:
-            return self._execute_mem(instr, pc, record)
+            return self._execute_mem(instr, pc)
         if info.opclass is OpClass.BRANCH:
             taken = _BRANCH_OPS[op](regs[instr.rs1], regs[instr.rs2])
-            if record is not None:
-                record.taken = taken
+            if self._trace_taken is not None:
+                self._trace_taken.append(taken)
             return pc + 4 * instr.imm if taken else pc + 4
         if info.opclass is OpClass.JUMP:
-            if record is not None:
-                record.taken = True
             if op is Opcode.J:
                 return pc + 4 * instr.imm
             if op is Opcode.JAL:
@@ -261,17 +262,13 @@ class Interpreter:
             return pc + 4
         return self._execute_system(instr, pc)
 
-    def _execute_mem(self, instr: Instruction, pc: int,
-                     record: TraceRecord | None) -> int:
+    def _execute_mem(self, instr: Instruction, pc: int) -> int:
         state = self.state
         info = instr.info
         address = (state.regs[instr.rs1] + instr.imm) & _MASK64
         size = info.mem_size
         if address % size:
             raise _Trap(TrapCause.MISALIGNED, address)
-        if record is not None:
-            record.mem_addr = address
-            record.mem_size = size
         try:
             if info.is_load:
                 if info.mem_signed:
@@ -283,6 +280,8 @@ class Interpreter:
                 self.memory.store(address, size, state.regs[instr.rs2])
         except MemoryFault as exc:
             raise _Trap(TrapCause.BADADDR, exc.address) from exc
+        if self._trace_addr is not None:
+            self._trace_addr.append(address)
         return pc + 4
 
     def _execute_fp(self, instr: Instruction,

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..isa import Program
-from ..trace.record import TraceRecord
+from ..trace.io import Trace
 from .interp import Interpreter, load_program
 from .memory import ConsoleDevice, Memory
 from .syscalls import HostSyscalls
@@ -27,7 +27,8 @@ class RunResult:
     stores: int
     traps_taken: int = 0
     timer_interrupts: int = 0
-    trace: list[TraceRecord] = field(default_factory=list)
+    #: The retired instructions (``collect_trace=True`` only).
+    trace: Trace | None = None
     #: Architectural end-state digests (``compute_digests=True`` only);
     #: comparable against :attr:`repro.core.pipeline.CoreResult.digests`.
     digests: dict[str, str] | None = None
@@ -35,6 +36,19 @@ class RunResult:
     @property
     def user_retired(self) -> int:
         return self.retired - self.kernel_retired
+
+    @classmethod
+    def of(cls, interp: Interpreter, exit_code: int, console: str,
+           **fields) -> "RunResult":
+        """The outcome of *interp*'s finished run: its counters and, if
+        it collected one, its trace gathered into columns."""
+        return cls(exit_code=exit_code, console=console,
+                   retired=interp.retired,
+                   kernel_retired=interp.kernel_retired,
+                   loads=interp.loads, stores=interp.stores,
+                   traps_taken=interp.traps_taken,
+                   timer_interrupts=interp.timer_interrupts,
+                   trace=interp.trace(), **fields)
 
 
 def run_bare(program: Program, max_instructions: int = 5_000_000,
@@ -54,11 +68,9 @@ def run_bare(program: Program, max_instructions: int = 5_000_000,
     console = ConsoleDevice()
     memory.add_device(console)
     load_program(memory, program)
-    trace: list[TraceRecord] = []
-    sink = trace.append if collect_trace else None
     interp = Interpreter(memory, entry=program.entry,
                          syscall_handler=HostSyscalls(console),
-                         trace_sink=sink)
+                         collect_trace=collect_trace)
     if user_mode:
         interp.state.status = 0
     interp.state.write_reg(_SP, stack_top)
@@ -67,15 +79,4 @@ def run_bare(program: Program, max_instructions: int = 5_000_000,
     if compute_digests:
         digests = {"registers": interp.state.digest(),
                    "memory": memory.content_digest()}
-    return RunResult(
-        exit_code=exit_code,
-        console=console.text(),
-        retired=interp.retired,
-        kernel_retired=interp.kernel_retired,
-        loads=interp.loads,
-        stores=interp.stores,
-        traps_taken=interp.traps_taken,
-        timer_interrupts=interp.timer_interrupts,
-        trace=trace,
-        digests=digests,
-    )
+    return RunResult.of(interp, exit_code, console.text(), digests=digests)

@@ -10,7 +10,6 @@ from ..func.interp import Interpreter, load_program
 from ..func.memory import ConsoleDevice, Memory
 from ..func.run import RunResult
 from ..isa import Program
-from ..trace.record import TraceRecord
 from . import layout
 from .source import kernel_source
 
@@ -98,27 +97,25 @@ def run_system(programs: list[Program], timer_interval: int = 20_000,
                max_instructions: int = 20_000_000,
                collect_trace: bool = False) -> SystemRunResult:
     """Boot the mini-OS with *programs* and run to completion."""
-    system = build_system(programs, timer_interval)
-    trace: list[TraceRecord] = []
-    sink = trace.append if collect_trace else None
+    result, _ = boot(build_system(programs, timer_interval),
+                     max_instructions, collect_trace)
+    return result
+
+
+def boot(system: System, max_instructions: int = 20_000_000,
+         collect_trace: bool = False
+         ) -> tuple[SystemRunResult, Interpreter]:
+    """Run a composed *system* to completion; returns the result and the
+    interpreter, whose end state is the run's architectural end state."""
     interp = Interpreter(system.memory, entry=system.entry,
-                         trap_vector=system.trap_vector, trace_sink=sink)
+                         trap_vector=system.trap_vector,
+                         collect_trace=collect_trace)
     exit_code = interp.run(max_instructions)
     table = system.kernel.symbols["proctable"]
     exit_codes = [
         int(system.memory.load(table + slot * layout.PCB_SIZE
                                + layout.PCB_EXIT, 8))
-        for slot in range(len(programs))
+        for slot in range(len(system.programs))
     ]
-    return SystemRunResult(
-        exit_code=exit_code,
-        console=system.console.text(),
-        retired=interp.retired,
-        kernel_retired=interp.kernel_retired,
-        loads=interp.loads,
-        stores=interp.stores,
-        traps_taken=interp.traps_taken,
-        timer_interrupts=interp.timer_interrupts,
-        trace=trace,
-        process_exit_codes=exit_codes,
-    )
+    return SystemRunResult.of(interp, exit_code, system.console.text(),
+                              process_exit_codes=exit_codes), interp

@@ -13,12 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..func.exceptions import SimError
-from ..func.interp import Interpreter
 from ..isa import Program
 from ..kernel import assemble_user, build_system
-from ..kernel.image import System, SystemRunResult
-from ..kernel.layout import PCB_EXIT, PCB_SIZE
-from ..trace.record import TraceRecord
+from ..kernel.image import System, SystemRunResult, boot
 from .base import ExpectedResults, ScenarioSpec, sha256_bytes
 
 
@@ -89,28 +86,7 @@ def run_build(build: ScenarioBuild,
     interpreter; returns the run plus the live :class:`System` (for
     memory-region checks) and the end-state digests."""
     system = build_system(list(build.programs), build.timer_interval)
-    trace: list[TraceRecord] = []
-    sink = trace.append if collect_trace else None
-    interp = Interpreter(system.memory, entry=system.entry,
-                         trap_vector=system.trap_vector, trace_sink=sink)
-    exit_code = interp.run(build.max_instructions)
-    table = system.kernel.symbols["proctable"]
-    exit_codes = [
-        int(system.memory.load(table + slot * PCB_SIZE + PCB_EXIT, 8))
-        for slot in range(len(build.programs))
-    ]
-    result = SystemRunResult(
-        exit_code=exit_code,
-        console=system.console.text(),
-        retired=interp.retired,
-        kernel_retired=interp.kernel_retired,
-        loads=interp.loads,
-        stores=interp.stores,
-        traps_taken=interp.traps_taken,
-        timer_interrupts=interp.timer_interrupts,
-        trace=trace,
-        process_exit_codes=exit_codes,
-    )
+    result, interp = boot(system, build.max_instructions, collect_trace)
     digests = {"registers": interp.state.digest(),
                "memory": system.memory.content_digest()}
     return ScenarioRun(result=result, system=system, digests=digests)

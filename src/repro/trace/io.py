@@ -3,11 +3,16 @@
 Functional simulation is the slow half of a study; persisting traces
 lets a parameter sweep rerun the timing core alone.  A :class:`Trace`
 holds a dynamic trace as ten numpy columns, the same ten a ``.npz``
-file stores, so a reload is one ``np.load`` with no per-record work and
-the fast cycle loop precomputes straight from the columns.  Records
+file stores.  The functional simulator produces them directly
+(:meth:`Trace.gather`: one static row per decoded PC, gathered by the
+row id each retired instruction appended), a reload is one ``np.load``,
+and the fast cycle loop precomputes straight from the columns — none
+of them does per-record work.  Records
 (:class:`~repro.trace.record.TraceRecord`) are built only when
 something indexes or iterates the trace — the reference loop, a
-recorder, a checker, the CLI — and then once, column-wise.
+recorder, a checker, the CLI — and then once, column-wise; a freshly
+gathered trace keeps its static instruction table, so its records carry
+their instructions.
 
 Instruction back-references are not persisted; instead, format v2
 persists the three *timing hints* the core would otherwise derive from
@@ -28,7 +33,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..isa import Bank, OpClass, Opcode
+from ..isa import INSTRUCTION_BYTES, Bank, Instruction, OpClass, Opcode
 from .record import TraceRecord
 
 #: Opclasses in column order: the ``opclass`` column holds indices into
@@ -73,18 +78,10 @@ _SERIALIZING_OPCODES = (Opcode.SYSCALL, Opcode.ERET)
 _DECODE_REDIRECT_OPCODES = (Opcode.J, Opcode.JAL)
 
 
-def _store_operands(record: TraceRecord) -> tuple[tuple[int, ...], int]:
-    """The (sources, addr_count) pair that reproduces the dependence
-    wiring the timing core derives from the instruction back-reference
+def _store_split(instr: Instruction) -> tuple[tuple[int, ...], int]:
+    """The (sources, addr_count) pair of a store that reproduces the
+    dependence wiring the timing core derives from the instruction
     (see ``OoOCore._wire_dependences``)."""
-    instr = record.instr
-    if instr is None:
-        # Already instruction-less: keep whatever split the record
-        # carries (round-trips loaded traces, leaves synthetic ones on
-        # the positional heuristic).
-        count = record.store_addr_count
-        return record.sources[:MAX_SOURCES], \
-            count if count >= 0 else NO_SPLIT
     regs: list[int] = []
     count = 0
     if instr.rs1 != 0:
@@ -95,16 +92,55 @@ def _store_operands(record: TraceRecord) -> tuple[tuple[int, ...], int]:
     return tuple(regs), count
 
 
+def _store_operands(record: TraceRecord) -> tuple[tuple[int, ...], int]:
+    """A store record's (sources, addr_count) pair."""
+    if record.instr is None:
+        # Already instruction-less: keep whatever split the record
+        # carries (round-trips loaded traces, leaves synthetic ones on
+        # the positional heuristic).
+        count = record.store_addr_count
+        return record.sources[:MAX_SOURCES], \
+            count if count >= 0 else NO_SPLIT
+    return _store_split(record.instr)
+
+
+def _instruction_hints(instr: Instruction) -> int:
+    """Flag bits of an instruction's serialisation/decode-redirect
+    timing hints."""
+    return (instr.opcode in _SERIALIZING_OPCODES) * F_SERIALIZES \
+        | (instr.opcode in _DECODE_REDIRECT_OPCODES) * F_REDIRECT
+
+
 def _hint_flags(record: TraceRecord) -> int:
     """Flag bits of the serialisation/decode-redirect timing hints."""
-    instr = record.instr
-    if instr is None:
-        serializes = record.serializes
-        redirect = record.decode_redirect
-    else:
-        serializes = instr.opcode in _SERIALIZING_OPCODES
-        redirect = instr.opcode in _DECODE_REDIRECT_OPCODES
-    return serializes * F_SERIALIZES | redirect * F_REDIRECT
+    if record.instr is None:
+        return record.serializes * F_SERIALIZES \
+            | record.decode_redirect * F_REDIRECT
+    return _instruction_hints(record.instr)
+
+
+#: Fields of a :func:`_static_row`, in order.
+_STATIC_FIELDS = ("pc", "opclass", "dest", "src0", "src1", "nsrc", "naddr",
+                  "mem_size", "flags")
+
+
+def _static_row(pc: int, instr: Instruction) -> tuple[int, ...]:
+    """The columns every retirement of *instr* at *pc* shares (see
+    :data:`_STATIC_FIELDS`), encoded as :meth:`Trace.from_records`
+    encodes its records; ``flags`` lacks the taken and kernel bits.
+    Jumps are always taken: one that faults never retires."""
+    info = instr.info
+    sources, naddr = _store_split(instr) if info.is_store \
+        else (instr.sources, NO_SPLIT)
+    src = sources + (0,) * (MAX_SOURCES - len(sources))
+    dest = instr.dest
+    flags = info.is_load * F_LOAD | info.is_store * F_STORE \
+        | info.is_control * F_CONTROL \
+        | (info.opclass is OpClass.JUMP) * F_TAKEN \
+        | _instruction_hints(instr)
+    return (pc, OPCLASSES.index(info.opclass),
+            NO_DEST if dest is None else dest, *src, len(sources), naddr,
+            info.mem_size, flags)
 
 
 class Trace:
@@ -113,18 +149,74 @@ class Trace:
     ``len`` reads a column; indexing and iteration yield
     :class:`TraceRecord` objects, decoded from the columns on first use
     and kept.  A trace wrapped by :meth:`from_records` keeps the records
-    it was given, instruction back-references included.  Columns and
-    records are read-only by convention: a mutated record does not
-    update the columns.
+    it was given; one gathered from a functional run keeps its static
+    instruction table (PC -> :class:`~repro.isa.Instruction`), so its
+    records, and those of its :meth:`user_only` view, decode with their
+    instruction back-references, as the interpreter's own records had
+    them.  Columns and records are read-only by convention: a mutated
+    record does not update the columns.
     """
 
-    __slots__ = (*COLUMNS, "_records")
+    __slots__ = (*COLUMNS, "_records", "_instructions")
 
     def __init__(self, columns: dict[str, np.ndarray],
-                 records: list[TraceRecord] | None = None) -> None:
+                 records: list[TraceRecord] | None = None,
+                 instructions: dict[int, Instruction] | None = None,
+                 ) -> None:
         for name in COLUMNS:
             setattr(self, name, columns[name])
         self._records = records
+        self._instructions = instructions
+
+    @classmethod
+    def gather(cls, instructions: dict[int, Instruction],
+               rows: Sequence[int], kernel: Sequence[int],
+               mem_addr: Sequence[int], taken: Sequence[bool]) -> "Trace":
+        """The trace of a functional run, from what it appended.
+
+        *instructions* maps each decoded PC to its instruction, in the
+        order the run decoded them (a PC's position is its row id);
+        *rows* and *kernel* give each retired instruction's row id and
+        kernel bit, *mem_addr* each retired memory access's effective
+        address and *taken* each retired branch's direction, all in
+        retirement order.  ``next_pc`` is the next record's pc; the last
+        record falls through.
+        """
+        n = len(rows)
+        index = np.fromiter(rows, np.intp, n)
+        table = np.array([_static_row(pc, instr) for pc, instr
+                          in instructions.items()], dtype=np.uint64)
+        table = table.reshape(-1, len(_STATIC_FIELDS))
+
+        def field(name: str, dtype) -> np.ndarray:
+            return table[:, _STATIC_FIELDS.index(name)].astype(dtype)[index]
+
+        pc = field("pc", np.uint64)
+        opclass = field("opclass", np.uint8)
+        flags = field("flags", np.uint8)
+        flags |= np.fromiter(kernel, np.uint8, n) * np.uint8(F_KERNEL)
+        branch = opclass == OPCLASSES.index(OpClass.BRANCH)
+        flags[branch] |= np.fromiter(taken, np.uint8, len(taken)) \
+            * np.uint8(F_TAKEN)
+        addresses = np.zeros(n, dtype=np.uint64)
+        addresses[(flags & (F_LOAD | F_STORE)) != 0] = np.fromiter(
+            mem_addr, np.uint64, len(mem_addr))
+        next_pc = np.empty_like(pc)
+        next_pc[:-1] = pc[1:]
+        next_pc[-1:] = pc[-1:] + np.uint64(INSTRUCTION_BYTES)
+        return cls({
+            "pc": pc,
+            "opclass": opclass,
+            "dest": field("dest", np.uint8),
+            "src": np.stack([field("src0", np.uint8),
+                             field("src1", np.uint8)], axis=1),
+            "nsrc": field("nsrc", np.uint8),
+            "naddr": field("naddr", np.uint8),
+            "mem_addr": addresses,
+            "mem_size": field("mem_size", np.uint8),
+            "flags": flags,
+            "next_pc": next_pc,
+        }, instructions=instructions)
 
     @classmethod
     def from_records(cls, records: Sequence[TraceRecord]) -> "Trace":
@@ -182,15 +274,27 @@ class Trace:
 
     def _decode(self) -> list[TraceRecord]:
         flags = self.flags
+        pcs = self.pc.tolist()
 
         def flag(bit: int) -> list[bool]:
             return ((flags & bit) != 0).tolist()
 
+        if self._instructions is None:
+            instrs = itertools.repeat(None)
+            hints = (flag(F_SERIALIZES), flag(F_REDIRECT),
+                     [-1 if count == NO_SPLIT else count
+                      for count in self.naddr.tolist()])
+        else:
+            # The instruction stands in for the hints in every consumer;
+            # leave them at the interpreter's defaults.
+            instrs = list(map(self._instructions.__getitem__, pcs))
+            hints = (itertools.repeat(False), itertools.repeat(False),
+                     itertools.repeat(-1))
         sources = [tuple(regs[:count]) for regs, count
                    in zip(self.src.tolist(), self.nsrc.tolist())]
         return list(map(
             TraceRecord,
-            self.pc.tolist(),
+            pcs,
             [OPCLASSES[index] for index in self.opclass.tolist()],
             [None if dest == NO_DEST else dest
              for dest in self.dest.tolist()],
@@ -200,10 +304,8 @@ class Trace:
             flag(F_LOAD), flag(F_STORE), flag(F_CONTROL), flag(F_TAKEN),
             self.next_pc.tolist(),
             flag(F_KERNEL),
-            itertools.repeat(None),
-            flag(F_SERIALIZES), flag(F_REDIRECT),
-            [-1 if count == NO_SPLIT else count
-             for count in self.naddr.tolist()]))
+            instrs,
+            *hints))
 
     def user_only(self) -> "Trace":
         """The user-mode records alone (the user-only-trace view)."""
@@ -212,7 +314,8 @@ class Trace:
         if self._records is not None:
             records = list(itertools.compress(self._records, keep.tolist()))
         return Trace({name: column[keep]
-                      for name, column in self.columns.items()}, records)
+                      for name, column in self.columns.items()}, records,
+                     self._instructions)
 
     def __len__(self) -> int:
         return len(self.pc)

@@ -1,9 +1,11 @@
 """Dynamic instruction trace records.
 
-The functional simulator emits one :class:`TraceRecord` per retired
-instruction; the timing core consumes them.  Records are deliberately
-plain and slotted — a simulation produces hundreds of thousands of
-them.
+One :class:`TraceRecord` describes one retired instruction.  Traces
+are held as columns (:class:`repro.trace.io.Trace`) and decode their
+records only when indexed or iterated — by the reference cycle loop,
+the recorders, the checkers and the CLI; synthetic generators and tests
+build record lists directly.  Records are deliberately plain and
+slotted — a trace decodes hundreds of thousands of them.
 """
 
 from __future__ import annotations

@@ -13,16 +13,18 @@ machine configurations reuses one functional run:
   cache skips functional simulation entirely.
 
 Disk entries are keyed by (workload, scale, content digest, trace
-format version): the digest covers the generated assembly source and
-build parameters, so editing a workload generator or bumping
-``trace.io.FORMAT_VERSION`` invalidates stale entries instead of
-silently serving them.  Disk I/O failures degrade to memory-only
-caching, and an unreadable or malformed entry is rebuilt; neither ever
-fails a run.
+format version): the digest covers the generated assembly source, the
+build parameters and the source of the trace producer (assembler, ISA,
+functional simulator, column gather), so editing a workload generator
+or the producer, or bumping ``trace.io.FORMAT_VERSION``, invalidates
+stale entries instead of silently serving them.  Disk I/O failures
+degrade to memory-only caching, and an unreadable or malformed entry is
+rebuilt; neither ever fails a run.
 
-Both tiers hold :class:`~repro.trace.io.Trace` objects: a fresh build is
-wrapped (its records keep their instructions) and a disk hit is the
-file's columns, with no per-record work.
+Both tiers hold :class:`~repro.trace.io.Trace` objects, and neither
+does per-record work: a fresh build is the functional simulator's own
+columnar trace (its records decode with their instructions), a disk hit
+is the file's columns.
 """
 
 from __future__ import annotations
@@ -230,8 +232,21 @@ def _kernel_fingerprint() -> str:
     return content_digest(kernel_source())
 
 
+@functools.lru_cache(maxsize=1)
+def _producer_fingerprint() -> str:
+    """Digest of the trace producer's source — the assembler, the ISA,
+    the functional simulator and the column gather — so an edit to it
+    invalidates cached suite, os-mix and scenario traces (as the
+    generator fingerprint does for synthetic ones)."""
+    from .. import asm, func, isa
+    paths = [path for package in (asm, func, isa)
+             for path in sorted(Path(package.__file__).parent.glob("*.py"))]
+    paths.append(Path(trace_io.__file__))
+    return content_digest(*(path.read_text() for path in paths))
+
+
 def cached_trace(label: str, digest: str,
-                 build: Callable[[], list[TraceRecord]]) -> Trace:
+                 build: Callable[[], Trace]) -> Trace:
     """Two-tier trace lookup: memory, then disk, then *build*.
 
     *label* names the entry (it becomes part of the filename); *digest*
@@ -264,10 +279,10 @@ def cached_trace(label: str, digest: str,
         except (OSError, ValueError):
             pass  # unreadable/stale entry: rebuild and overwrite
     if recorder is None:
-        trace = Trace.from_records(build())
+        trace = build()
     else:
         with recorder.span("trace.build", "workload", label=label):
-            trace = Trace.from_records(build())
+            trace = build()
     _cache_stats["builds"] += 1
     _trace_cache[key] = trace
     if path is not None:
@@ -291,7 +306,7 @@ def build_trace(name: str, scale: str = "small",
     params = spec.params(scale)
     source = spec.source(**params)
 
-    def build() -> list[TraceRecord]:
+    def build() -> Trace:
         program = assemble(source, source_name=f"<{name}>")
         result = run_bare(program, max_instructions=max_instructions,
                           collect_trace=True)
@@ -303,7 +318,8 @@ def build_trace(name: str, scale: str = "small",
         return result.trace
 
     return cached_trace(f"{name}-{scale}",
-                        content_digest(source, str(max_instructions)), build)
+                        content_digest(source, str(max_instructions),
+                                       _producer_fingerprint()), build)
 
 
 #: Workloads composing the multiprogrammed OS mix, with per-scale params.
@@ -328,7 +344,7 @@ def build_os_mix_trace(scale: str = "small", members=OS_MIX_MEMBERS,
         sources.append(spec.source(**params))
         expected.append(spec.expected_exit(**params))
 
-    def build() -> list[TraceRecord]:
+    def build() -> Trace:
         programs = [assemble_user(source, slot=slot,
                                   source_name=f"<{name}>")
                     for slot, (name, source) in
@@ -343,7 +359,8 @@ def build_os_mix_trace(scale: str = "small", members=OS_MIX_MEMBERS,
         return result.trace
 
     digest = content_digest(*sources, ",".join(members), str(interval),
-                            str(max_instructions), _kernel_fingerprint())
+                            str(max_instructions), _kernel_fingerprint(),
+                            _producer_fingerprint())
     return cached_trace(f"os-mix-{scale}", digest, build)
 
 
@@ -355,17 +372,18 @@ def build_scenario_trace(name: str, scale: str = "small",
 
     The cache key covers the scenario name, scale, **seed**, every
     resolved parameter, the generated per-process sources, and the
-    kernel fingerprint — the same scenario name with a different seed
-    or knob override can never collide, and kernel edits invalidate
-    stale entries.  The functional run is contract-checked (exit codes,
-    memory regions, console) before the trace is cached.
+    kernel and producer fingerprints — the same scenario name with a
+    different seed or knob override can never collide, and kernel or
+    producer edits invalidate stale entries.  The functional run is
+    contract-checked (exit codes, memory regions, console) before the
+    trace is cached.
     """
     from ..scenarios import SCENARIOS
     from ..scenarios.runtime import check_contract, materialize, run_build
     spec = SCENARIOS[name]
     build = materialize(spec, scale, seed=seed, overrides=overrides)
 
-    def build_fn() -> list[TraceRecord]:
+    def build_fn() -> Trace:
         run = run_build(build, collect_trace=True)
         problems = check_contract(build, run)
         if problems:
@@ -377,7 +395,8 @@ def build_scenario_trace(name: str, scale: str = "small",
     params = ",".join(f"{key}={value}"
                       for key, value in sorted(build.params.items()))
     digest = content_digest(*build.sources, name, scale, str(build.seed),
-                            params, _kernel_fingerprint())
+                            params, _kernel_fingerprint(),
+                            _producer_fingerprint())
     return cached_trace(f"sc-{name}-{scale}-s{build.seed}", digest,
                         build_fn)
 

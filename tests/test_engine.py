@@ -24,6 +24,7 @@ from repro.trace import io as trace_io
 from repro.workloads import (build_trace, clear_trace_cache,
                              set_trace_cache_dir, trace_cache_dir,
                              trace_cache_stats)
+from repro.workloads import suite as suite_module
 
 
 def _corrupt(path, fault: str) -> None:
@@ -200,6 +201,46 @@ class TestTraceCache:
         before = trace_cache_stats()
         spec.build()
         assert trace_cache_stats()["builds"] == before["builds"] + 1
+
+    @pytest.mark.parametrize("spec", [
+        TraceSpec.workload("stream", "tiny"),
+        TraceSpec.os_mix("tiny"),
+        TraceSpec.scenario("iostorm", "tiny"),
+    ], ids=["workload", "os-mix", "scenario"])
+    def test_producer_edit_invalidates_entries(self, cache_dir, monkeypatch,
+                                               spec):
+        spec.build()
+        clear_trace_cache()
+        before = trace_cache_stats()
+        spec.build()
+        assert trace_cache_stats()["disk_hits"] == before["disk_hits"] + 1
+        clear_trace_cache()
+        monkeypatch.setattr(suite_module, "_producer_fingerprint",
+                            lambda: "edited")
+        before = trace_cache_stats()
+        spec.build()
+        after = trace_cache_stats()
+        assert after["builds"] == before["builds"] + 1
+        assert after["disk_hits"] == before["disk_hits"]
+
+    @pytest.mark.parametrize("module", ["repro.asm.assembler",
+                                        "repro.isa.encoding",
+                                        "repro.func.interp",
+                                        "repro.trace.io"])
+    def test_producer_fingerprint_covers_the_producer(self, monkeypatch,
+                                                      module):
+        import importlib
+        from pathlib import Path
+        edited = Path(importlib.import_module(module).__file__)
+        fingerprint = suite_module._producer_fingerprint()
+        read_text = Path.read_text
+        monkeypatch.setattr(Path, "read_text", lambda path: read_text(path)
+                            + ("# edit" if path == edited else ""))
+        suite_module._producer_fingerprint.cache_clear()
+        try:
+            assert suite_module._producer_fingerprint() != fingerprint
+        finally:
+            suite_module._producer_fingerprint.cache_clear()
 
     def test_off_disables_disk_tier(self, cache_dir):
         set_trace_cache_dir("off")
