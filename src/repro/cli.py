@@ -52,6 +52,7 @@ import time
 from collections.abc import Sequence
 
 from .asm import AsmError, assemble
+from .atomic import atomic_write
 from .core import simulate as core_simulate
 from .func import RunResult, SimError, run_bare
 from .isa import INSTRUCTION_BYTES
@@ -241,7 +242,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             seed=args.seed, trace_file=trace_file, wall_time=wall_time)
         critpath_path = args.critpath or (
             f"CRITPATH_{workload or 'trace'}_{args.config}.json")
-        with open(critpath_path, "w", encoding="utf-8") as handle:
+        with atomic_write(critpath_path) as handle:
             json.dump(critpath_report, handle, indent=2)
             handle.write("\n")
 
@@ -255,7 +256,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             disasm=_workload_disasm(workload, scale))
         hotspots_path = args.hotspots or (
             f"HOTSPOTS_{workload or 'trace'}_{args.config}.json")
-        with open(hotspots_path, "w", encoding="utf-8") as handle:
+        with atomic_write(hotspots_path) as handle:
             json.dump(hotspots_report, handle, indent=2)
             handle.write("\n")
 
@@ -361,7 +362,7 @@ def _cmd_critpath(args: argparse.Namespace) -> int:
                                    trace_file=trace_file,
                                    wall_time=wall_time)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
+        with atomic_write(args.output) as handle:
             json.dump(report, handle, indent=2)
             handle.write("\n")
     ledger_path = resolve_ledger_path(args.ledger)
@@ -417,7 +418,7 @@ def _cmd_hotspots(args: argparse.Namespace) -> int:
                                    disasm=_workload_disasm(workload,
                                                            scale))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
+        with atomic_write(args.output) as handle:
             json.dump(report, handle, indent=2)
             handle.write("\n")
     ledger_path = resolve_ledger_path(args.ledger)
@@ -497,7 +498,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 if args.output:
                     path = os.path.join(
                         args.output, f"{exp_id.lower()}_{args.scale}.json")
-                    with open(path, "w", encoding="utf-8") as handle:
+                    with atomic_write(path) as handle:
                         handle.write(document + "\n")
                     print(f"written to {path}")
                 else:
@@ -511,7 +512,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 path = os.path.join(
                     args.output,
                     f"{exp_id.lower()}_{args.scale}.{extension}")
-                with open(path, "w", encoding="utf-8") as handle:
+                with atomic_write(path) as handle:
                     handle.write(table.to_csv() if args.csv
                                  else table.render() + "\n")
                 print(f"written to {path}\n")
@@ -580,7 +581,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         candidate = run_bench(quick=args.quick, repeats=args.repeats,
                               warmup=args.warmup)
         path = args.output or str(default_bench_path())
-        with open(path, "w", encoding="utf-8") as handle:
+        with atomic_write(path) as handle:
             json.dump(candidate, handle, indent=2)
             handle.write("\n")
         ledger_path = resolve_ledger_path(args.ledger)
@@ -889,7 +890,7 @@ def _cmd_dash(args: argparse.Namespace) -> int:
     with Ledger(_require_ledger(args.ledger)) as ledger:
         document = build_dashboard(ledger) if args.title is None \
             else build_dashboard(ledger, title=args.title)
-    with open(args.output, "w", encoding="utf-8") as handle:
+    with atomic_write(args.output) as handle:
         handle.write(document)
     print(f"dashboard -> {args.output}")
     return 0
@@ -998,7 +999,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     else:
         print(table.render())
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
+        with atomic_write(args.output) as handle:
             json.dump(document, handle, indent=2)
             handle.write("\n")
         print(f"verification table -> {args.output}",

@@ -54,6 +54,9 @@ import numpy as np
 from ..func.exceptions import SimError
 from ..isa import OpClass
 from ..mem.config import LineBufferFill, LineBufferOnStore
+from ..obs.probe import (BLK_BANK, BLK_MSHR, BLK_NO_PORT, BLK_ORDER,
+                         BLK_SQ_WAIT, BLK_WB_CONFLICT, SRC_HIT, SRC_LB,
+                         SRC_MISS, SRC_SECONDARY, SRC_SQ, SRC_WB)
 from ..obs.stall import CAUSE_ORDER, StallCause
 from ..stats.histogram import Histogram
 from ..trace.io import (MAX_SOURCES, NO_DEST, NO_SPLIT, F_CONTROL,
@@ -95,8 +98,8 @@ U_LINE = 14
 U_CHUNK = 15
 U_MASK = 16
 U_MEMDONE = 17   # load: serviced by the memory system
-U_MEMSRC = 18    # where the load data came from (codes below)
-U_BLK = 19       # why the LSQ last skipped the load (codes below)
+U_MEMSRC = 18    # where the load data came from (repro.obs.probe codes)
+U_BLK = 19       # why the LSQ last skipped the load (the same table)
 U_ACYC = 20      # address-resolve cycle
 U_MISP = 21
 U_PTAKEN = 22
@@ -108,23 +111,6 @@ U_SCANEP = 25
 #: later instruction depends on (``r_is_prod``) ever receive appends,
 #: and those get a private list at fetch — this one stays empty.
 _EMPTY_CONS: list = []
-
-# mem_source codes (only their NEXT_LEVEL / hit split matters to the
-# stall classifier; the string forms live in the reference path).
-_SRC_SQ = 1
-_SRC_WB = 2
-_SRC_LB = 3
-_SRC_HIT = 4
-_SRC_MISS = 5
-_SRC_SECONDARY = 6
-
-# lsq_block codes.
-_BLK_ORDER = 1
-_BLK_SQ_WAIT = 2
-_BLK_WB_CONFLICT = 3
-_BLK_NO_PORT = 4
-_BLK_BANK = 5
-_BLK_MSHR = 6
 
 # fetch kinds from the precompute pass.
 _K_PLAIN = 0
@@ -743,14 +729,14 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                     elif head[U_LOAD] and not head[U_DONE]:
                         if head[U_MEMDONE]:
                             source = head[U_MEMSRC]
-                            if source == _SRC_MISS or \
-                                    source == _SRC_SECONDARY:
+                            if source == SRC_MISS or \
+                                    source == SRC_SECONDARY:
                                 ci = ci_next_level
-                            elif source == _SRC_HIT:
+                            elif source == SRC_HIT:
                                 ci = ci_lb_miss
                         elif head[U_AKNOWN]:
                             block_code = head[U_BLK]
-                            if block_code >= _BLK_NO_PORT:
+                            if block_code >= BLK_NO_PORT:
                                 ci = ci_dcache_port
                             elif block_code:
                                 ci = ci_mem_order
@@ -800,7 +786,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                     load_seq = load[U_SEQ]
                     if load_seq > barrier and not speculative_loads:
                         st_l_order += 1
-                        load[U_BLK] = _BLK_ORDER
+                        load[U_BLK] = BLK_ORDER
                         continue
                     load_line = load[U_LINE]
                     load_mask = load[U_MASK]
@@ -827,7 +813,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                         st_l_sqf += 1
                         scheduled += 1
                         load[U_MEMDONE] = True
-                        load[U_MEMSRC] = _SRC_SQ
+                        load[U_MEMSRC] = SRC_SQ
                         load[U_BLK] = 0
                         ready = cycle + 1
                         latency = ready - load[U_ACYC]
@@ -843,7 +829,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                         continue
                     if action == 2:
                         st_l_sqw += 1
-                        load[U_BLK] = _BLK_SQ_WAIT
+                        load[U_BLK] = BLK_SQ_WAIT
                         continue
                     # Write-buffer forwarding check (newest match).
                     wb_action = 0
@@ -866,7 +852,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                         st_l_wbf += 1
                         scheduled += 1
                         load[U_MEMDONE] = True
-                        load[U_MEMSRC] = _SRC_WB
+                        load[U_MEMSRC] = SRC_WB
                         load[U_BLK] = 0
                         ready = cycle + 1
                         latency = ready - load[U_ACYC]
@@ -882,7 +868,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                         continue
                     if wb_action == 2:
                         st_l_wbc += 1
-                        load[U_BLK] = _BLK_WB_CONFLICT
+                        load[U_BLK] = BLK_WB_CONFLICT
                         continue
                     # Line buffer (DataCacheSystem.line_buffer_hit).
                     if lb_reads < max_combine and has_lb and \
@@ -894,7 +880,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                             st_l_lb += 1
                             scheduled += 1
                             load[U_MEMDONE] = True
-                            load[U_MEMSRC] = _SRC_LB
+                            load[U_MEMSRC] = SRC_LB
                             load[U_BLK] = 0
                             ready = cycle + lb_latency
                             assert ready > cycle
@@ -939,13 +925,13 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                 st_d_lnp += 1
                                 for blocked in batches[batch_index:]:
                                     for load in blocked:
-                                        load[U_BLK] = _BLK_NO_PORT
+                                        load[U_BLK] = BLK_NO_PORT
                                 break
                             if bank_mask and (line & bank_mask) in banks_used:
                                 st_d_bankc += 1
                                 st_d_lnp += 1
                                 for load in batch:
-                                    load[U_BLK] = _BLK_BANK
+                                    load[U_BLK] = BLK_BANK
                                 continue
                             pending_ready = dc_pending.get(line, 0)
                             if pending_ready > cycle:
@@ -955,7 +941,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                 st_d_portu += 1
                                 st_d_lsec += 1
                                 ready = pending_ready
-                                source = _SRC_SECONDARY
+                                source = SRC_SECONDARY
                             else:
                                 dset = dsets[line & dset_mask]
                                 if line in dset:
@@ -966,7 +952,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                     od_move(dset, line)
                                     st_d_lhit += 1
                                     ready = cycle + hit_latency
-                                    source = _SRC_HIT
+                                    source = SRC_HIT
                                 else:
                                     mshr_busy = 0
                                     for fill_ready in dc_pending.values():
@@ -979,7 +965,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                         st_d_portu += 1
                                         st_d_lmshr += 1
                                         for load in batch:
-                                            load[U_BLK] = _BLK_MSHR
+                                            load[U_BLK] = BLK_MSHR
                                         continue
                                     ports_used += 1
                                     if bank_mask:
@@ -987,7 +973,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                     st_d_portu += 1
                                     st_d_lmiss += 1
                                     ready = dcache._start_fill(line)
-                                    source = _SRC_MISS
+                                    source = SRC_MISS
                                     dcache._maybe_prefetch(line + 1)
                             if lb_fill_on_access and has_lb:
                                 # LineBuffer.insert, inlined.
@@ -1031,7 +1017,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                 st_d_lnp += 1
                                 for position in range(req_pos, n_req):
                                     port_requests[position][U_BLK] = \
-                                        _BLK_NO_PORT
+                                        BLK_NO_PORT
                                 break
                             load = port_requests[req_pos]
                             req_pos += 1
@@ -1041,7 +1027,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                     (line & bank_mask) in banks_used:
                                 st_d_bankc += 1
                                 st_d_lnp += 1
-                                load[U_BLK] = _BLK_BANK
+                                load[U_BLK] = BLK_BANK
                                 continue
                             pending_ready = dc_pending.get(line, 0)
                             if pending_ready > cycle:
@@ -1051,7 +1037,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                 st_d_portu += 1
                                 st_d_lsec += 1
                                 ready = pending_ready
-                                source = _SRC_SECONDARY
+                                source = SRC_SECONDARY
                             else:
                                 dset = dsets[line & dset_mask]
                                 if line in dset:
@@ -1062,7 +1048,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                     od_move(dset, line)
                                     st_d_lhit += 1
                                     ready = cycle + hit_latency
-                                    source = _SRC_HIT
+                                    source = SRC_HIT
                                 else:
                                     mshr_busy = 0
                                     for fill_ready in \
@@ -1076,7 +1062,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                                 line & bank_mask)
                                         st_d_portu += 1
                                         st_d_lmshr += 1
-                                        load[U_BLK] = _BLK_MSHR
+                                        load[U_BLK] = BLK_MSHR
                                         continue
                                     ports_used += 1
                                     if bank_mask:
@@ -1084,7 +1070,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                     st_d_portu += 1
                                     st_d_lmiss += 1
                                     ready = dcache._start_fill(line)
-                                    source = _SRC_MISS
+                                    source = SRC_MISS
                                     dcache._maybe_prefetch(line + 1)
                             if lb_fill_on_access and has_lb:
                                 # LineBuffer.insert, inlined.
@@ -1468,9 +1454,9 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                 n_order = n_sqwait = 0
                 for load in act_loads:
                     blk = load[U_BLK]
-                    if blk == _BLK_ORDER:
+                    if blk == BLK_ORDER:
                         n_order += 1
-                    elif blk == _BLK_SQ_WAIT:
+                    elif blk == BLK_SQ_WAIT:
                         n_sqwait += 1
                     else:
                         # Port/bank/MSHR/WB-conflict blocks depend on
@@ -1553,14 +1539,14 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                     not sk_head[U_DONE]:
                                 if sk_head[U_MEMDONE]:
                                     source = sk_head[U_MEMSRC]
-                                    if source == _SRC_MISS or \
-                                            source == _SRC_SECONDARY:
+                                    if source == SRC_MISS or \
+                                            source == SRC_SECONDARY:
                                         ci = ci_next_level
-                                    elif source == _SRC_HIT:
+                                    elif source == SRC_HIT:
                                         ci = ci_lb_miss
                                 elif sk_head[U_AKNOWN]:
                                     block_code = sk_head[U_BLK]
-                                    if block_code >= _BLK_NO_PORT:
+                                    if block_code >= BLK_NO_PORT:
                                         ci = ci_dcache_port
                                     elif block_code:
                                         ci = ci_mem_order
@@ -1617,7 +1603,6 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
         # exactly what the reference loop would have produced.
         # --------------------------------------------------------------
         core._trace_pos = trace_pos
-        core._seq = trace_pos
         core._cycle = cycle - 1 if cycle else 0
         core._committed = committed
         core._last_activity = last_activity

@@ -19,6 +19,10 @@ of cost:
 Loads behind an older store with an unknown address wait (conservative
 memory disambiguation, the common choice for this era), unless
 ``speculative_loads`` is set.
+
+A load's source and its last block reason are the int codes of
+:mod:`repro.obs.probe`, and the probe events fired here carry ints
+(``seq``, line, codes, cycles), not queue entries.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from ..mem.dcache import AccessStatus, DataCacheSystem
-from ..obs.probe import Probe
+from ..obs.probe import (BLK_BANK, BLK_MSHR, BLK_NO_PORT, BLK_ORDER,
+                         BLK_SQ_WAIT, BLK_WB_CONFLICT, SRC_LB, SRC_SQ,
+                         SRC_WB, Probe)
 from ..stats.counters import Stats
 from .config import CoreConfig
 from .uop import Uop
@@ -35,6 +41,11 @@ _INFINITY = float("inf")
 
 #: schedule() reports a load's data-ready cycle through this callback.
 CompleteLoad = Callable[[Uop, int], None]
+
+#: Block code of an LSQ wait -> (probe counter, ``lsq.*`` statistic).
+_WAITS = {block: (counter, f"lsq.{counter}") for block, counter in (
+    (BLK_ORDER, "order_stalls"), (BLK_SQ_WAIT, "sq_waits"),
+    (BLK_WB_CONFLICT, "wb_conflicts"))}
 
 
 class LoadStoreQueue:
@@ -77,13 +88,13 @@ class LoadStoreQueue:
     # ------------------------------------------------------------------
     # Address resolution (called by the pipeline's AGU event)
     # ------------------------------------------------------------------
-    def resolve_address(self, uop: Uop) -> None:
-        """Fill in line/chunk/byte-mask once the AGU produces the address."""
-        record = uop.record
-        uop.line = self.dcache.line_of(record.mem_addr)
-        uop.chunk = self.dcache.chunk_of(record.mem_addr)
-        uop.byte_mask = self.dcache.byte_mask(record.mem_addr,
-                                              record.mem_size)
+    def resolve_address(self, uop: Uop, address: int, size: int) -> None:
+        """Fill in line/chunk/byte-mask once the AGU produces the
+        *size*-byte access at *address*."""
+        dcache = self.dcache
+        uop.line = dcache.line_of(address)
+        uop.chunk = dcache.chunk_of(address)
+        uop.byte_mask = dcache.byte_mask(address, size)
         uop.addr_known = True
 
     # ------------------------------------------------------------------
@@ -109,39 +120,41 @@ class LoadStoreQueue:
             if not load.addr_known or load.mem_done:
                 continue
             if load.seq > barrier and not self.config.speculative_loads:
-                self._wait(load, "order_stalls", "order")
+                self._wait(load, BLK_ORDER)
                 continue
             action = self._store_forwarding(load, cycle)
             if action == "forward":
                 stats.inc("lsq.sq_forwards")
-                self._finish(load, cycle + 1, complete, "sq")
+                self._finish(load, cycle + 1, complete, SRC_SQ)
                 continue
             if action == "wait":
-                self._wait(load, "sq_waits", "sq_wait")
+                self._wait(load, BLK_SQ_WAIT)
                 continue
             wb_action = dcache.write_buffer_check(load.line, load.byte_mask)
             if wb_action == "forward":
                 stats.inc("lsq.wb_forwards")
-                self._finish(load, cycle + 1, complete, "wb")
+                self._finish(load, cycle + 1, complete, SRC_WB)
                 continue
             if wb_action == "conflict":
-                self._wait(load, "wb_conflicts", "wb_conflict")
+                self._wait(load, BLK_WB_CONFLICT)
                 continue
             if lb_reads < lb_cap and dcache.line_buffer_hit(load.line):
                 lb_reads += 1
                 stats.inc("lsq.lb_loads")
                 self._finish(load, cycle + self.config.lb_latency, complete,
-                             "lb")
+                             SRC_LB)
                 continue
             port_requests.append(load)
         return port_requests
 
-    def _wait(self, load: Uop, counter: str, block: str) -> None:
-        """*load* waits this cycle: bump ``lsq.<counter>``, note why."""
-        self.stats.inc(f"lsq.{counter}")
+    def _wait(self, load: Uop, block: int) -> None:
+        """*load* waits this cycle for reason *block*: bump its
+        ``lsq.*`` counter, note why."""
+        counter, stat = _WAITS[block]
+        self.stats.inc(stat)
         load.lsq_block = block
         if self.probe is not None:
-            self.probe.lsq_wait(load, counter)
+            self.probe.lsq_wait(load.seq, counter)
 
     def _schedule_ports(self, requests: list[Uop],
                         complete: CompleteLoad) -> None:
@@ -161,38 +174,39 @@ class LoadStoreQueue:
             batches = [[load] for load in requests]
         for index, batch in enumerate(batches):
             # Per-access D-cache counters land on the batch leader.
-            result = dcache.load_access(batch[0].line, batch[0].record)
+            result = dcache.load_access(batch[0].line, batch[0].seq)
             if result.status is AccessStatus.NO_PORT:
                 for blocked in batches[index:]:
                     for load in blocked:
-                        load.lsq_block = "no_port"
+                        load.lsq_block = BLK_NO_PORT
                 return
             if result.status is AccessStatus.BANK_CONFLICT:
                 for load in batch:
-                    load.lsq_block = "bank_conflict"
+                    load.lsq_block = BLK_BANK
                 continue  # bank busy, no port spent; try other batches
             if result.status is AccessStatus.MSHR_FULL:
                 for load in batch:
-                    load.lsq_block = "mshr_full"
+                    load.lsq_block = BLK_MSHR
                 continue  # the port is spent; these loads retry next cycle
             stats.inc("lsq.port_loads", len(batch))
             if len(batch) > 1:
                 stats.inc("lsq.combined_loads", len(batch) - 1)
                 stats.inc("lsq.combined_accesses")
                 if self.probe is not None:
-                    self.probe.lsq_combine(batch)
+                    self.probe.lsq_combine([load.seq for load in batch])
             for load in batch:
                 self._finish(load, result.ready, complete, result.source)
 
     def _finish(self, load: Uop, ready: int, complete: CompleteLoad,
-                source: str) -> None:
+                source: int) -> None:
         if self.probe is not None:
-            # Fired before the block reason is cleared: it names the
-            # wait between address-ready and this grant.
-            self.probe.load_serviced(self, load, ready, source, self._cycle)
+            # The block reason names the wait between address-ready
+            # and this grant.
+            self.probe.load_serviced(self._cycle, load.seq, load.line,
+                                     source, load.lsq_block, ready)
         load.mem_done = True
         load.mem_source = source
-        load.lsq_block = None
+        load.lsq_block = 0
         complete(load, ready)
 
     # ------------------------------------------------------------------

@@ -17,6 +17,16 @@ instruction advances at most one stage per cycle):
 4. issue (wakeup/select, functional unit allocation)
 5. dispatch (rename: dependence wiring, ROB/IQ/LSQ allocation)
 6. fetch (I-cache, branch prediction, redirect tracking)
+
+The loop reads the trace's columns by ``seq`` (an instruction's trace
+position), as Python lists built once per trace
+(:meth:`repro.trace.io.Trace.lists`), and decodes no records: the
+columns carry every timing hint (the store operand split, serialising
+opcodes, decode-stage jump redirects).  It keeps its own register
+scoreboard and address arithmetic, so the fast-path differential checks
+the fast loop's precompute against an independent derivation.  Probe
+events carry ints (see :mod:`repro.obs.probe`); ``cycle_end`` carries
+one occupancy sample per cycle.
 """
 
 from __future__ import annotations
@@ -28,21 +38,22 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from ..func.exceptions import SimError
-from ..isa import Opcode, OpClass
-from ..isa.opcodes import Bank
+from ..isa import OpClass
 from ..mem.hierarchy import MemorySystem
 from ..obs.critpath import CritPathRecorder
 from ..obs.hotspots import HotspotRecorder
 from ..obs.metrics import IntervalMetrics
 from ..obs.pipetrace import PipeTrace
-from ..obs.probe import Probe
+from ..obs.probe import (BLK_NO_PORT, NO_SEQ, SRC_HIT, SRC_MISS, Probe)
 from ..obs.selfprof import SelfProfiler
 from ..obs.spans import SpanRecorder
 from ..obs.stall import DEFAULT_INTERVAL, StallCause, StallLedger
 from ..obs.tracer import Tracer
 from ..stats.counters import Stats
 from ..stats.histogram import Histogram
-from ..trace.io import Trace
+from ..trace.io import (F_CONTROL, F_LOAD, F_REDIRECT, F_SERIALIZES,
+                        F_STORE, F_TAKEN, MAX_SOURCES, NO_DEST, NO_SPLIT,
+                        OPCLASSES, Trace, as_trace)
 from ..trace.record import TraceRecord
 from .bpred import BranchPredictor
 from .config import CoreConfig, MachineConfig
@@ -87,6 +98,11 @@ def watchdog_limit(machine: MachineConfig) -> int:
     per_op = (fill + victim + dcache.hit_latency + max_fu +
               core.decode_latency)
     return max(_WATCHDOG_FLOOR, 4 * inflight * per_op)
+
+#: Opclass indices the loop tests (the trace's ``opclass`` column).
+_BRANCH = OPCLASSES.index(OpClass.BRANCH)
+_JUMP = OPCLASSES.index(OpClass.JUMP)
+_SYSTEM = OPCLASSES.index(OpClass.SYSTEM)
 
 #: ``REPRO_VALIDATE=1`` attaches a strict invariant checker to every
 #: core that was not given an explicit validator — the switch CI uses
@@ -200,9 +216,8 @@ class OoOCore:
         self._scoreboard: dict[int, Uop] = {}
         self._events_complete: dict[int, list[Uop]] = {}
         self._events_addr: dict[int, list[Uop]] = {}
-        self._trace: Sequence[TraceRecord] = ()
+        self._trace: Sequence[TraceRecord] | None = None
         self._trace_pos = 0
-        self._seq = 0
         self._cycle = 0
         self._fetch_blocked_until = 0
         self._waiting_branch: Uop | None = None
@@ -223,11 +238,12 @@ class OoOCore:
 
     # ------------------------------------------------------------------
     def run(self, trace: Sequence[TraceRecord]) -> CoreResult:
-        """Simulate the machine over *trace*; returns timing results.
+        """Simulate the machine over *trace* (a :class:`Trace`, or a
+        record list, which is encoded first); returns timing results.
 
         A core runs one trace: its caches, predictor, counters and
         ledger carry the run's end state, so a second call raises."""
-        if self._trace:
+        if self._trace is not None:
             raise ValueError("an OoOCore runs exactly one trace; build a "
                              "new core for another run")
         if not trace:
@@ -244,10 +260,11 @@ class OoOCore:
         self.used_fastpath = use_fast
         self.fastpath_reason = None if use_fast else rejection
         probe = self.probe
-        if probe is not None:
-            probe.run_begin(self)
-        if not use_fast and isinstance(trace, Trace):
-            self._trace = trace.records  # the reference loop reads records
+        if not use_fast:
+            columns = as_trace(trace)
+            if probe is not None:
+                probe.run_begin(self, columns)
+            self._read_columns(columns)
         if use_fast:
             cycle = run_fast(self, trace)
         elif self.profiler is not None:
@@ -281,10 +298,26 @@ class OoOCore:
                           used_fastpath=self.used_fastpath,
                           fastpath_reason=self.fastpath_reason)
 
+    def _read_columns(self, columns: Trace) -> None:
+        """Point the reference loop at *columns*' lists, read by
+        ``seq``."""
+        lists = columns.lists()
+        self._pcs = lists["pc"]
+        self._next_pcs = lists["next_pc"]
+        self._opclasses = lists["opclass"]
+        self._flags = lists["flags"]
+        self._dests = lists["dest"]
+        self._srcs = lists["src"]
+        self._nsrcs = lists["nsrc"]
+        self._naddrs = lists["naddr"]
+        self._addrs = lists["mem_addr"]
+        self._sizes = lists["mem_size"]
+
     def _run_loop(self) -> int:
         """The plain (unprofiled) per-cycle loop; returns final cycle."""
         total = len(self._trace)
         probe = self.probe
+        sampled = probe is not None and probe.listens("cycle_end")
         cycle = 0
         while self._trace_pos < total or self._rob or self._fetch_queue:
             self._cycle = cycle
@@ -297,8 +330,8 @@ class OoOCore:
             self._issue_stage(cycle)
             self._dispatch_stage(cycle)
             self._fetch_stage(cycle)
-            if probe is not None:
-                probe.cycle_end(self, cycle)
+            if sampled:
+                probe.cycle_end(cycle, self._sample())
             self._watchdog(cycle)
             cycle += 1
         return cycle
@@ -310,6 +343,7 @@ class OoOCore:
         total = len(self._trace)
         profiler = self.profiler
         probe = self.probe
+        sampled = probe is not None and probe.listens("cycle_end")
         perf = time.perf_counter
         cycle = 0
         while self._trace_pos < total or self._rob or self._fetch_queue:
@@ -334,11 +368,29 @@ class OoOCore:
             profiler.add_cycle(cycle, (t1 - t0, t2 - t1, t3 - t2,
                                        t4 - t3, t5 - t4, t6 - t5,
                                        t7 - t6))
-            if probe is not None:
-                probe.cycle_end(self, cycle)
+            if sampled:
+                probe.cycle_end(cycle, self._sample())
             self._watchdog(cycle)
             cycle += 1
         return cycle
+
+    def _sample(self) -> tuple[int, ...]:
+        """This cycle's occupancy sample (``SAMPLE_FIELDS`` in
+        :mod:`repro.obs.probe`)."""
+        lsq = self.lsq
+        dcache = self.mem.dcache
+        return (self._committed, len(self._rob), len(self._iq),
+                len(lsq.loads), len(lsq.stores), len(dcache.write_buffer),
+                dcache.ports_used, dcache.mshrs_busy())
+
+    def in_flight(self) -> dict[str, int]:
+        """What the machine still holds: ROB, issue-queue and
+        fetch-queue entries and scheduled events (all zero once a run
+        drains)."""
+        events = sum(map(len, self._events_complete.values())) \
+            + sum(map(len, self._events_addr.values()))
+        return {"rob": len(self._rob), "iq": len(self._iq),
+                "fq": len(self._fetch_queue), "events": events}
 
     def _fastpath_rejection(self) -> str | None:
         """Why the fast loop cannot run, or ``None`` when it can.
@@ -368,7 +420,8 @@ class OoOCore:
             self._complete(uop, cycle)
 
     def _resolve_address(self, uop: Uop, cycle: int) -> None:
-        self.lsq.resolve_address(uop)
+        seq = uop.seq
+        self.lsq.resolve_address(uop, self._addrs[seq], self._sizes[seq])
         uop.addr_cycle = cycle
         if uop.is_store:
             self._maybe_complete_store(uop, cycle)
@@ -396,13 +449,17 @@ class OoOCore:
                 consumer.num_waiting -= 1
                 if cycle > consumer.operands_ready:
                     consumer.operands_ready = cycle
-        record = uop.record
-        if uop.opclass is OpClass.BRANCH:
-            self.bpred.resolve_branch(record.pc, record.taken,
-                                      record.next_pc, uop.predicted_taken,
+        opclass = uop.opclass
+        if opclass == _BRANCH:
+            seq = uop.seq
+            self.bpred.resolve_branch(self._pcs[seq],
+                                      (self._flags[seq] & F_TAKEN) != 0,
+                                      self._next_pcs[seq],
+                                      uop.predicted_taken,
                                       not uop.mispredicted)
-        elif uop.opclass is OpClass.JUMP:
-            self.bpred.resolve_jump(record.pc, record.next_pc,
+        elif opclass == _JUMP:
+            seq = uop.seq
+            self.bpred.resolve_jump(self._pcs[seq], self._next_pcs[seq],
                                     not uop.mispredicted)
         if uop is self._waiting_branch:
             self._waiting_branch = None
@@ -419,7 +476,7 @@ class OoOCore:
         if resume > self._fetch_blocked_until:
             self._fetch_blocked_until = resume
         if self.probe is not None:
-            self.probe.redirect(cycle, kind, uop, resume)
+            self.probe.redirect(cycle, kind, uop.seq, resume)
 
     # ------------------------------------------------------------------
     # 2. commit
@@ -437,7 +494,7 @@ class OoOCore:
                 break
             if uop.is_store:
                 if direct_stores:
-                    if not dcache.store_access(uop.line, uop.record).ok:
+                    if not dcache.store_access(uop.line, uop.seq).ok:
                         self.stats.inc("core.commit_store_port_stalls")
                         commit_block = "store_port"
                 elif not dcache.buffer_store(uop.line, uop.byte_mask):
@@ -445,7 +502,7 @@ class OoOCore:
                     commit_block = "wb_full"
                 if commit_block is not None:
                     if probe is not None:
-                        probe.commit_block(uop, commit_block)
+                        probe.commit_block(uop.seq, commit_block)
                     break
                 self.lsq.retire_store(uop)
             elif uop.is_load:
@@ -457,7 +514,7 @@ class OoOCore:
                 self._waiting_serialize = None
                 self._redirect(cycle, "serialize", uop, cycle + 1)
             if probe is not None:
-                probe.commit(uop, cycle)
+                probe.commit(uop.seq, cycle, uop.times())
         if commits:
             self._last_activity = cycle
             self.stats.inc("core.commits", commits)
@@ -481,7 +538,7 @@ class OoOCore:
             # The head is the uop the classifier blamed (None: empty
             # window, the frontend's shortfall).
             self.probe.stall(cycle, cause, ledger.width - commits,
-                             self._rob[0] if self._rob else None)
+                             self._rob[0].seq if self._rob else NO_SEQ)
 
     def _classify_stall(self, cycle: int,
                         commit_block: str | None) -> StallCause:
@@ -502,18 +559,19 @@ class OoOCore:
             if head.is_load and not head.completed:
                 if head.mem_done:
                     # Data is on its way; where is it coming from?
-                    if head.mem_source in ("miss", "secondary"):
+                    source = head.mem_source
+                    if source >= SRC_MISS:    # a miss or secondary miss
                         return StallCause.NEXT_LEVEL
-                    if head.mem_source == "hit":
+                    if source == SRC_HIT:
                         # A port access that hit L1: latency a line
                         # buffer would have hidden.
                         return StallCause.LINE_BUFFER_MISS
                     return StallCause.EXEC  # forwarded / line-buffer read
                 if head.addr_known:
                     block = head.lsq_block
-                    if block in ("no_port", "bank_conflict", "mshr_full"):
+                    if block >= BLK_NO_PORT:  # no port, bank, MSHR full
                         return StallCause.DCACHE_PORT
-                    if block in ("order", "sq_wait", "wb_conflict"):
+                    if block:                 # order, SQ or WB wait
                         return StallCause.MEM_ORDER
             return StallCause.EXEC
         # Empty window: the frontend owns the shortfall.
@@ -581,7 +639,7 @@ class OoOCore:
                 self.stats.inc(f"core.dispatch_{full}_full")
                 self.ledger.note_capacity(full)
                 if self.probe is not None:
-                    self.probe.dispatch_block(uop, full)
+                    self.probe.dispatch_block(uop.seq, full)
                 break
             fq.popleft()
             self._wire_dependences(uop)
@@ -598,33 +656,22 @@ class OoOCore:
             self.stats.inc("core.dispatched", dispatched)
 
     def _wire_dependences(self, uop: Uop) -> None:
-        record = uop.record
-        scoreboard = self._scoreboard
+        """Wire *uop*'s operands to their producers in the scoreboard.
+        A store's operands from its ``naddr``-th on feed the store data;
+        with no persisted split (synthetic traces) the first operand is
+        the address base and the rest are data."""
+        seq = uop.seq
+        first_data = MAX_SOURCES
         if uop.is_store:
-            instr = record.instr
-            if instr is not None:
-                if instr.rs1 != 0:
-                    self._add_dep(uop, instr.rs1, is_data=False)
-                info = instr.info
-                if not (info.rs2_bank is Bank.INT and instr.rs2 == 0):
-                    self._add_dep(uop, instr.rs2, is_data=True)
-            elif record.store_addr_count >= 0:
-                # Deserialised records carry the exact operand split
-                # the instruction would have produced.
-                count = record.store_addr_count
-                for position, reg in enumerate(record.sources):
-                    self._add_dep(uop, reg, is_data=position >= count)
-            else:
-                # Instruction-less records with no persisted split
-                # (synthetic traces): first source is the address base,
-                # the rest feed the store data.
-                for position, reg in enumerate(record.sources):
-                    self._add_dep(uop, reg, is_data=position > 0)
-        else:
-            for reg in record.sources:
-                self._add_dep(uop, reg, is_data=False)
-        if record.dest is not None:
-            scoreboard[record.dest] = uop
+            first_data = self._naddrs[seq]
+            if first_data == NO_SPLIT:
+                first_data = 1
+        registers = self._srcs[seq]
+        for position in range(self._nsrcs[seq]):
+            self._add_dep(uop, registers[position], position >= first_data)
+        dest = self._dests[seq]
+        if dest != NO_DEST:
+            self._scoreboard[dest] = uop
 
     def _add_dep(self, uop: Uop, reg: int, is_data: bool) -> None:
         producer = self._scoreboard.get(reg)
@@ -640,7 +687,7 @@ class OoOCore:
             return
         producer.consumers.append((uop, is_data))
         if self.probe is not None:
-            self.probe.dep_wired(uop, producer, is_data)
+            self.probe.dep_wired(uop.seq, producer.seq, is_data)
         if is_data:
             uop.data_waiting += 1
         else:
@@ -659,8 +706,7 @@ class OoOCore:
         if cycle < self._fetch_blocked_until:
             self.stats.inc("fetch.stall_redirect_cycles")
             return
-        trace = self._trace
-        total = len(trace)
+        total = len(self._trace)
         if self._trace_pos >= total:
             return
         fq = self._fetch_queue
@@ -669,12 +715,13 @@ class OoOCore:
             self.stats.inc("fetch.stall_queue_cycles")
             return
         icache = self.mem.icache
-        first = trace[self._trace_pos]
-        block = icache.block_of(first.pc)
+        pcs = self._pcs
+        first_pc = pcs[self._trace_pos]
+        block = icache.block_of(first_pc)
         if self._fetch_memo is not None and self._fetch_memo[0] == block:
             ready = self._fetch_memo[1]
         else:
-            ready = icache.fetch(first.pc, cycle)
+            ready = icache.fetch(first_pc, cycle)
             self._fetch_memo = (block, ready)
         if ready > cycle:
             self._fetch_blocked_until = ready
@@ -684,21 +731,23 @@ class OoOCore:
         fetched = 0
         while (self._trace_pos < total and fetched < cfg.fetch_width
                and len(fq) < cfg.fetch_queue_size):
-            record = trace[self._trace_pos]
-            if icache.block_of(record.pc) != block:
+            seq = self._trace_pos
+            pc = pcs[seq]
+            if icache.block_of(pc) != block:
                 break
-            uop = Uop(record, self._seq)
-            self._seq += 1
+            flags = self._flags[seq]
+            opclass = self._opclasses[seq]
+            uop = Uop(seq, opclass, (flags & F_LOAD) != 0,
+                      (flags & F_STORE) != 0)
             uop.fetch_cycle = cycle
             fq.append(uop)
             fetched += 1
             self._trace_pos += 1
-            if record.is_control:
+            if flags & F_CONTROL:
                 if self._handle_control_fetch(uop, cycle):
                     break
-            elif record.next_pc != record.pc + 4 or \
-                    record.opclass is OpClass.SYSTEM and \
-                    self._serializes(record):
+            elif self._next_pcs[seq] != pc + 4 or \
+                    opclass == _SYSTEM and flags & F_SERIALIZES:
                 # A non-branch redirect: trap, interrupt or eret.  The
                 # pipeline flushes; fetch resumes after the instruction
                 # commits.
@@ -710,41 +759,34 @@ class OoOCore:
             self._last_activity = cycle
             self.stats.inc("fetch.fetched", fetched)
 
-    @staticmethod
-    def _serializes(record: TraceRecord) -> bool:
-        instr = record.instr
-        if instr is None:
-            return record.serializes  # persisted hint (trace.io v2)
-        return instr.opcode in (Opcode.SYSCALL, Opcode.ERET)
-
     def _handle_control_fetch(self, uop: Uop, cycle: int) -> bool:
         """Predict a control transfer at fetch; returns True to stop
         fetching this cycle."""
-        record = uop.record
+        seq = uop.seq
+        pc = self._pcs[seq]
+        next_pc = self._next_pcs[seq]
         cfg = self.cfg.bpred
-        if uop.opclass is OpClass.BRANCH:
-            predicted_taken, predicted_target = \
-                self.bpred.predict_branch(record.pc)
+        if uop.opclass == _BRANCH:
+            taken = (self._flags[seq] & F_TAKEN) != 0
+            predicted_taken, predicted_target = self.bpred.predict_branch(pc)
             uop.predicted_taken = predicted_taken
-            correct = predicted_taken == record.taken and (
-                not record.taken or predicted_target == record.next_pc)
+            correct = predicted_taken == taken and (
+                not taken or predicted_target == next_pc)
             if not correct:
                 uop.mispredicted = True
                 self._waiting_branch = uop
                 if self.probe is not None:
-                    self.probe.mispredict(cycle, record.pc, uop.seq)
+                    self.probe.mispredict(cycle, pc, seq)
                 return True
-            return record.taken  # a taken branch ends the fetch block
+            return taken  # a taken branch ends the fetch block
         # Unconditional transfers.
-        instr = record.instr
-        opcode = instr.opcode if instr is not None else None
-        predicted_target = self.bpred.predict_jump(record.pc)
-        if predicted_target == record.next_pc:
+        predicted_target = self.bpred.predict_jump(pc)
+        if predicted_target == next_pc:
             return True  # correctly predicted taken: block ends
-        if opcode in (Opcode.J, Opcode.JAL) or \
-                (instr is None and record.decode_redirect):
-            # Target is in the instruction word: redirect at decode
-            # (fetch runs only unblocked, so this moves the block later).
+        if self._flags[seq] & F_REDIRECT:
+            # Target is in the instruction word (J/JAL): redirect at
+            # decode (fetch runs only unblocked, so this moves the block
+            # later).
             self.stats.inc("fetch.jump_decode_redirects")
             self._redirect(cycle, "decode", uop,
                            cycle + 1 + cfg.btb_miss_redirect)

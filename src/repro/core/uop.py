@@ -1,9 +1,14 @@
-"""In-flight instruction state for the timing core."""
+"""In-flight instruction state for the reference cycle loop.
+
+A :class:`Uop` carries the instruction's ``seq`` — its position in the
+trace, by which the loop and every recorder look up what the
+instruction *is* in the trace's columns — plus the opclass index and
+the dynamic state the pipeline moves it through.  Its memory-source and
+LSQ-block fields hold the codes of :mod:`repro.obs.probe`, the table
+the fast loop's int-coded slots use too.
+"""
 
 from __future__ import annotations
-
-from ..isa import OpClass
-from ..trace.record import TraceRecord
 
 #: Sentinel "not yet" cycle.
 NEVER = -1
@@ -17,7 +22,7 @@ class Uop:
     """
 
     __slots__ = (
-        "record", "seq", "opclass",
+        "seq", "opclass",
         "fetch_cycle", "dispatch_cycle", "issue_cycle", "addr_cycle",
         "completed", "complete_cycle",
         "num_waiting", "operands_ready", "consumers",
@@ -27,10 +32,11 @@ class Uop:
         "mispredicted", "predicted_taken", "serialize", "issued",
     )
 
-    def __init__(self, record: TraceRecord, seq: int) -> None:
-        self.record = record
+    def __init__(self, seq: int, opclass: int, is_load: bool = False,
+                 is_store: bool = False) -> None:
         self.seq = seq
-        self.opclass: OpClass = record.opclass
+        #: Index into :data:`repro.trace.io.OPCLASSES`.
+        self.opclass = opclass
         self.fetch_cycle = NEVER
         self.dispatch_cycle = NEVER
         self.issue_cycle = NEVER
@@ -42,8 +48,8 @@ class Uop:
         self.operands_ready = 0
         self.consumers: list[tuple["Uop", bool]] = []  # (consumer, is_data)
         # Memory state.
-        self.is_load = record.is_load
-        self.is_store = record.is_store
+        self.is_load = is_load
+        self.is_store = is_store
         self.addr_known = False
         self.line = 0
         self.chunk = 0
@@ -53,18 +59,25 @@ class Uop:
         self.data_ready_cycle = 0
         self.mem_done = False   # load: cache/forward satisfied
         # Observability breadcrumbs for the stall-attribution model:
-        # where the load's data came from ("sq", "wb", "lb", "hit",
-        # "miss", "secondary") and why the LSQ last skipped it.
-        self.mem_source: str | None = None
-        self.lsq_block: str | None = None
+        # where the load's data came from (an SRC_* code) and why
+        # the LSQ last skipped it (a BLK_* code); 0 is "none".
+        self.mem_source = 0
+        self.lsq_block = 0
         # Fetch/branch state.
         self.mispredicted = False
         self.predicted_taken = False
         self.serialize = False
         self.issued = False
 
+    def times(self) -> tuple[int, int, int, int, int, int, int]:
+        """The cycles the ``commit`` event carries: fetch, dispatch,
+        operands ready, issue, address, store data ready and complete
+        (:data:`NEVER` for a stage the instruction has not reached)."""
+        return (self.fetch_cycle, self.dispatch_cycle, self.operands_ready,
+                self.issue_cycle, self.addr_cycle, self.data_ready_cycle,
+                self.complete_cycle)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "L" if self.is_load else "S" if self.is_store else \
-            self.opclass.name
-        return (f"Uop#{self.seq}({kind} pc={self.record.pc:#x} "
-                f"completed={self.completed})")
+            f"opclass {self.opclass}"
+        return (f"Uop#{self.seq}({kind} completed={self.completed})")

@@ -22,6 +22,10 @@ class in :mod:`repro.obs.critpath` (via the LSQ's block annotations):
 drain or full stall → ``write_buffer``, and a next-level fill →
 ``next_level`` — so ``repro critpath`` can say which of these
 actually bounded the run rather than merely occurred.
+
+Probe events fired here carry ints: the line, cycles, the
+:mod:`repro.obs.probe` source code of a load access, and the ``seq`` of
+the instruction an access serves (:attr:`DataCacheSystem.access_context`).
 """
 
 from __future__ import annotations
@@ -29,9 +33,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..obs.probe import Probe
+from ..obs.probe import NO_SEQ, SRC_HIT, SRC_MISS, SRC_SECONDARY, Probe
 from ..stats.counters import Stats
-from ..trace.record import TraceRecord
 from .cache import SetAssocCache
 from .config import DCacheConfig, LineBufferFill
 from .linebuffer import LineBuffer
@@ -53,9 +56,10 @@ class AccessStatus(enum.Enum):
 class AccessResult:
     status: AccessStatus
     ready: int = 0           # cycle the data is available (loads)
-    #: Where the data came from on an OK load access ("hit", "miss",
-    #: "secondary") — feeds the stall-attribution model.
-    source: str = ""
+    #: Where the data came from on an OK load access (``SRC_HIT``,
+    #: ``SRC_MISS`` or ``SRC_SECONDARY``; 0 otherwise) — feeds the
+    #: stall-attribution model.
+    source: int = 0
 
     @property
     def ok(self) -> bool:
@@ -97,10 +101,10 @@ class DataCacheSystem:
         self._ports_used = 0
         self._bank_mask = config.banks - 1
         self._banks_used: set[int] = set()
-        #: Trace record of the port access in progress (the LSQ batch
-        #: leader or the committing store; None for a write-buffer
-        #: drain), which probe counter events are attributed to.
-        self.access_context: TraceRecord | None = None
+        #: ``seq`` of the instruction the port access in progress serves
+        #: (the LSQ batch leader or the committing store; ``NO_SEQ`` for
+        #: a write-buffer drain), which probe counter events name.
+        self.access_context = NO_SEQ
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -198,10 +202,9 @@ class DataCacheSystem:
     # ------------------------------------------------------------------
     # Port-consuming accesses
     # ------------------------------------------------------------------
-    def load_access(self, line: int,
-                    context: TraceRecord | None = None) -> AccessResult:
+    def load_access(self, line: int, context: int = NO_SEQ) -> AccessResult:
         """One load port access covering one chunk of *line*, made for
-        trace record *context* (see :attr:`access_context`)."""
+        instruction ``seq`` *context* (see :attr:`access_context`)."""
         self.access_context = context
         claim = self._claim_port(line)
         if claim is not AccessStatus.OK:
@@ -212,18 +215,18 @@ class DataCacheSystem:
         if pending_ready > cycle:
             self._count("load_secondary_misses")
             ready = pending_ready
-            source = "secondary"
+            source = SRC_SECONDARY
         elif self.cache.lookup(line):
             self._count("load_hits")
             ready = cycle + self.config.hit_latency
-            source = "hit"
+            source = SRC_HIT
         else:
             if self.mshrs_busy() >= self.config.mshrs:
                 self._count("load_mshr_full")
                 return AccessResult(AccessStatus.MSHR_FULL)
             self._count("load_misses")
             ready = self._start_fill(line)
-            source = "miss"
+            source = SRC_MISS
             self._maybe_prefetch(line + 1)
         if self.config.line_buffer_fill is LineBufferFill.ON_ACCESS and \
                 self.line_buffer is not None:
@@ -232,10 +235,10 @@ class DataCacheSystem:
             self.probe.dcache_load(cycle, line, source, ready)
         return AccessResult(AccessStatus.OK, ready, source)
 
-    def store_access(self, line: int,
-                     context: TraceRecord | None = None) -> AccessResult:
+    def store_access(self, line: int, context: int = NO_SEQ) -> AccessResult:
         """Write one (possibly combined) line's worth of store data for
-        trace record *context* (None: a write-buffer drain)."""
+        instruction ``seq`` *context* (``NO_SEQ``: a write-buffer
+        drain)."""
         self.access_context = context
         claim = self._claim_port(line)
         if claim is not AccessStatus.OK:

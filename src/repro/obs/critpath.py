@@ -17,7 +17,8 @@ back-pressure at commit, and branch/serialize redirects.  A
 :class:`CritPathRecorder` attached to :class:`repro.core.pipeline.OoOCore`
 snapshots one immutable record per committed instruction (a probe
 recorder, like the tracer and interval metrics: see
-:mod:`repro.obs.probe`) and walks the graph *backwards* from the last
+:mod:`repro.obs.probe`) from the ``commit`` event's ``seq`` and stage
+cycles, looking the instruction's pc and kind up in the trace, and walks the graph *backwards* from the last
 retirement: at every node it picks the binding (latest) predecessor and
 charges the cycles between them to that edge's class.
 
@@ -53,14 +54,16 @@ from bisect import bisect_left
 from heapq import heappush, heapreplace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from ..trace.io import F_LOAD, F_STORE, OPCLASSES, Trace
 from .codeversion import code_version
+from .probe import (BLK_BANK, BLK_MSHR, BLK_NO_PORT, BLK_ORDER,
+                    BLK_SQ_WAIT, BLK_WB_CONFLICT, SRC_HIT, SRC_LB,
+                    SRC_MISS, SRC_SECONDARY, SRC_SQ, SRC_WB)
 from .report import SchemaError, _check_code_version, _dcache_dict, _require
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..core.config import MachineConfig
-    from ..core.lsq import LoadStoreQueue
     from ..core.pipeline import CoreResult, OoOCore
-    from ..core.uop import Uop
 
 #: Version of the critical-path manifest schema.
 CRITPATH_SCHEMA_VERSION = 1
@@ -120,25 +123,29 @@ EDGE_CLASSES = (
 
 _EDGE_CLASS_SET = frozenset(EDGE_CLASSES)
 
-#: ``Uop.mem_source`` -> service-latency edge class.
+#: A load's source code (:mod:`repro.obs.probe`) -> service-latency
+#: edge class.
 _SOURCE_CLASS = {
-    "miss": "next_level",
-    "secondary": "next_level",
-    "hit": "cache_hit",
-    "lb": "line_buffer",
-    "sq": "store_forward",
-    "wb": "store_forward",
+    SRC_MISS: "next_level",
+    SRC_SECONDARY: "next_level",
+    SRC_HIT: "cache_hit",
+    SRC_LB: "line_buffer",
+    SRC_SQ: "store_forward",
+    SRC_WB: "store_forward",
 }
 
-#: ``Uop.lsq_block`` -> port-wait edge class.
+#: A load's LSQ block code -> port-wait edge class.
 _BLOCK_CLASS = {
-    "no_port": "dcache_port",
-    "bank_conflict": "dcache_port",
-    "mshr_full": "mshr",
-    "order": "mem_order",
-    "sq_wait": "mem_order",
-    "wb_conflict": "mem_order",
+    BLK_NO_PORT: "dcache_port",
+    BLK_BANK: "dcache_port",
+    BLK_MSHR: "mshr",
+    BLK_ORDER: "mem_order",
+    BLK_SQ_WAIT: "mem_order",
+    BLK_WB_CONFLICT: "mem_order",
 }
+
+#: ``kind`` of a record, by opclass index.
+_KINDS = tuple(opclass.name for opclass in OPCLASSES)
 
 #: commit-stage block reason -> edge class.
 _COMMIT_BLOCK_CLASS = {
@@ -157,7 +164,7 @@ _CAPACITY_CLASS = {
 
 class _Rec:
     """One committed instruction's event times + wait annotations
-    (immutable snapshot taken at commit; the live ``Uop`` is recycled)."""
+    (an immutable snapshot taken at commit)."""
 
     __slots__ = ("seq", "pc", "kind", "is_load", "is_store", "fetch",
                  "dispatch", "ready", "issue", "addr", "data_ready",
@@ -263,7 +270,8 @@ class CritPathRecorder:
         self._stack: dict[str, int] = {}
         self._crit_pc: dict[int, list] = {}   # pc -> [cycles, events, kind]
         # Pending per-uop annotations, popped when the uop commits.
-        self._deps: dict[int, list] = {}
+        self._deps: dict[int, list[int]] = {}       # seq -> producers
+        self._data_deps: dict[int, list[int]] = {}  # store-data producers
         self._mem: dict[int, tuple] = {}
         self._dispatch_block: dict[int, str] = {}
         self._commit_block: dict[int, str] = {}
@@ -292,9 +300,14 @@ class CritPathRecorder:
     # ------------------------------------------------------------------
     # Probe events (see repro.obs.probe)
     # ------------------------------------------------------------------
-    def run_begin(self, core: "OoOCore") -> None:
+    def run_begin(self, core: "OoOCore", trace: Trace) -> None:
         """Capture pipe constants and structure sizes (the capacity
-        edges need to know which older instruction freed a slot)."""
+        edges need to know which older instruction freed a slot), and
+        the trace the commits are looked up in."""
+        lists = trace.lists()
+        self._pcs = lists["pc"]
+        self._opclasses = lists["opclass"]
+        self._flags = lists["flags"]
         cfg = core.cfg
         self._decode = cfg.decode_latency
         self._dispatch_width = cfg.dispatch_width
@@ -305,65 +318,54 @@ class CritPathRecorder:
         self._lq_size = cfg.lq_size
         self._sq_size = cfg.sq_size
 
-    def dep_wired(self, uop: "Uop", producer: "Uop",
-                  is_data: bool) -> None:
-        """A register dependence was wired to a still-incomplete
-        producer at dispatch."""
-        self._deps.setdefault(uop.seq, []).append((producer.seq, is_data))
+    def dep_wired(self, seq: int, producer: int, is_data: bool) -> None:
+        """A register dependence of *seq* was wired to the
+        still-incomplete *producer* at dispatch."""
+        deps = self._data_deps if is_data else self._deps
+        deps.setdefault(seq, []).append(producer)
 
-    def dispatch_block(self, uop: "Uop", structure: str) -> None:
-        """Dispatch of *uop* blocked on a full *structure* this cycle."""
-        self._dispatch_block[uop.seq] = structure
+    def dispatch_block(self, seq: int, structure: str) -> None:
+        """Dispatch of *seq* blocked on a full *structure* this cycle."""
+        self._dispatch_block[seq] = structure
 
-    def commit_block(self, uop: "Uop", reason: str) -> None:
-        """Commit of store *uop* blocked (``store_port``/``wb_full``)."""
-        self._commit_block[uop.seq] = reason
+    def commit_block(self, seq: int, reason: str) -> None:
+        """Commit of store *seq* blocked (``store_port``/``wb_full``)."""
+        self._commit_block[seq] = reason
 
-    def redirect(self, cycle: int, kind: str, uop: "Uop",
+    def redirect(self, cycle: int, kind: str, seq: int,
                  resume: int) -> None:
-        """Fetch will resume at cycle *resume* because of *uop*
+        """Fetch will resume at cycle *resume* because of *seq*
         (``kind``: ``branch`` resolve, ``serialize`` commit, or a
         ``decode``-stage jump redirect)."""
-        self._redirects[resume] = (kind, uop.seq)
+        self._redirects[resume] = (kind, seq)
 
-    def load_serviced(self, lsq: "LoadStoreQueue", load: "Uop", ready: int,
-                      source: str, cycle: int) -> None:
-        """*load* was granted its data path at *cycle* from *source*;
-        its ``lsq_block`` (not yet cleared) is the last reason it
-        waited in the LSQ."""
-        self._mem[load.seq] = (cycle, source, load.lsq_block)
+    def load_serviced(self, cycle: int, seq: int, line: int, source: int,
+                      block: int, ready: int) -> None:
+        """Load *seq* was granted its data path at *cycle* from
+        *source*; *block* is the last reason it waited in the LSQ."""
+        self._mem[seq] = (cycle, source, block)
 
-    def commit(self, uop: "Uop", cycle: int) -> None:
+    def commit(self, seq: int, cycle: int, times: tuple) -> None:
         """Snapshot one committed instruction; may flush a window."""
-        seq = uop.seq
         rec = _Rec()
         rec.seq = seq
-        rec.pc = uop.record.pc
-        rec.kind = uop.opclass.name
-        rec.is_load = uop.is_load
-        rec.is_store = uop.is_store
-        rec.fetch = uop.fetch_cycle
-        rec.dispatch = uop.dispatch_cycle
-        rec.ready = uop.operands_ready
-        rec.issue = uop.issue_cycle
-        rec.addr = uop.addr_cycle
-        rec.data_ready = uop.data_ready_cycle
-        rec.complete = uop.complete_cycle
+        rec.pc = self._pcs[seq]
+        rec.kind = _KINDS[self._opclasses[seq]]
+        flags = self._flags[seq]
+        rec.is_load = (flags & F_LOAD) != 0
+        rec.is_store = (flags & F_STORE) != 0
+        (rec.fetch, rec.dispatch, rec.ready, rec.issue, rec.addr,
+         rec.data_ready, rec.complete) = times
         rec.retire = cycle
         mem = self._mem.pop(seq, None)
         if mem is None:
             rec.grant = -1
-            rec.source = None
-            rec.mem_block = None
+            rec.source = 0
+            rec.mem_block = 0
         else:
             rec.grant, rec.source, rec.mem_block = mem
-        deps = self._deps.pop(seq, None)
-        if deps:
-            rec.deps = tuple(p for p, is_data in deps if not is_data)
-            rec.data_deps = tuple(p for p, is_data in deps if is_data)
-        else:
-            rec.deps = ()
-            rec.data_deps = ()
+        rec.deps = self._deps.pop(seq, ())
+        rec.data_deps = self._data_deps.pop(seq, ())
         rec.dispatch_block = self._dispatch_block.pop(seq, None)
         rec.commit_block = self._commit_block.pop(seq, None)
         self._index[seq] = len(self._records)

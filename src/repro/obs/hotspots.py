@@ -8,7 +8,9 @@ cycles, and is it kernel or user code?
 
 A :class:`HotspotRecorder` attaches to the timing core the same way the
 tracer, metrics and critpath recorders do (a probe recorder: see
-:mod:`repro.obs.probe`) and accumulates, per
+:mod:`repro.obs.probe`); events name instructions by ``seq``, which it
+resolves to a row once per ``seq`` through the trace's columns, and it
+accumulates, per
 static PC **and privilege level** (the PR 9 kernel layout marks every
 trace record ``kernel``/user):
 
@@ -59,15 +61,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..trace.io import F_KERNEL, OPCLASSES, Trace
 from .codeversion import code_version
+from .probe import (NO_SEQ, SRC_HIT, SRC_LB, SRC_MISS, SRC_SECONDARY,
+                    SRC_SQ, SRC_WB)
 from .report import SchemaError, _check_code_version, _dcache_dict, _require
 from .stall import CAUSE_ORDER, StallCause
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from ..core.lsq import LoadStoreQueue
     from ..core.pipeline import CoreResult, OoOCore
-    from ..core.uop import Uop
-    from ..trace.record import TraceRecord
 
 #: Version of the hotspots manifest schema.
 HOTSPOTS_SCHEMA_VERSION = 1
@@ -100,14 +102,15 @@ DCACHE_COUNTERS = ("port_uses", "bank_conflicts", "load_no_port",
 _DCACHE_STAT_NAMES = {name: f"dcache.{name}" for name in DCACHE_COUNTERS}
 _DCACHE_STAT_NAMES["victim_hits"] = "victim.hits"
 
-#: ``Uop.mem_source`` -> the per-load LSQ service counter it tallies.
+#: A load's source code (:mod:`repro.obs.probe`) -> the per-load LSQ
+#: service counter it tallies.
 _SOURCE_COUNTER = {
-    "sq": "sq_forwards",
-    "wb": "wb_forwards",
-    "lb": "lb_loads",
-    "hit": "port_loads",
-    "miss": "port_loads",
-    "secondary": "port_loads",
+    SRC_SQ: "sq_forwards",
+    SRC_WB: "wb_forwards",
+    SRC_LB: "lb_loads",
+    SRC_HIT: "port_loads",
+    SRC_MISS: "port_loads",
+    SRC_SECONDARY: "port_loads",
 }
 
 _CAUSE_VALUES = tuple(cause.value for cause in CAUSE_ORDER)
@@ -125,13 +128,12 @@ class _Row:
                  "last_addr", "accesses", "strides", "stride_other",
                  "banks", "sets", "set_overflow", "lines", "lines_full")
 
-    def __init__(self, record: "TraceRecord", banks: int,
-                 ports: int) -> None:
-        self.pc = record.pc
-        self.kernel = record.kernel
-        self.kind = record.opclass.name
-        instr = record.instr
-        self.disasm = str(instr) if instr is not None else None
+    def __init__(self, pc: int, kernel: bool, kind: str,
+                 disasm: str | None, banks: int, ports: int) -> None:
+        self.pc = pc
+        self.kernel = kernel
+        self.kind = kind
+        self.disasm = disasm
         self.executions = 0
         self.stall: dict[str, int] = {}
         self.lsq: dict[str, int] = {}
@@ -177,9 +179,18 @@ class HotspotRecorder:
     # ------------------------------------------------------------------
     # Probe events (see repro.obs.probe)
     # ------------------------------------------------------------------
-    def run_begin(self, core: "OoOCore") -> None:
+    def run_begin(self, core: "OoOCore", trace: Trace) -> None:
         """Capture the cache geometry the address-stream analyzer keys
-        on (line size, banking, set count, port count)."""
+        on (line size, banking, set count, port count), and the trace
+        the events' ``seq`` numbers index."""
+        lists = trace.lists()
+        self._pcs = lists["pc"]
+        self._opclasses = lists["opclass"]
+        self._flags = lists["flags"]
+        self._addrs = lists["mem_addr"]
+        self._sizes = lists["mem_size"]
+        self._instructions = trace.instructions or {}
+        self._seq_rows: list[_Row | None] = [None] * len(trace)
         dcache = core.mem.dcache
         self._line_shift = dcache.line_shift
         self._num_banks = dcache.config.banks
@@ -189,23 +200,30 @@ class HotspotRecorder:
         self._num_ports = dcache.config.ports
         self._unattributed_ports = [0] * self._num_ports
 
-    def _row(self, record: "TraceRecord") -> _Row:
-        key = (record.pc, record.kernel)
-        row = self._rows.get(key)
+    def _row(self, seq: int) -> _Row:
+        """The row of instruction *seq*, resolved once per ``seq``."""
+        row = self._seq_rows[seq]
         if row is None:
-            row = self._rows[key] = _Row(record, self._num_banks,
-                                         self._num_ports)
+            pc = self._pcs[seq]
+            key = (pc, (self._flags[seq] & F_KERNEL) != 0)
+            row = self._rows.get(key)
+            if row is None:
+                instr = self._instructions.get(pc)
+                row = self._rows[key] = _Row(
+                    pc, key[1], OPCLASSES[self._opclasses[seq]].name,
+                    str(instr) if instr is not None else None,
+                    self._num_banks, self._num_ports)
+            self._seq_rows[seq] = row
         return row
 
-    def commit(self, uop: "Uop", cycle: int) -> None:
+    def commit(self, seq: int, cycle: int, times: tuple) -> None:
         """One instruction retired: count the execution and feed the
         address-stream analyzer for memory PCs."""
-        record = uop.record
-        row = self._row(record)
+        row = self._row(seq)
         row.executions += 1
-        if record.mem_size <= 0:
+        if self._sizes[seq] <= 0:
             return
-        addr = record.mem_addr
+        addr = self._addrs[seq]
         last = row.last_addr
         if last is not None:
             delta = addr - last
@@ -237,60 +255,58 @@ class HotspotRecorder:
             row.lines_full = True
 
     def stall(self, cycle: int, cause: StallCause, lost: int,
-              uop: "Uop | None") -> None:
-        """The ledger charged *lost* slots to *cause* this cycle; *uop*
-        is the commit head it blamed (``None``: empty window, the
+              seq: int) -> None:
+        """The ledger charged *lost* slots to *cause* this cycle; *seq*
+        is the commit head it blamed (``NO_SEQ``: empty window, the
         frontend bucket takes the slots)."""
-        if uop is None:
-            value = cause.value
+        value = cause.value
+        if seq == NO_SEQ:
             self._frontend[value] = self._frontend.get(value, 0) + lost
             return
-        row = self._row(uop.record)
-        value = cause.value
-        row.stall[value] = row.stall.get(value, 0) + lost
+        stall = self._row(seq).stall
+        stall[value] = stall.get(value, 0) + lost
 
-    def lsq_wait(self, uop: "Uop", counter: str) -> None:
-        """The LSQ skipped this load for a cycle (``order_stalls`` /
+    def lsq_wait(self, seq: int, counter: str) -> None:
+        """The LSQ skipped load *seq* for a cycle (``order_stalls`` /
         ``sq_waits`` / ``wb_conflicts``, mirroring ``lsq.*``)."""
-        lsq = self._row(uop.record).lsq
+        lsq = self._row(seq).lsq
         lsq[counter] = lsq.get(counter, 0) + 1
 
-    def load_serviced(self, lsq: "LoadStoreQueue", load: "Uop", ready: int,
-                      source: str, cycle: int) -> None:
-        """The LSQ serviced this load from *source* (the
-        ``Uop.mem_source`` vocabulary)."""
+    def load_serviced(self, cycle: int, seq: int, line: int, source: int,
+                      block: int, ready: int) -> None:
+        """The LSQ serviced load *seq* from *source* (a
+        :mod:`repro.obs.probe` source code)."""
         counter = _SOURCE_COUNTER.get(source)
         if counter is None:
             return
-        lsq = self._row(load.record).lsq
+        lsq = self._row(seq).lsq
         lsq[counter] = lsq.get(counter, 0) + 1
 
-    def lsq_combine(self, batch: "list[Uop]") -> None:
-        """``batch[1:]`` rode ``batch[0]``'s port access (combining
+    def lsq_combine(self, seqs: list[int]) -> None:
+        """``seqs[1:]`` rode ``seqs[0]``'s port access (combining
         wins)."""
-        for uop in batch[1:]:
-            lsq = self._row(uop.record).lsq
+        for seq in seqs[1:]:
+            lsq = self._row(seq).lsq
             lsq["combined_loads"] = lsq.get("combined_loads", 0) + 1
 
-    def dcache_count(self, record: "TraceRecord | None",
-                     counter: str) -> None:
-        """One D-cache event attributed to the access context *record*
-        (``None``: a write-buffer drain, the unattributed bucket)."""
-        if record is None:
+    def dcache_count(self, seq: int, counter: str) -> None:
+        """One D-cache event attributed to the access made for *seq*
+        (``NO_SEQ``: a write-buffer drain, the unattributed bucket)."""
+        if seq == NO_SEQ:
             bucket = self._unattributed
             bucket[counter] = bucket.get(counter, 0) + 1
             return
-        dcache = self._row(record).dcache
+        dcache = self._row(seq).dcache
         dcache[counter] = dcache.get(counter, 0) + 1
 
-    def port_use(self, record: "TraceRecord | None", port: int) -> None:
+    def port_use(self, seq: int, port: int) -> None:
         """One real port access went through physical port *port*."""
-        if record is None:
+        if seq == NO_SEQ:
             bucket = self._unattributed
             bucket["port_uses"] = bucket.get("port_uses", 0) + 1
             self._unattributed_ports[port] += 1
             return
-        row = self._row(record)
+        row = self._row(seq)
         row.dcache["port_uses"] = row.dcache.get("port_uses", 0) + 1
         row.ports[port] += 1
 

@@ -46,6 +46,8 @@ import json
 import os
 import sqlite3
 
+from ..atomic import atomic_write
+
 __all__ = [
     "LEDGER_DB_VERSION",
     "Ledger",
@@ -914,7 +916,7 @@ class Ledger:
         """Write every manifest (plus ingest metadata) as one JSON
         object per line; returns the line count."""
         count = 0
-        with open(path, "w", encoding="utf-8") as handle:
+        with atomic_write(path) as handle:
             for row in self._conn.execute(
                     "SELECT digest, kind, schema, code_version, "
                     "ingested_at, source, document FROM manifests "

@@ -2,11 +2,13 @@
 
 End-of-run counters answer "how much"; this module answers "when".
 When enabled, the collector listens to the timing core's probe (see
-:mod:`repro.obs.probe`), samples the core at every ``cycle_end`` and:
+:mod:`repro.obs.probe`), keeps the occupancy sample every ``cycle_end``
+carries and:
 
-* samples structure occupancies (ROB, IQ, LQ, SQ, write buffer), cache
-  ports in use, and busy MSHRs into exact run-level
-  :class:`~repro.stats.histogram.Histogram`\\ s;
+* folds each interval's samples of structure occupancies (ROB, IQ, LQ,
+  SQ, write buffer), cache ports in use, and busy MSHRs into exact
+  run-level :class:`~repro.stats.histogram.Histogram`\\ s when the
+  interval closes;
 * closes an **interval** every ``interval`` cycles, recording the
   committed-instruction delta (→ interval IPC), the per-port D-cache
   utilization, the deltas of a tracked counter set (line-buffer /
@@ -30,14 +32,12 @@ default, and a run with no recorder attached takes the fast loop.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from ..stats.counters import Stats
 from ..stats.histogram import Histogram
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from ..core.pipeline import OoOCore
+from .probe import SAMPLE_FIELDS
 
 #: Default sampling interval, in cycles (matches the stall ledger).
 DEFAULT_METRICS_INTERVAL = 1024
@@ -66,8 +66,9 @@ TRACKED_COUNTERS = (
     "victim.misses",
 )
 
-#: Structures whose occupancy is sampled every cycle.
-OCCUPANCY_STRUCTURES = ("rob", "iq", "lq", "sq", "wb", "ports", "mshr")
+#: Structures whose occupancy is sampled every cycle: the fields after
+#: ``committed`` of the probe's ``cycle_end`` sample.
+OCCUPANCY_STRUCTURES = SAMPLE_FIELDS[1:]
 
 
 @dataclass
@@ -108,65 +109,55 @@ class IntervalMetrics:
         self._snapshot = {name: 0.0 for name in self.counters}
         self._committed_at_close = 0
         self._start_cycle = 0
-        self._cycles = 0
-        self._occ_sums = [0] * len(OCCUPANCY_STRUCTURES)
-        # Hot-path aliases (on_cycle runs once per simulated cycle).
-        self._hists = tuple(self.histograms[name]
-                            for name in OCCUPANCY_STRUCTURES)
+        #: The open interval's ``cycle_end`` samples.
+        self._samples: list[tuple[int, ...]] = []
 
     # ------------------------------------------------------------------
-    def cycle_end(self, core: "OoOCore", cycle: int) -> None:
-        """Probe event: sample the core's occupancies and ports."""
-        dcache = core.mem.dcache
-        self.on_cycle(cycle, core._committed, len(core._rob), len(core._iq),
-                      len(core.lsq.loads), len(core.lsq.stores),
-                      len(dcache.write_buffer), dcache.ports_used,
-                      dcache.mshrs_busy())
+    def cycle_end(self, cycle: int, sample: tuple[int, ...]) -> None:
+        """Probe event: keep one finished cycle's occupancy sample
+        (committed so far, then :data:`OCCUPANCY_STRUCTURES`)."""
+        samples = self._samples
+        samples.append(sample)
+        if len(samples) == self.interval:
+            self._close(sample[0])
 
-    def run_end(self, core: "OoOCore", cycles: int,
-                instructions: int) -> None:
+    def run_end(self, core: object, cycles: int, instructions: int) -> None:
         """Probe event: close the trailing interval."""
         self.finalize(instructions)
 
-    def on_cycle(self, cycle: int, committed: int, rob: int, iq: int,
-                 lq: int, sq: int, wb: int, ports_used: int,
-                 mshr_busy: int) -> None:
-        """Sample one finished cycle."""
-        samples = (rob, iq, lq, sq, wb, ports_used, mshr_busy)
-        sums = self._occ_sums
-        for index, (hist, value) in enumerate(zip(self._hists, samples)):
-            hist.record(value)
-            sums[index] += value
-        self._cycles += 1
-        if self._cycles == self.interval:
-            self._close(committed)
-
     def finalize(self, committed: int) -> None:
         """Close the trailing partial interval (end of run)."""
-        if self._cycles:
+        if self._samples:
             self._close(committed)
 
     def _close(self, committed: int) -> None:
-        cycles = self._cycles
+        samples = self._samples
+        cycles = len(samples)
         deltas: dict[str, float] = {}
         stats = self.stats
         for name in self.counters:
             value = stats.get(name)
             deltas[name] = value - self._snapshot[name]
             self._snapshot[name] = value
+        occupancy = {}
+        columns = zip(*samples)
+        next(columns)  # committed
+        for name, column in zip(OCCUPANCY_STRUCTURES, columns):
+            hist = self.histograms[name]
+            for value, count in Counter(column).items():
+                hist.record(value, count)
+            occupancy[name] = sum(column) / cycles
         self.intervals.append(Interval(
             index=len(self.intervals),
             start_cycle=self._start_cycle,
             cycles=cycles,
             committed=committed - self._committed_at_close,
             counters=deltas,
-            occupancy={name: self._occ_sums[index] / cycles
-                       for index, name in enumerate(OCCUPANCY_STRUCTURES)},
+            occupancy=occupancy,
         ))
         self._committed_at_close = committed
         self._start_cycle += cycles
-        self._cycles = 0
-        self._occ_sums = [0] * len(OCCUPANCY_STRUCTURES)
+        self._samples = []
 
     # ------------------------------------------------------------------
     @property

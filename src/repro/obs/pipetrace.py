@@ -10,7 +10,10 @@ a stretched C (completed, waiting to commit) segment.
 
 A :class:`PipeTrace` attached to the timing core records one
 :class:`PipeRecord` per committed instruction from the probe's
-``commit`` event (see :mod:`repro.obs.probe`).  :meth:`write`
+``commit`` event (see :mod:`repro.obs.probe`), which carries the
+instruction's ``seq`` and stage cycles; its pc and label (the
+disassembly when the trace has an instruction table, else the opclass)
+are looked up by ``seq`` in the trace.  :meth:`write`
 renders the Kanata text; :func:`parse_konata` is the matching reader
 used by the round-trip tests and by anyone post-processing traces.
 
@@ -32,13 +35,15 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.uop import Uop
+from ..atomic import atomic_write
+from ..trace.io import OPCLASSES, Trace
 
 #: File header: format name, TAB, format version.
 KONATA_HEADER = "Kanata\t0004"
+
+#: Label of an instruction without disassembly, by opclass index.
+_KINDS = tuple(opclass.name.lower() for opclass in OPCLASSES)
 
 #: (attribute, stage label) pairs in pipeline order.
 _STAGES = ("F", "D", "X", "C")
@@ -83,28 +88,28 @@ class PipeTrace:
     def __init__(self) -> None:
         self.records: list[PipeRecord] = []
 
-    def commit(self, uop: "Uop", cycle: int) -> None:
-        """Probe event: *uop* retires at *cycle*."""
-        record = uop.record
-        instr = record.instr
-        text = str(instr) if instr is not None else \
-            record.opclass.name.lower()
-        self.records.append(PipeRecord(
-            seq=uop.seq,
-            pc=record.pc,
-            label=text,
-            fetch=uop.fetch_cycle,
-            dispatch=uop.dispatch_cycle,
-            issue=uop.issue_cycle,
-            complete=uop.complete_cycle,
-            commit=cycle,
-        ))
+    def run_begin(self, core: object, trace: Trace) -> None:
+        """Probe event: label instructions from *trace*."""
+        lists = trace.lists()
+        self._pcs = lists["pc"]
+        self._opclasses = lists["opclass"]
+        self._instructions = trace.instructions or {}
+
+    def commit(self, seq: int, cycle: int, times: tuple) -> None:
+        """Probe event: instruction *seq* retires at *cycle*."""
+        fetch, dispatch, _, issue, _, _, complete = times
+        pc = self._pcs[seq]
+        instr = self._instructions.get(pc)
+        label = str(instr) if instr is not None else \
+            _KINDS[self._opclasses[seq]]
+        self.records.append(PipeRecord(seq, pc, label, fetch, dispatch,
+                                       issue, complete, cycle))
 
     # ------------------------------------------------------------------
     def write(self, destination: str | io.TextIOBase) -> int:
         """Render the Kanata text; returns the record count."""
         if isinstance(destination, str):
-            with open(destination, "w", encoding="utf-8") as handle:
+            with atomic_write(destination) as handle:
                 return self._render(handle)
         return self._render(destination)
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 
+from ..atomic import atomic_write
 from .metrics import DEFAULT_METRICS_INTERVAL
 from .spans import SpanRecorder
 
@@ -152,7 +153,7 @@ class SelfProfiler:
 
     def write(self, path: str) -> None:
         """Persist the profile as a ``BENCH_*.json`` artefact."""
-        with open(path, "w", encoding="utf-8") as handle:
+        with atomic_write(path) as handle:
             json.dump(self.as_dict(), handle, indent=2)
             handle.write("\n")
 

@@ -41,6 +41,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from ..atomic import atomic_write
+
 __all__ = [
     "NULL_SPANS",
     "Span",
@@ -255,7 +257,7 @@ def chrome_trace(events: list[dict]) -> dict:
 
 def write_chrome_trace(path: str, events: list[dict]) -> None:
     """Write a Perfetto-loadable JSON capture."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         json.dump(chrome_trace(events), handle, separators=(",", ":"))
         handle.write("\n")
 

@@ -3,7 +3,9 @@
 A :class:`Tracer` is a probe recorder (see :mod:`repro.obs.probe`): it
 subscribes to the probe events that have a trace record and turns each
 into one :meth:`Tracer.emit` call, so a run without a tracer formats
-nothing.  :class:`JsonlTracer` streams one compact JSON object per
+nothing.  Events carry ints; the tracer spells their codes out (a
+load's source) and looks a redirecting branch's pc up by ``seq`` in the
+trace's columns.  :class:`JsonlTracer` streams one compact JSON object per
 event to a file (gzipped when the path ends in ``.gz``)::
 
     {"cycle": 412, "event": "wb.add", "line": 8197, "merged": true}
@@ -23,9 +25,10 @@ from collections.abc import Callable, Collection, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .probe import MEM_SOURCES
+
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from ..core.lsq import LoadStoreQueue
-    from ..core.uop import Uop
+    from ..trace.io import Trace
     from .stall import StallCause
 
 
@@ -81,7 +84,6 @@ class Tracer:
     # -- probe events (see repro.obs.probe) ------------------------------
     commit_count = _emits("commit")
     mispredict = _emits("fetch.mispredict")
-    dcache_load = _emits("dcache.load")
     dcache_store = _emits("dcache.store")
     dcache_fill = _emits("dcache.fill")
     wb_add = _emits("wb.add")
@@ -91,20 +93,28 @@ class Tracer:
     lb_invalidate = _emits("lb.invalidate")
     violation = _emits("validate.violation")
 
+    def run_begin(self, core: object, trace: "Trace") -> None:
+        self._pcs = trace.lists()["pc"]
+
     def stall(self, cycle: int, cause: "StallCause", lost: int,
-              head: "Uop | None") -> None:
+              head: int) -> None:
         self.emit(cycle, "stall", cause=cause.value, lost=lost)
 
-    def redirect(self, cycle: int, kind: str, uop: "Uop",
+    def redirect(self, cycle: int, kind: str, seq: int,
                  resume: int) -> None:
         if kind == "branch":
-            self.emit(cycle, "branch.resolve", pc=uop.record.pc,
-                      seq=uop.seq, resume=resume)
+            self.emit(cycle, "branch.resolve", pc=self._pcs[seq], seq=seq,
+                      resume=resume)
 
-    def load_serviced(self, lsq: "LoadStoreQueue", load: "Uop", ready: int,
-                      source: str, cycle: int) -> None:
-        self.emit(cycle, "lsq.load", seq=load.seq, line=load.line,
-                  source=source, ready=ready)
+    def load_serviced(self, cycle: int, seq: int, line: int, source: int,
+                      block: int, ready: int) -> None:
+        self.emit(cycle, "lsq.load", seq=seq, line=line,
+                  source=MEM_SOURCES[source], ready=ready)
+
+    def dcache_load(self, cycle: int, line: int, source: int,
+                    ready: int) -> None:
+        self.emit(cycle, "dcache.load", line=line,
+                  source=MEM_SOURCES[source], ready=ready)
 
 
 class JsonlTracer(Tracer):

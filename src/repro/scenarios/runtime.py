@@ -2,7 +2,10 @@
 
 This module turns a :class:`~repro.scenarios.base.ScenarioSpec` into a
 bootable mini-OS system, runs it on the functional interpreter, and
-checks the run against the scenario's expected-results contract.  It
+checks the run against the scenario's expected-results contract.
+:func:`generate` produces the per-process sources alone — all a trace
+cache key needs — and :func:`materialize` assembles them and runs the
+expected-results model, so a cache hit never assembles.  It
 deliberately does **not** import the workload suite — trace caching for
 scenarios lives in :func:`repro.workloads.suite.build_scenario_trace`,
 which layers the two-tier cache on top of :func:`run_scenario`.
@@ -17,6 +20,18 @@ from ..isa import Program
 from ..kernel import assemble_user, build_system
 from ..kernel.image import System, SystemRunResult, boot
 from .base import ExpectedResults, ScenarioSpec, sha256_bytes
+
+
+@dataclass(frozen=True)
+class ScenarioSource:
+    """A scenario's generated per-process sources, before assembly."""
+
+    name: str
+    scale: str
+    seed: int
+    params: dict
+    labels: tuple[str, ...]
+    sources: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -52,9 +67,10 @@ class ScenarioRun:
     digests: dict[str, str]
 
 
-def materialize(spec: ScenarioSpec, scale: str, seed: int | None = None,
-                overrides: dict | None = None) -> ScenarioBuild:
-    """Generate and assemble a scenario's programs and contract."""
+def generate(spec: ScenarioSpec, scale: str, seed: int | None = None,
+             overrides: dict | None = None) -> ScenarioSource:
+    """Resolve a scenario's parameters (rejecting unknown *overrides*)
+    and generate its per-process sources."""
     seed = spec.default_seed if seed is None else int(seed)
     params = spec.params(scale)
     if overrides:
@@ -64,20 +80,34 @@ def materialize(spec: ScenarioSpec, scale: str, seed: int | None = None,
                              f"{sorted(unknown)}")
         params.update(overrides)
     generated = spec.programs(seed=seed, **params)
-    labels = tuple(label for label, _ in generated)
-    sources = tuple(source for _, source in generated)
+    return ScenarioSource(name=spec.name, scale=scale, seed=seed,
+                          params=params,
+                          labels=tuple(label for label, _ in generated),
+                          sources=tuple(source for _, source in generated))
+
+
+def materialize(spec: ScenarioSpec, scale: str, seed: int | None = None,
+                overrides: dict | None = None,
+                source: ScenarioSource | None = None) -> ScenarioBuild:
+    """Generate and assemble a scenario's programs and contract.  A
+    caller that already has the :func:`generate` result for these
+    arguments passes it as *source*, which skips generation."""
+    if source is None:
+        source = generate(spec, scale, seed, overrides)
     programs = tuple(
-        assemble_user(source, slot=slot, source_name=f"<{label}>")
-        for slot, (label, source) in enumerate(generated))
-    expected = spec.expected(seed=seed, **params)
+        assemble_user(text, slot=slot, source_name=f"<{label}>")
+        for slot, (label, text) in enumerate(zip(source.labels,
+                                                  source.sources)))
+    expected = spec.expected(seed=source.seed, **source.params)
     if len(expected.exit_codes) != len(programs):
         raise SimError(
             f"scenario {spec.name!r}: reference model predicts "
             f"{len(expected.exit_codes)} exit codes for {len(programs)} "
             f"processes")
-    return ScenarioBuild(name=spec.name, scale=scale, seed=seed,
-                         params=params, labels=labels, sources=sources,
-                         programs=programs, expected=expected)
+    return ScenarioBuild(name=spec.name, scale=scale, seed=source.seed,
+                         params=source.params, labels=source.labels,
+                         sources=source.sources, programs=programs,
+                         expected=expected)
 
 
 def run_build(build: ScenarioBuild,

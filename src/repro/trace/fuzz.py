@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from ..asm import AsmError, assemble
+from ..atomic import atomic_write
 from ..func.exceptions import SimError
 from ..func.run import run_bare
 
@@ -432,7 +433,7 @@ def artifact_payload(failure: FuzzFailure,
 def save_artifact(path: str, failure: FuzzFailure,
                   configs: Sequence[str]) -> None:
     """Write one failing program as a replayable ``.repro`` file."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         json.dump(artifact_payload(failure, configs), handle, indent=2)
         handle.write("\n")
 

@@ -6,13 +6,16 @@ holds a dynamic trace as ten numpy columns, the same ten a ``.npz``
 file stores.  The functional simulator produces them directly
 (:meth:`Trace.gather`: one static row per decoded PC, gathered by the
 row id each retired instruction appended), a reload is one ``np.load``,
-and the fast cycle loop precomputes straight from the columns — none
-of them does per-record work.  Records
+the fast cycle loop precomputes straight from the columns, and the
+reference loop, the recorders and the checkers read them by ``seq`` as
+Python lists built once per trace (:meth:`Trace.lists`) — none of them
+does per-record work.  Records
 (:class:`~repro.trace.record.TraceRecord`) are built only when
-something indexes or iterates the trace — the reference loop, a
-recorder, a checker, the CLI — and then once, column-wise; a freshly
-gathered trace keeps its static instruction table, so its records carry
-their instructions.
+something indexes or iterates the trace — the CLI, tests, a plain
+record list's consumers — and then once, column-wise; a freshly
+gathered trace keeps its static instruction table
+(:attr:`Trace.instructions`), so its records carry their
+instructions.
 
 Instruction back-references are not persisted; instead, format v2
 persists the three *timing hints* the core would otherwise derive from
@@ -29,11 +32,12 @@ import itertools
 import os
 import zipfile
 import zlib
-from typing import Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
 from ..isa import INSTRUCTION_BYTES, Bank, Instruction, OpClass, Opcode
+from ..atomic import atomic_write
 from .record import TraceRecord
 
 #: Opclasses in column order: the ``opclass`` column holds indices into
@@ -157,7 +161,7 @@ class Trace:
     record does not update the columns.
     """
 
-    __slots__ = (*COLUMNS, "_records", "_instructions")
+    __slots__ = (*COLUMNS, "_records", "_instructions", "_lists")
 
     def __init__(self, columns: dict[str, np.ndarray],
                  records: list[TraceRecord] | None = None,
@@ -167,6 +171,7 @@ class Trace:
             setattr(self, name, columns[name])
         self._records = records
         self._instructions = instructions
+        self._lists: dict[str, list] | None = None
 
     @classmethod
     def gather(cls, instructions: dict[int, Instruction],
@@ -258,12 +263,30 @@ class Trace:
             "mem_size": column([r.mem_size for r in records], np.uint8),
             "flags": flags | column(map(_hint_flags, records), np.uint8),
             "next_pc": column([r.next_pc for r in records], np.uint64),
-        }, records)
+        }, records, {r.pc: r.instr for r in records
+                     if r.instr is not None} or None)
 
     @property
     def columns(self) -> dict[str, np.ndarray]:
         """The columns by name, in file order."""
         return {name: getattr(self, name) for name in COLUMNS}
+
+    @property
+    def instructions(self) -> dict[int, Instruction] | None:
+        """The static instruction table (PC -> instruction) of a trace
+        from a functional run or of instruction-bearing records; None
+        for a reloaded or synthetic trace."""
+        return self._instructions
+
+    def lists(self) -> dict[str, list]:
+        """The columns as Python lists by name, built once per trace
+        and shared by everything that reads the trace by ``seq`` (the
+        reference cycle loop, recorders, checkers).  ``src`` holds one
+        zero-padded operand pair per record."""
+        if self._lists is None:
+            self._lists = {name: column.tolist()
+                           for name, column in self.columns.items()}
+        return self._lists
 
     @property
     def records(self) -> list[TraceRecord]:
@@ -339,27 +362,21 @@ def as_trace(trace: Sequence[TraceRecord]) -> Trace:
     return trace if isinstance(trace, Trace) else Trace.from_records(trace)
 
 
-def save_trace(path: str | os.PathLike,
+def save_trace(path: str | os.PathLike | IO[bytes],
                trace: Sequence[TraceRecord]) -> None:
     """Write *trace* (a :class:`Trace` or a record list) to *path*
-    (``.npz``)."""
+    (``.npz``) or a binary file."""
     np.savez_compressed(path, version=np.array([FORMAT_VERSION]),
                         **as_trace(trace).columns)
 
 
 def save_trace_atomic(path: str | os.PathLike,
                       trace: Sequence[TraceRecord]) -> None:
-    """Write *trace* to *path* via a same-directory temp file and an
-    atomic rename — concurrent writers (parallel experiment workers,
-    racing processes) can never expose a torn file."""
-    path = os.fspath(path)
-    tmp = f"{path}.tmp-{os.getpid()}.npz"
-    try:
-        save_trace(tmp, trace)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    """Write *trace* to *path* through :func:`repro.atomic.atomic_write`
+    — concurrent writers (parallel experiment workers, racing
+    processes) can never expose a torn file."""
+    with atomic_write(path, "wb") as handle:
+        save_trace(handle, trace)
 
 
 def _read_columns(path) -> dict[str, np.ndarray]:

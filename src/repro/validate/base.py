@@ -2,8 +2,13 @@
 
 A :class:`Validator` is a probe recorder (see :mod:`repro.obs.probe`)
 on :class:`repro.core.pipeline.OoOCore`: a checker defines the events it
-checks — ``commit`` per committed uop, ``load_serviced`` per serviced
-load, ``cycle_end`` per cycle and ``run_end`` once at drain.
+checks — ``commit`` per committed instruction, ``load_serviced`` per
+serviced load, ``cycle_end`` per cycle and ``run_end`` once at drain.
+Events carry ints: a checker looks an instruction up by ``seq`` in the
+trace ``run_begin`` hands it, tests the one occupancy sample
+``cycle_end`` carries, and otherwise reads the machine through its
+public surface (the LSQ's queues, the D-cache's non-counting probes,
+:meth:`~repro.core.pipeline.OoOCore.in_flight`).
 
 Violations are collected (bounded) and fired as the probe's
 ``violation`` event, so an attached tracer writes them into the same
@@ -21,6 +26,7 @@ from ..func.exceptions import SimError
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..core.pipeline import OoOCore
     from ..obs.probe import Probe
+    from ..trace.io import Trace
 
 #: Default cap on collected violations — a broken invariant usually
 #: fires every cycle, and the first few instances carry all the signal.
@@ -64,7 +70,7 @@ class Validator:
         self.violations: list[Violation] = []
         self._probe: "Probe | None" = None
 
-    def run_begin(self, core: "OoOCore") -> None:
+    def run_begin(self, core: "OoOCore", trace: "Trace") -> None:
         """Probe event: violations go out through *core*'s probe."""
         self._probe = core.probe
 

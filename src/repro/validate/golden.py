@@ -11,6 +11,10 @@ destination, sources), on the effective address of memory operations,
 and on branch direction; the golden model then steps, which also
 replays syscalls in retirement order through its own host handler.
 
+Each commit names its instruction by ``seq``; the checker reads the
+committed instruction's columns (pc, opclass, operands, address, branch
+direction, next pc) from the trace ``run_begin`` hands it.
+
 The first divergence is reported with full context (commit index,
 expected/actual values, and the most recent commits); subsequent
 commits are not checked — one wrong step invalidates everything after
@@ -44,12 +48,11 @@ from ..func.syscalls import HostSyscalls
 from ..isa import Program, decode
 from ..kernel.image import build_system
 from ..isa.opcodes import OpClass
-from ..trace.record import TraceRecord
+from ..trace.io import F_TAKEN, NO_DEST, OPCLASSES, Trace
 from .base import Validator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.pipeline import OoOCore
-    from ..core.uop import Uop
 
 _MASK64 = (1 << 64) - 1
 _SP = 2
@@ -60,7 +63,7 @@ class GoldenChecker(Validator):
     """Lock-step replay of the commit stream against the interpreter."""
 
     def __init__(self, program: Program,
-                 trace: Sequence[TraceRecord] | None = None,
+                 trace: Sequence | None = None,
                  stack_top: int = DEFAULT_STACK_TOP,
                  strict: bool = False) -> None:
         super().__init__(strict=strict)
@@ -75,7 +78,7 @@ class GoldenChecker(Validator):
         self._init_tracking(trace)
 
     def _init_tracking(self,
-                       trace: Sequence[TraceRecord] | None) -> None:
+                       trace: Sequence | None) -> None:
         self._expected = len(trace) if trace is not None else None
         self._commits = 0
         self._dead = False
@@ -85,34 +88,41 @@ class GoldenChecker(Validator):
         #: synthesized (sequential) next_pc.
         self._pending_next: str | None = None
 
+    def run_begin(self, core: "OoOCore", trace: Trace) -> None:
+        super().run_begin(core, trace)
+        self._columns = trace.lists()
+        if self._expected is None:
+            self._expected = len(trace)
+
     # ------------------------------------------------------------------
-    def commit(self, uop: "Uop", cycle: int) -> None:
+    def commit(self, seq: int, cycle: int, times: tuple) -> None:
         if self._dead:
             return
-        record = uop.record
+        columns = self._columns
+        pc = columns["pc"][seq]
         self._commits += 1
         if self._pending_next is not None:
             detail, self._pending_next = self._pending_next, None
             self._diverge(cycle, "next_pc", detail)
             return
         state = self.interp.state
-        if state.pc != record.pc:
+        if state.pc != pc:
             self._diverge(cycle, "pc",
                           f"golden model at pc {state.pc:#x}, core "
-                          f"committed pc {record.pc:#x}")
+                          f"committed pc {pc:#x}")
             return
-        if not self._check_decode(cycle, record):
+        if not self._check_decode(cycle, seq):
             return
         try:
             self.interp.step()
         except SimHalted:
             self._diverge(cycle, "halt",
-                          f"golden model halted at pc {record.pc:#x} but "
+                          f"golden model halted at pc {pc:#x} but "
                           f"the record retired in the functional run")
             return
         except SimError as exc:
             self._diverge(cycle, "trap",
-                          f"golden model faulted at pc {record.pc:#x}: "
+                          f"golden model faulted at pc {pc:#x}: "
                           f"{exc}")
             return
         # Interrupt deliveries are interpreter steps that retire nothing
@@ -123,52 +133,60 @@ class GoldenChecker(Validator):
         # plain GoldenChecker.)
         while self.interp._timer_pending():
             self.interp.step()
-        if state.pc != record.next_pc:
+        next_pc = columns["next_pc"][seq]
+        if state.pc != next_pc:
             self._pending_next = (
-                f"record at pc {record.pc:#x} says next_pc "
-                f"{record.next_pc:#x}, golden model went to "
+                f"record at pc {pc:#x} says next_pc "
+                f"{next_pc:#x}, golden model went to "
                 f"{state.pc:#x}")
-        self._context.append(f"#{self._commits} pc={record.pc:#x}")
+        self._context.append(f"#{self._commits} pc={pc:#x}")
 
-    def _check_decode(self, cycle: int, record: TraceRecord) -> bool:
+    def _check_decode(self, cycle: int, seq: int) -> bool:
         """The committed record must describe the instruction the golden
         memory holds at its PC — catches trace corruption and
         self-modifying-code hazards alike."""
+        columns = self._columns
+        pc = columns["pc"][seq]
         state = self.interp.state
         try:
-            instr = decode(self.memory.load(record.pc, 4))
+            instr = decode(self.memory.load(pc, 4))
         except Exception as exc:  # decode/load failures of any flavour
             self._diverge(cycle, "decode",
-                          f"pc {record.pc:#x}: golden memory does not "
+                          f"pc {pc:#x}: golden memory does not "
                           f"decode ({exc})")
             return False
         info = instr.info
-        if info.opclass is not record.opclass or \
-                instr.dest != record.dest or \
-                instr.sources != tuple(record.sources):
+        opclass = OPCLASSES[columns["opclass"][seq]]
+        dest = columns["dest"][seq]
+        dest = None if dest == NO_DEST else dest
+        sources = tuple(columns["src"][seq][:columns["nsrc"][seq]])
+        if info.opclass is not opclass or instr.dest != dest or \
+                instr.sources != sources:
             self._diverge(cycle, "decode",
-                          f"pc {record.pc:#x}: record says "
-                          f"{record.opclass.value} dest={record.dest} "
-                          f"sources={tuple(record.sources)}, golden "
+                          f"pc {pc:#x}: record says "
+                          f"{opclass.value} dest={dest} "
+                          f"sources={sources}, golden "
                           f"memory decodes {instr}")
             return False
         if info.is_mem:
+            mem_addr = columns["mem_addr"][seq]
+            mem_size = columns["mem_size"][seq]
             address = (state.regs[instr.rs1] + instr.imm) & _MASK64
-            if address != record.mem_addr or info.mem_size != \
-                    record.mem_size:
+            if address != mem_addr or info.mem_size != mem_size:
                 self._diverge(cycle, "mem_addr",
-                              f"pc {record.pc:#x}: record accesses "
-                              f"{record.mem_addr:#x}/{record.mem_size}B, "
+                              f"pc {pc:#x}: record accesses "
+                              f"{mem_addr:#x}/{mem_size}B, "
                               f"golden model computes {address:#x}/"
                               f"{info.mem_size}B")
                 return False
         if info.opclass is OpClass.BRANCH:
+            recorded = (columns["flags"][seq] & F_TAKEN) != 0
             taken = _BRANCH_OPS[instr.opcode](state.regs[instr.rs1],
                                               state.regs[instr.rs2])
-            if taken != record.taken:
+            if taken != recorded:
                 self._diverge(cycle, "branch",
-                              f"pc {record.pc:#x}: record says "
-                              f"taken={record.taken}, golden model "
+                              f"pc {pc:#x}: record says "
+                              f"taken={recorded}, golden model "
                               f"evaluates taken={taken}")
                 return False
         return True
@@ -186,12 +204,10 @@ class GoldenChecker(Validator):
         if self._dead:
             return
         self._pending_next = None  # final record: synthesized next_pc
-        expected = self._expected if self._expected is not None \
-            else len(core._trace)
-        if self._commits != expected:
+        if self._commits != self._expected:
             self._diverge(cycle, "commit_count",
                           f"core committed {self._commits} of "
-                          f"{expected} trace records")
+                          f"{self._expected} trace records")
 
     def digests(self) -> dict[str, str] | None:
         """Architectural end-state digests (None after a divergence —
@@ -221,7 +237,7 @@ class SystemGoldenChecker(GoldenChecker):
 
     def __init__(self, programs: Sequence[Program],
                  timer_interval: int = 20_000,
-                 trace: Sequence[TraceRecord] | None = None,
+                 trace: Sequence | None = None,
                  strict: bool = False) -> None:
         Validator.__init__(self, strict=strict)
         system = build_system(list(programs), timer_interval)

@@ -19,18 +19,23 @@ The catalogue (documented in ``docs/VALIDATION.md``):
   never exceeds capacity.
 * **drain.\*** — at end of run the LSQ, ROB, fetch queue and event
   queues are empty, every trace record committed, and no MSHR leaked.
+
+The per-cycle checks test the occupancy sample ``cycle_end`` carries
+against every capacity in one comparison, and take the reporting path
+only when one is exceeded.
 """
 
 from __future__ import annotations
 
+from operator import gt
 from typing import TYPE_CHECKING
 
+from ..obs.probe import SRC_LB, SRC_SQ, SRC_WB
+from ..trace.io import Trace
 from .base import MAX_VIOLATIONS, Validator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.lsq import LoadStoreQueue
     from ..core.pipeline import OoOCore
-    from ..core.uop import Uop
 
 
 class InvariantChecker(Validator):
@@ -41,96 +46,129 @@ class InvariantChecker(Validator):
         super().__init__(strict=strict, max_violations=max_violations)
         self._last_seq: int | None = None
 
-    # ------------------------------------------------------------------
-    def commit(self, uop: "Uop", cycle: int) -> None:
-        if self._last_seq is not None and uop.seq <= self._last_seq:
-            self.report(cycle, "rob.order",
-                        f"committed seq {uop.seq} after seq "
-                        f"{self._last_seq} (pc={uop.record.pc:#x})")
-        self._last_seq = uop.seq
-        if not uop.completed:
-            self.report(cycle, "rob.incomplete",
-                        f"seq {uop.seq} (pc={uop.record.pc:#x}) committed "
-                        f"without completing")
-        elif uop.complete_cycle > cycle:
-            self.report(cycle, "rob.premature",
-                        f"seq {uop.seq} committed at cycle {cycle} but "
-                        f"completes at {uop.complete_cycle}")
+    def run_begin(self, core: "OoOCore", trace: Trace) -> None:
+        super().run_begin(core, trace)
+        cfg = core.cfg
+        self._lsq = core.lsq
+        self._dcache = dcache = core.mem.dcache
+        dconf = dcache.config
+        #: Capacity of each sample field (committed is unbounded).
+        self._caps = (float("inf"), cfg.rob_size, cfg.iq_size,
+                      cfg.lq_size, cfg.sq_size, dconf.write_buffer_depth,
+                      dconf.ports, dconf.mshrs)
+        #: Buffers outside the sample: (name, buffer, capacity).
+        self._buffers = [(name, buffer, buffer.entries) for name, buffer
+                         in (("lb", dcache.line_buffer),
+                             ("victim", dcache.victim_cache))
+                         if buffer is not None]
+        lists = trace.lists()
+        self._pcs = lists["pc"]
+        self._addrs = lists["mem_addr"]
+        self._sizes = lists["mem_size"]
+        self._records = len(trace)
 
     # ------------------------------------------------------------------
-    def load_serviced(self, lsq: "LoadStoreQueue", load: "Uop",
-                      ready: int, source: str, cycle: int) -> None:
+    def commit(self, seq: int, cycle: int, times: tuple) -> None:
+        if self._last_seq is not None and seq <= self._last_seq:
+            self.report(cycle, "rob.order",
+                        f"committed seq {seq} after seq "
+                        f"{self._last_seq} (pc={self._pcs[seq]:#x})")
+        self._last_seq = seq
+        complete = times[-1]
+        if complete < 0:
+            self.report(cycle, "rob.incomplete",
+                        f"seq {seq} (pc={self._pcs[seq]:#x}) committed "
+                        f"without completing")
+        elif complete > cycle:
+            self.report(cycle, "rob.premature",
+                        f"seq {seq} committed at cycle {cycle} but "
+                        f"completes at {complete}")
+
+    # ------------------------------------------------------------------
+    def load_serviced(self, cycle: int, seq: int, line: int, source: int,
+                      block: int, ready: int) -> None:
         if ready <= cycle:
             self.report(cycle, "lsq.ready_past",
-                        f"load seq {load.seq} data ready at {ready} "
+                        f"load seq {seq} data ready at {ready} "
                         f"<= current cycle")
-        if source == "sq":
-            if not self._sq_forward_legal(lsq, load):
+        if source == SRC_SQ:
+            mask = self._byte_mask(seq)
+            if not self._sq_forward_legal(seq, line, mask):
                 self.report(cycle, "lsq.forward.sq",
-                            f"load seq {load.seq} line {load.line} "
-                            f"mask {load.byte_mask:#x} forwarded with no "
+                            f"load seq {seq} line {line} "
+                            f"mask {mask:#x} forwarded with no "
                             f"covering older data-ready store")
-        elif source == "wb":
-            if not lsq.dcache.write_buffer.covers(load.line,
-                                                  load.byte_mask):
+        elif source == SRC_WB:
+            mask = self._byte_mask(seq)
+            if not self._dcache.write_buffer.covers(line, mask):
                 self.report(cycle, "lsq.forward.wb",
-                            f"load seq {load.seq} line {load.line} "
-                            f"mask {load.byte_mask:#x} forwarded from an "
+                            f"load seq {seq} line {line} "
+                            f"mask {mask:#x} forwarded from an "
                             f"uncovering write buffer")
-        elif source == "lb":
-            dcache = lsq.dcache
+        elif source == SRC_LB:
+            dcache = self._dcache
             if dcache.line_buffer is None or \
-                    not dcache.line_buffer.contains(load.line):
+                    not dcache.line_buffer.contains(line):
                 self.report(cycle, "lsq.forward.lb",
-                            f"load seq {load.seq} serviced by the line "
-                            f"buffer but line {load.line} is not resident")
-            elif dcache.fill_pending(load.line):
+                            f"load seq {seq} serviced by the line "
+                            f"buffer but line {line} is not resident")
+            elif dcache.fill_pending(line):
                 self.report(cycle, "lsq.forward.lb",
-                            f"load seq {load.seq} read line {load.line} "
+                            f"load seq {seq} read line {line} "
                             f"from the line buffer while its fill is "
                             f"still in flight")
 
-    @staticmethod
-    def _sq_forward_legal(lsq: "LoadStoreQueue", load: "Uop") -> bool:
-        for store in lsq.stores:
-            if store.seq >= load.seq or not store.addr_known:
+    def _byte_mask(self, seq: int) -> int:
+        """Load *seq*'s byte mask within its line, from the trace."""
+        offset = self._addrs[seq] & (self._dcache.line_size - 1)
+        return ((1 << self._sizes[seq]) - 1) << offset
+
+    def _sq_forward_legal(self, seq: int, line: int, mask: int) -> bool:
+        for store in self._lsq.stores:
+            if store.seq >= seq or not store.addr_known:
                 continue
-            if store.line != load.line or store.data_waiting:
+            if store.line != line or store.data_waiting:
                 continue
-            if store.byte_mask & load.byte_mask == load.byte_mask:
+            if store.byte_mask & mask == mask:
                 return True
         return False
 
     # ------------------------------------------------------------------
-    def cycle_end(self, core: "OoOCore", cycle: int) -> None:
-        cfg = core.cfg
-        dcache = core.mem.dcache
-        dconf = dcache.config
-        if dcache.ports_used > dconf.ports:
+    def cycle_end(self, cycle: int, sample: tuple[int, ...]) -> None:
+        over = any(map(gt, sample, self._caps))
+        for _, buffer, capacity in self._buffers:
+            if len(buffer) > capacity:
+                over = True
+        if over:
+            self._report_capacity(cycle, sample)
+        lsq = self._lsq
+        for check, queue in (("lsq.load_order", lsq.loads),
+                             ("lsq.store_order", lsq.stores)):
+            previous = -1
+            for uop in queue:
+                if uop.seq <= previous:
+                    self.report(cycle, check, f"seq {uop.seq} queued "
+                                              f"behind seq {previous}")
+                    break
+                previous = uop.seq
+
+    def _report_capacity(self, cycle: int, sample: tuple[int, ...]) -> None:
+        _, rob, iq, lq, sq, wb, ports, mshrs = sample
+        _, rob_size, iq_size, lq_size, sq_size, wb_depth, n_ports, \
+            n_mshrs = self._caps
+        if ports > n_ports:
             self.report(cycle, "dcache.ports",
-                        f"{dcache.ports_used} port issues with "
-                        f"{dconf.ports} ports")
-        if dcache.mshrs_busy() > dconf.mshrs:
+                        f"{ports} port issues with {n_ports} ports")
+        if mshrs > n_mshrs:
             self.report(cycle, "dcache.mshrs",
-                        f"{dcache.mshrs_busy()} fills in flight with "
-                        f"{dconf.mshrs} MSHRs")
-        self._check_occupancy(cycle, "wb", len(dcache.write_buffer),
-                              dconf.write_buffer_depth)
-        if dcache.line_buffer is not None:
-            self._check_occupancy(cycle, "lb", len(dcache.line_buffer),
-                                  dcache.line_buffer.entries)
-        if dcache.victim_cache is not None:
-            self._check_occupancy(cycle, "victim",
-                                  len(dcache.victim_cache),
-                                  dcache.victim_cache.entries)
-        self._check_occupancy(cycle, "rob", len(core._rob), cfg.rob_size)
-        self._check_occupancy(cycle, "iq", len(core._iq), cfg.iq_size)
-        self._check_occupancy(cycle, "lq", len(core.lsq.loads),
-                              cfg.lq_size)
-        self._check_occupancy(cycle, "sq", len(core.lsq.stores),
-                              cfg.sq_size)
-        self._check_age_order(cycle, "lsq.load_order", core.lsq.loads)
-        self._check_age_order(cycle, "lsq.store_order", core.lsq.stores)
+                        f"{mshrs} fills in flight with {n_mshrs} MSHRs")
+        self._check_occupancy(cycle, "wb", wb, wb_depth)
+        for name, buffer, capacity in self._buffers:
+            self._check_occupancy(cycle, name, len(buffer), capacity)
+        self._check_occupancy(cycle, "rob", rob, rob_size)
+        self._check_occupancy(cycle, "iq", iq, iq_size)
+        self._check_occupancy(cycle, "lq", lq, lq_size)
+        self._check_occupancy(cycle, "sq", sq, sq_size)
 
     def _check_occupancy(self, cycle: int, name: str, occupancy: int,
                          capacity: int) -> None:
@@ -139,39 +177,28 @@ class InvariantChecker(Validator):
                         f"{occupancy} entries in a {capacity}-entry "
                         f"structure")
 
-    def _check_age_order(self, cycle: int, check: str,
-                         queue: list["Uop"]) -> None:
-        previous = -1
-        for uop in queue:
-            if uop.seq <= previous:
-                self.report(cycle, check,
-                            f"seq {uop.seq} queued behind seq {previous}")
-                return
-            previous = uop.seq
-
     # ------------------------------------------------------------------
     def run_end(self, core: "OoOCore", cycle: int,
                 instructions: int) -> None:
-        lsq = core.lsq
+        lsq = self._lsq
         if lsq.loads or lsq.stores:
             self.report(cycle, "drain.lsq",
                         f"{len(lsq.loads)} loads / {len(lsq.stores)} "
                         f"stores leaked in the LSQ")
-        if core._rob or core._fetch_queue or core._iq:
+        held = core.in_flight()
+        if held["rob"] or held["fq"] or held["iq"]:
             self.report(cycle, "drain.core",
-                        f"rob={len(core._rob)} iq={len(core._iq)} "
-                        f"fq={len(core._fetch_queue)} not empty at drain")
-        pending = sum(len(uops) for uops in core._events_complete.values())
-        pending += sum(len(uops) for uops in core._events_addr.values())
-        if pending:
+                        f"rob={held['rob']} iq={held['iq']} "
+                        f"fq={held['fq']} not empty at drain")
+        if held["events"]:
             self.report(cycle, "drain.events",
-                        f"{pending} scheduled events never fired")
-        dcache = core.mem.dcache
+                        f"{held['events']} scheduled events never fired")
+        dcache = self._dcache
         if dcache.mshrs_busy() > dcache.config.mshrs:
             self.report(cycle, "drain.mshrs",
                         f"{dcache.mshrs_busy()} fills in flight at drain "
                         f"with {dcache.config.mshrs} MSHRs")
-        if core._committed != len(core._trace):
+        if instructions != self._records:
             self.report(cycle, "drain.commit_count",
-                        f"committed {core._committed} of "
-                        f"{len(core._trace)} trace records")
+                        f"committed {instructions} of "
+                        f"{self._records} trace records")

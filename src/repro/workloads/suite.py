@@ -374,18 +374,19 @@ def build_scenario_trace(name: str, scale: str = "small",
     resolved parameter, the generated per-process sources, and the
     kernel and producer fingerprints — the same scenario name with a
     different seed or knob override can never collide, and kernel or
-    producer edits invalidate stale entries.  The functional run is
-    contract-checked (exit codes, memory regions, console) before the
-    trace is cached.
+    producer edits invalidate stale entries.  Only the sources are
+    generated for the lookup: assembly and the expected-results model
+    run on a miss.  The functional run is contract-checked (exit codes,
+    memory regions, console) before the trace is cached.
     """
-    from ..scenarios import SCENARIOS
-    from ..scenarios.runtime import check_contract, materialize, run_build
+    from ..scenarios import SCENARIOS, runtime
     spec = SCENARIOS[name]
-    build = materialize(spec, scale, seed=seed, overrides=overrides)
+    source = runtime.generate(spec, scale, seed=seed, overrides=overrides)
 
     def build_fn() -> Trace:
-        run = run_build(build, collect_trace=True)
-        problems = check_contract(build, run)
+        build = runtime.materialize(spec, scale, source=source)
+        run = runtime.run_build(build, collect_trace=True)
+        problems = runtime.check_contract(build, run)
         if problems:
             raise SimError(
                 f"scenario {name!r} ({scale}, seed {build.seed}) violated "
@@ -393,11 +394,11 @@ def build_scenario_trace(name: str, scale: str = "small",
         return run.result.trace
 
     params = ",".join(f"{key}={value}"
-                      for key, value in sorted(build.params.items()))
-    digest = content_digest(*build.sources, name, scale, str(build.seed),
+                      for key, value in sorted(source.params.items()))
+    digest = content_digest(*source.sources, name, scale, str(source.seed),
                             params, _kernel_fingerprint(),
                             _producer_fingerprint())
-    return cached_trace(f"sc-{name}-{scale}-s{build.seed}", digest,
+    return cached_trace(f"sc-{name}-{scale}-s{source.seed}", digest,
                         build_fn)
 
 

@@ -13,7 +13,7 @@ from repro.mem import (
     NextLevelConfig,
 )
 from repro.stats import Stats
-from repro.trace.record import TraceRecord
+from repro.trace.io import OPCLASSES
 
 
 def make_lsq(combine=False, ports=1, port_width=8, line_buffer=False,
@@ -36,13 +36,10 @@ def make_lsq(combine=False, ports=1, port_width=8, line_buffer=False,
 
 def mem_uop(seq, addr, size=8, is_load=True, addr_known=True,
             lsq=None):
-    record = TraceRecord(pc=0x1000 + 4 * seq,
-                         opclass=OpClass.LOAD if is_load else OpClass.STORE,
-                         mem_addr=addr, mem_size=size, is_load=is_load,
-                         is_store=not is_load)
-    uop = Uop(record, seq)
+    opclass = OPCLASSES.index(OpClass.LOAD if is_load else OpClass.STORE)
+    uop = Uop(seq, opclass, is_load=is_load, is_store=not is_load)
     if addr_known and lsq is not None:
-        lsq.resolve_address(uop)
+        lsq.resolve_address(uop, addr, size)
     return uop
 
 

@@ -38,8 +38,7 @@ class TestCollectorUnit:
         for cycle in range(8):
             committed += 1
             stats.inc("dcache.port_uses")
-            metrics.on_cycle(cycle, committed, rob=2, iq=1, lq=0, sq=0,
-                             wb=0, ports_used=1, mshr_busy=0)
+            metrics.cycle_end(cycle, (committed, 2, 1, 0, 0, 0, 1, 0))
         assert len(metrics.intervals) == 2
         first, second = metrics.intervals
         assert (first.start_cycle, first.cycles) == (0, 4)
@@ -52,7 +51,7 @@ class TestCollectorUnit:
         stats = Stats()
         metrics = IntervalMetrics(stats, ports=1, interval=100)
         for cycle in range(7):
-            metrics.on_cycle(cycle, cycle + 1, 1, 1, 0, 0, 0, 0, 0)
+            metrics.cycle_end(cycle, (cycle + 1, 1, 1, 0, 0, 0, 0, 0))
         assert not metrics.intervals
         metrics.finalize(7)
         assert len(metrics.intervals) == 1
@@ -62,10 +61,8 @@ class TestCollectorUnit:
 
     def test_occupancy_means_and_histograms(self):
         metrics = IntervalMetrics(Stats(), ports=2, interval=2)
-        metrics.on_cycle(0, 0, rob=4, iq=2, lq=1, sq=1, wb=0,
-                         ports_used=2, mshr_busy=1)
-        metrics.on_cycle(1, 0, rob=6, iq=2, lq=1, sq=1, wb=2,
-                         ports_used=0, mshr_busy=1)
+        metrics.cycle_end(0, (0, 4, 2, 1, 1, 0, 2, 1))
+        metrics.cycle_end(1, (0, 6, 2, 1, 1, 2, 0, 1))
         interval = metrics.intervals[0]
         assert interval.occupancy["rob"] == 5.0
         assert interval.occupancy["wb"] == 1.0
@@ -76,17 +73,17 @@ class TestCollectorUnit:
         stats = Stats()
         metrics = IntervalMetrics(stats, ports=2, interval=2)
         stats.inc("dcache.port_uses", 3)
-        metrics.on_cycle(0, 0, 0, 0, 0, 0, 0, 2, 0)
-        metrics.on_cycle(1, 0, 0, 0, 0, 0, 0, 1, 0)
+        metrics.cycle_end(0, (0, 0, 0, 0, 0, 0, 2, 0))
+        metrics.cycle_end(1, (0, 0, 0, 0, 0, 0, 1, 0))
         assert metrics.port_utilization(metrics.intervals[0]) == 0.75
 
     def test_series_and_summary(self):
         stats = Stats()
         metrics = IntervalMetrics(stats, ports=1, interval=1)
         stats.inc("lb.hits", 2)
-        metrics.on_cycle(0, 1, 0, 0, 0, 0, 0, 1, 0)
+        metrics.cycle_end(0, (1, 0, 0, 0, 0, 0, 1, 0))
         stats.inc("lb.hits", 3)
-        metrics.on_cycle(1, 2, 0, 0, 0, 0, 0, 0, 0)
+        metrics.cycle_end(1, (2, 0, 0, 0, 0, 0, 0, 0))
         assert metrics.series("lb.hits") == [2, 3]
         assert "2 intervals" in metrics.summary()
         assert IntervalMetrics(Stats(), ports=1).summary() == \
@@ -96,7 +93,7 @@ class TestCollectorUnit:
         stats = Stats()
         metrics = IntervalMetrics(stats, ports=2, interval=4)
         for cycle in range(6):
-            metrics.on_cycle(cycle, cycle, 1, 1, 0, 0, 0, 1, 0)
+            metrics.cycle_end(cycle, (cycle, 1, 1, 0, 0, 0, 1, 0))
         metrics.finalize(6)
         snapshot = metrics.as_dict()
         assert snapshot["n_intervals"] == 2
@@ -109,7 +106,7 @@ class TestCollectorUnit:
     def test_conservation_detects_drift(self):
         stats = Stats()
         metrics = IntervalMetrics(stats, ports=1, interval=4)
-        metrics.on_cycle(0, 1, 0, 0, 0, 0, 0, 0, 0)
+        metrics.cycle_end(0, (1, 0, 0, 0, 0, 0, 0, 0))
         metrics.finalize(1)
         assert metrics.check_conservation(cycles=1, instructions=1) == []
         # A counter bumped after the last close is unaccounted drift.

@@ -33,8 +33,8 @@ class _Log:
         self.name = name
         self.log = log
 
-    def commit(self, uop, cycle: int) -> None:
-        self.log.append((self.name, "commit", uop, cycle))
+    def commit(self, seq, cycle: int, times) -> None:
+        self.log.append((self.name, "commit", seq, cycle))
 
 
 class _Stalls(_Log):
@@ -46,7 +46,7 @@ def test_probe_binds_each_event_to_its_listeners():
     log: list = []
     first, second = _Log("first", log), _Stalls("second", log)
     probe = Probe([first, second])
-    probe.commit("uop", 3)              # two listeners, attachment order
+    probe.commit("uop", 3, ())          # two listeners, attachment order
     assert log == [("first", "commit", "uop", 3),
                    ("second", "commit", "uop", 3)]
     assert probe.stall == second.stall  # a lone listener, bound directly

@@ -28,7 +28,10 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.validate import SystemGoldenChecker
-from repro.workloads import WORKLOADS, build_scenario_trace
+from repro.scenarios import runtime
+from repro.workloads import (WORKLOADS, build_scenario_trace,
+                             clear_trace_cache, set_trace_cache_dir,
+                             trace_cache_dir)
 from repro.workloads.suite import _kernel_fingerprint
 
 #: (name, scale) for every workload at every declared scale.
@@ -158,6 +161,38 @@ class TestScenarioTraceCache:
             tuple(b_seeded.expected.exit_codes)
         # Same (name, scale, seed) is served from the in-memory tier.
         assert build_scenario_trace("proctree", "tiny", seed=97) is seeded
+
+    def test_cache_hits_call_no_assembler(self, tmp_path, monkeypatch):
+        # The key needs only the generated sources: a miss generates
+        # once and assembles every process, memory- and disk-tier hits
+        # assemble nothing.
+        calls = {"generate": 0, "assemble": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(runtime, "generate",
+                            counting("generate", runtime.generate))
+        monkeypatch.setattr(runtime, "assemble_user",
+                            counting("assemble", runtime.assemble_user))
+        previous = trace_cache_dir()
+        set_trace_cache_dir(tmp_path)
+        clear_trace_cache()
+        try:
+            cold = build_scenario_trace("iostorm", "tiny", seed=5)
+            assert calls["generate"] == 1 and calls["assemble"] > 0
+            assembled = calls["assemble"]
+            assert build_scenario_trace("iostorm", "tiny", seed=5) is cold
+            clear_trace_cache()
+            reloaded = build_scenario_trace("iostorm", "tiny", seed=5)
+            assert reloaded is not cold and len(reloaded) == len(cold)
+            assert calls["assemble"] == assembled
+        finally:
+            clear_trace_cache()
+            set_trace_cache_dir(previous if previous is not None else "off")
 
     def test_kernel_source_is_in_the_cache_key(self):
         # The fingerprint feeds every os-mix and scenario digest, so a

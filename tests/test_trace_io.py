@@ -1,13 +1,21 @@
 """Tests for trace serialisation."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.asm import assemble
 from repro.core import OoOCore, pipeline, simulate
+from repro.func import run_bare
+from repro.obs import (CritPathRecorder, HotspotRecorder, JsonlTracer,
+                       PipeTrace)
 from repro.presets import machine
 from repro.trace import (SyntheticConfig, Trace, generate, load_trace,
                          save_trace)
+from repro.validate import InvariantChecker
+from repro.workloads import WORKLOADS
 
 
 class TestRoundTrip:
@@ -118,6 +126,35 @@ class TestColumnarTrace:
         assert len(loaded) == len(fresh)
         assert OoOCore(machine("1P")).run(loaded).used_fastpath
         assert loaded._records is None
+
+    @staticmethod
+    def _run_every_recorder(trace) -> None:
+        result = OoOCore(
+            machine("1P"), tracer=JsonlTracer(io.StringIO()),
+            metrics_interval=256, pipe_trace=PipeTrace(),
+            validator=InvariantChecker(), critpath=CritPathRecorder(),
+            hotspots=HotspotRecorder()).run(trace)
+        assert not result.used_fastpath
+
+    def test_reference_loop_and_recorders_leave_a_loaded_trace_undecoded(
+            self, trace_forms, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "_ENV_VALIDATE", False)
+        _, fresh, _, _ = trace_forms
+        path = tmp_path / "trace.npz"
+        save_trace(path, fresh)
+        loaded = load_trace(path)
+        self._run_every_recorder(loaded)
+        assert loaded._records is None
+
+    def test_reference_loop_and_recorders_leave_a_gathered_trace_undecoded(
+            self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_ENV_VALIDATE", False)
+        spec = WORKLOADS["stream"]
+        gathered = run_bare(assemble(spec.source(**spec.params("tiny"))),
+                            collect_trace=True).trace
+        assert gathered.instructions is not None
+        self._run_every_recorder(gathered)
+        assert gathered._records is None
 
 
 class TestProperties:

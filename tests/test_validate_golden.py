@@ -39,7 +39,7 @@ done:
 def _golden_run(config="1P", tamper=None, strict=False, truncate=0):
     program = assemble(SOURCE)
     func = run_bare(program, collect_trace=True, compute_digests=True)
-    trace = func.trace
+    trace = list(func.trace)  # records: what a tamper edits, the core encodes
     if tamper is not None:
         tamper(trace)
     checker = GoldenChecker(program, trace=trace, strict=strict)
