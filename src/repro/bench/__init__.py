@@ -14,9 +14,10 @@ experiment``'s simulated-performance tables:
   by convention).
 * :mod:`repro.bench.compare` validates manifests and diffs two of
   them: simulated results (instructions, cycles, the matrix itself)
-  must match **exactly**; host throughput compares within a relative
-  tolerance.  ``repro bench --compare baseline.json`` builds the
-  regression-gating workflow on top.
+  must match **exactly**; host throughput fails only when it fell more
+  than a relative tolerance below the baseline.  ``repro bench
+  --compare baseline.json`` builds the regression-gating workflow on
+  top.
 
 See the "Simulator performance" section of ``docs/OBSERVABILITY.md``.
 """
@@ -25,6 +26,7 @@ from .compare import (
     compare_bench,
     default_bench_path,
     render_bench_comparison,
+    throughput_regressed,
     validate_bench_manifest,
 )
 from .harness import (
@@ -42,5 +44,6 @@ __all__ = [
     "default_bench_path",
     "render_bench_comparison",
     "run_bench",
+    "throughput_regressed",
     "validate_bench_manifest",
 ]

@@ -8,13 +8,17 @@ comparison rules:
   *exactly* between a baseline and a candidate from the same source
   revision.  A mismatch means the simulator's functional behaviour
   changed, which no throughput tolerance should paper over.
-* **throughput** content — the per-cell median kIPS — compares within
-  a relative tolerance, because host timing is noisy.
+* **throughput** content — the per-cell median kIPS — is gated one
+  way, because host timing is noisy and faster is never a failure: a
+  rate regressed when :func:`throughput_regressed` says so, that is
+  when it fell below ``baseline × (1 − tolerance)``.  ``repro watch``
+  applies the same rule against ledger history.
 
-:func:`compare_bench` runs both comparisons through
-:func:`repro.obs.compare.compare_documents` and reports them
-separately, so ``repro bench --compare`` can exit 1 for "slower" and
-2 for "different" (see the CLI).
+:func:`compare_bench` reports both halves separately, with the
+per-cell kIPS deltas listed through
+:func:`repro.obs.compare.compare_documents`, so ``repro bench
+--compare`` can exit 1 for "slower" and 2 for "different" (see the
+CLI).
 """
 
 from __future__ import annotations
@@ -29,6 +33,13 @@ from .harness import BENCH_SCHEMA
 
 #: Relative tolerance ``--compare`` applies to throughput by default.
 DEFAULT_TOLERANCE = 0.1
+
+
+def throughput_regressed(baseline: float, candidate: float,
+                         tolerance: float) -> bool:
+    """The one throughput verdict: *candidate* regressed when it fell
+    more than the relative *tolerance* below *baseline*."""
+    return candidate < baseline * (1.0 - tolerance)
 
 
 def default_bench_path(directory: str | Path = ".") -> Path:
@@ -161,10 +172,11 @@ def compare_bench(baseline: dict, candidate: dict,
 
     Returns a report with two embedded ``repro.compare/1`` documents:
     ``deterministic`` (tolerance 0 — simulated results must match
-    exactly) and ``throughput`` (median kIPS within *tolerance*).
-    ``ok`` is true iff both compare clean; ``deterministic_ok`` false
-    means the two manifests disagree about *what was simulated*, not
-    just how fast.
+    exactly) and ``throughput`` (the median kIPS deltas beyond
+    *tolerance*).  ``throughput_ok`` is false iff some cell's median
+    kIPS regressed (:func:`throughput_regressed`); ``ok`` is true iff
+    both halves pass.  ``deterministic_ok`` false means the two
+    manifests disagree about *what was simulated*, not just how fast.
 
     Both comparisons cover only the cell labels present in **both**
     manifests: the pinned matrix grows over time, so a cell only the
@@ -180,10 +192,15 @@ def compare_bench(baseline: dict, candidate: dict,
         _deterministic_view(baseline, common),
         _deterministic_view(candidate, common),
         tolerance=0.0, ignore=frozenset())
-    throughput = compare_documents(_throughput_view(baseline, common),
-                                   _throughput_view(candidate, common),
+    base_view = _throughput_view(baseline, common)
+    cand_view = _throughput_view(candidate, common)
+    throughput = compare_documents(base_view, cand_view,
                                    tolerance=tolerance,
                                    ignore=frozenset())
+    throughput_ok = not any(
+        throughput_regressed(base_view["kips"][label],
+                             cand_view["kips"][label], tolerance)
+        for label in common)
     return {
         "schema": "repro.bench.compare/1",
         "schema_version": 1,
@@ -195,8 +212,8 @@ def compare_bench(baseline: dict, candidate: dict,
         "deterministic": deterministic,
         "throughput": throughput,
         "deterministic_ok": deterministic["equal"],
-        "throughput_ok": throughput["equal"],
-        "ok": deterministic["equal"] and throughput["equal"],
+        "throughput_ok": throughput_ok,
+        "ok": deterministic["equal"] and throughput_ok,
     }
 
 

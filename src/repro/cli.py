@@ -169,6 +169,39 @@ def _build_named_trace(name: str, scale: str, seed: int | None = None):
     return build_trace(name, scale)
 
 
+def _select_trace(args: argparse.Namespace, seed: int | None = None):
+    """The trace a simulate/critpath/hotspots run analyses: a saved
+    ``--trace-file``, or the named ``--workload`` at ``--scale``.
+    Returns ``(trace, workload, scale, trace_file)``."""
+    if args.trace_file:
+        if seed is not None:
+            raise SystemExit("--seed cannot be combined with --trace-file")
+        return load_trace(args.trace_file), None, None, args.trace_file
+    return (_build_named_trace(args.workload, args.scale, seed),
+            args.workload, args.scale, None)
+
+
+def _write_json(path: str, document: object) -> None:
+    with atomic_write(path) as handle:
+        json.dump(document, handle, indent=2)
+        handle.write("\n")
+
+
+def _ingest(ledger_path: str | None,
+            *entries: tuple[dict | None, str]) -> None:
+    """Ingest each ``(document, source)`` entry that has a document
+    into the active ledger, if any, and report whether the first was
+    new."""
+    if ledger_path is None:
+        return
+    from .obs.ledger import Ledger
+    with Ledger(ledger_path) as ledger:
+        added = [ledger.ingest(document, source=source)
+                 for document, source in entries if document is not None]
+    print(f"ledger: {'ingested into' if added[0] else 'already in'} "
+          f"{ledger_path}", file=sys.stderr)
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     trace = _build_named_trace(args.workload, args.scale, args.seed)
     save_trace(args.output, trace)
@@ -180,20 +213,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     recorder = SpanRecorder("repro simulate") if args.spans else None
-    trace_file = None
     with obs_spans.activate(recorder):
-        if args.trace_file:
-            if args.seed is not None:
-                raise SystemExit("--seed cannot be combined with "
-                                 "--trace-file")
-            trace = load_trace(args.trace_file)
-            workload, scale, trace_file = None, None, args.trace_file
-            label = args.trace_file
-        else:
-            trace = _build_named_trace(args.workload, args.scale,
-                                       args.seed)
-            workload, scale = args.workload, args.scale
-            label = f"{args.workload} ({args.scale})"
+        trace, workload, scale, trace_file = _select_trace(args, args.seed)
+    label = trace_file or f"{workload} ({scale})"
     config = machine(args.config, issue_width=args.issue_width)
     tracer = JsonlTracer(args.events) if args.events else None
     pipe = PipeTrace() if args.pipe_trace else None
@@ -242,9 +264,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             seed=args.seed, trace_file=trace_file, wall_time=wall_time)
         critpath_path = args.critpath or (
             f"CRITPATH_{workload or 'trace'}_{args.config}.json")
-        with atomic_write(critpath_path) as handle:
-            json.dump(critpath_report, handle, indent=2)
-            handle.write("\n")
+        _write_json(critpath_path, critpath_report)
 
     hotspots_path = None
     hotspots_report = None
@@ -256,9 +276,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             disasm=_workload_disasm(workload, scale))
         hotspots_path = args.hotspots or (
             f"HOTSPOTS_{workload or 'trace'}_{args.config}.json")
-        with atomic_write(hotspots_path) as handle:
-            json.dump(hotspots_report, handle, indent=2)
-            handle.write("\n")
+        _write_json(hotspots_path, hotspots_report)
 
     ledger_path = resolve_ledger_path(args.ledger)
     if args.json or ledger_path is not None:
@@ -268,16 +286,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                   wall_time=wall_time,
                                   violations=validator.violations
                                   if validator is not None else None)
-        if ledger_path is not None:
-            from .obs.ledger import Ledger
-            with Ledger(ledger_path) as ledger:
-                added = ledger.ingest(report, source="simulate")
-                if critpath_report is not None:
-                    ledger.ingest(critpath_report, source=critpath_path)
-                if hotspots_report is not None:
-                    ledger.ingest(hotspots_report, source=hotspots_path)
-            print(f"ledger: {'ingested into' if added else 'already in'} "
-                  f"{ledger_path}", file=sys.stderr)
+        _ingest(ledger_path, (report, "simulate"),
+                (critpath_report, critpath_path),
+                (hotspots_report, hotspots_path))
     if args.json:
         print(json.dumps(report, indent=2))
         return 0 if validator is None or validator.ok else 1
@@ -337,12 +348,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_critpath(args: argparse.Namespace) -> int:
     from .obs.critpath import DEFAULT_WINDOW
 
-    if args.trace_file:
-        trace = load_trace(args.trace_file)
-        workload, scale, trace_file = None, None, args.trace_file
-    else:
-        trace = build_trace(args.workload, args.scale)
-        workload, scale, trace_file = args.workload, args.scale, None
+    trace, workload, scale, trace_file = _select_trace(args)
     whatif: list[object] = [WHATIF_PORT]
     for spec in args.whatif or ():
         whatif.append(tuple(part.strip()
@@ -362,17 +368,9 @@ def _cmd_critpath(args: argparse.Namespace) -> int:
                                    trace_file=trace_file,
                                    wall_time=wall_time)
     if args.output:
-        with atomic_write(args.output) as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-    ledger_path = resolve_ledger_path(args.ledger)
-    if ledger_path is not None:
-        from .obs.ledger import Ledger
-        with Ledger(ledger_path) as ledger:
-            added = ledger.ingest(report,
-                                  source=args.output or "critpath")
-        print(f"ledger: {'ingested into' if added else 'already in'} "
-              f"{ledger_path}", file=sys.stderr)
+        _write_json(args.output, report)
+    _ingest(resolve_ledger_path(args.ledger),
+            (report, args.output or "critpath"))
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -397,14 +395,7 @@ def _workload_disasm(name: str | None,
 
 
 def _cmd_hotspots(args: argparse.Namespace) -> int:
-    if args.trace_file:
-        if args.seed is not None:
-            raise SystemExit("--seed cannot be combined with --trace-file")
-        trace = load_trace(args.trace_file)
-        workload, scale, trace_file = None, None, args.trace_file
-    else:
-        trace = _build_named_trace(args.workload, args.scale, args.seed)
-        workload, scale, trace_file = args.workload, args.scale, None
+    trace, workload, scale, trace_file = _select_trace(args, args.seed)
     recorder = HotspotRecorder()
     config = machine(args.config)
     start = time.perf_counter()
@@ -418,17 +409,9 @@ def _cmd_hotspots(args: argparse.Namespace) -> int:
                                    disasm=_workload_disasm(workload,
                                                            scale))
     if args.output:
-        with atomic_write(args.output) as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-    ledger_path = resolve_ledger_path(args.ledger)
-    if ledger_path is not None:
-        from .obs.ledger import Ledger
-        with Ledger(ledger_path) as ledger:
-            added = ledger.ingest(report,
-                                  source=args.output or "hotspots")
-        print(f"ledger: {'ingested into' if added else 'already in'} "
-              f"{ledger_path}", file=sys.stderr)
+        _write_json(args.output, report)
+    _ingest(resolve_ledger_path(args.ledger),
+            (report, args.output or "hotspots"))
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -487,22 +470,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                     wall_time=time.perf_counter() - start,
                     jobs=engine.jobs, trace_cache=cache,
                     engine_summary=engine.last_summary)
-                if ledger_path is not None:
-                    from .obs.ledger import Ledger
-                    with Ledger(ledger_path) as ledger:
-                        added = ledger.ingest(manifest,
-                                              source=f"experiment {exp_id}")
-                    print(f"ledger: {'ingested into' if added else 'already in'} "
-                          f"{ledger_path}", file=sys.stderr)
-                document = json.dumps(manifest, indent=2)
+                _ingest(ledger_path, (manifest, f"experiment {exp_id}"))
                 if args.output:
                     path = os.path.join(
                         args.output, f"{exp_id.lower()}_{args.scale}.json")
-                    with atomic_write(path) as handle:
-                        handle.write(document + "\n")
+                    _write_json(path, manifest)
                     print(f"written to {path}")
                 else:
-                    print(document)
+                    print(json.dumps(manifest, indent=2))
                 continue
             table = ALL_EXPERIMENTS[exp_id](args.scale, engine=engine)
             print(table.render())
@@ -525,19 +500,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
               f"{args.spans} (load in https://ui.perfetto.dev)",
               file=sys.stderr)
     return status
-
-
-def _load_manifest(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise SystemExit(f"error: cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise SystemExit(f"error: {path} is not JSON ({exc})")
-    if not isinstance(document, dict):
-        raise SystemExit(f"error: {path} is not a JSON object")
-    return document
 
 
 def _render_bench(manifest: dict) -> str:
@@ -570,27 +532,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.tolerance < 0:
         raise SystemExit("--tolerance cannot be negative")
 
-    if args.compare and args.candidate:
+    if args.compare:
+        baseline = _read_document(args.compare)
+        if baseline is None:
+            return 2
+    if args.candidate:
         # Pure comparison of two saved manifests; nothing is run.
-        baseline = _load_manifest(args.compare)
-        candidate = _load_manifest(args.candidate)
+        candidate = _read_document(args.candidate)
+        if candidate is None:
+            return 2
         labels = (args.compare, args.candidate)
     else:
-        if args.compare:
-            baseline = _load_manifest(args.compare)
         candidate = run_bench(quick=args.quick, repeats=args.repeats,
                               warmup=args.warmup)
         path = args.output or str(default_bench_path())
-        with atomic_write(path) as handle:
-            json.dump(candidate, handle, indent=2)
-            handle.write("\n")
-        ledger_path = resolve_ledger_path(args.ledger)
-        if ledger_path is not None:
-            from .obs.ledger import Ledger
-            with Ledger(ledger_path) as ledger:
-                added = ledger.ingest(candidate, source=path)
-            print(f"ledger: {'ingested into' if added else 'already in'} "
-                  f"{ledger_path}", file=sys.stderr)
+        _write_json(path, candidate)
+        _ingest(resolve_ledger_path(args.ledger), (candidate, path))
         if args.json:
             print(json.dumps(candidate, indent=2))
         else:
@@ -999,9 +956,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     else:
         print(table.render())
     if args.output:
-        with atomic_write(args.output) as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
+        _write_json(args.output, document)
         print(f"verification table -> {args.output}",
               file=sys.stderr if args.json else sys.stdout)
     return 0 if ok else 1
@@ -1113,7 +1068,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="critical-path bottleneck analysis: CPI stack, top "
              "critical instructions, what-if predictions")
     critpath.add_argument("--workload", default="stream",
-                          help="suite workload to analyse")
+                          help="suite workload, 'os-mix', a scenario "
+                               "(default seed), or 'synthetic'")
     critpath.add_argument("--scale", default="small",
                           choices=("tiny", "small", "full"))
     critpath.add_argument("--trace-file",
@@ -1315,8 +1271,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "comparison report, with --compare) as JSON")
     bench.add_argument("--compare", metavar="BASELINE",
                        help="compare against this saved manifest; exits 1 "
-                            "if throughput regressed beyond --tolerance, "
-                            "2 if simulated results differ")
+                            "if any cell's median kIPS fell more than "
+                            "--tolerance below the baseline's, 2 if "
+                            "simulated results differ or a manifest "
+                            "cannot be read")
     bench.add_argument("--candidate", metavar="PATH",
                        help="with --compare: diff this saved manifest "
                             "instead of running the matrix")

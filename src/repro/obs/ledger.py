@@ -11,8 +11,7 @@ into normalized tables keyed by
 
 so "the same simulation, across code versions" is one indexed query.
 On top of it sit ``repro dash`` (:mod:`repro.obs.dash`) and ``repro
-watch`` (:mod:`repro.obs.watch`), and the ROADMAP's result-cache
-service and design-space autopilot get their result index for free.
+watch`` (:mod:`repro.obs.watch`).
 
 Design rules:
 
@@ -30,8 +29,11 @@ Design rules:
   across versions must not silently collide.  Bench cells only record
   a configuration *name*, so their config digest covers ``{"name":
   ...}``.
-* **Versioned schema.**  ``meta`` carries the ledger schema version;
-  :data:`MIGRATIONS` upgrades older stores in-place on open.
+* **Rebuilt, not migrated.**  ``meta`` carries the ledger schema
+  version, and every other table but ``manifests`` is derived from the
+  stored documents.  A store older than :data:`LEDGER_DB_VERSION` is
+  rebuilt on open by re-ingesting its manifests into the current
+  layout, so a layout change is a version bump and nothing more.
 * **Text export.**  :meth:`Ledger.export_jsonl` /
   :meth:`Ledger.import_jsonl` round-trip the store through a diffable
   JSONL format (one manifest per line, ingest-time metadata
@@ -59,7 +61,7 @@ __all__ = [
     "trace_digest_of",
 ]
 
-#: Current on-disk schema version (see :data:`MIGRATIONS`).
+#: Current on-disk layout version; bump it whenever ``_SCHEMA`` changes.
 LEDGER_DB_VERSION = 4
 
 #: Environment variable naming the default ledger database.
@@ -133,9 +135,11 @@ def _document_code_version(document: dict) -> str | None:
 
 
 # ----------------------------------------------------------------------
-# Schema + migrations
+# Schema
 # ----------------------------------------------------------------------
-_SCHEMA_V1 = """
+#: The one layout.  ``meta`` and ``manifests`` hold what was ingested;
+#: every other table is derived from the stored documents.
+_SCHEMA = """
 CREATE TABLE meta (
     key TEXT PRIMARY KEY,
     value TEXT NOT NULL
@@ -147,7 +151,8 @@ CREATE TABLE manifests (
     schema TEXT NOT NULL,
     code_version TEXT NOT NULL,
     ingested_at TEXT NOT NULL,
-    document TEXT NOT NULL
+    document TEXT NOT NULL,
+    source TEXT
 );
 CREATE TABLE runs (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -224,18 +229,6 @@ CREATE TABLE compares (
     delta_count INTEGER NOT NULL,
     tolerance REAL NOT NULL
 );
-"""
-
-
-def _migrate_1_to_2(conn: sqlite3.Connection) -> None:
-    """v2 records where a manifest came from (``source`` path)."""
-    conn.execute("ALTER TABLE manifests ADD COLUMN source TEXT")
-
-
-def _migrate_2_to_3(conn: sqlite3.Connection) -> None:
-    """v3 ingests ``repro.critpath/1`` manifests (critical-path CPI
-    stacks + what-if predictions from :mod:`repro.obs.critpath`)."""
-    conn.execute("""
 CREATE TABLE critpaths (
     id INTEGER PRIMARY KEY,
     manifest_id INTEGER NOT NULL REFERENCES manifests (id),
@@ -252,24 +245,15 @@ CREATE TABLE critpaths (
     ipc REAL NOT NULL,
     window INTEGER NOT NULL,
     windows INTEGER NOT NULL
-)""")
-    conn.execute("""
+);
 CREATE TABLE critpath_stack (
     id INTEGER PRIMARY KEY,
     critpath_id INTEGER NOT NULL REFERENCES critpaths (id),
     edge_class TEXT NOT NULL,
     cycles INTEGER NOT NULL,
     share REAL NOT NULL
-)""")
-    conn.execute("CREATE INDEX idx_critpaths_key ON critpaths "
-                 "(trace_digest, config_digest)")
-
-
-def _migrate_3_to_4(conn: sqlite3.Connection) -> None:
-    """v4 ingests ``repro.hotspots/1`` manifests (per-PC hotspot
-    attribution from :mod:`repro.obs.hotspots`): one ``hotspots`` row
-    per manifest plus its top per-PC rows in ``hotspot_rows``."""
-    conn.execute("""
+);
+CREATE INDEX idx_critpaths_key ON critpaths (trace_digest, config_digest);
 CREATE TABLE hotspots (
     id INTEGER PRIMARY KEY,
     manifest_id INTEGER NOT NULL REFERENCES manifests (id),
@@ -289,8 +273,7 @@ CREATE TABLE hotspots (
     user_instructions INTEGER NOT NULL,
     kernel_port_conflict INTEGER NOT NULL,
     user_port_conflict INTEGER NOT NULL
-)""")
-    conn.execute("""
+);
 CREATE TABLE hotspot_rows (
     id INTEGER PRIMARY KEY,
     hotspot_id INTEGER NOT NULL REFERENCES hotspots (id),
@@ -304,14 +287,9 @@ CREATE TABLE hotspot_rows (
     stall_total INTEGER NOT NULL,
     port_uses INTEGER NOT NULL,
     misses INTEGER NOT NULL
-)""")
-    conn.execute("CREATE INDEX idx_hotspots_key ON hotspots "
-                 "(trace_digest, config_digest)")
-
-
-#: old version -> upgrade function (applied in order on open).
-MIGRATIONS = {1: _migrate_1_to_2, 2: _migrate_2_to_3,
-              3: _migrate_3_to_4}
+);
+CREATE INDEX idx_hotspots_key ON hotspots (trace_digest, config_digest);
+"""
 
 
 def _db_version(conn: sqlite3.Connection) -> int:
@@ -321,6 +299,40 @@ def _db_version(conn: sqlite3.Connection) -> int:
     if row is None:
         raise LedgerError("ledger database has no schema version")
     return int(row[0])
+
+
+def _identity(report: dict, kind: str, version: str) -> dict:
+    """The columns ``runs``, ``critpaths`` and ``hotspots`` share: the
+    trace and config digests, then the report's code version, input
+    identity, config name and simulated counts."""
+    config = report.get("config")
+    if not isinstance(config, dict):
+        raise LedgerError(f"{kind} report has no config block")
+    cycles = report.get("cycles")
+    instructions = report.get("instructions")
+    if not isinstance(cycles, int) or \
+            not isinstance(instructions, int):
+        raise LedgerError(
+            f"{kind} report lacks integer cycles/instructions; "
+            "cannot ingest")
+    # Back-compat: pre-metrics run reports (no ``metrics`` block,
+    # sometimes no ``ipc``/``host``) still carry the simulated counts;
+    # derive what is derivable instead of rejecting the vintage.
+    ipc = report.get("ipc")
+    if ipc is None:
+        ipc = instructions / cycles if cycles else 0.0
+    workload, scale = report.get("workload"), report.get("scale")
+    seed, trace_file = report.get("seed"), report.get("trace_file")
+    return {
+        "trace_digest": trace_digest_of(workload, scale, seed,
+                                        trace_file),
+        "config_digest": config_digest_of(config),
+        "code_version": _document_code_version(report) or version,
+        "workload": workload, "scale": scale, "seed": seed,
+        "trace_file": trace_file,
+        "config_name": config.get("name", "?"),
+        "cycles": cycles, "instructions": instructions, "ipc": ipc,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -338,8 +350,10 @@ class Ledger:
         os.makedirs(directory, exist_ok=True)
         self._conn = sqlite3.connect(self.path, timeout=timeout)
         self._conn.row_factory = sqlite3.Row
+        self._open()
+        # Foreign keys are enforced only after the open: a rebuild
+        # drops the old tables in whatever order the store lists them.
         self._conn.execute("PRAGMA foreign_keys = ON")
-        self._migrate()
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
@@ -351,26 +365,19 @@ class Ledger:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def _migrate(self) -> None:
-        # BEGIN IMMEDIATE serializes initializers: a second process
-        # opening the same fresh database blocks here (busy timeout)
-        # until the first commits the complete schema, then re-checks.
+    def _open(self) -> None:
+        # BEGIN IMMEDIATE serializes openers: a second process opening
+        # the same fresh or older database blocks here (busy timeout)
+        # until the first commits the complete layout, then re-checks.
         # executescript would be wrong — it autocommits per statement,
         # exposing a half-built schema to concurrent openers.
         self._conn.execute("BEGIN IMMEDIATE")
         try:
-            tables = {row[0] for row in self._conn.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'table'")}
+            tables = [row[0] for row in self._conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table' "
+                "AND name NOT LIKE 'sqlite_%'")]
             if "meta" not in tables:
-                for statement in _SCHEMA_V1.split(";"):
-                    if statement.strip():
-                        self._conn.execute(statement)
-                for old in sorted(MIGRATIONS):
-                    MIGRATIONS[old](self._conn)
-                self._conn.execute(
-                    "INSERT INTO meta (key, value) VALUES "
-                    "('ledger_schema_version', ?)",
-                    (str(LEDGER_DB_VERSION),))
+                self._create()
             else:
                 version = _db_version(self._conn)
                 if version > LEDGER_DB_VERSION:
@@ -378,16 +385,40 @@ class Ledger:
                         f"{self.path} uses ledger schema v{version}; "
                         f"this build understands up to "
                         f"v{LEDGER_DB_VERSION}")
-                while version < LEDGER_DB_VERSION:
-                    MIGRATIONS[version](self._conn)
-                    version += 1
-                    self._conn.execute(
-                        "UPDATE meta SET value = ? WHERE "
-                        "key = 'ledger_schema_version'", (str(version),))
+                if version < LEDGER_DB_VERSION:
+                    self._rebuild(tables)
             self._conn.commit()
         except BaseException:
             self._conn.rollback()
             raise
+
+    def _create(self) -> None:
+        for statement in _SCHEMA.split(";"):
+            if statement.strip():
+                self._conn.execute(statement)
+        self._conn.execute(
+            "INSERT INTO meta (key, value) VALUES "
+            "('ledger_schema_version', ?)", (str(LEDGER_DB_VERSION),))
+
+    def _rebuild(self, tables: list[str]) -> None:
+        """Replace an older layout with the current one, re-ingesting
+        every stored manifest in ``id`` order with its stored source,
+        code version and ingest time (a v1 store records no source)."""
+        stored = [dict(row) for row in self._conn.execute(
+            "SELECT * FROM manifests ORDER BY id")]
+        for table in tables:
+            self._conn.execute(f"DROP TABLE {table}")
+        self._create()
+        for row in stored:
+            try:
+                self._store(json.loads(row["document"]),
+                            row.get("source"), row["code_version"],
+                            row["ingested_at"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise LedgerError(
+                    f"{self.path}: cannot rebuild manifest "
+                    f"{row['digest']} into ledger schema "
+                    f"v{LEDGER_DB_VERSION}: {exc}") from exc
 
     @property
     def db_version(self) -> int:
@@ -405,97 +436,59 @@ class Ledger:
         is used, falling back to ``"unknown"``); ``ingested_at``
         preserves the original timestamp on JSONL import.
         """
-        kind = detect_kind(document)
-        digest = manifest_digest(document)
-        version = (_document_code_version(document) or code_version
-                   or UNKNOWN_VERSION)
-        stamp = ingested_at or datetime.datetime.now(
-            datetime.timezone.utc).isoformat(timespec="seconds")
         try:
             with self._conn:
-                cursor = self._conn.execute(
-                    "INSERT INTO manifests (digest, kind, schema, "
-                    "code_version, ingested_at, document, source) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    (digest, kind, document["schema"], version, stamp,
-                     _canonical(document), source))
-                manifest_id = cursor.lastrowid
-                if kind == "run":
-                    self._ingest_run(manifest_id, 0, document, version)
-                elif kind == "experiment":
-                    self._ingest_experiment(manifest_id, document,
-                                            version)
-                elif kind == "bench":
-                    self._ingest_bench(manifest_id, document, version)
-                elif kind == "critpath":
-                    self._ingest_critpath(manifest_id, document, version)
-                elif kind == "hotspots":
-                    self._ingest_hotspots(manifest_id, document, version)
-                else:
-                    self._ingest_compare(manifest_id, document, version)
+                self._store(document, source, code_version, ingested_at)
         except sqlite3.IntegrityError:
             return False    # lost a race or re-ingested: both no-ops
         return True
 
-    def ingest_file(self, path: str | os.PathLike,
-                    code_version: str | None = None) -> bool:
-        """Load a JSON manifest from *path* and ingest it."""
-        with open(path, encoding="utf-8") as handle:
-            document = json.load(handle)
-        if not isinstance(document, dict):
-            raise LedgerError(f"{path} is not a JSON object")
-        return self.ingest(document, source=os.fspath(path),
-                           code_version=code_version)
+    def _insert(self, table: str, **columns: object) -> int:
+        """Insert one row; returns its id."""
+        cursor = self._conn.execute(
+            f"INSERT INTO {table} ({', '.join(columns)}) "
+            f"VALUES ({', '.join('?' * len(columns))})",
+            tuple(columns.values()))
+        return cursor.lastrowid
 
-    def _ingest_run(self, manifest_id: int, run_index: int,
-                    report: dict, version: str) -> None:
-        config = report.get("config")
-        if not isinstance(config, dict):
-            raise LedgerError("run report has no config block")
-        metrics = report.get("metrics")
+    def _store(self, document: dict, source: str | None,
+               code_version: str | None, ingested_at: str | None) -> None:
+        """Insert *document* and every row derived from it, inside the
+        caller's transaction."""
+        kind = detect_kind(document)
+        version = (_document_code_version(document) or code_version
+                   or UNKNOWN_VERSION)
+        stamp = ingested_at or datetime.datetime.now(
+            datetime.timezone.utc).isoformat(timespec="seconds")
+        manifest_id = self._insert(
+            "manifests", digest=manifest_digest(document), kind=kind,
+            schema=document["schema"], code_version=version,
+            ingested_at=stamp, document=_canonical(document),
+            source=source)
+        derive = {"run": self._ingest_run,
+                  "experiment": self._ingest_experiment,
+                  "bench": self._ingest_bench,
+                  "compare": self._ingest_compare,
+                  "critpath": self._ingest_critpath,
+                  "hotspots": self._ingest_hotspots}[kind]
+        derive(manifest_id, document, version)
+
+    def _ingest_run(self, manifest_id: int, report: dict, version: str,
+                    run_index: int = 0) -> None:
         host = report.get("host") or {}
-        # Back-compat: pre-metrics run reports (no ``metrics`` block,
-        # sometimes no ``ipc``/``host``) still carry the simulated
-        # counts; derive what is derivable and NULL-stamp the rest
-        # instead of rejecting the vintage.
-        cycles = report.get("cycles")
-        instructions = report.get("instructions")
-        if not isinstance(cycles, int) or \
-                not isinstance(instructions, int):
-            raise LedgerError(
-                "run report lacks integer cycles/instructions; "
-                "cannot ingest")
-        ipc = report.get("ipc")
-        if ipc is None:
-            ipc = instructions / cycles if cycles else 0.0
-        self._conn.execute(
-            "INSERT INTO runs (manifest_id, run_index, trace_digest, "
-            "config_digest, code_version, workload, scale, seed, "
-            "trace_file, config_name, cycles, instructions, ipc, "
-            "wall_time_s, sim_ips, has_metrics) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (manifest_id, run_index,
-             trace_digest_of(report.get("workload"), report.get("scale"),
-                             report.get("seed"),
-                             report.get("trace_file")),
-             config_digest_of(config),
-             _document_code_version(report) or version,
-             report.get("workload"), report.get("scale"),
-             report.get("seed"), report.get("trace_file"),
-             config.get("name", "?"), cycles,
-             instructions, ipc,
-             host.get("wall_time_s"), host.get("sim_ips"),
-             1 if metrics else 0))
+        self._insert("runs", manifest_id=manifest_id, run_index=run_index,
+                     **_identity(report, "run", version),
+                     wall_time_s=host.get("wall_time_s"),
+                     sim_ips=host.get("sim_ips"),
+                     has_metrics=1 if report.get("metrics") else 0)
 
     def _ingest_experiment(self, manifest_id: int, manifest: dict,
                            version: str) -> None:
         table = manifest.get("table") or {}
-        cursor = self._conn.execute(
-            "INSERT INTO experiments (manifest_id, experiment, scale, "
-            "code_version, title) VALUES (?, ?, ?, ?, ?)",
-            (manifest_id, manifest["experiment"], manifest["scale"],
-             version, table.get("title")))
-        experiment_id = cursor.lastrowid
+        experiment_id = self._insert(
+            "experiments", manifest_id=manifest_id,
+            experiment=manifest["experiment"], scale=manifest["scale"],
+            code_version=version, title=table.get("title"))
         columns = table.get("columns") or []
         for row in table.get("rows") or []:
             if not row:
@@ -505,83 +498,49 @@ class Ledger:
                 number = (float(value)
                           if isinstance(value, (int, float))
                           and not isinstance(value, bool) else None)
-                self._conn.execute(
-                    "INSERT INTO experiment_cells (experiment_id, "
-                    "row_label, column_name, number, text) "
-                    "VALUES (?, ?, ?, ?, ?)",
-                    (experiment_id, row_label, str(name), number,
-                     None if number is not None else str(value)))
+                self._insert(
+                    "experiment_cells", experiment_id=experiment_id,
+                    row_label=row_label, column_name=str(name),
+                    number=number,
+                    text=None if number is not None else str(value))
         for index, report in enumerate(manifest.get("runs") or ()):
-            self._ingest_run(manifest_id, index, report, version)
+            self._ingest_run(manifest_id, report, version, index)
 
     def _ingest_bench(self, manifest_id: int, manifest: dict,
                       version: str) -> None:
         host = manifest.get("host") or {}
-        cursor = self._conn.execute(
-            "INSERT INTO bench (manifest_id, mode, code_version, "
-            "hostname) VALUES (?, ?, ?, ?)",
-            (manifest_id, manifest.get("mode", "?"), version,
-             host.get("hostname")))
-        bench_id = cursor.lastrowid
+        bench_id = self._insert(
+            "bench", manifest_id=manifest_id,
+            mode=manifest.get("mode", "?"), code_version=version,
+            hostname=host.get("hostname"))
         for cell in manifest.get("results") or ():
-            self._conn.execute(
-                "INSERT INTO bench_cells (bench_id, label, "
-                "trace_digest, config_digest, workload, scale, "
-                "config_name, instructions, cycles, ipc, kips_median, "
-                "kips_iqr, seconds_median) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (bench_id, cell["label"],
-                 trace_digest_of(cell["workload"], cell["scale"],
-                                 None, None),
-                 config_digest_of({"name": cell["config"]}),
-                 cell["workload"], cell["scale"], cell["config"],
-                 cell["instructions"], cell["cycles"], cell["ipc"],
-                 cell["kips"]["median"], cell["kips"]["iqr"],
-                 cell["seconds"]["median"]))
+            self._insert(
+                "bench_cells", bench_id=bench_id, label=cell["label"],
+                trace_digest=trace_digest_of(cell["workload"],
+                                             cell["scale"], None, None),
+                config_digest=config_digest_of({"name": cell["config"]}),
+                workload=cell["workload"], scale=cell["scale"],
+                config_name=cell["config"],
+                instructions=cell["instructions"], cycles=cell["cycles"],
+                ipc=cell["ipc"], kips_median=cell["kips"]["median"],
+                kips_iqr=cell["kips"]["iqr"],
+                seconds_median=cell["seconds"]["median"])
 
     def _ingest_critpath(self, manifest_id: int, report: dict,
                          version: str) -> None:
-        config = report.get("config")
-        if not isinstance(config, dict):
-            raise LedgerError("critpath report has no config block")
-        cycles = report.get("cycles")
-        instructions = report.get("instructions")
-        if not isinstance(cycles, int) or \
-                not isinstance(instructions, int):
-            raise LedgerError(
-                "critpath report lacks integer cycles/instructions; "
-                "cannot ingest")
-        ipc = report.get("ipc")
-        if ipc is None:
-            ipc = instructions / cycles if cycles else 0.0
-        cursor = self._conn.execute(
-            "INSERT INTO critpaths (manifest_id, trace_digest, "
-            "config_digest, code_version, workload, scale, seed, "
-            "trace_file, config_name, cycles, instructions, ipc, "
-            "window, windows) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (manifest_id,
-             trace_digest_of(report.get("workload"), report.get("scale"),
-                             report.get("seed"),
-                             report.get("trace_file")),
-             config_digest_of(config),
-             _document_code_version(report) or version,
-             report.get("workload"), report.get("scale"),
-             report.get("seed"), report.get("trace_file"),
-             config.get("name", "?"), cycles, instructions, ipc,
-             int(report.get("window") or 0),
-             int(report.get("windows") or 0)))
-        critpath_id = cursor.lastrowid
+        identity = _identity(report, "critpath", version)
+        critpath_id = self._insert(
+            "critpaths", manifest_id=manifest_id, **identity,
+            window=int(report.get("window") or 0),
+            windows=int(report.get("windows") or 0))
         stack = report.get("stack")
         if not isinstance(stack, dict):
             raise LedgerError("critpath report has no stack block")
-        total = cycles or 1
+        total = identity["cycles"] or 1
         for edge_class, charged in stack.items():
-            self._conn.execute(
-                "INSERT INTO critpath_stack (critpath_id, edge_class, "
-                "cycles, share) VALUES (?, ?, ?, ?)",
-                (critpath_id, edge_class, int(charged),
-                 int(charged) / total))
+            self._insert("critpath_stack", critpath_id=critpath_id,
+                         edge_class=edge_class, cycles=int(charged),
+                         share=int(charged) / total)
 
     #: per-PC rows normalized per hotspots manifest (the full row set
     #: stays in the stored document).
@@ -589,74 +548,43 @@ class Ledger:
 
     def _ingest_hotspots(self, manifest_id: int, report: dict,
                          version: str) -> None:
-        config = report.get("config")
-        if not isinstance(config, dict):
-            raise LedgerError("hotspots report has no config block")
-        cycles = report.get("cycles")
-        instructions = report.get("instructions")
-        if not isinstance(cycles, int) or \
-                not isinstance(instructions, int):
-            raise LedgerError(
-                "hotspots report lacks integer cycles/instructions; "
-                "cannot ingest")
-        ipc = report.get("ipc")
-        if ipc is None:
-            ipc = instructions / cycles if cycles else 0.0
+        identity = _identity(report, "hotspots", version)
         rows = report.get("rows")
         if not isinstance(rows, list):
             raise LedgerError("hotspots report has no rows block")
         split = report.get("split") or {}
         kernel = split.get("kernel") or {}
         user = split.get("user") or {}
-        cursor = self._conn.execute(
-            "INSERT INTO hotspots (manifest_id, trace_digest, "
-            "config_digest, code_version, workload, scale, seed, "
-            "trace_file, config_name, cycles, instructions, ipc, "
-            "static_pcs, kernel_instructions, user_instructions, "
-            "kernel_port_conflict, user_port_conflict) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (manifest_id,
-             trace_digest_of(report.get("workload"), report.get("scale"),
-                             report.get("seed"),
-                             report.get("trace_file")),
-             config_digest_of(config),
-             _document_code_version(report) or version,
-             report.get("workload"), report.get("scale"),
-             report.get("seed"), report.get("trace_file"),
-             config.get("name", "?"), cycles, instructions, ipc,
-             len(rows),
-             int(kernel.get("executions") or 0),
-             int(user.get("executions") or 0),
-             int(kernel.get("port_conflict_slots") or 0),
-             int(user.get("port_conflict_slots") or 0)))
-        hotspot_id = cursor.lastrowid
+        hotspot_id = self._insert(
+            "hotspots", manifest_id=manifest_id, **identity,
+            static_pcs=len(rows),
+            kernel_instructions=int(kernel.get("executions") or 0),
+            user_instructions=int(user.get("executions") or 0),
+            kernel_port_conflict=int(kernel.get("port_conflict_slots")
+                                     or 0),
+            user_port_conflict=int(user.get("port_conflict_slots") or 0))
         # Manifest rows arrive ranked by port-conflict slots already.
         for rank, row in enumerate(rows[:self._HOTSPOT_ROW_LIMIT]):
             dcache = row.get("dcache") or {}
             stall = row.get("stall") or {}
-            self._conn.execute(
-                "INSERT INTO hotspot_rows (hotspot_id, rank, pc, "
-                "kernel, kind, disasm, executions, "
-                "port_conflict_slots, stall_total, port_uses, misses) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (hotspot_id, rank, int(row["pc"]),
-                 1 if row.get("kernel") else 0,
-                 str(row.get("kind", "?")), row.get("disasm"),
-                 int(row["executions"]),
-                 int(stall.get("dcache_port") or 0),
-                 int(row.get("stall_total") or 0),
-                 int(dcache.get("port_uses") or 0),
-                 int(dcache.get("load_misses") or 0)
-                 + int(dcache.get("store_misses") or 0)))
+            self._insert(
+                "hotspot_rows", hotspot_id=hotspot_id, rank=rank,
+                pc=int(row["pc"]), kernel=1 if row.get("kernel") else 0,
+                kind=str(row.get("kind", "?")), disasm=row.get("disasm"),
+                executions=int(row["executions"]),
+                port_conflict_slots=int(stall.get("dcache_port") or 0),
+                stall_total=int(row.get("stall_total") or 0),
+                port_uses=int(dcache.get("port_uses") or 0),
+                misses=int(dcache.get("load_misses") or 0)
+                + int(dcache.get("store_misses") or 0))
 
     def _ingest_compare(self, manifest_id: int, report: dict,
                         version: str) -> None:
-        self._conn.execute(
-            "INSERT INTO compares (manifest_id, code_version, equal, "
-            "delta_count, tolerance) VALUES (?, ?, ?, ?, ?)",
-            (manifest_id, version, 1 if report.get("equal") else 0,
-             len(report.get("deltas") or ()),
-             float(report.get("tolerance") or 0.0)))
+        self._insert("compares", manifest_id=manifest_id,
+                     code_version=version,
+                     equal=1 if report.get("equal") else 0,
+                     delta_count=len(report.get("deltas") or ()),
+                     tolerance=float(report.get("tolerance") or 0.0))
 
     # -- queries -------------------------------------------------------
     def counts(self) -> dict[str, int]:
@@ -827,30 +755,6 @@ class Ledger:
             (entry["id"],))]
         return entry
 
-    def experiment_names(self) -> list[str]:
-        return [row[0] for row in self._conn.execute(
-            "SELECT DISTINCT experiment FROM experiments "
-            "ORDER BY experiment")]
-
-    def experiment_latest(self, experiment: str,
-                          scale: str | None = None) -> dict | None:
-        """The latest stored table (``Table.as_dict`` shape) for an
-        experiment, plus its code version, or None."""
-        sql = ("SELECT m.document, m.code_version, e.scale "
-               "FROM experiments e "
-               "JOIN manifests m ON e.manifest_id = m.id "
-               "WHERE e.experiment = ?")
-        params: list[object] = [experiment]
-        if scale is not None:
-            sql += " AND e.scale = ?"
-            params.append(scale)
-        sql += " ORDER BY m.id DESC LIMIT 1"
-        row = self._conn.execute(sql, params).fetchone()
-        if row is None:
-            return None
-        return {"table": json.loads(row[0]).get("table"),
-                "code_version": row[1], "scale": row[2]}
-
     def experiment_history(self, experiment: str, row_label: str,
                            column_name: str,
                            scale: str | None = None) -> list[dict]:
@@ -870,46 +774,6 @@ class Ledger:
             params.append(scale)
         sql += " ORDER BY m.id"
         return [dict(row) for row in self._conn.execute(sql, params)]
-
-    def pareto(self, experiment: str, x_column: str, y_column: str,
-               minimize_x: bool = True, maximize_y: bool = True,
-               scale: str | None = None) -> list[dict]:
-        """The Pareto-efficient rows of an experiment's latest table
-        over two numeric columns (the design-space-autopilot slice:
-        e.g. port cost vs IPC).  Rows missing either value are
-        skipped."""
-        latest = self.experiment_latest(experiment, scale)
-        if latest is None or not latest.get("table"):
-            return []
-        table = latest["table"]
-        columns = table.get("columns") or []
-        try:
-            x_index = columns.index(x_column)
-            y_index = columns.index(y_column)
-        except ValueError:
-            return []
-        points = []
-        for row in table.get("rows") or []:
-            if len(row) <= max(x_index, y_index):
-                continue
-            x, y = row[x_index], row[y_index]
-            if not all(isinstance(v, (int, float))
-                       and not isinstance(v, bool) for v in (x, y)):
-                continue
-            points.append({"row": str(row[0]), "x": float(x),
-                           "y": float(y)})
-        sign_x = 1.0 if minimize_x else -1.0
-        sign_y = -1.0 if maximize_y else 1.0
-
-        def dominates(p: dict, q: dict) -> bool:
-            return (sign_x * p["x"] <= sign_x * q["x"]
-                    and sign_y * p["y"] <= sign_y * q["y"]
-                    and (p["x"] != q["x"] or p["y"] != q["y"]))
-
-        frontier = [p for p in points
-                    if not any(dominates(q, p) for q in points)]
-        frontier.sort(key=lambda p: sign_x * p["x"])
-        return frontier
 
     # -- JSONL export / import -----------------------------------------
     def export_jsonl(self, path: str | os.PathLike) -> int:

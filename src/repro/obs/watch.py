@@ -4,8 +4,8 @@
 report, a ``repro.bench/1`` manifest, or every run embedded in a
 ``repro.experiment/1`` manifest — against the **median of the last N
 ledger entries for the same key** (same bench-cell label, or same
-``(trace_digest, config_digest)``), and splits the verdict the same
-way ``repro bench --compare`` does:
+``(trace_digest, config_digest)``), and splits the verdict in the same
+two halves as ``repro bench --compare``:
 
 * **determinism** — the candidate's simulated ``instructions`` /
   ``cycles`` / ``ipc`` must match the newest history entry *exactly*;
@@ -18,9 +18,10 @@ way ``repro bench --compare`` does:
 
 Keys with no history are reported as ``new`` and never gate; a
 candidate already in the ledger is excluded from its own baseline.
-The tolerance default is :data:`repro.bench.compare.DEFAULT_TOLERANCE`,
-so the watchdog and ``repro bench --compare`` agree on what counts as
-a regression.
+The rule is :func:`repro.bench.compare.throughput_regressed` and the
+tolerance default :data:`repro.bench.compare.DEFAULT_TOLERANCE`, so
+the watchdog and ``repro bench --compare`` agree on what counts as a
+regression.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ def _check(label: str, history: list[dict], deterministic: dict,
            tolerance: float, rate_unit: str) -> dict:
     """One key's verdict.  *deterministic* maps field -> (candidate,
     latest) pairs; rates are candidate-vs-window-median."""
+    from ..bench.compare import throughput_regressed  # lazy: see above
     check: dict[str, object] = {"label": label,
                                 "history": len(history)}
     if not history:
@@ -92,7 +94,7 @@ def _check(label: str, history: list[dict], deterministic: dict,
             f"insufficient history ({len(history_rates)} < "
             f"{MIN_HISTORY} entries); not gating")
         return check
-    if baseline and candidate_rate < baseline * (1.0 - tolerance):
+    if throughput_regressed(baseline, candidate_rate, tolerance):
         check["status"] = "regression"
     else:
         check["status"] = "ok"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 
 import pytest
 
@@ -19,7 +20,12 @@ from repro.bench import (compare_bench, default_bench_path,
                          validate_bench_manifest)
 from repro.bench.harness import FULL_MATRIX, QUICK_MATRIX, _iqr, _median
 from repro.cli import main
+from repro.obs.ledger import Ledger
 from repro.obs.report import SchemaError
+from repro.obs.watch import watch_document
+
+BASELINE_CI = os.path.join(os.path.dirname(__file__), os.pardir,
+                           "benchmarks", "baseline_ci.json")
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +217,46 @@ class TestCompare:
         assert "DIFFER" in rendering
 
 
+def _at_kips(manifest, kips, code_version):
+    """*manifest* with every cell's median kIPS set to *kips*."""
+    variant = copy.deepcopy(manifest)
+    variant["code_version"] = code_version
+    for cell in variant["results"]:
+        cell["kips"]["median"] = kips
+    return variant
+
+
+class TestThroughputRule:
+    """``bench --compare`` and ``repro watch`` share one verdict: a rate
+    regressed when it fell below ``baseline * (1 - tolerance)``."""
+
+    @pytest.mark.parametrize("baseline, candidate, tolerance, regressed", [
+        (100.0, 100.0, 0.1, False),
+        (100.0, 95.0, 0.1, False),
+        (100.0, 89.0, 0.1, True),
+        (100.0, 50.0, 0.1, True),
+        (100.0, 200.0, 0.1, False),
+        (100.0, 99.0, 0.0, True),
+        (100.0, 150.0, 0.0, False),
+        (100.0, 60.0, 0.5, False),
+    ])
+    def test_compare_and_watch_agree(self, tmp_path, baseline, candidate,
+                                     tolerance, regressed):
+        with open(BASELINE_CI, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        base = _at_kips(manifest, baseline, "base")
+        cand = _at_kips(manifest, candidate, "cand")
+        assert compare_bench(base, cand, tolerance)["throughput_ok"] \
+            is not regressed
+        with Ledger(tmp_path / "led.sqlite") as ledger:
+            # Two entries at the baseline rate arm watch's gate.
+            ledger.ingest(base)
+            ledger.ingest(_at_kips(manifest, baseline, "base2"))
+            report = watch_document(ledger, cand, tolerance=tolerance)
+        assert report["determinism_ok"]
+        assert report["throughput_ok"] is not regressed
+
+
 class TestCli:
     def test_quick_json_writes_validating_manifest(self, tmp_path,
                                                    capsys):
@@ -266,6 +312,18 @@ class TestCli:
     def test_candidate_requires_compare(self):
         with pytest.raises(SystemExit):
             main(["bench", "--candidate", "x.json"])
+
+    def test_unreadable_or_non_object_baseline_exits_2(self, tmp_path,
+                                                       capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["bench", "--compare", missing,
+                     "--candidate", BASELINE_CI]) == 2
+        assert "cannot read" in capsys.readouterr().err
+        array = tmp_path / "array.json"
+        array.write_text("[1, 2]")
+        assert main(["bench", "--compare", str(array),
+                     "--candidate", BASELINE_CI]) == 2
+        assert "not a JSON object" in capsys.readouterr().err
 
     def test_invalid_baseline_exits_2(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"

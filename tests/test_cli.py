@@ -221,6 +221,19 @@ class TestCritPathCli:
         with Ledger(db) as ledger:
             assert ledger.counts()["critpaths"] == 1
 
+    def test_scenario_workload(self, capsys):
+        import json
+        from repro.obs import validate_critpath_report
+        assert main(["critpath", "--workload", "iostorm", "--scale",
+                     "tiny", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        validate_critpath_report(report)
+        assert report["workload"] == "iostorm"
+
+    def test_unknown_workload_is_a_clean_error(self):
+        with pytest.raises(SystemExit, match="see 'repro workloads'"):
+            main(["critpath", "--workload", "nosuch", "--scale", "tiny"])
+
     def test_extra_whatif_scenario(self, capsys):
         assert main(["critpath", "--workload", "stream", "--scale",
                      "tiny", "--whatif", "branch,fetch"]) == 0

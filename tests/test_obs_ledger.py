@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import shutil
 import sqlite3
 
 import pytest
@@ -10,8 +11,8 @@ import pytest
 from repro.cli import main
 from repro.core import simulate
 from repro.obs import build_run_report
-from repro.obs.ledger import (LEDGER_DB_VERSION, _SCHEMA_V1, Ledger,
-                              LedgerError, config_digest_of, detect_kind,
+from repro.obs.ledger import (LEDGER_DB_VERSION, Ledger, LedgerError,
+                              config_digest_of, detect_kind,
                               manifest_digest, resolve_ledger_path,
                               trace_digest_of)
 from repro.obs.watch import exit_code, render_watch, watch_document
@@ -22,6 +23,22 @@ BASELINE_CI = os.path.join(os.path.dirname(__file__), os.pardir,
                            "benchmarks", "baseline_ci.json")
 SEED_JSONL = os.path.join(os.path.dirname(__file__), os.pardir,
                           "benchmarks", "ledger_seed.jsonl")
+COMMITTED_LEDGER = os.path.join(os.path.dirname(__file__), os.pardir,
+                                "benchmarks", "ledger.sqlite")
+
+
+def _table_rows(path):
+    """Every table's rows (ids included) in rowid order."""
+    conn = sqlite3.connect(path)
+    try:
+        names = [row[0] for row in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table' "
+            "ORDER BY name")]
+        return {name: conn.execute(
+            f"SELECT * FROM {name} ORDER BY rowid").fetchall()
+            for name in names}
+    finally:
+        conn.close()
 
 
 @pytest.fixture(scope="module")
@@ -290,13 +307,25 @@ class TestHotspotsLedger:
 
 class TestMigration:
     @staticmethod
-    def _build_v1(path):
+    def _set_version(path, version):
         conn = sqlite3.connect(path)
-        conn.executescript(_SCHEMA_V1)
-        conn.execute("INSERT INTO meta (key, value) VALUES "
-                     "('ledger_schema_version', '1')")
+        conn.execute("UPDATE meta SET value = ? WHERE "
+                     "key = 'ledger_schema_version'", (str(version),))
         conn.commit()
         conn.close()
+
+    @classmethod
+    def _build_v1(cls, path):
+        # A v1 store is today's layout without what v2-v4 added.
+        Ledger(path).close()
+        conn = sqlite3.connect(path)
+        for table in ("critpath_stack", "critpaths", "hotspot_rows",
+                      "hotspots"):
+            conn.execute(f"DROP TABLE {table}")
+        conn.execute("ALTER TABLE manifests DROP COLUMN source")
+        conn.commit()
+        conn.close()
+        cls._set_version(path, 1)
 
     def test_fresh_db_is_current(self, tmp_path):
         with Ledger(tmp_path / "led.sqlite") as ledger:
@@ -328,15 +357,15 @@ class TestMigration:
         with Ledger(path) as ledger:
             assert ledger.db_version == LEDGER_DB_VERSION
             assert ledger.counts()["manifests"] == 1
-            # the pre-migration row reads back with a NULL source
+            # the v1 row reads back after the rebuild
             assert ledger.document(manifest_digest(bench_manifest)) \
                 == bench_manifest
-            # and the migrated store still ingests idempotently
+            # and the rebuilt store still ingests idempotently
             assert ledger.ingest(bench_manifest) is False
 
     def test_v1_chain_migration_gains_critpath_tables(
             self, tmp_path, critpath_manifest):
-        # v1 -> v2 -> v3 runs in one open; the v3 tables must exist
+        # A v1 store rebuilds in one open; the v3 tables must exist
         # and accept a real critpath manifest afterwards.
         path = tmp_path / "old.sqlite"
         self._build_v1(path)
@@ -351,7 +380,7 @@ class TestMigration:
 
     def test_v1_chain_migration_gains_hotspot_tables(
             self, tmp_path, hotspots_manifest):
-        # v1 -> ... -> v4 runs in one open; the v4 tables must exist
+        # A v1 store rebuilds in one open; the v4 tables must exist
         # and accept a real hotspots manifest afterwards.
         path = tmp_path / "old.sqlite"
         self._build_v1(path)
@@ -365,9 +394,8 @@ class TestMigration:
 
     def test_committed_ledger_migrates_in_place(self, tmp_path,
                                                 hotspots_manifest):
-        # The repo's seeded ledger (v3 at the time this landed) must
-        # migrate on open without disturbing existing rows.
-        import shutil
+        # The repo's seeded ledger (v2) must open without disturbing
+        # existing rows.
         seed = os.path.join(os.path.dirname(__file__), os.pardir,
                             "benchmarks", "ledger.sqlite")
         path = tmp_path / "seeded.sqlite"
@@ -392,14 +420,57 @@ class TestMigration:
                 == before["runs"][0]
             assert ledger.ingest(hotspots_manifest) is True
 
-    def test_newer_db_rejected(self, tmp_path):
-        path = tmp_path / "future.sqlite"
+    def test_committed_v2_ledger_rebuilds_as_a_fresh_ingest(self,
+                                                             tmp_path):
+        # Opening the committed v2 store re-derives every table from
+        # its stored documents: row for row, ids included, it must
+        # equal a fresh store fed the same documents and metadata, and
+        # keep every row the v2 store had derived.
+        path = tmp_path / "v2.sqlite"
+        shutil.copyfile(COMMITTED_LEDGER, path)
+        before = _table_rows(path)
+        assert before["meta"] == [("ledger_schema_version", "2")]
+        Ledger(path).close()
+        rebuilt = _table_rows(path)
+        fresh = tmp_path / "fresh.sqlite"
+        with Ledger(fresh) as ledger:
+            for (_, _, _, _, version, stamp, document,
+                 source) in before["manifests"]:
+                ledger.ingest(json.loads(document), source=source,
+                              code_version=version, ingested_at=stamp)
+        assert rebuilt == _table_rows(fresh)
+        for table, rows in before.items():
+            if table != "meta":
+                assert rebuilt[table] == rows, table
+
+    def test_unrebuildable_store_raises_and_is_left_untouched(
+            self, tmp_path, run_reports):
+        path = tmp_path / "old.sqlite"
+        self._build_v1(path)
+        broken = copy.deepcopy(run_reports[0])
+        del broken["cycles"]
+        digest = manifest_digest(broken)
         conn = sqlite3.connect(path)
-        conn.executescript(_SCHEMA_V1)
-        conn.execute("INSERT INTO meta (key, value) VALUES "
-                     "('ledger_schema_version', '99')")
+        conn.execute(
+            "INSERT INTO manifests (digest, kind, schema, code_version, "
+            "ingested_at, document) VALUES (?, 'run', 'repro.run/1', "
+            "'old', '2026-01-01T00:00:00+00:00', ?)",
+            (digest, json.dumps(broken, sort_keys=True,
+                                separators=(",", ":"))))
         conn.commit()
         conn.close()
+        image = path.read_bytes()
+        with pytest.raises(LedgerError) as excinfo:
+            Ledger(path)
+        message = str(excinfo.value)
+        assert str(path) in message and digest in message
+        assert "cycles/instructions" in message
+        assert path.read_bytes() == image
+
+    def test_newer_db_rejected(self, tmp_path):
+        path = tmp_path / "future.sqlite"
+        Ledger(path).close()
+        self._set_version(path, 99)
         with pytest.raises(LedgerError):
             Ledger(path)
 
