@@ -19,9 +19,17 @@ module is a flattened re-statement of the same machine:
 * per-record decode work (opclass index, fetch block, cache line /
   chunk / byte mask, the dependence-wiring plan) is precomputed from
   the trace's columns (:class:`repro.trace.io.Trace`) by vector ops,
-  into flat int lists, without building a record;
+  into flat int lists, without building a record.  A memo of the last
+  four traces run builds what the trace alone determines once per
+  trace and each geometry's columns once per geometry, so timing one
+  trace on many machines pays for one precompute (:class:`_Precompute`);
 * functional-unit arbitration uses per-opclass int-indexed arrays, so
-  the issue loop never hashes an enum;
+  the issue loop never hashes an enum, and counts a class's use only
+  when the class can run out in a cycle;
+* per-cycle bookkeeping scales with the work done: the active-load
+  list takes each load, in ``seq`` order, when its address resolves,
+  and fetch and decode compute their bounds once per cycle, not once
+  per instruction;
 * statistics, the stall ledger and the load-latency histogram
   accumulate in plain local ints/dicts and are flushed into the real
   :class:`Stats` / :class:`StallLedger` / :class:`Histogram` objects
@@ -119,45 +127,102 @@ _K_JUMP = 2
 _K_SERIALIZE = 3
 
 
+class _Precompute:
+    """Everything derivable from one trace's records, as flat int lists,
+    so the cycle loop never touches a record.  Reads the trace's columns
+    (a plain record list is encoded first) with vector ops.
+
+    What the trace alone determines (opclass, fetch kind, jump decode,
+    pc, next pc, taken, load/store, producers) is built here, once.
+    What a geometry adds (the fetch block for an I-cache's
+    ``fetch_bytes``; the D-cache line, chunk and byte mask) is built on
+    a geometry's first use and kept per value, so one entry serves
+    every machine a sweep runs the trace on.  Holds a strong reference
+    to the trace, which keeps an ``id()`` key on it safe.
+    """
+
+    __slots__ = ("trace", "_columns", "_static", "_blocks", "_shifted",
+                 "_masks")
+
+    def __init__(self, trace: Sequence["TraceRecord"]) -> None:
+        self.trace = trace
+        self._columns = columns = as_trace(trace)
+        pc = columns.pc
+        next_pc = columns.next_pc
+        opclass = columns.opclass
+        flags = columns.flags
+        is_load = (flags & F_LOAD) != 0
+        is_store = (flags & F_STORE) != 0
+        control = (flags & F_CONTROL) != 0
+        branch = opclass == _OPC_INDEX[OpClass.BRANCH]
+        system = opclass == _OPC_INDEX[OpClass.SYSTEM]
+        serializes = (next_pc != pc + 4) | (system
+                                            & ((flags & F_SERIALIZES) != 0))
+        kind = np.where(control, np.where(branch, _K_BRANCH, _K_JUMP),
+                        np.where(serializes, _K_SERIALIZE, _K_PLAIN))
+        jdec = control & ~branch & ((flags & F_REDIRECT) != 0)
+        r_prod, r_is_prod = _producers(columns, is_store)
+        self._static = (opclass.tolist(), kind.tolist(), jdec.tolist(),
+                        pc.tolist(), next_pc.tolist(),
+                        ((flags & F_TAKEN) != 0).tolist(), is_load.tolist(),
+                        is_store.tolist(), r_prod, r_is_prod)
+        self._blocks: dict[int, list] = {}    # by fetch_bytes
+        self._shifted: dict[int, list] = {}   # address >> shift, by shift
+        self._masks: dict[int, list] = {}     # by line size
+
+    def lists(self, line_shift: int, chunk_shift: int, line_size: int,
+              fetch_bytes: int) -> tuple:
+        """The fourteen lists :func:`run_fast` unpacks, for one
+        geometry."""
+        (opclass, kind, jdec, pc, next_pc, taken, is_load, is_store,
+         r_prod, r_is_prod) = self._static
+        blocks = self._blocks.get(fetch_bytes)
+        if blocks is None:
+            blocks = self._blocks[fetch_bytes] = \
+                (self._columns.pc // fetch_bytes).tolist()
+        return (opclass, kind, jdec, pc, next_pc, taken, blocks, is_load,
+                is_store, self._shift(line_shift), self._shift(chunk_shift),
+                self._mask(line_size), r_prod, r_is_prod)
+
+    def _accesses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each record's access address and size, 0 for a record that
+        does not access memory."""
+        columns = self._columns
+        is_mem = (columns.flags & (F_LOAD | F_STORE)) != 0
+        return (np.where(is_mem, columns.mem_addr, 0),
+                np.where(is_mem, columns.mem_size, 0).astype(np.uint64))
+
+    def _shift(self, shift: int) -> list:
+        shifted = self._shifted.get(shift)
+        if shifted is None:
+            address, _ = self._accesses()
+            shifted = self._shifted[shift] = (address >> shift).tolist()
+        return shifted
+
+    def _mask(self, line_size: int) -> list:
+        mask = self._masks.get(line_size)
+        if mask is not None:
+            return mask
+        address, size = self._accesses()
+        offset = address & (line_size - 1)
+        if np.any(offset + size > line_size):
+            raise ValueError("access crosses the line boundary")
+        if line_size <= 64:
+            one = np.uint64(1)
+            mask = (((one << size) - one) << offset).tolist()
+        else:  # masks wider than 64 bits
+            mask = [((1 << width) - 1) << shift for width, shift
+                    in zip(size.tolist(), offset.tolist())]
+        self._masks[line_size] = mask
+        return mask
+
+
 def _precompute(trace: Sequence["TraceRecord"], line_shift: int,
                 chunk_shift: int, line_size: int,
                 fetch_bytes: int) -> tuple:
-    """Everything derivable from a record alone, as flat int lists, so
-    the cycle loop never touches a record.  Reads the trace's columns
-    (a plain record list is encoded first) with vector ops."""
-    columns = as_trace(trace)
-    pc = columns.pc
-    next_pc = columns.next_pc
-    opclass = columns.opclass
-    flags = columns.flags
-    is_load = (flags & F_LOAD) != 0
-    is_store = (flags & F_STORE) != 0
-    is_mem = is_load | is_store
-    address = np.where(is_mem, columns.mem_addr, 0)
-    size = np.where(is_mem, columns.mem_size, 0).astype(np.uint64)
-    offset = address & (line_size - 1)
-    if np.any(offset + size > line_size):
-        raise ValueError("access crosses the line boundary")
-    if line_size <= 64:
-        one = np.uint64(1)
-        mask = (((one << size) - one) << offset).tolist()
-    else:  # masks wider than 64 bits
-        mask = [((1 << width) - 1) << shift for width, shift
-                in zip(size.tolist(), offset.tolist())]
-    control = (flags & F_CONTROL) != 0
-    branch = opclass == _OPC_INDEX[OpClass.BRANCH]
-    system = opclass == _OPC_INDEX[OpClass.SYSTEM]
-    serializes = (next_pc != pc + 4) | (system
-                                        & ((flags & F_SERIALIZES) != 0))
-    kind = np.where(control, np.where(branch, _K_BRANCH, _K_JUMP),
-                    np.where(serializes, _K_SERIALIZE, _K_PLAIN))
-    jdec = control & ~branch & ((flags & F_REDIRECT) != 0)
-    r_prod, r_is_prod = _producers(columns, is_store)
-    return (opclass.tolist(), kind.tolist(), jdec.tolist(), pc.tolist(),
-            next_pc.tolist(), ((flags & F_TAKEN) != 0).tolist(),
-            (pc // fetch_bytes).tolist(), is_load.tolist(),
-            is_store.tolist(), (address >> line_shift).tolist(),
-            (address >> chunk_shift).tolist(), mask, r_prod, r_is_prod)
+    """:meth:`_Precompute.lists` of a fresh precompute of *trace*."""
+    return _Precompute(trace).lists(line_shift, chunk_shift, line_size,
+                                    fetch_bytes)
 
 
 def _producers(columns: Trace, is_store: np.ndarray) -> tuple[list, list]:
@@ -212,11 +277,10 @@ def _producers(columns: Trace, is_store: np.ndarray) -> tuple[list, list]:
     return pairs, is_producer.tolist()
 
 
-#: Memo for :func:`_precompute`, keyed by trace identity plus the cache
-#: geometry the arrays depend on.  Each entry keeps a strong reference
-#: to its trace, which is what makes the ``id()`` key safe: the id
-#: cannot be recycled while the entry is alive.  Bounded LRU so sweeps
-#: over many traces do not pin them all in memory.
+#: Memo of :class:`_Precompute` entries, one per trace, keyed by trace
+#: identity; each entry keeps the geometry columns it has served.
+#: Bounded LRU so sweeps over many traces do not pin them all in
+#: memory.
 _PRECOMPUTE_MEMO: OrderedDict = OrderedDict()
 _PRECOMPUTE_MEMO_MAX = 4
 
@@ -224,17 +288,14 @@ _PRECOMPUTE_MEMO_MAX = 4
 def _precompute_cached(trace: Sequence["TraceRecord"], line_shift: int,
                        chunk_shift: int, line_size: int,
                        fetch_bytes: int) -> tuple:
-    key = (id(trace), line_shift, chunk_shift, line_size, fetch_bytes)
+    key = id(trace)
     entry = _PRECOMPUTE_MEMO.get(key)
-    if entry is not None and entry[0] is trace:
-        _PRECOMPUTE_MEMO.move_to_end(key)
-        return entry[1]
-    arrays = _precompute(trace, line_shift, chunk_shift, line_size,
-                         fetch_bytes)
-    _PRECOMPUTE_MEMO[key] = (trace, arrays)
+    if entry is None or entry.trace is not trace:
+        entry = _PRECOMPUTE_MEMO[key] = _Precompute(trace)
+    _PRECOMPUTE_MEMO.move_to_end(key)
     while len(_PRECOMPUTE_MEMO) > _PRECOMPUTE_MEMO_MAX:
         _PRECOMPUTE_MEMO.popitem(last=False)
-    return arrays
+    return entry.lists(line_shift, chunk_shift, line_size, fetch_bytes)
 
 
 def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
@@ -310,17 +371,23 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     btb_mask = bpred.btb.mask
 
     # FU pool as int-indexed arrays; unpipelined classes carry a
-    # busy-until list, pipelined ones None.
+    # busy-until list, pipelined ones None.  At most issue_width uops
+    # issue per cycle, so only unpipelined classes and those with fewer
+    # units than issue_width can run out in a cycle: only they count
+    # their use (fu_limited).
     n_opc = len(_OPCS)
     fu_count = [0] * n_opc
     fu_latency = [0] * n_opc
     fu_busy: list[list[int] | None] = [None] * n_opc
+    fu_limited = [False] * n_opc
     for index, opclass in enumerate(_OPCS):
         spec = cfg.fu_specs[opclass]
         fu_count[index] = spec.count
         fu_latency[index] = spec.latency
         if not spec.pipelined:
             fu_busy[index] = []
+        fu_limited[index] = not spec.pipelined or spec.count < issue_width
+    fu_unused = [0] * n_opc
     fu_used = [0] * n_opc
 
     opc_branch = _OPC_INDEX[OpClass.BRANCH]
@@ -390,7 +457,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     evc_pop = ev_complete.pop
     eva_pop = ev_addr.pop
     evc_get = ev_complete.get
-    eva_setdefault = ev_addr.setdefault
+    eva_get = ev_addr.get
     rob_append = rob.append
     rob_popleft = rob.popleft
     fq_append = fq.append
@@ -400,12 +467,12 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     lsq_stores: list[list] = core.lsq.stores
     # Derived LSQ views, so the per-cycle scans touch only entries that
     # can act: loads with a resolved address and no scheduled access
-    # (rebuilt from lsq_loads when a load address resolves), and the
-    # program-order queue of stores whose address is still unknown
-    # (fed at dispatch, drained lazily from the front — a store with an
-    # unknown address can never retire, so the front is authoritative).
+    # (in seq order, as lsq_loads holds them: inserted when the address
+    # resolves, dropped once scheduled), and the program-order queue of
+    # stores whose address is still unknown (fed at dispatch, drained
+    # lazily from the front — a store with an unknown address can never
+    # retire, so the front is authoritative).
     act_loads: list[list] = []
-    act_dirty = False
     sq_unknown: list[list] = []
     wbl_lines: list[int] = []
     wbl_masks: list[int] = []
@@ -448,7 +515,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     scan_memo = not has_lb
 
     # Local statistic accumulators (flushed once, at loop exit).
-    st_commits = st_commit_store_port = st_commit_wb_full = 0
+    st_commit_store_port = st_commit_wb_full = 0
     st_issued = st_dispatched = 0
     st_rob_full = st_iq_full = st_lq_full = st_sq_full = 0
     st_fetched = st_f_branch = st_f_serial = st_f_redirect = 0
@@ -517,7 +584,12 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                             line_stores[position] = uop
                         mem_epoch += 1
                     else:
-                        act_dirty = True
+                        position = len(act_loads)
+                        load_seq = uop[U_SEQ]
+                        while position and \
+                                act_loads[position - 1][U_SEQ] > load_seq:
+                            position -= 1
+                        act_loads.insert(position, uop)
             complete_events = evc_pop(cycle, None)
             if complete_events is not None:
                 for uop in complete_events:
@@ -699,7 +771,6 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                     del lsq_loads[0]
                 rob_popleft()
                 commits += 1
-                committed += 1
                 if uop is waiting_serialize:
                     waiting_serialize = None
                     fb_cause = ci_serialize
@@ -708,7 +779,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                         fetch_blocked_until = resume
             if commits:
                 last_activity = cycle
-                st_commits += commits
+                committed += commits
 
             # ----------------------------------------------------------
             # Stall attribution (StallLedger.account, inlined)
@@ -763,10 +834,6 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
             # ----------------------------------------------------------
             # 3a. memory: LSQ load scheduling
             # ----------------------------------------------------------
-            if act_dirty:
-                act_loads = [load for load in lsq_loads
-                             if load[U_AKNOWN] and not load[U_MEMDONE]]
-                act_dirty = False
             if act_loads:
                 while sq_unknown and sq_unknown[0][U_AKNOWN]:
                     del sq_unknown[0]
@@ -1098,7 +1165,9 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                 ev_complete[ready] = [load]
                             else:
                                 bucket.append(load)
-                if scheduled:
+                if scheduled == len(act_loads):
+                    act_loads = []
+                elif scheduled:
                     act_loads = [load for load in act_loads
                                  if not load[U_MEMDONE]]
 
@@ -1178,8 +1247,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
             # ----------------------------------------------------------
             issued = 0
             if iq_ready and iq_min_ready <= cycle:
-                for index in range(n_opc):
-                    fu_used[index] = 0
+                fu_used[:] = fu_unused
                 keep = []
                 next_ready = _FAR
                 for uop in iq_ready:
@@ -1189,29 +1257,34 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                             next_ready = uop[U_OPRDY]
                         continue
                     opc = uop[U_OPC]
-                    used = fu_used[opc]
-                    if used >= fu_count[opc]:
-                        fu_stalls[opc] += 1
-                        keep.append(uop)
-                        next_ready = cycle
-                        continue
-                    busy = fu_busy[opc]
-                    if busy is not None:
-                        busy[:] = [t for t in busy if t > cycle]
-                        if len(busy) >= fu_count[opc]:
+                    if fu_limited[opc]:
+                        used = fu_used[opc]
+                        if used >= fu_count[opc]:
                             fu_stalls[opc] += 1
                             keep.append(uop)
                             next_ready = cycle
                             continue
-                        busy.append(cycle + fu_latency[opc])
-                    fu_used[opc] = used + 1
+                        busy = fu_busy[opc]
+                        if busy is not None:
+                            busy[:] = [t for t in busy if t > cycle]
+                            if len(busy) >= fu_count[opc]:
+                                fu_stalls[opc] += 1
+                                keep.append(uop)
+                                next_ready = cycle
+                                continue
+                            busy.append(cycle + fu_latency[opc])
+                        fu_used[opc] = used + 1
                     fu_ops[opc] += 1
                     done_at = cycle + fu_latency[opc]
                     issued += 1
                     uop[U_INIQ] = False
                     iq_count -= 1
                     if uop[U_LOAD] or uop[U_STORE]:
-                        eva_setdefault(done_at, []).append(uop)
+                        bucket = eva_get(done_at)
+                        if bucket is None:
+                            ev_addr[done_at] = [uop]
+                        else:
+                            bucket.append(uop)
                     else:
                         bucket = evc_get(done_at)
                         if bucket is None:
@@ -1227,9 +1300,10 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
             # 5. dispatch (rename: dependences, ROB/IQ/LSQ allocation)
             # ----------------------------------------------------------
             dispatched = 0
+            decoded_by = cycle - decode_latency   # latest visible fetch
             while fq and dispatched < dispatch_width:
                 uop = fq[0]
-                if uop[U_FETCH] + decode_latency > cycle:
+                if uop[U_FETCH] > decoded_by:
                     break
                 if len(rob) >= rob_size:
                     st_rob_full += 1
@@ -1341,8 +1415,16 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                     fb_cause = ci_fetch
                     st_f_icache += ready - cycle
                     break
-                while trace_pos < total and fetched < fetch_width and \
-                        len(fq) < fetch_queue_size:
+                # Bounded by the fetch width, the queue's room and the
+                # trace's end.
+                start = trace_pos
+                stop = start + fetch_width
+                room = start + fetch_queue_size - len(fq)
+                if room < stop:
+                    stop = room
+                if total < stop:
+                    stop = total
+                while trace_pos < stop:
                     index = trace_pos
                     if r_block[index] != block:
                         break
@@ -1358,9 +1440,10 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                            r_mask[index], False, 0, 0, -1, False, False,
                            False, False, -1]
                     fq_append(uop)
-                    fetched += 1
                     trace_pos += 1
                     kind = r_kind[index]
+                    if kind == _K_PLAIN:
+                        continue
                     if kind == _K_BRANCH:
                         pc = r_pc[index]
                         predicted_taken = bp_predict(pc)
@@ -1403,6 +1486,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                         waiting_serialize = uop
                         st_f_serial_red += 1
                         break
+                fetched = trace_pos - start
                 if fetched:
                     last_activity = cycle
                     st_fetched += fetched
@@ -1623,8 +1707,8 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                 for line, mask in zip(wbl_lines, wbl_masks)]
 
         inc = core.stats.inc
-        if st_commits:
-            inc("core.commits", st_commits)
+        if committed:
+            inc("core.commits", committed)
         if st_commit_store_port:
             inc("core.commit_store_port_stalls", st_commit_store_port)
         if st_commit_wb_full:

@@ -8,7 +8,7 @@ dirty tracking.  Addresses are managed at line granularity: callers pass
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 
 from ..stats.counters import Stats
 from .config import CacheGeometry
@@ -18,7 +18,10 @@ class SetAssocCache:
     """A set-associative tag array.
 
     Each set is an :class:`OrderedDict` from line number to dirty flag,
-    maintained in LRU order (least recently used first).
+    maintained in LRU order (least recently used first).  ``_sets`` maps
+    a set index to its set and creates the set when a line first maps
+    to it (most of a large cache's sets see no line in a short run), so
+    indexing it, as the fast cycle loop does, never misses.
     """
 
     def __init__(self, geometry: CacheGeometry, name: str = "cache",
@@ -28,8 +31,8 @@ class SetAssocCache:
         self.stats = stats if stats is not None else Stats()
         self.line_shift = geometry.line_size.bit_length() - 1
         self._set_mask = geometry.num_sets - 1
-        self._sets: list[OrderedDict[int, bool]] = [
-            OrderedDict() for _ in range(geometry.num_sets)]
+        self._sets: defaultdict[int, OrderedDict[int, bool]] = \
+            defaultdict(OrderedDict)
 
     # ------------------------------------------------------------------
     def line_of(self, address: int) -> int:
@@ -84,8 +87,8 @@ class SetAssocCache:
     # ------------------------------------------------------------------
     @property
     def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())
 
     def contents(self) -> set[int]:
         """All resident line numbers (for tests)."""
-        return {line for s in self._sets for line in s}
+        return {line for s in self._sets.values() for line in s}

@@ -5,8 +5,10 @@ lets a parameter sweep rerun the timing core alone.  A :class:`Trace`
 holds a dynamic trace as ten numpy columns, the same ten a ``.npz``
 file stores.  The functional simulator produces them directly
 (:meth:`Trace.gather`: one static row per decoded PC, gathered by the
-row id each retired instruction appended), a reload is one ``np.load``,
-the fast cycle loop precomputes straight from the columns, and the
+row id each retired instruction appended), a reload reads each
+column's ``.npy`` member in one decompressing read and wraps the bytes
+as a read-only array, the fast cycle loop precomputes straight from
+the columns (once per trace, see :mod:`repro.core.fastpath`), and the
 reference loop, the recorders and the checkers read them by ``seq`` as
 Python lists built once per trace (:meth:`Trace.lists`) — none of them
 does per-record work.  Records
@@ -29,12 +31,14 @@ on-disk trace cache keys on it.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import zipfile
 import zlib
 from typing import IO, Iterator, Sequence
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from ..isa import INSTRUCTION_BYTES, Bank, Instruction, OpClass, Opcode
 from ..atomic import atomic_write
@@ -157,8 +161,9 @@ class Trace:
     instruction table (PC -> :class:`~repro.isa.Instruction`), so its
     records, and those of its :meth:`user_only` view, decode with their
     instruction back-references, as the interpreter's own records had
-    them.  Columns and records are read-only by convention: a mutated
-    record does not update the columns.
+    them.  Columns and records are read-only by convention (a reloaded
+    trace's columns are read-only arrays): a mutated record does not
+    update the columns.
     """
 
     __slots__ = (*COLUMNS, "_records", "_instructions", "_lists")
@@ -379,12 +384,38 @@ def save_trace_atomic(path: str | os.PathLike,
         save_trace(handle, trace)
 
 
+def _read_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    """Array *name* of an ``.npz`` archive: its ``.npy`` header read
+    with :mod:`numpy.lib.format`, its data decompressed in one read and
+    wrapped without a copy, so the array is read-only.  Object dtypes
+    (which would unpickle) and Fortran order are refused."""
+    with archive.open(f"{name}.npy") as member:
+        version = npy_format.read_magic(member)
+        if version == (1, 0):
+            header = npy_format.read_array_header_1_0(member)
+        elif version == (2, 0):
+            header = npy_format.read_array_header_2_0(member)
+        else:
+            raise ValueError(f"{name!r} is .npy version {version}")
+        shape, fortran_order, dtype = header
+        if dtype.hasobject:
+            raise ValueError(f"{name!r} holds Python objects")
+        if fortran_order:
+            raise ValueError(f"{name!r} is in Fortran order")
+        data = member.read()
+    expected = math.prod(shape) * dtype.itemsize
+    if len(data) != expected:
+        raise ValueError(f"{name!r} holds {len(data)} bytes, its header "
+                         f"says {expected}")
+    return np.frombuffer(data, dtype).reshape(shape)
+
+
 def _read_columns(path) -> dict[str, np.ndarray]:
-    with np.load(path) as archive:
-        version = int(archive["version"][0])
+    with zipfile.ZipFile(path) as archive:
+        version = int(_read_member(archive, "version")[0])
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported trace format version {version}")
-        return {name: archive[name] for name in COLUMNS}
+        return {name: _read_member(archive, name) for name in COLUMNS}
 
 
 def _column_problem(columns: dict[str, np.ndarray]) -> str | None:
@@ -403,9 +434,11 @@ def _column_problem(columns: dict[str, np.ndarray]) -> str | None:
 
 
 def load_trace(path: str | os.PathLike) -> Trace:
-    """Read a trace written by :func:`save_trace` — the columns only, no
-    per-record work.  An unreadable archive, another format version or
-    a malformed column raises :class:`ValueError` naming *path*."""
+    """Read a trace written by :func:`save_trace` — the columns only,
+    each decompressed in one read and wrapped read-only, no per-record
+    work.  An unreadable archive, another format version, a member
+    holding objects or a malformed column raises :class:`ValueError`
+    naming *path*."""
     try:
         columns = _read_columns(path)
     except (OSError, EOFError, KeyError, IndexError, ValueError,

@@ -4,25 +4,32 @@ The fast cycle loop (:mod:`repro.core.fastpath`) must be **byte
 identical** to the instrumented reference loop: same cycle count, same
 committed instructions, every statistic, the whole stall ledger, the
 load-latency histogram, and the architectural digests.  These tests
-prove it across the full F2 configuration grid and over random fuzzer
-programs, so any future fast-path optimization that drifts from the
-reference is caught by tier-1 (including the ``REPRO_VALIDATE=1``
-matrix — the differential harness itself force-disables the implicit
-validator so the fast path stays eligible, and the comparison is
-slow-with-validator-off vs fast).
+prove it across the full F2 configuration grid, every machine the
+experiments plan, and over random fuzzer programs, so any future
+fast-path optimization that drifts from the reference is caught by
+tier-1 (including the ``REPRO_VALIDATE=1`` matrix — the differential
+harness itself force-disables the implicit validator so the fast path
+stays eligible, and the comparison is slow-with-validator-off vs fast).
 """
 
 from __future__ import annotations
+
+import sys
+from collections import OrderedDict
+from dataclasses import replace
 
 import pytest
 
 from repro.asm import assemble
 from repro.core import fastpath, pipeline
+from repro.core.config import MachineConfig
 from repro.core.pipeline import OoOCore
+from repro.experiments import ALL_EXPERIMENTS
 from repro.func import run_bare
 from repro.isa import Bank, Opcode, OpClass
 from repro.presets import CONFIG_NAMES, machine
 from repro.scenarios.verify import result_view as _result_view
+from repro.trace import SyntheticConfig, Trace, generate
 from repro.trace.fuzz import generate_program
 from repro.workloads import build_scenario_trace, build_trace
 
@@ -38,19 +45,39 @@ SCENARIO_TRACES = ("iostorm", "syspipe")
 FUZZ_SEEDS = (11, 29, 63)
 
 
-def _run_pair(config_name: str, trace, monkeypatch) -> tuple[dict, dict]:
+def _run_pair(config: str | MachineConfig, trace,
+              monkeypatch) -> tuple[dict, dict]:
     """Run *trace* through the reference loop and the fast loop on
-    identical machines; returns both views."""
+    identical machines (a preset name or a machine); returns both
+    views."""
     # The implicit REPRO_VALIDATE checker would force the reference
     # loop on both cores; the differential needs a bare fast-path run.
     monkeypatch.setattr(pipeline, "_ENV_VALIDATE", False)
-    slow_core = OoOCore(machine(config_name), fastpath=False)
+    if isinstance(config, str):
+        config = machine(config)
+    slow_core = OoOCore(config, fastpath=False)
     slow = slow_core.run(trace)
     assert not slow_core.used_fastpath
-    fast_core = OoOCore(machine(config_name), fastpath=True)
+    fast_core = OoOCore(config, fastpath=True)
     fast = fast_core.run(trace)
     assert fast_core.used_fastpath
     return _result_view(slow), _result_view(fast)
+
+
+def _planned_machines() -> list:
+    """Every distinct machine the experiments plan at tiny scale, named
+    by the first experiment that plans it."""
+    seen: set[str] = set()
+    params = []
+    for exp_id, run in ALL_EXPERIMENTS.items():
+        for job in sys.modules[run.__module__].plan("tiny"):
+            key = repr(job.machine)
+            if key not in seen:
+                seen.add(key)
+                params.append(pytest.param(
+                    job.machine,
+                    id=f"{exp_id}-{job.machine.name}-{len(params)}"))
+    return params
 
 
 @pytest.mark.parametrize("workload", GRID_WORKLOADS)
@@ -59,6 +86,19 @@ def test_fastpath_matches_reference_on_f2_grid(
         workload, config_name, monkeypatch):
     trace = build_trace(workload, "tiny")
     slow, fast = _run_pair(config_name, trace, monkeypatch)
+    assert fast == slow
+
+
+@pytest.mark.parametrize("workload", GRID_WORKLOADS)
+@pytest.mark.parametrize("config", _planned_machines())
+def test_fastpath_matches_reference_on_planned_machines(
+        workload, config, monkeypatch):
+    # Write-buffer depths (0 is the direct-store path), issue widths
+    # (which decide which FU classes can run out), combining windows,
+    # line-buffer sizes, banking, prefetch, victim caches, predictors
+    # and load latencies, exactly as the experiments configure them.
+    trace = build_trace(workload, "tiny")
+    slow, fast = _run_pair(config, trace, monkeypatch)
     assert fast == slow
 
 
@@ -157,6 +197,65 @@ def test_precompute_reads_every_trace_form_alike(trace_forms, config_name):
     expected = _reference_precompute(fresh, *geometry)
     for form in (fresh, wrapped, reloaded):
         assert fastpath._precompute(form, *geometry) == expected
+
+
+def _count_producer_passes(monkeypatch) -> list:
+    """Start the fast loop's precompute memo empty and record each
+    per-trace precompute (one producer pass per trace part built)."""
+    monkeypatch.setattr(pipeline, "_ENV_VALIDATE", False)
+    monkeypatch.setattr(fastpath, "_PRECOMPUTE_MEMO", OrderedDict())
+    calls = []
+    producers = fastpath._producers
+
+    def counting(*args):
+        calls.append(args)
+        return producers(*args)
+
+    monkeypatch.setattr(fastpath, "_producers", counting)
+    return calls
+
+
+def test_precompute_memo_serves_each_geometry_its_own_columns(
+        stream_trace, monkeypatch):
+    # One trace on machines that differ in port width, line size and
+    # fetch width, in interleaved order, against a fresh copy of the
+    # trace per machine: no geometry may get another's columns.
+    base = machine("1P")
+    mem = base.mem
+    long_lines = replace(mem, **{
+        level: replace(getattr(mem, level), geometry=replace(
+            getattr(mem, level).geometry, line_size=64))
+        for level in ("dcache", "icache", "next_level")})
+    wide_fetch = replace(mem, icache=replace(mem.icache, fetch_bytes=32))
+    configs = [base, machine("1P-wide+LB+SC"),
+               replace(base, mem=long_lines),
+               replace(base, core=replace(base.core, fetch_width=8),
+                       mem=wide_fetch)]
+    calls = _count_producer_passes(monkeypatch)
+    expected = [_result_view(OoOCore(config).run(
+        Trace(stream_trace.columns))) for config in configs]
+    fastpath._PRECOMPUTE_MEMO.clear()
+    del calls[:]
+    for index in (0, 1, 2, 3, 2, 0, 3, 1):
+        result = OoOCore(configs[index]).run(stream_trace)
+        assert _result_view(result) == expected[index], index
+    assert len(calls) == 1
+
+
+def test_precompute_runs_once_per_trace(monkeypatch):
+    # Three traces on port-bound's three machines, twice: the memo's
+    # four entries hold every trace, whatever the port width.
+    traces = [generate(SyntheticConfig(instructions=300, seed=seed,
+                                       load_fraction=0.3,
+                                       store_fraction=0.15))
+              for seed in (1, 2, 3)]
+    calls = _count_producer_passes(monkeypatch)
+    for _ in range(2):
+        for trace in traces:
+            for config_name in ("1P", "1P-wide+LB+SC", "2P"):
+                assert OoOCore(machine(config_name)).run(trace) \
+                    .used_fastpath
+    assert len(calls) == len(traces)
 
 
 def test_every_trace_form_times_identically_on_both_loops(trace_forms,

@@ -1,6 +1,7 @@
 """Tests for trace serialisation."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,30 @@ class TestRoundTrip:
         save_trace_atomic(path, trace)
         assert [p.name for p in tmp_path.iterdir()] == ["atomic.npz"]
         assert len(load_trace(path)) == len(trace)
+
+    def test_reloaded_columns_are_the_saved_ones_read_only(self, tmp_path):
+        trace = generate(SyntheticConfig(instructions=500, seed=7,
+                                         load_fraction=0.3,
+                                         store_fraction=0.2))
+        path = tmp_path / "trace.npz"
+        save_trace(path, trace)
+        saved = Trace.from_records(trace).columns
+        for name, column in load_trace(path).columns.items():
+            assert column.dtype == saved[name].dtype, name
+            assert column.shape == saved[name].shape, name
+            assert np.array_equal(column, saved[name]), name
+            assert not column.flags.writeable, name
+
+    def test_object_member_is_refused(self, tmp_path):
+        trace = generate(SyntheticConfig(instructions=10))
+        path = tmp_path / "trace.npz"
+        save_trace(path, trace)
+        with np.load(path) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        arrays["mem_addr"] = arrays["mem_addr"].astype(object)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_trace(path)
 
     def test_version_check(self, tmp_path):
         trace = generate(SyntheticConfig(instructions=10))
