@@ -12,24 +12,35 @@ module is a flattened re-statement of the same machine:
   arbitration, the write/line buffers and the I-cache hit path are
   inlined into one loop body with every configuration constant and
   mutable structure hoisted into locals;
-* in-flight instructions are **int-coded slot lists** instead of
-  :class:`~repro.core.uop.Uop` attribute bags (one ``BUILD_LIST``
-  instead of ~20 ``STORE_ATTR`` per instruction, constant-index
-  subscripts instead of attribute lookups in the wakeup loops);
-* per-record decode work (opclass index, fetch block, cache line /
-  chunk / byte mask, the dependence-wiring plan) is precomputed from
-  the trace's columns (:class:`repro.trace.io.Trace`) by vector ops,
-  into flat int lists, without building a record.  A memo of the last
-  four traces run builds what the trace alone determines once per
-  trace and each geometry's columns once per geometry, so timing one
-  trace on many machines pays for one precompute (:class:`_Precompute`);
+* an in-flight instruction is its trace position ``i`` (its ``seq``).
+  A trace-driven model fetches nothing off the correct path, so every
+  instruction is fetched, dispatched and committed once, in trace
+  order: the ROB is the position range ``[commit_pos, dispatch_pos)``
+  and the fetch queue ``[dispatch_pos, trace_pos)``.  Each mutable
+  field (fetch and complete cycle, operand and store-data waits,
+  address cycle, memory source, LSQ block code, consumers) is a list
+  per run indexed by position, and the issue queue, LSQ views and
+  event buckets hold positions, so their ordered inserts are
+  :func:`bisect.insort`;
+* per-record decode work (opclass index, fetch kind and block, the
+  plain run fetch can take in one step, cache line / chunk / byte
+  mask, name and data producers) is precomputed from the trace's
+  columns (:class:`repro.trace.io.Trace`) by vector ops, into flat int
+  lists, without building a record.  A memo of the last four traces
+  run builds what the trace alone determines once per trace and each
+  geometry's columns once per geometry, so timing one trace on many
+  machines pays for one precompute (:class:`_Precompute`);
+* fetch advances over whole runs of plain instructions (no branch,
+  jump or serializing instruction, one fetch block) and handles only
+  the control and serializing instructions one by one;
 * functional-unit arbitration uses per-opclass int-indexed arrays, so
   the issue loop never hashes an enum, and counts a class's use only
   when the class can run out in a cycle;
 * per-cycle bookkeeping scales with the work done: the active-load
   list takes each load, in ``seq`` order, when its address resolves,
-  and fetch and decode compute their bounds once per cycle, not once
-  per instruction;
+  a consumer list exists only while its producer is pending, and
+  fetch, decode and commit compute their bounds once per cycle, not
+  once per instruction;
 * statistics, the stall ledger and the load-latency histogram
   accumulate in plain local ints/dicts and are flushed into the real
   :class:`Stats` / :class:`StallLedger` / :class:`Histogram` objects
@@ -45,15 +56,19 @@ misses.  They read ``dcache._cycle`` and the shared ``_pending`` dict,
 which the loop keeps in step.
 
 The contract — enforced by ``tests/test_fastpath_diff.py`` across the
-F2 configuration grid and fuzzer-generated programs — is that
+F2 configuration grid, every machine the experiments plan and
+fuzzer-generated programs, and by ``repro fuzz`` and ``repro corpus
+verify`` (:func:`repro.validate.differential_views`) — is that
 :func:`run_fast` produces a **byte-identical** :class:`CoreResult`
 (cycles, every counter, the stall ledger, the load-latency histogram)
-to the instrumented reference loop.
+to the instrumented reference loop.  A watchdog trip raises the
+reference loop's deadlock report, word for word.
 """
 
 from __future__ import annotations
 
 import gc
+from bisect import insort
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Sequence
 
@@ -77,48 +92,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 
 __all__ = ["run_fast"]
 
-_INFINITY = float("inf")
+#: "Not yet": the complete cycle of an instruction still in flight, and
+#: the issue queue's earliest-ready cycle when nothing waits.
+_FAR = 1 << 60
 
 #: Opclasses in a fixed order (the trace's ``opclass`` column order);
-#: uops carry the index, the FU tables are indexed by it, and the enum
-#: never gets hashed inside the loop.
+#: positions map to the index, the FU tables are indexed by it, and the
+#: enum never gets hashed inside the loop.
 _OPCS = OPCLASSES
 _OPC_INDEX = {opclass: index for index, opclass in enumerate(_OPCS)}
-
-# ----------------------------------------------------------------------
-# Int-coded uop slots (a plain list per in-flight instruction).
-# ----------------------------------------------------------------------
-U_IDX = 0        # trace position (indexes the precomputed arrays)
-U_SEQ = 1
-U_OPC = 2        # opclass index into _OPCS
-U_LOAD = 3
-U_STORE = 4
-U_FETCH = 5      # fetch cycle
-U_DONE = 6       # completed
-U_CCYC = 7       # complete cycle
-U_NWAIT = 8      # outstanding operand producers
-U_OPRDY = 9      # operands-ready cycle
-U_CONS = 10      # consumers: list of (uop, is_data)
-U_DWAIT = 11     # outstanding store-data producers
-U_DRDY = 12      # store-data-ready cycle
-U_AKNOWN = 13    # address resolved
-U_LINE = 14
-U_CHUNK = 15
-U_MASK = 16
-U_MEMDONE = 17   # load: serviced by the memory system
-U_MEMSRC = 18    # where the load data came from (repro.obs.probe codes)
-U_BLK = 19       # why the LSQ last skipped the load (the same table)
-U_ACYC = 20      # address-resolve cycle
-U_MISP = 21
-U_PTAKEN = 22
-U_SERIAL = 23
-U_INIQ = 24
-U_SCANEP = 25
-
-#: Shared consumer list for non-producer uops.  Only instructions some
-#: later instruction depends on (``r_is_prod``) ever receive appends,
-#: and those get a private list at fetch — this one stays empty.
-_EMPTY_CONS: list = []
 
 # fetch kinds from the precompute pass.
 _K_PLAIN = 0
@@ -127,62 +109,87 @@ _K_JUMP = 2
 _K_SERIALIZE = 3
 
 
+def _fetch_kinds(columns: Trace) -> tuple[np.ndarray, np.ndarray]:
+    """Each record's fetch kind and whether it is a jump the decoder
+    redirects (J/JAL: the target is in the instruction word)."""
+    pc = columns.pc
+    opclass = columns.opclass
+    flags = columns.flags
+    control = (flags & F_CONTROL) != 0
+    branch = opclass == _OPC_INDEX[OpClass.BRANCH]
+    system = opclass == _OPC_INDEX[OpClass.SYSTEM]
+    serializes = (columns.next_pc != pc + 4) | (
+        system & ((flags & F_SERIALIZES) != 0))
+    kind = np.where(control, np.where(branch, _K_BRANCH, _K_JUMP),
+                    np.where(serializes, _K_SERIALIZE, _K_PLAIN))
+    return kind, control & ~branch & ((flags & F_REDIRECT) != 0)
+
+
 class _Precompute:
     """Everything derivable from one trace's records, as flat int lists,
     so the cycle loop never touches a record.  Reads the trace's columns
     (a plain record list is encoded first) with vector ops.
 
     What the trace alone determines (opclass, fetch kind, jump decode,
-    pc, next pc, taken, load/store, producers) is built here, once.
-    What a geometry adds (the fetch block for an I-cache's
-    ``fetch_bytes``; the D-cache line, chunk and byte mask) is built on
-    a geometry's first use and kept per value, so one entry serves
-    every machine a sweep runs the trace on.  Holds a strong reference
-    to the trace, which keeps an ``id()`` key on it safe.
+    pc, next pc, taken, load/store, the name and data producers) is
+    built here, once.  What a geometry adds (the fetch block and plain
+    run for an I-cache's ``fetch_bytes``; the D-cache line, chunk and
+    byte mask) is built on a geometry's first use and kept per value,
+    so one entry serves every machine a sweep runs the trace on.  Holds
+    a strong reference to the trace, which keeps an ``id()`` key on it
+    safe.
     """
 
-    __slots__ = ("trace", "_columns", "_static", "_blocks", "_shifted",
+    __slots__ = ("trace", "_columns", "_static", "_fetch", "_shifted",
                  "_masks")
 
     def __init__(self, trace: Sequence["TraceRecord"]) -> None:
         self.trace = trace
         self._columns = columns = as_trace(trace)
-        pc = columns.pc
-        next_pc = columns.next_pc
-        opclass = columns.opclass
         flags = columns.flags
         is_load = (flags & F_LOAD) != 0
         is_store = (flags & F_STORE) != 0
-        control = (flags & F_CONTROL) != 0
-        branch = opclass == _OPC_INDEX[OpClass.BRANCH]
-        system = opclass == _OPC_INDEX[OpClass.SYSTEM]
-        serializes = (next_pc != pc + 4) | (system
-                                            & ((flags & F_SERIALIZES) != 0))
-        kind = np.where(control, np.where(branch, _K_BRANCH, _K_JUMP),
-                        np.where(serializes, _K_SERIALIZE, _K_PLAIN))
-        jdec = control & ~branch & ((flags & F_REDIRECT) != 0)
-        r_prod, r_is_prod = _producers(columns, is_store)
-        self._static = (opclass.tolist(), kind.tolist(), jdec.tolist(),
-                        pc.tolist(), next_pc.tolist(),
+        kind, jdec = _fetch_kinds(columns)
+        name_producers, data_producers = _producers(columns, is_store)
+        self._static = (columns.opclass.tolist(), kind.tolist(),
+                        jdec.tolist(), columns.pc.tolist(),
+                        columns.next_pc.tolist(),
                         ((flags & F_TAKEN) != 0).tolist(), is_load.tolist(),
-                        is_store.tolist(), r_prod, r_is_prod)
-        self._blocks: dict[int, list] = {}    # by fetch_bytes
+                        is_store.tolist(), (is_load | is_store).tolist(),
+                        name_producers, data_producers)
+        self._fetch: dict[int, tuple] = {}    # by fetch_bytes
         self._shifted: dict[int, list] = {}   # address >> shift, by shift
         self._masks: dict[int, list] = {}     # by line size
 
     def lists(self, line_shift: int, chunk_shift: int, line_size: int,
               fetch_bytes: int) -> tuple:
-        """The fourteen lists :func:`run_fast` unpacks, for one
+        """The sixteen lists :func:`run_fast` unpacks, for one
         geometry."""
         (opclass, kind, jdec, pc, next_pc, taken, is_load, is_store,
-         r_prod, r_is_prod) = self._static
-        blocks = self._blocks.get(fetch_bytes)
-        if blocks is None:
-            blocks = self._blocks[fetch_bytes] = \
-                (self._columns.pc // fetch_bytes).tolist()
-        return (opclass, kind, jdec, pc, next_pc, taken, blocks, is_load,
-                is_store, self._shift(line_shift), self._shift(chunk_shift),
-                self._mask(line_size), r_prod, r_is_prod)
+         is_mem, name_producers, data_producers) = self._static
+        fetch = self._fetch.get(fetch_bytes)
+        if fetch is None:
+            fetch = self._fetch[fetch_bytes] = self._runs(fetch_bytes)
+        blocks, runs = fetch
+        return (opclass, kind, jdec, pc, next_pc, taken, blocks, runs,
+                is_load, is_store, is_mem, self._shift(line_shift),
+                self._shift(chunk_shift), self._mask(line_size),
+                name_producers, data_producers)
+
+    def _runs(self, fetch_bytes: int) -> tuple[list, list]:
+        """Each record's fetch block, and how many records from it on
+        are plain and in its fetch block (0 for a record that is not
+        plain): the stretch fetch takes in one step."""
+        block = self._columns.pc // fetch_bytes
+        plain = _fetch_kinds(self._columns)[0] == _K_PLAIN
+        # joins[i]: record i + 1 extends record i's run.  A run ends at
+        # the first record at or after its start that no record joins.
+        joins = plain[1:] & plain[:-1] & (block[1:] == block[:-1])
+        ends = np.flatnonzero(~np.append(joins, False))
+        index = np.arange(len(block))
+        runs = np.where(plain, ends[np.searchsorted(ends, index)] - index + 1,
+                        0)
+        return block.tolist(), runs.tolist()
 
     def _accesses(self) -> tuple[np.ndarray, np.ndarray]:
         """Each record's access address and size, 0 for a record that
@@ -226,8 +233,8 @@ def _precompute(trace: Sequence["TraceRecord"], line_shift: int,
 
 
 def _producers(columns: Trace, is_store: np.ndarray) -> tuple[list, list]:
-    """Each record's ``(producer index, is_data)`` pairs in operand
-    order, and whether some later record depends on each record.
+    """Each record's name producers and store-data producers: two
+    tuples of positions, in operand order.
 
     Dispatch order is trace order, so an operand's producer is the last
     earlier writer of its register: exactly what the dynamic scoreboard
@@ -248,33 +255,32 @@ def _producers(columns: Trace, is_store: np.ndarray) -> tuple[list, list]:
         is_store, np.where(columns.naddr == NO_SPLIT, 1, columns.naddr),
         MAX_SOURCES)
     index = np.arange(n)
-    is_producer = np.zeros(n, dtype=bool)
     operands = []
     for position in range(MAX_SOURCES):
         register = columns.src[:, position].astype(np.int64)
         key = keys[np.searchsorted(keys[:-1], register * n + index) - 1]
         found = (columns.nsrc > position) & (key // n == register)
         producer = np.where(found, key % n, -1)
-        is_producer[producer[found]] = True
-        operands.append((producer.tolist(),
-                         (first_data <= position).tolist()))
-    (first, first_is_data), (second, second_is_data) = operands
-    # The pairs are a tuple or two per record.  Tuples of ints are
-    # untracked at their first collection, so collections during this
-    # burst would only re-traverse the rest of the heap: pause the
-    # cyclic GC for it.
+        is_data = first_data <= position
+        operands.append((np.where(is_data, -1, producer).tolist(),
+                         np.where(is_data, producer, -1).tolist()))
+    (name_a, data_a), (name_b, data_b) = operands
+    # A tuple or two per record.  Tuples of ints are untracked at their
+    # first collection, so collections during this burst would only
+    # re-traverse the rest of the heap: pause the cyclic GC for it.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        pairs = [((a, a_data), (b, b_data)) if a >= 0 and b >= 0
-                 else ((a, a_data),) if a >= 0
-                 else ((b, b_data),) if b >= 0 else ()
-                 for a, a_data, b, b_data
-                 in zip(first, first_is_data, second, second_is_data)]
+        names = [(a, b) if a >= 0 and b >= 0 else (a,) if a >= 0
+                 else (b,) if b >= 0 else ()
+                 for a, b in zip(name_a, name_b)]
+        data = [(a, b) if a >= 0 and b >= 0 else (a,) if a >= 0
+                else (b,) if b >= 0 else ()
+                for a, b in zip(data_a, data_b)]
     finally:
         if enabled:
             gc.enable()
-    return pairs, is_producer.tolist()
+    return names, data
 
 
 #: Memo of :class:`_Precompute` entries, one per trace, keyed by trace
@@ -300,9 +306,15 @@ def _precompute_cached(trace: Sequence["TraceRecord"], line_shift: int,
 
 def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     """Run *trace* through *core* on the flattened loop; returns the
-    final cycle count.  Mutates the core exactly like the reference
-    loop: stats, stall ledger, load-latency histogram, committed count
-    and the drained pipeline structures."""
+    final cycle count.
+
+    Leaves the core as the reference loop does in everything a result
+    or a later reader sees: stats, stall ledger, load-latency
+    histogram, committed count, the caches, line buffer and write
+    buffer, and the frontend's scalars (trace position, cycle, last
+    activity, fetch block and memo).  In-flight instructions live only
+    in the loop's per-run lists and are not written back; a watchdog
+    trip reports them in the reference loop's words."""
     # ------------------------------------------------------------------
     # Configuration constants.
     # ------------------------------------------------------------------
@@ -342,7 +354,6 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
 
     line_buffer = dcache.line_buffer
     lb_fill_on_access = dcfg.line_buffer_fill is LineBufferFill.ON_ACCESS
-    lb_fill_on_fill = dcfg.line_buffer_fill is LineBufferFill.ON_FILL
     lb_invalidate = dcfg.line_buffer_on_store is LineBufferOnStore.INVALIDATE
     lb_entries = dcfg.line_buffer_entries
     lb_lines = line_buffer._lines if line_buffer is not None else None
@@ -415,65 +426,65 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     # ------------------------------------------------------------------
     # Trace precompute.
     # ------------------------------------------------------------------
-    (r_opc, r_kind, r_jdec, r_pc, r_npc, r_taken, r_block,
-     r_load, r_store, r_line, r_chunk, r_mask, r_prod, r_is_prod) = \
+    (r_opc, r_kind, r_jdec, r_pc, r_npc, r_taken, r_block, r_run,
+     r_load, r_store, r_mem, r_line, r_chunk, r_mask, r_nprod, r_dprod) = \
         _precompute_cached(trace, dcache.line_shift, dcache.chunk_shift,
                            dcache.line_size, icache.fetch_bytes)
     total = len(trace)
 
     # ------------------------------------------------------------------
-    # Pipeline state (shared objects hoisted, scalars local).
+    # Pipeline state: an in-flight instruction is its trace position.
+    # The ROB is [commit_pos, dispatch_pos), the fetch queue
+    # [dispatch_pos, trace_pos); each mutable field is a list indexed
+    # by position.
     # ------------------------------------------------------------------
-    rob = core._rob
-    fq = core._fetch_queue
+    far = _FAR
+    fetch_at = [0] * total       # fetch cycle
+    done_at = [far] * total      # complete cycle; far until completed
+    nwait = [0] * total          # outstanding operand producers
+    oprdy = [0] * total          # operands-ready cycle
+    dwait = [0] * total          # outstanding store-data producers
+    drdy = [0] * total           # store-data-ready cycle
+    acyc = [-1] * total          # address-resolve cycle; -1 until known
+    msrc = [0] * total           # load data source (probe code); 0: none
+    blk = [0] * total            # why the LSQ last skipped the load
+    scanep = [-1] * total        # epoch of the load's last negative scan
+    # Consumers of a pending producer, by kind of operand.  Dispatch
+    # resolves each operand to its producer's position (the precompute
+    # already named every register's static last writer); a list is
+    # made for the first consumer of a pending producer and released
+    # when the producer completes.
+    ncons: list[list[int] | None] = [None] * total
+    dcons: list[list[int] | None] = [None] * total
+    commit_pos = dispatch_pos = trace_pos = 0
     # Issue queue, split: iq_ready holds only entries whose name
-    # operands are all resolved (NWAIT == 0), kept in sequence order;
-    # waiters are reachable solely through their producers' U_CONS
-    # lists and re-enter iq_ready at wakeup.  iq_count tracks total
+    # operands are all resolved (nwait == 0), in position order;
+    # waiters are reachable solely through their producers' consumer
+    # lists and enter iq_ready at wakeup.  iq_count tracks total
     # occupancy for the dispatch capacity check.
-    iq_ready: list[list] = []
+    iq_ready: list[int] = []
     iq_count = 0
-    for uop in core._iq:
-        while len(uop) <= U_INIQ:
-            uop.append(False)
-        uop[U_INIQ] = True
-        iq_count += 1
-        if uop[U_NWAIT] == 0:
-            iq_ready.append(uop)
-    # Producer tracking by trace index (replaces the register
-    # scoreboard: the precompute pass already resolved every register
-    # name to its static last writer).  idx_done_at[i] >= 0 once
-    # instruction i has completed; idx_uop holds in-flight refs for
-    # instructions some later instruction depends on, dropped at
-    # completion so retired uops are not pinned.
-    idx_done_at = [-1] * total
-    idx_uop: list[list | None] = [None] * total
-    # AKNOWN stores indexed by cache line (each list seq-ascending):
-    # the store-forwarding scan only looks at same-line stores.
-    sq_by_line: dict[int, list[list]] = {}
+    lq_count = 0              # loads in the ROB
+    sq: list[int] = []        # stores in the ROB, in position order
+    # Resolved stores by cache line (each list position-ascending): the
+    # store-forwarding scan only looks at same-line stores.
+    sq_by_line: dict[int, list[int]] = {}
     sqline_get = sq_by_line.get
-    ev_complete: dict[int, list] = {}
-    ev_addr: dict[int, list] = {}
+    ev_complete: dict[int, list[int]] = {}
+    ev_addr: dict[int, list[int]] = {}
     evc_pop = ev_complete.pop
     eva_pop = ev_addr.pop
     evc_get = ev_complete.get
     eva_get = ev_addr.get
-    rob_append = rob.append
-    rob_popleft = rob.popleft
-    fq_append = fq.append
-    fq_popleft = fq.popleft
-    empty_cons = _EMPTY_CONS
-    lsq_loads: list[list] = core.lsq.loads
-    lsq_stores: list[list] = core.lsq.stores
     # Derived LSQ views, so the per-cycle scans touch only entries that
     # can act: loads with a resolved address and no scheduled access
-    # (in seq order, as lsq_loads holds them: inserted when the address
-    # resolves, dropped once scheduled), and the program-order queue of
-    # stores whose address is still unknown (fed at dispatch, drained
-    # lazily from the front — a store with an unknown address can never
-    # retire, so the front is authoritative).
-    act_loads: list[list] = []
-    sq_unknown: list[list] = []
+    # (in position order: inserted when the address resolves, dropped
+    # once scheduled), and the program-order queue of stores whose
+    # address is still unknown (fed at dispatch, drained lazily from
+    # the front — a store with an unknown address can never retire, so
+    # the front is authoritative).
+    act_loads: list[int] = []
+    sq_unknown: list[int] = []
     wbl_lines: list[int] = []
     wbl_masks: list[int] = []
     # Occupancy count per line, so the per-load forwarding check is a
@@ -482,12 +493,10 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     wbl_count: dict[int, int] = {}
     banks_used: set[int] = set()
 
-    trace_pos = 0
     cycle = 0
-    committed = 0
     last_activity = 0
-    waiting_branch: list | None = None
-    waiting_serialize: list | None = None
+    waiting_branch = -1       # position of the unresolved mispredict
+    waiting_serialize = -1    # position of the serializing instruction
     fetch_blocked_until = 0
     fb_cause = ci_fetch
     memo_block = -1
@@ -499,7 +508,6 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     # stats fire on a scan that issues nothing and hits no FU limit).
     # Maintained conservatively low: wakeups and dispatches lower it,
     # each real scan recomputes it exactly.
-    _FAR = 1 << 60
     iq_min_ready = 0
 
     # Memory-disambiguation epoch: bumped whenever the store set a load
@@ -536,7 +544,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     ll_counts: dict[int, int] = {}
 
     try:
-        while trace_pos < total or rob or fq:
+        while commit_pos < total:
             # ----------------------------------------------------------
             # begin-cycle bookkeeping (DataCacheSystem.begin_cycle)
             # ----------------------------------------------------------
@@ -554,82 +562,57 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
             # ----------------------------------------------------------
             addr_events = eva_pop(cycle, None)
             if addr_events is not None:
-                for uop in addr_events:
-                    uop[U_AKNOWN] = True
-                    uop[U_ACYC] = cycle
-                    if uop[U_STORE]:
-                        if uop[U_DWAIT] == 0 and not uop[U_DONE]:
-                            uop[U_DONE] = True
-                            ready = uop[U_DRDY]
-                            when = cycle if cycle >= ready else ready
-                            uop[U_CCYC] = when
-                            idx_done_at[uop[U_IDX]] = when
-                        line = uop[U_LINE]
+                for index in addr_events:
+                    acyc[index] = cycle
+                    if r_store[index]:
+                        if dwait[index] == 0:
+                            ready = drdy[index]
+                            done_at[index] = cycle if cycle >= ready \
+                                else ready
+                        line = r_line[index]
                         line_stores = sqline_get(line)
                         if line_stores is None:
-                            sq_by_line[line] = [uop]
-                            mem_epoch += 1
+                            sq_by_line[line] = [index]
                         else:
-                            # keep seq-ascending despite out-of-order
-                            # address resolution
-                            line_stores.append(uop)
-                            position = len(line_stores) - 1
-                            store_seq = uop[U_SEQ]
-                            while position and \
-                                    line_stores[position - 1][U_SEQ] \
-                                    > store_seq:
-                                line_stores[position] = \
-                                    line_stores[position - 1]
-                                position -= 1
-                            line_stores[position] = uop
+                            # addresses resolve out of order
+                            insort(line_stores, index)
                         mem_epoch += 1
                     else:
-                        position = len(act_loads)
-                        load_seq = uop[U_SEQ]
-                        while position and \
-                                act_loads[position - 1][U_SEQ] > load_seq:
-                            position -= 1
-                        act_loads.insert(position, uop)
+                        insort(act_loads, index)
             complete_events = evc_pop(cycle, None)
             if complete_events is not None:
-                for uop in complete_events:
-                    uop[U_DONE] = True
-                    uop[U_CCYC] = cycle
-                    index = uop[U_IDX]
-                    idx_done_at[index] = cycle
-                    idx_uop[index] = None
-                    for consumer, is_data in uop[U_CONS]:
-                        if is_data:
-                            consumer[U_DWAIT] -= 1
-                            if cycle > consumer[U_DRDY]:
-                                consumer[U_DRDY] = cycle
-                            if consumer[U_AKNOWN] and \
-                                    consumer[U_DWAIT] == 0 and \
-                                    not consumer[U_DONE]:
-                                consumer[U_DONE] = True
-                                ready = consumer[U_DRDY]
-                                when = cycle if cycle >= ready \
-                                    else ready
-                                consumer[U_CCYC] = when
-                                idx_done_at[consumer[U_IDX]] = when
-                        else:
-                            consumer[U_NWAIT] -= 1
-                            if cycle > consumer[U_OPRDY]:
-                                consumer[U_OPRDY] = cycle
-                            if consumer[U_NWAIT] == 0:
-                                ready = consumer[U_OPRDY]
+                for index in complete_events:
+                    done_at[index] = cycle
+                    consumers = ncons[index]
+                    if consumers is not None:
+                        ncons[index] = None
+                        for consumer in consumers:
+                            waits = nwait[consumer] - 1
+                            nwait[consumer] = waits
+                            if cycle > oprdy[consumer]:
+                                oprdy[consumer] = cycle
+                            if waits == 0:
+                                ready = oprdy[consumer]
                                 if ready < iq_min_ready:
                                     iq_min_ready = ready
-                                position = len(iq_ready)
-                                consumer_seq = consumer[U_SEQ]
-                                while position and \
-                                        iq_ready[position - 1][U_SEQ] \
-                                        > consumer_seq:
-                                    position -= 1
-                                iq_ready.insert(position, consumer)
-                    opc = uop[U_OPC]
+                                insort(iq_ready, consumer)
+                    consumers = dcons[index]
+                    if consumers is not None:
+                        dcons[index] = None
+                        for consumer in consumers:
+                            waits = dwait[consumer] - 1
+                            dwait[consumer] = waits
+                            if cycle > drdy[consumer]:
+                                drdy[consumer] = cycle
+                            if waits == 0 and acyc[consumer] >= 0:
+                                ready = drdy[consumer]
+                                done_at[consumer] = cycle \
+                                    if cycle >= ready else ready
+                    opc = r_opc[index]
                     if opc == opc_branch:
-                        # BranchPredictor.resolve_branch, inlined.
+                        # BranchPredictor.resolve_branch, inlined.  A
+                        # mispredicted branch or jump is exactly the
+                        # one fetch waits on.
                         pc = r_pc[index]
                         taken = r_taken[index]
                         bp_update(pc, taken)
@@ -637,7 +620,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                             btb_targets[(pc >> 2) & btb_mask] = \
                                 (pc, r_npc[index])
                         st_p_br += 1
-                        if uop[U_MISP]:
+                        if index == waiting_branch:
                             st_p_brm += 1
                         else:
                             st_p_brc += 1
@@ -646,12 +629,12 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                         btb_targets[(pc >> 2) & btb_mask] = \
                             (pc, r_npc[index])
                         st_p_j += 1
-                        if uop[U_MISP]:
+                        if index == waiting_branch:
                             st_p_jm += 1
                         else:
                             st_p_jc += 1
-                    if uop is waiting_branch:
-                        waiting_branch = None
+                    if index == waiting_branch:
+                        waiting_branch = -1
                         fb_cause = ci_branch
                         resume = cycle + mispredict_redirect
                         if resume > fetch_blocked_until:
@@ -662,124 +645,123 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
             # ----------------------------------------------------------
             commits = 0
             commit_block = 0   # 0 none, 1 store_port, 2 wb_full
-            while rob and commits < commit_width:
-                uop = rob[0]
-                if not uop[U_DONE] or uop[U_CCYC] > cycle:
-                    break
-                if uop[U_STORE]:
-                    line = uop[U_LINE]
-                    if direct_stores:
-                        # DataCacheSystem.store_access, inlined.
-                        if ports_used >= n_ports:
-                            st_d_snp += 1
-                            st_commit_store_port += 1
-                            commit_block = 1
-                            break
-                        if bank_mask and (line & bank_mask) in banks_used:
-                            st_d_bankc += 1
-                            st_d_snp += 1
-                            st_commit_store_port += 1
-                            commit_block = 1
-                            break
-                        pending_ready = dc_pending.get(line, 0)
-                        if pending_ready > cycle:
-                            ports_used += 1
-                            if bank_mask:
-                                banks_used.add(line & bank_mask)
-                            st_d_portu += 1
-                            st_d_smerge += 1
-                            dset = dsets[line & dset_mask]
-                            if line in dset:
-                                dset[line] = True
-                                od_move(dset, line)
-                        else:
-                            dset = dsets[line & dset_mask]
-                            if line in dset:
+            if commit_pos < dispatch_pos and done_at[commit_pos] <= cycle:
+                start = commit_pos
+                stop = start + commit_width
+                if dispatch_pos < stop:
+                    stop = dispatch_pos
+                while commit_pos < stop:
+                    index = commit_pos
+                    if done_at[index] > cycle:
+                        break
+                    if r_store[index]:
+                        line = r_line[index]
+                        if direct_stores:
+                            # DataCacheSystem.store_access, inlined.
+                            if ports_used >= n_ports:
+                                st_d_snp += 1
+                                st_commit_store_port += 1
+                                commit_block = 1
+                                break
+                            if bank_mask and \
+                                    (line & bank_mask) in banks_used:
+                                st_d_bankc += 1
+                                st_d_snp += 1
+                                st_commit_store_port += 1
+                                commit_block = 1
+                                break
+                            pending_ready = dc_pending.get(line, 0)
+                            if pending_ready > cycle:
                                 ports_used += 1
                                 if bank_mask:
                                     banks_used.add(line & bank_mask)
                                 st_d_portu += 1
-                                st_d_shit += 1
-                                dset[line] = True
-                                od_move(dset, line)
+                                st_d_smerge += 1
+                                dset = dsets[line & dset_mask]
+                                if line in dset:
+                                    dset[line] = True
+                                    od_move(dset, line)
                             else:
-                                mshr_busy = 0
-                                for ready in dc_pending.values():
-                                    if ready > cycle:
-                                        mshr_busy += 1
-                                if mshr_busy >= n_mshrs:
-                                    # The port is spent even on the
-                                    # MSHR-full retry (as in the slow
-                                    # path's _claim_port-then-fail).
+                                dset = dsets[line & dset_mask]
+                                if line in dset:
                                     ports_used += 1
                                     if bank_mask:
                                         banks_used.add(line & bank_mask)
                                     st_d_portu += 1
-                                    st_d_smshr += 1
-                                    st_commit_store_port += 1
-                                    commit_block = 1
-                                    break
-                                ports_used += 1
-                                if bank_mask:
-                                    banks_used.add(line & bank_mask)
-                                st_d_portu += 1
-                                st_d_smiss += 1
-                                dcache._start_fill(line, dirty=True)
-                        if has_lb and line in lb_lines:
-                            if lb_invalidate:
-                                del lb_lines[line]
-                                st_b_sinv += 1
-                            else:
-                                od_move(lb_lines, line)
-                                st_b_supd += 1
-                    else:
-                        # WriteBuffer.add, inlined.
-                        mask = uop[U_MASK]
-                        added = False
-                        if wb_combine and line in wbl_count:
-                            position = wbl_lines.index(line)
-                            wbl_masks[position] |= mask
+                                    st_d_shit += 1
+                                    dset[line] = True
+                                    od_move(dset, line)
+                                else:
+                                    mshr_busy = 0
+                                    for ready in dc_pending.values():
+                                        if ready > cycle:
+                                            mshr_busy += 1
+                                    if mshr_busy >= n_mshrs:
+                                        # The port is spent even on the
+                                        # MSHR-full retry (as in the
+                                        # slow path's _claim_port-then-
+                                        # fail).
+                                        ports_used += 1
+                                        if bank_mask:
+                                            banks_used.add(
+                                                line & bank_mask)
+                                        st_d_portu += 1
+                                        st_d_smshr += 1
+                                        st_commit_store_port += 1
+                                        commit_block = 1
+                                        break
+                                    ports_used += 1
+                                    if bank_mask:
+                                        banks_used.add(line & bank_mask)
+                                    st_d_portu += 1
+                                    st_d_smiss += 1
+                                    dcache._start_fill(line, dirty=True)
+                            if has_lb and line in lb_lines:
+                                if lb_invalidate:
+                                    del lb_lines[line]
+                                    st_b_sinv += 1
+                                else:
+                                    od_move(lb_lines, line)
+                                    st_b_supd += 1
+                        elif wb_combine and line in wbl_count:
+                            # WriteBuffer.add, inlined.
+                            wbl_masks[wbl_lines.index(line)] |= \
+                                r_mask[index]
                             st_w_comb += 1
-                            mem_epoch += 1
-                            added = True
-                        if not added:
+                        else:
                             if len(wbl_lines) >= wb_depth:
                                 st_w_full += 1
                                 st_commit_wb_full += 1
                                 commit_block = 2
                                 break
                             wbl_lines.append(line)
-                            wbl_masks.append(mask)
+                            wbl_masks.append(r_mask[index])
                             if line in wbl_count:
                                 wbl_count[line] += 1
                             else:
                                 wbl_count[line] = 1
                             st_w_alloc += 1
-                            mem_epoch += 1
-                    assert lsq_stores[0] is uop
-                    del lsq_stores[0]
-                    line_stores = sq_by_line[line]
-                    if len(line_stores) == 1:
-                        assert line_stores[0] is uop
-                        del sq_by_line[line]
-                    else:
-                        assert line_stores[0] is uop
-                        del line_stores[0]
-                    mem_epoch += 1
-                elif uop[U_LOAD]:
-                    assert lsq_loads[0] is uop
-                    del lsq_loads[0]
-                rob_popleft()
-                commits += 1
-                if uop is waiting_serialize:
-                    waiting_serialize = None
-                    fb_cause = ci_serialize
-                    resume = cycle + 1
-                    if resume > fetch_blocked_until:
-                        fetch_blocked_until = resume
-            if commits:
-                last_activity = cycle
-                committed += commits
+                        assert sq[0] == index
+                        del sq[0]
+                        line_stores = sq_by_line[line]
+                        assert line_stores[0] == index
+                        if len(line_stores) == 1:
+                            del sq_by_line[line]
+                        else:
+                            del line_stores[0]
+                        mem_epoch += 1
+                    elif r_load[index]:
+                        lq_count -= 1
+                    commit_pos = index + 1
+                    if index == waiting_serialize:
+                        waiting_serialize = -1
+                        fb_cause = ci_serialize
+                        resume = cycle + 1
+                        if resume > fetch_blocked_until:
+                            fetch_blocked_until = resume
+                commits = commit_pos - start
+                if commits:
+                    last_activity = cycle
 
             # ----------------------------------------------------------
             # Stall attribution (StallLedger.account, inlined)
@@ -790,32 +772,32 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                     ci = ci_wb_full
                 elif commit_block == 1:
                     ci = ci_dcache_port
-                elif rob:
-                    head = rob[0]
+                elif commit_pos < dispatch_pos:
+                    head = commit_pos
                     ci = ci_exec
-                    if head is waiting_branch:
+                    if head == waiting_branch:
                         ci = ci_branch
-                    elif head is waiting_serialize:
+                    elif head == waiting_serialize:
                         ci = ci_serialize
-                    elif head[U_LOAD] and not head[U_DONE]:
-                        if head[U_MEMDONE]:
-                            source = head[U_MEMSRC]
+                    elif r_load[head] and done_at[head] == far:
+                        source = msrc[head]
+                        if source:
                             if source == SRC_MISS or \
                                     source == SRC_SECONDARY:
                                 ci = ci_next_level
                             elif source == SRC_HIT:
                                 ci = ci_lb_miss
-                        elif head[U_AKNOWN]:
-                            block_code = head[U_BLK]
+                        elif acyc[head] >= 0:
+                            block_code = blk[head]
                             if block_code >= BLK_NO_PORT:
                                 ci = ci_dcache_port
                             elif block_code:
                                 ci = ci_mem_order
-                elif fq:
+                elif dispatch_pos < trace_pos:
                     ci = ci_fetch
-                elif waiting_branch is not None:
+                elif waiting_branch >= 0:
                     ci = ci_branch
-                elif waiting_serialize is not None:
+                elif waiting_serialize >= 0:
                     ci = ci_serialize
                 elif trace_pos >= total:
                     ci = ci_drain
@@ -835,43 +817,41 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
             # 3a. memory: LSQ load scheduling
             # ----------------------------------------------------------
             if act_loads:
-                while sq_unknown and sq_unknown[0][U_AKNOWN]:
+                while sq_unknown and acyc[sq_unknown[0]] >= 0:
                     del sq_unknown[0]
-                barrier = sq_unknown[0][U_SEQ] if sq_unknown \
-                    else _INFINITY
+                barrier = sq_unknown[0] if sq_unknown else total
                 port_requests = None
                 lb_reads = 0
                 scheduled = 0
                 for load in act_loads:
-                    if load[U_SCANEP] == mem_epoch:
+                    if scanep[load] == mem_epoch:
                         # Negative scan already proven at this epoch.
                         if port_requests is None:
                             port_requests = [load]
                         else:
                             port_requests.append(load)
                         continue
-                    load_seq = load[U_SEQ]
-                    if load_seq > barrier and not speculative_loads:
+                    if load > barrier and not speculative_loads:
                         st_l_order += 1
-                        load[U_BLK] = BLK_ORDER
+                        blk[load] = BLK_ORDER
                         continue
-                    load_line = load[U_LINE]
-                    load_mask = load[U_MASK]
+                    load_line = r_line[load]
+                    load_mask = r_mask[load]
                     # In-flight store forwarding (newest older
-                    # match; only same-line AKNOWN stores can match,
+                    # match; only same-line resolved stores can match,
                     # which is exactly what sq_by_line holds).
                     action = 0
                     line_stores = sqline_get(load_line)
                     if line_stores is not None:
                         for store in reversed(line_stores):
-                            if store[U_SEQ] >= load_seq:
+                            if store > load:
                                 continue
-                            overlap = store[U_MASK] & load_mask
+                            overlap = r_mask[store] & load_mask
                             if not overlap:
                                 continue
                             if overlap == load_mask and \
-                                    store[U_DWAIT] == 0 and \
-                                    store[U_DRDY] <= cycle:
+                                    dwait[store] == 0 and \
+                                    drdy[store] <= cycle:
                                 action = 1
                             else:
                                 action = 2
@@ -879,11 +859,10 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                     if action == 1:
                         st_l_sqf += 1
                         scheduled += 1
-                        load[U_MEMDONE] = True
-                        load[U_MEMSRC] = SRC_SQ
-                        load[U_BLK] = 0
+                        msrc[load] = SRC_SQ
+                        blk[load] = 0
                         ready = cycle + 1
-                        latency = ready - load[U_ACYC]
+                        latency = ready - acyc[load]
                         if latency in ll_counts:
                             ll_counts[latency] += 1
                         else:
@@ -896,7 +875,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                         continue
                     if action == 2:
                         st_l_sqw += 1
-                        load[U_BLK] = BLK_SQ_WAIT
+                        blk[load] = BLK_SQ_WAIT
                         continue
                     # Write-buffer forwarding check (newest match).
                     wb_action = 0
@@ -918,11 +897,10 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                     if wb_action == 1:
                         st_l_wbf += 1
                         scheduled += 1
-                        load[U_MEMDONE] = True
-                        load[U_MEMSRC] = SRC_WB
-                        load[U_BLK] = 0
+                        msrc[load] = SRC_WB
+                        blk[load] = 0
                         ready = cycle + 1
-                        latency = ready - load[U_ACYC]
+                        latency = ready - acyc[load]
                         if latency in ll_counts:
                             ll_counts[latency] += 1
                         else:
@@ -935,7 +913,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                         continue
                     if wb_action == 2:
                         st_l_wbc += 1
-                        load[U_BLK] = BLK_WB_CONFLICT
+                        blk[load] = BLK_WB_CONFLICT
                         continue
                     # Line buffer (DataCacheSystem.line_buffer_hit).
                     if lb_reads < max_combine and has_lb and \
@@ -946,12 +924,11 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                             lb_reads += 1
                             st_l_lb += 1
                             scheduled += 1
-                            load[U_MEMDONE] = True
-                            load[U_MEMSRC] = SRC_LB
-                            load[U_BLK] = 0
+                            msrc[load] = SRC_LB
+                            blk[load] = 0
                             ready = cycle + lb_latency
                             assert ready > cycle
-                            latency = ready - load[U_ACYC]
+                            latency = ready - acyc[load]
                             if latency in ll_counts:
                                 ll_counts[latency] += 1
                             else:
@@ -964,7 +941,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                             continue
                         st_b_miss += 1
                     elif scan_memo:
-                        load[U_SCANEP] = mem_epoch
+                        scanep[load] = mem_epoch
                     if port_requests is None:
                         port_requests = [load]
                     else:
@@ -974,7 +951,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                     if combine_loads:
                         groups: dict[int, list] = {}
                         for load in port_requests:
-                            chunk = load[U_CHUNK]
+                            chunk = r_chunk[load]
                             group = groups.get(chunk)
                             if group is None:
                                 groups[chunk] = [load]
@@ -986,19 +963,19 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                 batches.append(
                                     group[start:start + max_combine])
                         for batch_index, batch in enumerate(batches):
-                            line = batch[0][U_LINE]
+                            line = r_line[batch[0]]
                             # DataCacheSystem.load_access, inlined.
                             if ports_used >= n_ports:
                                 st_d_lnp += 1
                                 for blocked in batches[batch_index:]:
                                     for load in blocked:
-                                        load[U_BLK] = BLK_NO_PORT
+                                        blk[load] = BLK_NO_PORT
                                 break
                             if bank_mask and (line & bank_mask) in banks_used:
                                 st_d_bankc += 1
                                 st_d_lnp += 1
                                 for load in batch:
-                                    load[U_BLK] = BLK_BANK
+                                    blk[load] = BLK_BANK
                                 continue
                             pending_ready = dc_pending.get(line, 0)
                             if pending_ready > cycle:
@@ -1032,7 +1009,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                         st_d_portu += 1
                                         st_d_lmshr += 1
                                         for load in batch:
-                                            load[U_BLK] = BLK_MSHR
+                                            blk[load] = BLK_MSHR
                                         continue
                                     ports_used += 1
                                     if bank_mask:
@@ -1057,22 +1034,21 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                             if batch_size > 1:
                                 st_l_comb += batch_size - 1
                                 st_l_comba += 1
+                            assert ready > cycle, \
+                                "load data cannot be ready in the past"
                             for load in batch:
-                                load[U_MEMDONE] = True
-                                load[U_MEMSRC] = source
-                                load[U_BLK] = 0
-                                assert ready > cycle, \
-                                    "load data cannot be ready in the past"
-                                latency = ready - load[U_ACYC]
+                                msrc[load] = source
+                                blk[load] = 0
+                                latency = ready - acyc[load]
                                 if latency in ll_counts:
                                     ll_counts[latency] += 1
                                 else:
                                     ll_counts[latency] = 1
-                                bucket = evc_get(ready)
-                                if bucket is None:
-                                    ev_complete[ready] = [load]
-                                else:
-                                    bucket.append(load)
+                            bucket = evc_get(ready)
+                            if bucket is None:
+                                ev_complete[ready] = batch
+                            else:
+                                bucket.extend(batch)
                     else:
                         # Single-access ports: iterate the requests
                         # directly — no per-load batch lists, and the
@@ -1083,18 +1059,18 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                             if ports_used >= n_ports:
                                 st_d_lnp += 1
                                 for position in range(req_pos, n_req):
-                                    port_requests[position][U_BLK] = \
+                                    blk[port_requests[position]] = \
                                         BLK_NO_PORT
                                 break
                             load = port_requests[req_pos]
                             req_pos += 1
-                            line = load[U_LINE]
+                            line = r_line[load]
                             # DataCacheSystem.load_access, inlined.
                             if bank_mask and \
                                     (line & bank_mask) in banks_used:
                                 st_d_bankc += 1
                                 st_d_lnp += 1
-                                load[U_BLK] = BLK_BANK
+                                blk[load] = BLK_BANK
                                 continue
                             pending_ready = dc_pending.get(line, 0)
                             if pending_ready > cycle:
@@ -1129,7 +1105,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                                 line & bank_mask)
                                         st_d_portu += 1
                                         st_d_lmshr += 1
-                                        load[U_BLK] = BLK_MSHR
+                                        blk[load] = BLK_MSHR
                                         continue
                                     ports_used += 1
                                     if bank_mask:
@@ -1150,12 +1126,11 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                     st_b_fill += 1
                             scheduled += 1
                             st_l_port += 1
-                            load[U_MEMDONE] = True
-                            load[U_MEMSRC] = source
-                            load[U_BLK] = 0
+                            msrc[load] = source
+                            blk[load] = 0
                             assert ready > cycle, \
                                 "load data cannot be ready in the past"
-                            latency = ready - load[U_ACYC]
+                            latency = ready - acyc[load]
                             if latency in ll_counts:
                                 ll_counts[latency] += 1
                             else:
@@ -1169,7 +1144,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                     act_loads = []
                 elif scheduled:
                     act_loads = [load for load in act_loads
-                                 if not load[U_MEMDONE]]
+                                 if not msrc[load]]
 
             # ----------------------------------------------------------
             # 3b. memory: write buffer drain into leftover port cycles
@@ -1249,19 +1224,20 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
             if iq_ready and iq_min_ready <= cycle:
                 fu_used[:] = fu_unused
                 keep = []
-                next_ready = _FAR
-                for uop in iq_ready:
-                    if issued >= issue_width or uop[U_OPRDY] > cycle:
-                        keep.append(uop)
-                        if uop[U_OPRDY] < next_ready:
-                            next_ready = uop[U_OPRDY]
+                next_ready = far
+                for index in iq_ready:
+                    ready = oprdy[index]
+                    if ready > cycle or issued >= issue_width:
+                        keep.append(index)
+                        if ready < next_ready:
+                            next_ready = ready
                         continue
-                    opc = uop[U_OPC]
+                    opc = r_opc[index]
                     if fu_limited[opc]:
                         used = fu_used[opc]
                         if used >= fu_count[opc]:
                             fu_stalls[opc] += 1
-                            keep.append(uop)
+                            keep.append(index)
                             next_ready = cycle
                             continue
                         busy = fu_busy[opc]
@@ -1269,105 +1245,125 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                             busy[:] = [t for t in busy if t > cycle]
                             if len(busy) >= fu_count[opc]:
                                 fu_stalls[opc] += 1
-                                keep.append(uop)
+                                keep.append(index)
                                 next_ready = cycle
                                 continue
                             busy.append(cycle + fu_latency[opc])
                         fu_used[opc] = used + 1
                     fu_ops[opc] += 1
-                    done_at = cycle + fu_latency[opc]
+                    done = cycle + fu_latency[opc]
                     issued += 1
-                    uop[U_INIQ] = False
-                    iq_count -= 1
-                    if uop[U_LOAD] or uop[U_STORE]:
-                        bucket = eva_get(done_at)
+                    if r_mem[index]:
+                        bucket = eva_get(done)
                         if bucket is None:
-                            ev_addr[done_at] = [uop]
+                            ev_addr[done] = [index]
                         else:
-                            bucket.append(uop)
+                            bucket.append(index)
                     else:
-                        bucket = evc_get(done_at)
+                        bucket = evc_get(done)
                         if bucket is None:
-                            ev_complete[done_at] = [uop]
+                            ev_complete[done] = [index]
                         else:
-                            bucket.append(uop)
+                            bucket.append(index)
                 iq_ready = keep
                 iq_min_ready = next_ready
                 if issued:
+                    iq_count -= issued
                     st_issued += issued
 
             # ----------------------------------------------------------
             # 5. dispatch (rename: dependences, ROB/IQ/LSQ allocation)
             # ----------------------------------------------------------
             dispatched = 0
-            decoded_by = cycle - decode_latency   # latest visible fetch
-            while fq and dispatched < dispatch_width:
-                uop = fq[0]
-                if uop[U_FETCH] > decoded_by:
-                    break
-                if len(rob) >= rob_size:
-                    st_rob_full += 1
-                    cap_rob += 1
-                    break
-                if iq_count >= iq_size:
-                    st_iq_full += 1
-                    cap_iq += 1
-                    break
-                is_load = uop[U_LOAD]
-                is_store = uop[U_STORE]
-                if is_load and len(lsq_loads) >= lq_size:
-                    st_lq_full += 1
-                    cap_lq += 1
-                    break
-                if is_store and len(lsq_stores) >= sq_size:
-                    st_sq_full += 1
-                    cap_sq += 1
-                    break
-                fq_popleft()
-                index = uop[U_IDX]
-                for producer_index, is_data in r_prod[index]:
-                    when = idx_done_at[producer_index]
-                    if when >= 0:
-                        if is_data:
-                            if when > uop[U_DRDY]:
-                                uop[U_DRDY] = when
-                        elif when > uop[U_OPRDY]:
-                            uop[U_OPRDY] = when
-                        continue
-                    idx_uop[producer_index][U_CONS].append(
-                        (uop, is_data))
-                    if is_data:
-                        uop[U_DWAIT] += 1
-                    else:
-                        uop[U_NWAIT] += 1
-                if r_is_prod[index]:
-                    idx_uop[index] = uop
-                uop[U_INIQ] = True
-                iq_count += 1
-                if uop[U_NWAIT] == 0:
-                    if uop[U_OPRDY] < iq_min_ready:
-                        iq_min_ready = uop[U_OPRDY]
-                    iq_ready.append(uop)
-                rob_append(uop)
-                if is_load:
-                    lsq_loads.append(uop)
-                elif is_store:
-                    lsq_stores.append(uop)
-                    sq_unknown.append(uop)
-                dispatched += 1
-            if dispatched:
-                last_activity = cycle
-                st_dispatched += dispatched
+            if dispatch_pos < trace_pos:
+                start = dispatch_pos
+                stop = start + dispatch_width
+                if trace_pos < stop:
+                    stop = trace_pos
+                decoded_by = cycle - decode_latency   # latest visible fetch
+                rob_stop = commit_pos + rob_size
+                while dispatch_pos < stop:
+                    index = dispatch_pos
+                    if fetch_at[index] > decoded_by:
+                        break
+                    if index >= rob_stop:
+                        st_rob_full += 1
+                        cap_rob += 1
+                        break
+                    if iq_count >= iq_size:
+                        st_iq_full += 1
+                        cap_iq += 1
+                        break
+                    if r_load[index]:
+                        if lq_count >= lq_size:
+                            st_lq_full += 1
+                            cap_lq += 1
+                            break
+                        lq_count += 1
+                    elif r_store[index]:
+                        if len(sq) >= sq_size:
+                            st_sq_full += 1
+                            cap_sq += 1
+                            break
+                        sq.append(index)
+                        sq_unknown.append(index)
+                        producers = r_dprod[index]
+                        if producers:
+                            waits = ready = 0
+                            for producer in producers:
+                                when = done_at[producer]
+                                if when != far:
+                                    if when > ready:
+                                        ready = when
+                                    continue
+                                consumers = dcons[producer]
+                                if consumers is None:
+                                    dcons[producer] = [index]
+                                else:
+                                    consumers.append(index)
+                                waits += 1
+                            drdy[index] = ready
+                            dwait[index] = waits
+                    dispatch_pos = index + 1
+                    iq_count += 1
+                    producers = r_nprod[index]
+                    if producers:
+                        waits = ready = 0
+                        for producer in producers:
+                            when = done_at[producer]
+                            if when != far:
+                                if when > ready:
+                                    ready = when
+                                continue
+                            consumers = ncons[producer]
+                            if consumers is None:
+                                ncons[producer] = [index]
+                            else:
+                                consumers.append(index)
+                            waits += 1
+                        oprdy[index] = ready
+                        if waits:
+                            nwait[index] = waits
+                            continue
+                        if ready < iq_min_ready:
+                            iq_min_ready = ready
+                    elif iq_min_ready > 0:
+                        iq_min_ready = 0
+                    iq_ready.append(index)
+                dispatched = dispatch_pos - start
+                if dispatched:
+                    last_activity = cycle
+                    st_dispatched += dispatched
 
             # ----------------------------------------------------------
             # 6. fetch
             # ----------------------------------------------------------
             fetched = 0
             while True:   # single-shot block: break == stage return
-                if waiting_branch is not None:
+                if waiting_branch >= 0:
                     st_f_branch += 1
                     break
-                if waiting_serialize is not None:
+                if waiting_serialize >= 0:
                     st_f_serial += 1
                     break
                 if cycle < fetch_blocked_until:
@@ -1375,7 +1371,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                     break
                 if trace_pos >= total:
                     break
-                if len(fq) >= fetch_queue_size:
+                if trace_pos - dispatch_pos >= fetch_queue_size:
                     st_f_queue += 1
                     break
                 block = r_block[trace_pos]
@@ -1416,10 +1412,11 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                     st_f_icache += ready - cycle
                     break
                 # Bounded by the fetch width, the queue's room and the
-                # trace's end.
+                # trace's end.  A plain run is taken in one step; only
+                # a control or serializing instruction is looked at.
                 start = trace_pos
                 stop = start + fetch_width
-                room = start + fetch_queue_size - len(fq)
+                room = dispatch_pos + fetch_queue_size
                 if room < stop:
                     stop = room
                 if total < stop:
@@ -1428,22 +1425,14 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                     index = trace_pos
                     if r_block[index] != block:
                         break
-                    # A fresh uop.  The sequence number IS the trace
-                    # index: fetch consumes the trace in order, one uop
-                    # per record.  Producers get a private consumer
-                    # list; everyone else shares the never-mutated
-                    # empty one.
-                    uop = [index, index, r_opc[index], r_load[index],
-                           r_store[index], cycle, False, -1, 0, 0,
-                           [] if r_is_prod[index] else empty_cons, 0, 0,
-                           False, r_line[index], r_chunk[index],
-                           r_mask[index], False, 0, 0, -1, False, False,
-                           False, False, -1]
-                    fq_append(uop)
-                    trace_pos += 1
-                    kind = r_kind[index]
-                    if kind == _K_PLAIN:
+                    run = r_run[index]
+                    if run:
+                        trace_pos = index + run
+                        if trace_pos > stop:
+                            trace_pos = stop
                         continue
+                    trace_pos = index + 1
+                    kind = r_kind[index]
                     if kind == _K_BRANCH:
                         pc = r_pc[index]
                         predicted_taken = bp_predict(pc)
@@ -1456,13 +1445,10 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                 predicted_target = None
                         else:
                             predicted_target = None
-                        uop[U_PTAKEN] = predicted_taken
                         taken = r_taken[index]
-                        correct = predicted_taken == taken and (
-                            not taken or predicted_target == r_npc[index])
-                        if not correct:
-                            uop[U_MISP] = True
-                            waiting_branch = uop
+                        if predicted_taken != taken or (
+                                taken and predicted_target != r_npc[index]):
+                            waiting_branch = index
                             break
                         if taken:
                             break
@@ -1478,16 +1464,15 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                             fb_cause = ci_branch
                             st_f_jdec += 1
                             break
-                        uop[U_MISP] = True
-                        waiting_branch = uop
+                        waiting_branch = index
                         break
-                    elif kind == _K_SERIALIZE:
-                        uop[U_SERIAL] = True
-                        waiting_serialize = uop
+                    else:   # _K_SERIALIZE
+                        waiting_serialize = index
                         st_f_serial_red += 1
                         break
                 fetched = trace_pos - start
                 if fetched:
+                    fetch_at[start:trace_pos] = [cycle] * fetched
                     last_activity = cycle
                     st_fetched += fetched
                 break
@@ -1519,15 +1504,14 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                     if event_at < skip_to:
                         skip_to = event_at
                 ok_skip = True
-                if rob:
-                    sk_head = rob[0]
-                    if sk_head[U_DONE] and sk_head[U_CCYC] < skip_to:
-                        skip_to = sk_head[U_CCYC]
+                if commit_pos < dispatch_pos and \
+                        done_at[commit_pos] < skip_to:
+                    skip_to = done_at[commit_pos]
                 if iq_ready and iq_min_ready < skip_to:
                     skip_to = iq_min_ready
                 gate_passed = False
-                if fq:
-                    gate = fq[0][U_FETCH] + decode_latency
+                if dispatch_pos < trace_pos:
+                    gate = fetch_at[dispatch_pos] + decode_latency
                     if gate > cycle:
                         if gate < skip_to:
                             skip_to = gate
@@ -1537,10 +1521,10 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                     skip_to = fetch_blocked_until
                 n_order = n_sqwait = 0
                 for load in act_loads:
-                    blk = load[U_BLK]
-                    if blk == BLK_ORDER:
+                    block_code = blk[load]
+                    if block_code == BLK_ORDER:
                         n_order += 1
-                    elif blk == BLK_SQ_WAIT:
+                    elif block_code == BLK_SQ_WAIT:
                         n_sqwait += 1
                     else:
                         # Port/bank/MSHR/WB-conflict blocks depend on
@@ -1548,35 +1532,33 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                         ok_skip = False
                         break
                 if ok_skip and n_sqwait:
-                    for store in lsq_stores:
-                        drdy = store[U_DRDY]
-                        if cycle < drdy < skip_to:
-                            skip_to = drdy
+                    for store in sq:
+                        ready = drdy[store]
+                        if cycle < ready < skip_to:
+                            skip_to = ready
                 dispatch_full = 0
                 if ok_skip and gate_passed:
-                    sk_uop = fq[0]
-                    if len(rob) >= rob_size:
+                    if dispatch_pos - commit_pos >= rob_size:
                         dispatch_full = 1
                     elif iq_count >= iq_size:
                         dispatch_full = 2
-                    elif sk_uop[U_LOAD] and len(lsq_loads) >= lq_size:
+                    elif r_load[dispatch_pos] and lq_count >= lq_size:
                         dispatch_full = 3
-                    elif sk_uop[U_STORE] and \
-                            len(lsq_stores) >= sq_size:
+                    elif r_store[dispatch_pos] and len(sq) >= sq_size:
                         dispatch_full = 4
                     else:
                         ok_skip = False   # would dispatch next cycle
                 fetch_stall = 0
                 if ok_skip:
-                    if waiting_branch is not None:
+                    if waiting_branch >= 0:
                         fetch_stall = 1
-                    elif waiting_serialize is not None:
+                    elif waiting_serialize >= 0:
                         fetch_stall = 2
                     elif cycle + 1 < fetch_blocked_until:
                         fetch_stall = 3
                     elif trace_pos >= total:
                         fetch_stall = 4   # drained: no statistic
-                    elif len(fq) >= fetch_queue_size:
+                    elif trace_pos - dispatch_pos >= fetch_queue_size:
                         fetch_stall = 5
                     else:
                         ok_skip = False   # would fetch next cycle
@@ -1612,33 +1594,32 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                     # (as argued above) its verdict is constant across
                     # the window.
                     if led_width > 0:
-                        if rob:
-                            sk_head = rob[0]
+                        if commit_pos < dispatch_pos:
+                            head = commit_pos
                             ci = ci_exec
-                            if sk_head is waiting_branch:
+                            if head == waiting_branch:
                                 ci = ci_branch
-                            elif sk_head is waiting_serialize:
+                            elif head == waiting_serialize:
                                 ci = ci_serialize
-                            elif sk_head[U_LOAD] and \
-                                    not sk_head[U_DONE]:
-                                if sk_head[U_MEMDONE]:
-                                    source = sk_head[U_MEMSRC]
+                            elif r_load[head] and done_at[head] == far:
+                                source = msrc[head]
+                                if source:
                                     if source == SRC_MISS or \
                                             source == SRC_SECONDARY:
                                         ci = ci_next_level
                                     elif source == SRC_HIT:
                                         ci = ci_lb_miss
-                                elif sk_head[U_AKNOWN]:
-                                    block_code = sk_head[U_BLK]
+                                elif acyc[head] >= 0:
+                                    block_code = blk[head]
                                     if block_code >= BLK_NO_PORT:
                                         ci = ci_dcache_port
                                     elif block_code:
                                         ci = ci_mem_order
-                        elif fq:
+                        elif dispatch_pos < trace_pos:
                             ci = ci_fetch
-                        elif waiting_branch is not None:
+                        elif waiting_branch >= 0:
                             ci = ci_branch
-                        elif waiting_serialize is not None:
+                        elif waiting_serialize >= 0:
                             ci = ci_serialize
                         elif trace_pos >= total:
                             ci = ci_drain
@@ -1673,28 +1654,33 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                     cycle += k
 
             if cycle - last_activity > watchdog_limit:
-                head = rob[0] if rob else None
+                # OoOCore._deadlock_report, in its words: the head is
+                # shown as the reference loop's Uop would print.
+                head = None
+                if commit_pos < dispatch_pos:
+                    kind = "L" if r_load[commit_pos] else "S" \
+                        if r_store[commit_pos] \
+                        else f"opclass {r_opc[commit_pos]}"
+                    head = (f"Uop#{commit_pos}({kind} completed="
+                            f"{done_at[commit_pos] != far})")
                 raise SimError(
                     f"timing core made no progress for "
                     f"{watchdog_limit} cycles (cycle={cycle}, "
-                    f"committed={committed}, rob={len(rob)}, "
-                    f"iq={iq_count}, fq={len(fq)}, head={head!r})")
+                    f"committed={commit_pos}, "
+                    f"rob={dispatch_pos - commit_pos}, iq={iq_count}, "
+                    f"fq={trace_pos - dispatch_pos}, head={head})")
             cycle += 1
     finally:
         # --------------------------------------------------------------
         # Write the batched state back into the real objects, so the
         # caller (and post-mortem inspection after an exception) sees
-        # exactly what the reference loop would have produced.
+        # what the reference loop would have left there.
         # --------------------------------------------------------------
+        committed = commit_pos
         core._trace_pos = trace_pos
         core._cycle = cycle - 1 if cycle else 0
         core._committed = committed
         core._last_activity = last_activity
-        core._iq = [uop for uop in rob if uop[U_INIQ]]
-        core._events_complete = ev_complete
-        core._events_addr = ev_addr
-        core._waiting_branch = waiting_branch
-        core._waiting_serialize = waiting_serialize
         core._fetch_blocked_until = fetch_blocked_until
         core._fetch_block_cause = CAUSE_ORDER[fb_cause]
         core._fetch_memo = (memo_block, memo_ready) \
@@ -1707,124 +1693,68 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                 for line, mask in zip(wbl_lines, wbl_masks)]
 
         inc = core.stats.inc
-        if committed:
-            inc("core.commits", committed)
-        if st_commit_store_port:
-            inc("core.commit_store_port_stalls", st_commit_store_port)
-        if st_commit_wb_full:
-            inc("core.commit_wb_full_stalls", st_commit_wb_full)
-        if st_issued:
-            inc("core.issued", st_issued)
-        if st_dispatched:
-            inc("core.dispatched", st_dispatched)
-        if st_rob_full:
-            inc("core.dispatch_rob_full", st_rob_full)
-        if st_iq_full:
-            inc("core.dispatch_iq_full", st_iq_full)
-        if st_lq_full:
-            inc("core.dispatch_lq_full", st_lq_full)
-        if st_sq_full:
-            inc("core.dispatch_sq_full", st_sq_full)
-        if st_fetched:
-            inc("fetch.fetched", st_fetched)
-        if st_f_branch:
-            inc("fetch.stall_branch_cycles", st_f_branch)
-        if st_f_serial:
-            inc("fetch.stall_serialize_cycles", st_f_serial)
-        if st_f_redirect:
-            inc("fetch.stall_redirect_cycles", st_f_redirect)
-        if st_f_queue:
-            inc("fetch.stall_queue_cycles", st_f_queue)
-        if st_f_icache:
-            inc("fetch.icache_stall_cycles", st_f_icache)
-        if st_f_serial_red:
-            inc("fetch.serialize_redirects", st_f_serial_red)
-        if st_f_jdec:
-            inc("fetch.jump_decode_redirects", st_f_jdec)
-        if st_l_order:
-            inc("lsq.order_stalls", st_l_order)
-        if st_l_sqf:
-            inc("lsq.sq_forwards", st_l_sqf)
-        if st_l_sqw:
-            inc("lsq.sq_waits", st_l_sqw)
-        if st_l_wbf:
-            inc("lsq.wb_forwards", st_l_wbf)
-        if st_l_wbc:
-            inc("lsq.wb_conflicts", st_l_wbc)
-        if st_l_lb:
-            inc("lsq.lb_loads", st_l_lb)
-        if st_l_port:
-            inc("lsq.port_loads", st_l_port)
-        if st_l_comb:
-            inc("lsq.combined_loads", st_l_comb)
-        if st_l_comba:
-            inc("lsq.combined_accesses", st_l_comba)
-        if st_d_bankc:
-            inc("dcache.bank_conflicts", st_d_bankc)
-        if st_d_portu:
-            inc("dcache.port_uses", st_d_portu)
-        if st_d_lnp:
-            inc("dcache.load_no_port", st_d_lnp)
-        if st_d_lsec:
-            inc("dcache.load_secondary_misses", st_d_lsec)
-        if st_d_lhit:
-            inc("dcache.load_hits", st_d_lhit)
-        if st_d_lmiss:
-            inc("dcache.load_misses", st_d_lmiss)
-        if st_d_lmshr:
-            inc("dcache.load_mshr_full", st_d_lmshr)
-        if st_d_snp:
-            inc("dcache.store_no_port", st_d_snp)
-        if st_d_smerge:
-            inc("dcache.store_mshr_merges", st_d_smerge)
-        if st_d_shit:
-            inc("dcache.store_hits", st_d_shit)
-        if st_d_smiss:
-            inc("dcache.store_misses", st_d_smiss)
-        if st_d_smshr:
-            inc("dcache.store_mshr_full", st_d_smshr)
-        if st_w_comb:
-            inc("wb.combined", st_w_comb)
-        if st_w_full:
-            inc("wb.full_stalls", st_w_full)
-        if st_w_alloc:
-            inc("wb.entries_allocated", st_w_alloc)
-        if st_w_drain:
-            inc("wb.drains", st_w_drain)
-        if st_w_lf:
-            inc("wb.load_forwards", st_w_lf)
-        if st_w_lc:
-            inc("wb.load_conflicts", st_w_lc)
-        if st_b_hits:
-            inc("lb.hits", st_b_hits)
-        if st_b_miss:
-            inc("lb.misses", st_b_miss)
-        if st_b_fill:
-            inc("lb.fills", st_b_fill)
-        if st_b_sinv:
-            inc("lb.store_invalidations", st_b_sinv)
-        if st_b_supd:
-            inc("lb.store_updates", st_b_supd)
-        if st_p_br:
-            inc("bpred.branches", st_p_br)
-        if st_p_brc:
-            inc("bpred.correct", st_p_brc)
-        if st_p_brm:
-            inc("bpred.mispredicts", st_p_brm)
-        if st_p_j:
-            inc("bpred.jumps", st_p_j)
-        if st_p_jc:
-            inc("bpred.jump_correct", st_p_jc)
-        if st_p_jm:
-            inc("bpred.jump_mispredicts", st_p_jm)
-        if st_i_acc:
-            inc("icache.accesses", st_i_acc)
-        if st_i_pend:
-            inc("icache.pending_hits", st_i_pend)
-        if st_i_hit:
-            inc("icache.hits", st_i_hit)
-        if st_i_miss:
-            inc("icache.misses", st_i_miss)
+        for name, count in (
+                ("core.commits", committed),
+                ("core.commit_store_port_stalls", st_commit_store_port),
+                ("core.commit_wb_full_stalls", st_commit_wb_full),
+                ("core.issued", st_issued),
+                ("core.dispatched", st_dispatched),
+                ("core.dispatch_rob_full", st_rob_full),
+                ("core.dispatch_iq_full", st_iq_full),
+                ("core.dispatch_lq_full", st_lq_full),
+                ("core.dispatch_sq_full", st_sq_full),
+                ("fetch.fetched", st_fetched),
+                ("fetch.stall_branch_cycles", st_f_branch),
+                ("fetch.stall_serialize_cycles", st_f_serial),
+                ("fetch.stall_redirect_cycles", st_f_redirect),
+                ("fetch.stall_queue_cycles", st_f_queue),
+                ("fetch.icache_stall_cycles", st_f_icache),
+                ("fetch.serialize_redirects", st_f_serial_red),
+                ("fetch.jump_decode_redirects", st_f_jdec),
+                ("lsq.order_stalls", st_l_order),
+                ("lsq.sq_forwards", st_l_sqf),
+                ("lsq.sq_waits", st_l_sqw),
+                ("lsq.wb_forwards", st_l_wbf),
+                ("lsq.wb_conflicts", st_l_wbc),
+                ("lsq.lb_loads", st_l_lb),
+                ("lsq.port_loads", st_l_port),
+                ("lsq.combined_loads", st_l_comb),
+                ("lsq.combined_accesses", st_l_comba),
+                ("dcache.bank_conflicts", st_d_bankc),
+                ("dcache.port_uses", st_d_portu),
+                ("dcache.load_no_port", st_d_lnp),
+                ("dcache.load_secondary_misses", st_d_lsec),
+                ("dcache.load_hits", st_d_lhit),
+                ("dcache.load_misses", st_d_lmiss),
+                ("dcache.load_mshr_full", st_d_lmshr),
+                ("dcache.store_no_port", st_d_snp),
+                ("dcache.store_mshr_merges", st_d_smerge),
+                ("dcache.store_hits", st_d_shit),
+                ("dcache.store_misses", st_d_smiss),
+                ("dcache.store_mshr_full", st_d_smshr),
+                ("wb.combined", st_w_comb),
+                ("wb.full_stalls", st_w_full),
+                ("wb.entries_allocated", st_w_alloc),
+                ("wb.drains", st_w_drain),
+                ("wb.load_forwards", st_w_lf),
+                ("wb.load_conflicts", st_w_lc),
+                ("lb.hits", st_b_hits),
+                ("lb.misses", st_b_miss),
+                ("lb.fills", st_b_fill),
+                ("lb.store_invalidations", st_b_sinv),
+                ("lb.store_updates", st_b_supd),
+                ("bpred.branches", st_p_br),
+                ("bpred.correct", st_p_brc),
+                ("bpred.mispredicts", st_p_brm),
+                ("bpred.jumps", st_p_j),
+                ("bpred.jump_correct", st_p_jc),
+                ("bpred.jump_mispredicts", st_p_jm),
+                ("icache.accesses", st_i_acc),
+                ("icache.pending_hits", st_i_pend),
+                ("icache.hits", st_i_hit),
+                ("icache.misses", st_i_miss)):
+            if count:
+                inc(name, count)
         for index, count in enumerate(fu_ops):
             if count:
                 inc(f"fu.{_OPCS[index].value}.ops", count)
@@ -1854,13 +1784,8 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
             for bucket, slots in led_series[ci].items():
                 series_counts[bucket] += slots
             series._total += lost
-        if cap_rob:
-            ledger.capacity["rob"] = \
-                ledger.capacity.get("rob", 0) + cap_rob
-        if cap_iq:
-            ledger.capacity["iq"] = ledger.capacity.get("iq", 0) + cap_iq
-        if cap_lq:
-            ledger.capacity["lq"] = ledger.capacity.get("lq", 0) + cap_lq
-        if cap_sq:
-            ledger.capacity["sq"] = ledger.capacity.get("sq", 0) + cap_sq
+        for name, count in (("rob", cap_rob), ("iq", cap_iq),
+                            ("lq", cap_lq), ("sq", cap_sq)):
+            if count:
+                ledger.capacity[name] = ledger.capacity.get(name, 0) + count
     return cycle

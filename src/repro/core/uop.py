@@ -5,7 +5,9 @@ trace, by which the loop and every recorder look up what the
 instruction *is* in the trace's columns — plus the opclass index and
 the dynamic state the pipeline moves it through.  Its memory-source and
 LSQ-block fields hold the codes of :mod:`repro.obs.probe`, the table
-the fast loop's int-coded slots use too.
+the fast loop uses too.  The fast loop builds no per-instruction
+object: there an instruction is its ``seq``, and each field here is a
+list indexed by it (:mod:`repro.core.fastpath`).
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ checks and folds them into one pass/fail table:
 3. **fastpath** (per machine config) — the fast cycle loop must produce
    a byte-identical :class:`~repro.core.pipeline.CoreResult` view
    (cycles, stats, stall ledger, load-latency histogram, digests) to
-   the instrumented reference loop.
+   the instrumented reference loop
+   (:func:`repro.validate.fastpath_divergence`).
 
 ``repro corpus verify`` drives :func:`verify_corpus`; CI's
 ``corpus-smoke`` job runs it at tiny scale under ``REPRO_VALIDATE=1``.
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..core import pipeline
 from ..core.pipeline import OoOCore
 from ..presets import machine
 from ..stats.report import Table
@@ -33,6 +33,7 @@ from ..validate import (
     InvariantChecker,
     SystemGoldenChecker,
     ValidationSuite,
+    fastpath_divergence,
 )
 from . import SCENARIO_NAMES, SCENARIOS
 from .runtime import check_contract, run_scenario
@@ -41,43 +42,6 @@ from .runtime import check_contract, run_scenario
 #: single-port baseline, the dual-port upper bound, and the best
 #: single-port technique stack.
 CORPUS_CONFIGS = ("1P", "2P", "1P-wide+LB+SC")
-
-
-def result_view(result) -> dict:
-    """Everything :class:`CoreResult` exposes, flattened to comparable
-    plain values — the byte-identity contract of the fast-path
-    differential (shared with ``tests/test_fastpath_diff.py``)."""
-    return {
-        "cycles": result.cycles,
-        "instructions": result.instructions,
-        "stats": result.stats.as_dict(),
-        "ledger": result.ledger.as_dict(),
-        "load_latency": result.load_latency.as_dict(),
-        "digests": result.digests,
-    }
-
-
-def _fastpath_differential(config_name: str, trace) -> str | None:
-    """Reference loop vs fast loop on identical machines; returns a
-    failure detail or None.  Forces the implicit REPRO_VALIDATE checker
-    off for the pair (both loops must run bare), restoring it after."""
-    saved = pipeline._ENV_VALIDATE
-    pipeline._ENV_VALIDATE = False
-    try:
-        slow_core = OoOCore(machine(config_name), fastpath=False)
-        slow = slow_core.run(trace)
-        fast_core = OoOCore(machine(config_name), fastpath=True)
-        fast = fast_core.run(trace)
-        if not fast_core.used_fastpath:
-            return "fast core did not take the fast path"
-        slow_view, fast_view = result_view(slow), result_view(fast)
-        if fast_view != slow_view:
-            diffs = [key for key in slow_view
-                     if slow_view[key] != fast_view[key]]
-            return f"fast path diverges from reference in {diffs}"
-        return None
-    finally:
-        pipeline._ENV_VALIDATE = saved
 
 
 def verify_scenario(name: str, scale: str, seed: int | None = None,
@@ -133,7 +97,7 @@ def verify_scenario(name: str, scale: str, seed: int | None = None,
 
     for config in configs:
         try:
-            detail = _fastpath_differential(config, trace)
+            detail = fastpath_divergence(config, trace)
         except Exception as exc:
             detail = f"{type(exc).__name__}: {exc}"
         row("fastpath", config, detail)

@@ -6,8 +6,9 @@ forward branches, bounded loops, direct/indirect jumps, safe host
 syscalls), then pushes each program through the full stack —
 assembler → functional interpreter → timing core — with the
 :mod:`repro.validate` checkers attached, across a matrix of machine
-configurations.  Any divergence, invariant violation, commit-count
-mismatch or digest mismatch is a failure.
+configurations, and through the fast cycle loop against the reference
+loop.  Any divergence, invariant violation, commit-count mismatch,
+digest mismatch or fast-loop difference is a failure.
 
 Programs are built from **units**: self-contained blocks of lines that
 can be removed independently (labels are unique per unit, registers are
@@ -304,14 +305,17 @@ def generate_program(seed: int, units: int = 24) -> str:
 def check_program(source: str,
                   configs: Sequence[str] = DEFAULT_CONFIGS,
                   max_instructions: int = 200_000) -> list[str]:
-    """Run *source* through every config with full validation.
+    """Run *source* through every config with full validation, and
+    through the fast cycle loop against the reference loop.
 
     Returns a list of failure descriptions (empty = the program agrees
-    with the golden model and breaks no invariant anywhere).
+    with the golden model, breaks no invariant and times identically on
+    both loops everywhere).
     """
     from ..core.pipeline import OoOCore
     from ..presets import machine
-    from ..validate import GoldenChecker, InvariantChecker, ValidationSuite
+    from ..validate import (GoldenChecker, InvariantChecker,
+                            ValidationSuite, fastpath_divergence)
 
     try:
         program = assemble(source)
@@ -345,6 +349,12 @@ def check_program(source: str,
             failures.append(
                 f"{name}: end-state digest mismatch (functional "
                 f"{func.digests}, timing {result.digests})")
+        try:
+            divergence = fastpath_divergence(name, func.trace)
+        except SimError as exc:
+            divergence = f"fast-path differential error: {exc}"
+        if divergence is not None:
+            failures.append(f"{name}: {divergence}")
     return failures
 
 

@@ -336,16 +336,33 @@ class TestWatchdog:
         assert result.instructions == 2
         assert result.cycles > 50_000
 
-    @pytest.mark.parametrize("fastpath", [False, True])
-    def test_forced_low_limit_fires(self, fastpath, monkeypatch):
+    @staticmethod
+    def _deadlock_report(fastpath):
+        """The watchdog's message for a cold load held past a forced low
+        limit: the I-cache miss is served in time, but it keeps the L2
+        busy for 2,000 cycles, so the load waits at the ROB head."""
+        from dataclasses import replace
         from repro import SimError
-        from repro.core import pipeline as pipeline_module
-        monkeypatch.setattr(pipeline_module, "_ENV_VALIDATE", False)
+        base = machine("1P")
+        mem = base.mem
+        config = replace(base, mem=replace(
+            mem, next_level=replace(mem.next_level, occupancy=2_000)))
         tb = TraceBuilder()
         tb.load(dest=5, addr=0x4000)
         tb.alu(dest=6, sources=(5,))
-        core = OoOCore(self._slow_memory_machine(2_000),
-                       fastpath=fastpath)
+        core = OoOCore(config, fastpath=fastpath)
         core._watchdog_limit = 100
-        with pytest.raises(SimError, match="no progress"):
+        with pytest.raises(SimError, match="no progress") as caught:
             core.run(tb.build())
+        assert core.used_fastpath == fastpath
+        return str(caught.value)
+
+    @pytest.mark.parametrize("fastpath", [False, True])
+    def test_forced_low_limit_fires(self, fastpath, monkeypatch):
+        # Both loops trip at the same cycle and report the same
+        # occupancy and head, in the reference loop's words.
+        from repro.core import pipeline as pipeline_module
+        monkeypatch.setattr(pipeline_module, "_ENV_VALIDATE", False)
+        report = self._deadlock_report(fastpath)
+        assert "head=Uop#0(L completed=False)" in report
+        assert report == self._deadlock_report(False)

@@ -16,12 +16,9 @@ from pathlib import Path
 import pytest
 
 from repro.asm import assemble
-from repro.core import pipeline
-from repro.core.pipeline import OoOCore
 from repro.func import run_bare
-from repro.presets import machine
-from repro.scenarios.verify import result_view
 from repro.trace.fuzz import ARTIFACT_SCHEMA, load_artifact, replay_artifact
+from repro.validate import differential_views
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 ARTIFACTS = sorted(CORPUS_DIR.glob("*.repro"))
@@ -51,17 +48,11 @@ def test_artifact_replays_clean_with_both_checkers(path):
 
 
 @pytest.mark.parametrize("path", ARTIFACTS, ids=_artifact_ids())
-def test_artifact_fastpath_matches_reference(path, monkeypatch):
+def test_artifact_fastpath_matches_reference(path):
     payload = load_artifact(str(path))
     func = run_bare(assemble(str(payload["source"])), collect_trace=True)
     assert func.trace
-    monkeypatch.setattr(pipeline, "_ENV_VALIDATE", False)
     for config_name in payload["configs"]:
-        slow_core = OoOCore(machine(config_name), fastpath=False)
-        slow = slow_core.run(func.trace)
-        assert not slow_core.used_fastpath
-        fast_core = OoOCore(machine(config_name), fastpath=True)
-        fast = fast_core.run(func.trace)
-        assert fast_core.used_fastpath
-        assert result_view(fast) == result_view(slow), \
+        slow, fast = differential_views(config_name, func.trace)
+        assert fast == slow, \
             f"{path.name}: fast path diverges on {config_name}"

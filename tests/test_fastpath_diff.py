@@ -8,8 +8,9 @@ prove it across the full F2 configuration grid, every machine the
 experiments plan, and over random fuzzer programs, so any future
 fast-path optimization that drifts from the reference is caught by
 tier-1 (including the ``REPRO_VALIDATE=1`` matrix — the differential
-harness itself force-disables the implicit validator so the fast path
-stays eligible, and the comparison is slow-with-validator-off vs fast).
+helper, :func:`repro.validate.differential_views`, force-disables the
+implicit validator so the fast path stays eligible, and the comparison
+is slow-with-validator-off vs fast).
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from repro.experiments import ALL_EXPERIMENTS
 from repro.func import run_bare
 from repro.isa import Bank, Opcode, OpClass
 from repro.presets import CONFIG_NAMES, machine
-from repro.scenarios.verify import result_view as _result_view
 from repro.trace import SyntheticConfig, Trace, generate
 from repro.trace.fuzz import generate_program
+from repro.validate import differential_views, result_view
 from repro.workloads import build_scenario_trace, build_trace
 
 #: Workloads for the grid sweep (tiny keeps the full grid fast).
@@ -43,25 +44,6 @@ SCENARIO_TRACES = ("iostorm", "syspipe")
 
 #: Fuzzer seeds for the random-program sweep.
 FUZZ_SEEDS = (11, 29, 63)
-
-
-def _run_pair(config: str | MachineConfig, trace,
-              monkeypatch) -> tuple[dict, dict]:
-    """Run *trace* through the reference loop and the fast loop on
-    identical machines (a preset name or a machine); returns both
-    views."""
-    # The implicit REPRO_VALIDATE checker would force the reference
-    # loop on both cores; the differential needs a bare fast-path run.
-    monkeypatch.setattr(pipeline, "_ENV_VALIDATE", False)
-    if isinstance(config, str):
-        config = machine(config)
-    slow_core = OoOCore(config, fastpath=False)
-    slow = slow_core.run(trace)
-    assert not slow_core.used_fastpath
-    fast_core = OoOCore(config, fastpath=True)
-    fast = fast_core.run(trace)
-    assert fast_core.used_fastpath
-    return _result_view(slow), _result_view(fast)
 
 
 def _planned_machines() -> list:
@@ -82,44 +64,41 @@ def _planned_machines() -> list:
 
 @pytest.mark.parametrize("workload", GRID_WORKLOADS)
 @pytest.mark.parametrize("config_name", CONFIG_NAMES)
-def test_fastpath_matches_reference_on_f2_grid(
-        workload, config_name, monkeypatch):
+def test_fastpath_matches_reference_on_f2_grid(workload, config_name):
     trace = build_trace(workload, "tiny")
-    slow, fast = _run_pair(config_name, trace, monkeypatch)
+    slow, fast = differential_views(config_name, trace)
     assert fast == slow
 
 
 @pytest.mark.parametrize("workload", GRID_WORKLOADS)
 @pytest.mark.parametrize("config", _planned_machines())
-def test_fastpath_matches_reference_on_planned_machines(
-        workload, config, monkeypatch):
+def test_fastpath_matches_reference_on_planned_machines(workload, config):
     # Write-buffer depths (0 is the direct-store path), issue widths
     # (which decide which FU classes can run out), combining windows,
     # line-buffer sizes, banking, prefetch, victim caches, predictors
     # and load latencies, exactly as the experiments configure them.
     trace = build_trace(workload, "tiny")
-    slow, fast = _run_pair(config, trace, monkeypatch)
+    slow, fast = differential_views(config, trace)
     assert fast == slow
 
 
 @pytest.mark.parametrize("scenario", SCENARIO_TRACES)
 @pytest.mark.parametrize("config_name", ("1P", "2P", "1P-wide+LB+SC"))
-def test_fastpath_matches_reference_on_scenarios(
-        scenario, config_name, monkeypatch):
+def test_fastpath_matches_reference_on_scenarios(scenario, config_name):
     # Full-system traces: kernel instructions, syscalls, and timer
     # interrupts included.  The whole CoreResult view (stats, ledger,
     # load-latency histogram, digests) must be byte-identical.
     trace = build_scenario_trace(scenario, "tiny")
-    slow, fast = _run_pair(config_name, trace, monkeypatch)
+    slow, fast = differential_views(config_name, trace)
     assert fast == slow
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
-def test_fastpath_matches_reference_on_fuzz_programs(seed, monkeypatch):
+def test_fastpath_matches_reference_on_fuzz_programs(seed):
     func = run_bare(assemble(generate_program(seed)), collect_trace=True)
     assert func.trace, "fuzz program produced an empty trace"
     for config_name in ("1P", "1P-wide+LB+SC", "2P+SC"):
-        slow, fast = _run_pair(config_name, func.trace, monkeypatch)
+        slow, fast = differential_views(config_name, func.trace)
         assert fast == slow, f"divergence on {config_name}"
 
 
@@ -129,9 +108,9 @@ def _reference_precompute(trace, line_shift: int, chunk_shift: int,
     records' own fields and instructions: the reference the columnar
     precompute must equal."""
     n = len(trace)
-    lists = [[] for _ in range(12)]
-    r_prod = [()] * n
-    r_is_prod = [False] * n
+    lists = [[] for _ in range(14)]
+    name_producers = []
+    data_producers = []
     last_writer = {}
     for i, record in enumerate(trace):
         instr = record.instr
@@ -154,10 +133,12 @@ def _reference_precompute(trace, line_shift: int, chunk_shift: int,
                 and (opcode in (Opcode.SYSCALL, Opcode.ERET)
                      if instr is not None else record.serializes)):
             kind = fastpath._K_SERIALIZE
+        # The plain run (the 0 here) is counted backwards below.
         for values, value in zip(lists, (
                 fastpath._OPCS.index(record.opclass), kind, jdec,
                 record.pc, record.next_pc, record.taken,
-                record.pc // fetch_bytes, record.is_load, record.is_store,
+                record.pc // fetch_bytes, 0, record.is_load,
+                record.is_store, record.is_load or record.is_store,
                 line, chunk, mask)):
             values.append(value)
         if record.is_store and instr is not None:
@@ -171,29 +152,47 @@ def _reference_precompute(trace, line_shift: int, chunk_shift: int,
                     for position, reg in enumerate(record.sources)]
         else:
             deps = [(reg, False) for reg in record.sources]
-        prods = tuple((last_writer[reg], is_data)
-                      for reg, is_data in deps if reg in last_writer)
-        if prods:
-            r_prod[i] = prods
-        for producer, _ in prods:
-            r_is_prod[producer] = True
+        name_producers.append(tuple(
+            last_writer[reg] for reg, is_data in deps
+            if not is_data and reg in last_writer))
+        data_producers.append(tuple(
+            last_writer[reg] for reg, is_data in deps
+            if is_data and reg in last_writer))
         if record.dest is not None:
             last_writer[record.dest] = i
-    return (*lists, r_prod, r_is_prod)
+    # A plain record's run is itself plus the run of the next record,
+    # when that one is in the same fetch block (a record that is not
+    # plain has none).
+    kinds, blocks, runs = lists[1], lists[6], lists[7]
+    for i in reversed(range(n)):
+        if kinds[i] == fastpath._K_PLAIN:
+            runs[i] = 1 + (runs[i + 1] if i + 1 < n
+                           and blocks[i + 1] == blocks[i] else 0)
+    return (*lists, name_producers, data_producers)
 
 
-def _geometry(config_name: str) -> tuple[int, int, int, int]:
-    mem = OoOCore(machine(config_name)).mem
+#: The geometries the precompute is checked on; plain runs depend on the
+#: fetch block, so one machine fetches 32-byte blocks.
+PRECOMPUTE_MACHINES = {
+    name: machine(name) for name in ("1P", "1P-wide+LB+SC")}
+PRECOMPUTE_MACHINES["1P-fetch32"] = replace(
+    PRECOMPUTE_MACHINES["1P"], mem=replace(
+        PRECOMPUTE_MACHINES["1P"].mem, icache=replace(
+            PRECOMPUTE_MACHINES["1P"].mem.icache, fetch_bytes=32)))
+
+
+def _geometry(config: MachineConfig) -> tuple[int, int, int, int]:
+    mem = OoOCore(config).mem
     return (mem.dcache.line_shift, mem.dcache.chunk_shift,
             mem.dcache.line_size, mem.icache.fetch_bytes)
 
 
-@pytest.mark.parametrize("config_name", ("1P", "1P-wide+LB+SC"))
+@pytest.mark.parametrize("config_name", sorted(PRECOMPUTE_MACHINES))
 def test_precompute_reads_every_trace_form_alike(trace_forms, config_name):
     # The fresh list is encoded first; the wrap and the reload are read
     # from their columns.  All three must equal the per-record reference.
     _, fresh, wrapped, reloaded = trace_forms
-    geometry = _geometry(config_name)
+    geometry = _geometry(PRECOMPUTE_MACHINES[config_name])
     expected = _reference_precompute(fresh, *geometry)
     for form in (fresh, wrapped, reloaded):
         assert fastpath._precompute(form, *geometry) == expected
@@ -232,13 +231,13 @@ def test_precompute_memo_serves_each_geometry_its_own_columns(
                replace(base, core=replace(base.core, fetch_width=8),
                        mem=wide_fetch)]
     calls = _count_producer_passes(monkeypatch)
-    expected = [_result_view(OoOCore(config).run(
+    expected = [result_view(OoOCore(config).run(
         Trace(stream_trace.columns))) for config in configs]
     fastpath._PRECOMPUTE_MEMO.clear()
     del calls[:]
     for index in (0, 1, 2, 3, 2, 0, 3, 1):
         result = OoOCore(configs[index]).run(stream_trace)
-        assert _result_view(result) == expected[index], index
+        assert result_view(result) == expected[index], index
     assert len(calls) == 1
 
 
@@ -258,11 +257,10 @@ def test_precompute_runs_once_per_trace(monkeypatch):
     assert len(calls) == len(traces)
 
 
-def test_every_trace_form_times_identically_on_both_loops(trace_forms,
-                                                          monkeypatch):
+def test_every_trace_form_times_identically_on_both_loops(trace_forms):
     _, fresh, wrapped, reloaded = trace_forms
     views = [view for form in (fresh, wrapped, reloaded)
-             for view in _run_pair("1P-wide+LB+SC", form, monkeypatch)]
+             for view in differential_views("1P-wide+LB+SC", form)]
     assert all(view == views[0] for view in views)
 
 

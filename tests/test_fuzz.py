@@ -43,6 +43,25 @@ class TestChecking:
         failures = fuzz.check_program("this is not assembly")
         assert failures and failures[0].startswith("assemble:")
 
+    def test_fast_loop_divergence_names_its_config(self, monkeypatch):
+        # A fast loop that over-counts one statistic on 2P only: the
+        # reference loop and its checkers see nothing wrong, so only
+        # the differential can name the config and the field.
+        from repro.core import pipeline
+        run_fast = pipeline.run_fast
+
+        def off_by_one(core, trace):
+            cycles = run_fast(core, trace)
+            if core.machine.name == "2P":
+                core.stats.inc("core.issued")
+            return cycles
+
+        monkeypatch.setattr(pipeline, "run_fast", off_by_one)
+        failures = fuzz.check_program(fuzz.generate_program(1),
+                                      configs=("1P", "2P"))
+        assert failures == ["2P: fast loop diverges from the reference "
+                            "loop in stats.core.issued"]
+
     def test_clean_campaign(self):
         report = fuzz.run_fuzz(fuzz.FuzzConfig(seed=1, count=3,
                                                configs=("1P",)))

@@ -20,8 +20,7 @@ from repro.core.pipeline import OoOCore
 from repro.obs import (CritPathRecorder, HotspotRecorder, JsonlTracer,
                        PipeTrace, Probe)
 from repro.presets import machine
-from repro.scenarios.verify import result_view
-from repro.validate import InvariantChecker, ValidationSuite
+from repro.validate import InvariantChecker, ValidationSuite, result_view
 from repro.workloads import build_trace
 from repro.workloads.suite import build_scenario_trace
 
