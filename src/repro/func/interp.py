@@ -2,10 +2,22 @@
 
 The interpreter executes instructions out of simulated memory (so the
 kernel and all user processes share one image) and delivers traps and
-timer interrupts.  With ``collect_trace`` it records the retired stream
-as columns, not records: the decode cache holds one static row per PC,
-and each retired instruction appends only its row id, its kernel bit,
-and (memory ops and branches) its effective address or direction;
+timer interrupts.  It runs threaded code: the first decode of a PC
+builds that instruction's *execute closure*, with its operands, the
+register list, the page table and the trace-column appends already
+bound, and caches it with the PC's row id, its load and store flags and
+whether it is a system op.  :meth:`Interpreter.run`
+and :meth:`Interpreter.step` share one loop that calls the closure
+(which returns the next pc) and retires the instruction, its counters
+held in locals; a system op or a trap ends an inner pass so the mode
+and timer bits are read again.  Each opcode's semantics is written
+once: the integer ALU and branch expressions below are compiled into
+closure factories at import, and the opcode tables are read at decode,
+never per instruction.
+
+With ``collect_trace`` it records the retired stream as columns, not
+records: each retired instruction appends only its row id, its kernel
+bit, and (memory ops and branches) its effective address or direction;
 :meth:`Interpreter.trace` gathers those into a columnar
 :class:`repro.trace.io.Trace`.  ``next_pc`` of each record is the
 address of the *actually* executed next instruction — on traps it
@@ -15,6 +27,7 @@ pipeline redirects that are not ordinary branches.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Callable
 
 from ..isa import (
@@ -30,10 +43,14 @@ from ..isa import (
 )
 from ..trace.io import Trace
 from .exceptions import SimError, SimHalted, TrapCause
-from .memory import Memory, MemoryFault
+from .memory import PAGE_MASK, PAGE_SHIFT, Memory, MemoryFault
 from .state import ArchState, bits_to_float, float_to_bits, to_signed
 
 _MASK64 = (1 << 64) - 1
+#: XOR-ing the sign bit maps signed 64-bit order onto unsigned order.
+_SIGN = 1 << 63
+#: A timer count no run reaches: the timer is off or masked.
+_NEVER = 1 << 64
 
 #: Register the syscall number travels in (a7).
 SYSCALL_REG = 17
@@ -42,6 +59,10 @@ ARG_REG = 10
 
 _STATUS = int(SysReg.STATUS)
 _TIMER = int(SysReg.TIMER)
+
+#: An execute closure: runs its instruction, returns the next pc.  A
+#: system op's closure takes the interpreter as its one argument.
+Execute = Callable[..., int]
 
 
 def load_program(memory: Memory, program: Program) -> None:
@@ -91,9 +112,12 @@ class Interpreter:
         self.state = ArchState(pc=entry)
         self.trap_vector = trap_vector
         self.syscall_handler = syscall_handler
-        #: The decode cache: PC -> static row ``(instruction, row id,
-        #: is_load, is_store)``; row ids number PCs in decode order.
-        self._rows: dict[int, tuple[Instruction, int, bool, bool]] = {}
+        #: The decode cache: PC -> ``(execute closure, row id, is_load,
+        #: is_store, is_system)``; row ids number PCs in decode order.
+        self._rows: dict[int, tuple[Execute, int, bool, bool, bool]] = {}
+        #: PC -> decoded instruction, in decode order (a PC's position
+        #: is its row id).
+        self._instructions: dict[int, Instruction] = {}
         # Per retired instruction: row id and kernel bit; per retired
         # memory op its address, per retired branch its direction.
         # None unless collecting a trace.
@@ -113,9 +137,9 @@ class Interpreter:
     # ------------------------------------------------------------------
     # Fetch / decode
     # ------------------------------------------------------------------
-    def _decode(self, pc: int) -> tuple[Instruction, int, bool, bool]:
-        """Decode the instruction at *pc* into its static row (a
-        decode-cache miss)."""
+    def _decode(self, pc: int) -> tuple[Execute, int, bool, bool, bool]:
+        """Decode the instruction at *pc* and build its execute closure
+        into its static row (a decode-cache miss)."""
         if pc % INSTRUCTION_BYTES:
             raise SimError(f"misaligned pc {pc:#x}")
         try:
@@ -124,7 +148,9 @@ class Interpreter:
             raise SimError(f"instruction fetch fault: {exc}") from exc
         instr = decode(word)
         info = instr.info
-        row = (instr, len(self._rows), info.is_load, info.is_store)
+        row = (_closure(self, instr, pc), len(self._instructions),
+               info.is_load, info.is_store, info.opclass is OpClass.SYSTEM)
+        self._instructions[pc] = instr
         self._rows[pc] = row
         return row
 
@@ -133,7 +159,7 @@ class Interpreter:
         without ``collect_trace``."""
         if self._trace_rows is None:
             return None
-        return Trace.gather({pc: row[0] for pc, row in self._rows.items()},
+        return Trace.gather(dict(self._instructions),
                             self._trace_rows, self._trace_kernel,
                             self._trace_addr, self._trace_taken)
 
@@ -167,12 +193,9 @@ class Interpreter:
         Raises :class:`SimError` if the budget is exhausted first (a
         budget overrun almost always means a hung workload).
         """
-        budget = max_instructions if max_instructions is not None else -1
         try:
-            while budget != 0:
-                self.step()
-                if budget > 0:
-                    budget -= 1
+            self._run(max_instructions if max_instructions is not None
+                      else -1)
         except SimHalted as halt:
             return halt.exit_code
         raise SimError(
@@ -181,136 +204,91 @@ class Interpreter:
 
     def step(self) -> None:
         """Execute one instruction (or deliver one pending interrupt)."""
+        self._run(1)
+
+    def _run(self, budget: int) -> None:
+        """Take *budget* steps (a negative budget never runs out); each
+        step retires one instruction, takes one trap or delivers one
+        interrupt.  HALT raises :class:`SimHalted` out of it.
+
+        The counters live in locals and reach the attributes on exit
+        and before every system op, which reads ``retired`` (``MFSR
+        CYCLES``, the host ``SYS_TIME``) and may reset the timer count
+        (``MTSR TIMER``).  Only system ops and traps change the mode
+        and timer bits, so each ends the inner loop to read them again.
+        """
         state = self.state
-        if self._timer_pending():
-            self._timer_count = 0
-            self.timer_interrupts += 1
-            self._take_trap(TrapCause.TIMER, state.pc)
-            return
+        sysregs = state.sysregs
+        decoded = self._rows
+        trace_rows = self._trace_rows
+        trace_kernel = self._trace_kernel
         pc = state.pc
-        kernel = state.sysregs[_STATUS] & STATUS_KERNEL
-        row = self._rows.get(pc)
-        if row is None:
-            row = self._decode(pc)
+        retired = self.retired
+        kernel_retired = self.kernel_retired
+        loads = self.loads
+        stores = self.stores
+        timer_count = self._timer_count
         try:
-            next_pc = self._execute(row[0], pc)
-        except _Trap as trap:
-            epc = pc + INSTRUCTION_BYTES if trap.cause is TrapCause.SYSCALL \
-                else pc
-            if trap.cause is TrapCause.SYSCALL:
-                # The syscall instruction itself retires before the trap.
-                self._retire(row, kernel)
-            self._take_trap(trap.cause, epc, trap.badaddr)
-            return
-        state.pc = next_pc
-        self._retire(row, kernel)
-
-    def _retire(self, row: tuple[Instruction, int, bool, bool],
-                kernel: int) -> None:
-        self.retired += 1
-        self._timer_count += 1
-        if kernel:
-            self.kernel_retired += 1
-        _, row_id, is_load, is_store = row
-        if is_load:
-            self.loads += 1
-        elif is_store:
-            self.stores += 1
-        rows = self._trace_rows
-        if rows is not None:
-            rows.append(row_id)
-            self._trace_kernel.append(kernel)
+            while budget:
+                status = sysregs[_STATUS]
+                kernel = status & STATUS_KERNEL
+                timer_at = sysregs[_TIMER] \
+                    if status & STATUS_INT_ENABLE else 0
+                if not timer_at:
+                    timer_at = _NEVER
+                while budget:
+                    budget -= 1
+                    if timer_count >= timer_at:
+                        timer_count = 0
+                        self.timer_interrupts += 1
+                        self._take_trap(TrapCause.TIMER, pc)
+                        pc = state.pc
+                        break
+                    row = decoded.get(pc)
+                    if row is None:
+                        row = self._decode(pc)
+                    execute, row_id, is_load, is_store, is_system = row
+                    try:
+                        if is_system:
+                            state.pc = pc
+                            self.retired = retired
+                            self._timer_count = timer_count
+                            next_pc = execute(self)
+                            timer_count = self._timer_count
+                        else:
+                            next_pc = execute()
+                    except _Trap as trap:
+                        self._take_trap(trap.cause, pc, trap.badaddr)
+                        pc = state.pc
+                        break
+                    retired += 1
+                    timer_count += 1
+                    if kernel:
+                        kernel_retired += 1
+                    if is_load:
+                        loads += 1
+                    elif is_store:
+                        stores += 1
+                    if trace_rows is not None:
+                        trace_rows.append(row_id)
+                        trace_kernel.append(kernel)
+                    pc = next_pc
+                    if is_system:
+                        break
+        finally:
+            state.pc = pc
+            self.retired = retired
+            self.kernel_retired = kernel_retired
+            self.loads = loads
+            self.stores = stores
+            self._timer_count = timer_count
 
     # ------------------------------------------------------------------
-    # Execution
+    # The helper system-op closures wrap
     # ------------------------------------------------------------------
-    # A memory op or branch retires exactly when _execute returns (a
-    # fault raises instead), so the address and direction appends below
-    # are retirement appends.
-    def _execute(self, instr: Instruction, pc: int) -> int:
-        op = instr.opcode
-        state = self.state
-        regs = state.regs
-        handler = _ALU_OPS.get(op)
-        if handler is not None:
-            value = handler(regs[instr.rs1], regs[instr.rs2], instr.imm)
-            state.write_reg(instr.rd, value)
-            return pc + 4
-        info = instr.info
-        if info.is_mem:
-            return self._execute_mem(instr, pc)
-        if info.opclass is OpClass.BRANCH:
-            taken = _BRANCH_OPS[op](regs[instr.rs1], regs[instr.rs2])
-            if self._trace_taken is not None:
-                self._trace_taken.append(taken)
-            return pc + 4 * instr.imm if taken else pc + 4
-        if info.opclass is OpClass.JUMP:
-            if op is Opcode.J:
-                return pc + 4 * instr.imm
-            if op is Opcode.JAL:
-                state.write_reg(instr.rd, pc + 4)
-                return pc + 4 * instr.imm
-            target = regs[instr.rs1]
-            if op is Opcode.JALR:
-                state.write_reg(instr.rd, pc + 4)
-            if target % INSTRUCTION_BYTES:
-                raise _Trap(TrapCause.MISALIGNED, target)
-            return target
-        handler = _FP_OPS.get(op)
-        if handler is not None:
-            self._execute_fp(instr, handler)
-            return pc + 4
-        return self._execute_system(instr, pc)
-
-    def _execute_mem(self, instr: Instruction, pc: int) -> int:
-        state = self.state
-        info = instr.info
-        address = (state.regs[instr.rs1] + instr.imm) & _MASK64
-        size = info.mem_size
-        if address % size:
-            raise _Trap(TrapCause.MISALIGNED, address)
-        try:
-            if info.is_load:
-                if info.mem_signed:
-                    value = self.memory.load_signed(address, size)
-                else:
-                    value = self.memory.load(address, size)
-                state.write_reg(instr.rd, value)
-            else:
-                self.memory.store(address, size, state.regs[instr.rs2])
-        except MemoryFault as exc:
-            raise _Trap(TrapCause.BADADDR, exc.address) from exc
-        if self._trace_addr is not None:
-            self._trace_addr.append(address)
-        return pc + 4
-
-    def _execute_fp(self, instr: Instruction,
-                    handler: Callable[[float, float], float | int]) -> None:
-        state = self.state
-        op = instr.opcode
-        if op is Opcode.FCVT_D_L:
-            state.write_float(instr.rd, float(to_signed(state.regs[instr.rs1])))
-            return
-        if op is Opcode.FCVT_L_D:
-            value = bits_to_float(state.regs[instr.rs1])
-            state.write_reg(instr.rd, _clamp_to_int64(value))
-            return
-        if op is Opcode.FMOV:
-            state.write_reg(instr.rd, state.regs[instr.rs1])
-            return
-        a = bits_to_float(state.regs[instr.rs1])
-        b = bits_to_float(state.regs[instr.rs2])
-        result = handler(a, b)
-        if op in (Opcode.FEQ, Opcode.FLT, Opcode.FLE):
-            state.write_reg(instr.rd, int(result))
-        else:
-            state.write_float(instr.rd, float(result))
-
     def _execute_system(self, instr: Instruction, pc: int) -> int:
         op = instr.opcode
         state = self.state
-        if op is Opcode.NOP:
-            return pc + 4
         if op is Opcode.HALT:
             if not state.kernel_mode:
                 raise _Trap(TrapCause.ILLEGAL)
@@ -321,7 +299,10 @@ class Interpreter:
                     raise SimError(f"syscall at {pc:#x} with no handler")
                 self.syscall_handler(self)
                 return pc + 4
-            raise _Trap(TrapCause.SYSCALL)
+            # The syscall retires, then traps to the kernel, which
+            # returns past it.
+            self._take_trap(TrapCause.SYSCALL, pc + INSTRUCTION_BYTES)
+            return self.trap_vector
         # The remaining system ops are privileged.
         if not state.kernel_mode:
             raise _Trap(TrapCause.ILLEGAL)
@@ -343,6 +324,193 @@ class Interpreter:
                 raise SimError(f"eret to misaligned pc {target:#x}")
             return target
         raise SimError(f"unhandled system opcode {op}")  # pragma: no cover
+
+
+# ----------------------------------------------------------------------
+# Execute closures (built once per decoded PC)
+# ----------------------------------------------------------------------
+def _closure(interp: Interpreter, instr: Instruction, pc: int) -> Execute:
+    """The execute closure of *instr* at *pc*: it runs the instruction
+    against *interp*'s registers and memory, appends its address or
+    direction to the trace columns, and returns the next pc (a fault
+    raises :class:`_Trap`)."""
+    op = instr.opcode
+    regs = interp.state.regs
+    next_pc = pc + INSTRUCTION_BYTES
+    alu = _ALU_BUILDERS.get(op)
+    if alu is not None:
+        if instr.rd == 0:  # the hardwired zero: nothing to write
+            return _jump_to(next_pc)
+        return alu(regs, instr.rd, instr.rs1, instr.rs2, instr.imm, next_pc)
+    branch = _BRANCH_BUILDERS.get(op)
+    if branch is not None:
+        taken = interp._trace_taken
+        return branch(regs, instr.rs1, instr.rs2,
+                      pc + INSTRUCTION_BYTES * instr.imm, next_pc,
+                      None if taken is None else taken.append)
+    info = instr.info
+    if info.is_mem:
+        return _memory_access(interp, instr, next_pc)
+    if op is Opcode.J or op is Opcode.JAL:
+        target = pc + INSTRUCTION_BYTES * instr.imm
+        if op is Opcode.J or instr.rd == 0:
+            return _jump_to(target)
+        return _jump_and_link(regs, instr.rd, target, next_pc)
+    if op is Opcode.JR or op is Opcode.JALR:
+        link = instr.rd if op is Opcode.JALR else 0
+        return _jump_register(regs, instr.rs1, link, next_pc)
+    if op is Opcode.NOP:
+        return _jump_to(next_pc)
+    handler = _FP_OPS.get(op)
+    if handler is not None:
+        state = interp.state
+
+        def execute() -> int:
+            _execute_fp(state, instr, handler)
+            return next_pc
+        return execute
+
+    # A system op reads and writes the interpreter's counters and mode,
+    # so its closure takes the interpreter as an argument: no closure
+    # holds the interpreter, which keeps it out of reference cycles.
+    def execute_system(interp: Interpreter) -> int:
+        return interp._execute_system(instr, pc)
+    return execute_system
+
+
+def _jump_to(target: int) -> Execute:
+    def execute() -> int:
+        return target
+    return execute
+
+
+def _jump_and_link(regs: list[int], rd: int, target: int,
+                   next_pc: int) -> Execute:
+    def execute() -> int:
+        regs[rd] = next_pc
+        return target
+    return execute
+
+
+def _jump_register(regs: list[int], rs1: int, link: int,
+                   next_pc: int) -> Execute:
+    """JR (``link == 0``) and JALR: the link is written before the
+    target's alignment is checked."""
+    def execute() -> int:
+        target = regs[rs1]
+        if link:
+            regs[link] = next_pc
+        if target % INSTRUCTION_BYTES:
+            raise _Trap(TrapCause.MISALIGNED, target)
+        return target
+    return execute
+
+
+#: (size, signed) -> unpacker of a little-endian scalar from a page.
+_UNPACK = {(size, signed): struct.Struct(
+    "<" + (code.lower() if signed else code)).unpack_from
+    for size, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+    for signed in (False, True)}
+#: size -> packer of a little-endian unsigned scalar into a page.
+_PACK = {size: struct.Struct("<" + code).pack_into
+         for size, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))}
+
+
+def _memory_access(interp: Interpreter, instr: Instruction,
+                   next_pc: int) -> Execute:
+    """A load or store closure.  An aligned access to an already-mapped
+    page above the null guard that holds no device reads or writes the
+    page directly; every other access (first touch, device pages, the
+    null guard, faults) goes through :meth:`Memory.load` /
+    :meth:`Memory.store`, whose :class:`MemoryFault` becomes a BADADDR
+    trap."""
+    regs = interp.state.regs
+    memory = interp.memory
+    pages = memory._pages
+    device_pages = memory._device_pages
+    guard = memory.null_guard
+    info = instr.info
+    size = info.mem_size
+    align = size - 1
+    rs1, imm = instr.rs1, instr.imm
+    trace_addr = interp._trace_addr
+    record = None if trace_addr is None else trace_addr.append
+
+    if info.is_load:
+        rd = instr.rd
+        signed = info.mem_signed
+        unpack = _UNPACK[size, signed]
+        slow = memory.load_signed if signed else memory.load
+
+        def execute() -> int:
+            address = (regs[rs1] + imm) & _MASK64
+            if address & align:
+                raise _Trap(TrapCause.MISALIGNED, address)
+            number = address >> PAGE_SHIFT
+            page = pages.get(number)
+            if page is None or number in device_pages or address < guard:
+                try:
+                    value = slow(address, size)
+                except MemoryFault as exc:
+                    raise _Trap(TrapCause.BADADDR, exc.address) from exc
+            else:
+                value = unpack(page, address & PAGE_MASK)[0]
+                if signed:
+                    value &= _MASK64
+            if rd:
+                regs[rd] = value
+            if record is not None:
+                record(address)
+            return next_pc
+        return execute
+
+    rs2 = instr.rs2
+    mask = (1 << (8 * size)) - 1
+    pack = _PACK[size]
+    store = memory.store
+
+    def execute() -> int:
+        address = (regs[rs1] + imm) & _MASK64
+        if address & align:
+            raise _Trap(TrapCause.MISALIGNED, address)
+        number = address >> PAGE_SHIFT
+        page = pages.get(number)
+        if page is None or number in device_pages or address < guard:
+            try:
+                store(address, size, regs[rs2])
+            except MemoryFault as exc:
+                raise _Trap(TrapCause.BADADDR, exc.address) from exc
+        else:
+            pack(page, address & PAGE_MASK, regs[rs2] & mask)
+        if record is not None:
+            record(address)
+        return next_pc
+    return execute
+
+
+# ----------------------------------------------------------------------
+# Semantics
+# ----------------------------------------------------------------------
+def _execute_fp(state: ArchState, instr: Instruction,
+                handler: Callable[[float, float], float | int]) -> None:
+    op = instr.opcode
+    if op is Opcode.FCVT_D_L:
+        state.write_float(instr.rd, float(to_signed(state.regs[instr.rs1])))
+        return
+    if op is Opcode.FCVT_L_D:
+        value = bits_to_float(state.regs[instr.rs1])
+        state.write_reg(instr.rd, _clamp_to_int64(value))
+        return
+    if op is Opcode.FMOV:
+        state.write_reg(instr.rd, state.regs[instr.rs1])
+        return
+    a = bits_to_float(state.regs[instr.rs1])
+    b = bits_to_float(state.regs[instr.rs2])
+    result = handler(a, b)
+    if op in (Opcode.FEQ, Opcode.FLT, Opcode.FLE):
+        state.write_reg(instr.rd, int(result))
+    else:
+        state.write_float(instr.rd, float(result))
 
 
 def _clamp_to_int64(value: float) -> int:
@@ -391,43 +559,101 @@ def _rem(a: int, b: int) -> int:
     return (-magnitude if sa < 0 else magnitude) & _MASK64
 
 
-#: rs1_value, rs2_value, imm -> result (unsigned 64-bit).
-_ALU_OPS: dict[Opcode, Callable[[int, int, int], int]] = {
-    Opcode.ADD: lambda a, b, i: (a + b) & _MASK64,
-    Opcode.SUB: lambda a, b, i: (a - b) & _MASK64,
-    Opcode.AND: lambda a, b, i: a & b,
-    Opcode.OR: lambda a, b, i: a | b,
-    Opcode.XOR: lambda a, b, i: a ^ b,
-    Opcode.NOR: lambda a, b, i: ~(a | b) & _MASK64,
-    Opcode.SLL: lambda a, b, i: (a << (b & 63)) & _MASK64,
-    Opcode.SRL: lambda a, b, i: a >> (b & 63),
-    Opcode.SRA: lambda a, b, i: _sra(a, b & 63),
-    Opcode.SLT: lambda a, b, i: int(to_signed(a) < to_signed(b)),
-    Opcode.SLTU: lambda a, b, i: int(a < b),
-    Opcode.ADDI: lambda a, b, i: (a + i) & _MASK64,
-    Opcode.ANDI: lambda a, b, i: a & (i & _MASK64),
-    Opcode.ORI: lambda a, b, i: a | (i & _MASK64),
-    Opcode.XORI: lambda a, b, i: a ^ (i & _MASK64),
-    Opcode.SLLI: lambda a, b, i: (a << (i & 63)) & _MASK64,
-    Opcode.SRLI: lambda a, b, i: a >> (i & 63),
-    Opcode.SRAI: lambda a, b, i: _sra(a, i & 63),
-    Opcode.SLTI: lambda a, b, i: int(to_signed(a) < i),
-    Opcode.SLTIU: lambda a, b, i: int(a < (i & _MASK64)),
-    Opcode.LUI: lambda a, b, i: (i << 15) & _MASK64,
-    Opcode.MUL: lambda a, b, i: (a * b) & _MASK64,
-    Opcode.MULH: lambda a, b, i: ((to_signed(a) * to_signed(b)) >> 64) & _MASK64,
-    Opcode.DIV: lambda a, b, i: _div(a, b),
-    Opcode.REM: lambda a, b, i: _rem(a, b),
+#: Integer ALU semantics: the value written to rd (unsigned 64-bit) as
+#: an expression of {a} (rs1's value), {b} (rs2's value), {i} (the
+#: immediate) and {u} (the immediate as unsigned 64-bit).
+_ALU_SEMANTICS: dict[Opcode, str] = {
+    Opcode.ADD: "({a} + {b}) & _MASK64",
+    Opcode.SUB: "({a} - {b}) & _MASK64",
+    Opcode.AND: "{a} & {b}",
+    Opcode.OR: "{a} | {b}",
+    Opcode.XOR: "{a} ^ {b}",
+    Opcode.NOR: "~({a} | {b}) & _MASK64",
+    Opcode.SLL: "({a} << ({b} & 63)) & _MASK64",
+    Opcode.SRL: "{a} >> ({b} & 63)",
+    Opcode.SRA: "_sra({a}, {b} & 63)",
+    Opcode.SLT: "int(({a} ^ _SIGN) < ({b} ^ _SIGN))",
+    Opcode.SLTU: "int({a} < {b})",
+    Opcode.ADDI: "({a} + {i}) & _MASK64",
+    Opcode.ANDI: "{a} & {u}",
+    Opcode.ORI: "{a} | {u}",
+    Opcode.XORI: "{a} ^ {u}",
+    Opcode.SLLI: "({a} << ({i} & 63)) & _MASK64",
+    Opcode.SRLI: "{a} >> ({i} & 63)",
+    Opcode.SRAI: "_sra({a}, {i} & 63)",
+    Opcode.SLTI: "int(({a} ^ _SIGN) < ({u} ^ _SIGN))",
+    Opcode.SLTIU: "int({a} < {u})",
+    Opcode.LUI: "({i} << 15) & _MASK64",
+    Opcode.MUL: "({a} * {b}) & _MASK64",
+    Opcode.MULH: "((to_signed({a}) * to_signed({b})) >> 64) & _MASK64",
+    Opcode.DIV: "_div({a}, {b})",
+    Opcode.REM: "_rem({a}, {b})",
 }
 
-_BRANCH_OPS: dict[Opcode, Callable[[int, int], bool]] = {
-    Opcode.BEQ: lambda a, b: a == b,
-    Opcode.BNE: lambda a, b: a != b,
-    Opcode.BLT: lambda a, b: to_signed(a) < to_signed(b),
-    Opcode.BGE: lambda a, b: to_signed(a) >= to_signed(b),
-    Opcode.BLTU: lambda a, b: a < b,
-    Opcode.BGEU: lambda a, b: a >= b,
+#: Branch conditions, as expressions of {a} (rs1's value) and {b}
+#: (rs2's value).
+_BRANCH_SEMANTICS: dict[Opcode, str] = {
+    Opcode.BEQ: "{a} == {b}",
+    Opcode.BNE: "{a} != {b}",
+    Opcode.BLT: "({a} ^ _SIGN) < ({b} ^ _SIGN)",
+    Opcode.BGE: "({a} ^ _SIGN) >= ({b} ^ _SIGN)",
+    Opcode.BLTU: "{a} < {b}",
+    Opcode.BGEU: "{a} >= {b}",
 }
+
+_ALU_TEMPLATE = """
+def build(regs, rd, rs1, rs2, imm, next_pc):
+    uimm = imm & _MASK64
+    def execute():
+        regs[rd] = {value}
+        return next_pc
+    return execute
+"""
+
+_BRANCH_TEMPLATE = """
+def build(regs, rs1, rs2, target, next_pc, record):
+    if record is None:
+        def execute():
+            if {condition}:
+                return target
+            return next_pc
+    else:
+        def execute():
+            if {condition}:
+                record(True)
+                return target
+            record(False)
+            return next_pc
+    return execute
+"""
+
+_OPERANDS = {"a": "regs[rs1]", "b": "regs[rs2]", "i": "imm", "u": "uimm"}
+
+
+def _compile(source: str, name: str) -> Callable:
+    namespace = {"_MASK64": _MASK64, "_SIGN": _SIGN, "_sra": _sra,
+                 "_div": _div, "_rem": _rem, "to_signed": to_signed}
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+#: Opcode -> ``build(regs, rd, rs1, rs2, imm, next_pc)`` of its closure.
+_ALU_BUILDERS = {op: _compile(_ALU_TEMPLATE.format(
+    value=value.format(**_OPERANDS)), "build")
+    for op, value in _ALU_SEMANTICS.items()}
+
+#: Opcode -> ``build(regs, rs1, rs2, target, next_pc, record)`` of its
+#: closure; *record* appends the direction to the trace, or is None.
+_BRANCH_BUILDERS = {op: _compile(_BRANCH_TEMPLATE.format(
+    condition=condition.format(**_OPERANDS)), "build")
+    for op, condition in _BRANCH_SEMANTICS.items()}
+
+#: rs1_value, rs2_value -> taken, from the same conditions (the golden
+#: checker evaluates directions with these).
+_BRANCH_OPS: dict[Opcode, Callable[[int, int], bool]] = {
+    op: _compile(f"def taken(a, b):\n    return "
+                 f"{condition.format(a='a', b='b')}\n", "taken")
+    for op, condition in _BRANCH_SEMANTICS.items()}
 
 _FP_OPS: dict[Opcode, Callable[[float, float], float | int]] = {
     Opcode.FADD: lambda a, b: a + b,

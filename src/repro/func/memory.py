@@ -5,6 +5,13 @@ guard region at address zero is kept unmapped so that null-pointer
 dereferences fault instead of silently reading zeros.  Devices claim
 address ranges; loads and stores that hit a device range are routed to
 the device instead of backing storage.
+
+The interpreter's load and store closures read the page table
+(``_pages``) and the set of pages any device overlaps
+(``_device_pages``) directly: an aligned access to a mapped page above
+the null guard that holds no device touches the page's ``bytearray``,
+and every other access comes through :meth:`Memory.load` /
+:meth:`Memory.store`.
 """
 
 from __future__ import annotations
@@ -73,6 +80,8 @@ class Memory:
     def __init__(self, null_guard: int = NULL_GUARD) -> None:
         self._pages: dict[int, bytearray] = {}
         self._devices: list[Device] = []
+        #: Page numbers any device overlaps, kept by :meth:`add_device`.
+        self._device_pages: set[int] = set()
         self.null_guard = null_guard
 
     # -- device plumbing ---------------------------------------------------
@@ -82,6 +91,9 @@ class Memory:
                     existing.base < device.base + device.size):
                 raise ValueError("device ranges overlap")
         self._devices.append(device)
+        self._device_pages.update(range(
+            device.base >> PAGE_SHIFT,
+            (device.base + device.size + PAGE_MASK) >> PAGE_SHIFT))
 
     def _device_at(self, address: int) -> Device | None:
         for device in self._devices:

@@ -14,9 +14,9 @@ checks and folds them into one pass/fail table:
    digests must equal the functional run's.
 3. **fastpath** (per machine config) — the fast cycle loop must produce
    a byte-identical :class:`~repro.core.pipeline.CoreResult` view
-   (cycles, stats, stall ledger, load-latency histogram, digests) to
-   the instrumented reference loop
-   (:func:`repro.validate.fastpath_divergence`).
+   (cycles, stats, stall ledger, load-latency histogram) to check 2's
+   reference-loop run, or to a bare reference run where that one
+   raised (:func:`repro.validate.fastpath_divergence`).
 
 ``repro corpus verify`` drives :func:`verify_corpus`; CI's
 ``corpus-smoke`` job runs it at tiny scale under ``REPRO_VALIDATE=1``.
@@ -77,6 +77,7 @@ def verify_scenario(name: str, scale: str, seed: int | None = None,
         return rows
     trace = run.result.trace
 
+    checked = {}
     for config in configs:
         golden = SystemGoldenChecker(build.programs,
                                      timer_interval=build.timer_interval,
@@ -84,7 +85,8 @@ def verify_scenario(name: str, scale: str, seed: int | None = None,
         suite = ValidationSuite([golden, InvariantChecker()])
         detail: str | None = None
         try:
-            OoOCore(machine(config), validator=suite).run(trace)
+            checked[config] = OoOCore(machine(config),
+                                      validator=suite).run(trace)
         except Exception as exc:
             detail = f"{type(exc).__name__}: {exc}"
         if detail is None and not suite.ok:
@@ -97,7 +99,8 @@ def verify_scenario(name: str, scale: str, seed: int | None = None,
 
     for config in configs:
         try:
-            detail = fastpath_divergence(config, trace)
+            detail = fastpath_divergence(config, trace,
+                                         checked=checked.get(config))
         except Exception as exc:
             detail = f"{type(exc).__name__}: {exc}"
         row("fastpath", config, detail)

@@ -306,7 +306,7 @@ def check_program(source: str,
                   configs: Sequence[str] = DEFAULT_CONFIGS,
                   max_instructions: int = 200_000) -> list[str]:
     """Run *source* through every config with full validation, and
-    through the fast cycle loop against the reference loop.
+    through the fast cycle loop against that checked reference-loop run.
 
     Returns a list of failure descriptions (empty = the program agrees
     with the golden model, breaks no invariant and times identically on
@@ -350,7 +350,8 @@ def check_program(source: str,
                 f"{name}: end-state digest mismatch (functional "
                 f"{func.digests}, timing {result.digests})")
         try:
-            divergence = fastpath_divergence(name, func.trace)
+            divergence = fastpath_divergence(name, func.trace,
+                                             checked=result)
         except SimError as exc:
             divergence = f"fast-path differential error: {exc}"
         if divergence is not None:

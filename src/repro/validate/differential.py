@@ -6,7 +6,9 @@ loop.  :func:`differential_views` runs one trace through both loops on
 identical machines and returns what each exposes, as :func:`result_view`
 flattens it; :func:`fastpath_divergence` names the fields where they
 differ.  The fast-path tests, ``repro corpus verify`` and ``repro fuzz``
-all compare through these.
+all compare through these; the last two hand
+:func:`fastpath_divergence` the reference-loop run they made with their
+checkers attached, so each (trace, config) runs the reference loop once.
 """
 
 from __future__ import annotations
@@ -46,22 +48,45 @@ def differential_views(config: str | MachineConfig,
     """
     if isinstance(config, str):
         config = machine(config)
+    return (result_view(_bare_run(config, trace, fastpath=False)),
+            result_view(_bare_run(config, trace, fastpath=True)))
+
+
+def _bare_run(config: MachineConfig, trace: Sequence, fastpath: bool):
     saved = pipeline._ENV_VALIDATE
     pipeline._ENV_VALIDATE = False
     try:
-        reference = OoOCore(config, fastpath=False).run(trace)
-        fast = OoOCore(config, fastpath=True).run(trace)
+        return OoOCore(config, fastpath=fastpath).run(trace)
     finally:
         pipeline._ENV_VALIDATE = saved
-    return result_view(reference), result_view(fast)
 
 
 def fastpath_divergence(config: str | MachineConfig,
-                        trace: Sequence) -> str | None:
+                        trace: Sequence,
+                        checked=None) -> str | None:
     """:func:`differential_views` of *trace* on *config*, as a failure
     detail naming the first differing fields, or None when the fast
-    loop matches the reference."""
-    fields = _diverging_fields(*differential_views(config, trace))
+    loop matches the reference.
+
+    *checked*, the :class:`CoreResult` of a reference-loop run of the
+    same trace on the same machine with only checkers attached, stands
+    in for the bare reference run: checkers observe and change nothing
+    but the digests their golden model reports, so the two views are
+    compared without ``digests``.
+    """
+    if isinstance(config, str):
+        config = machine(config)
+    if checked is None:
+        views = differential_views(config, trace)
+    else:
+        if checked.used_fastpath:
+            raise ValueError("the checked run must be a reference-loop "
+                             "run")
+        views = (result_view(checked),
+                 result_view(_bare_run(config, trace, fastpath=True)))
+        for view in views:
+            del view["digests"]
+    fields = _diverging_fields(*views)
     if not fields:
         return None
     more = f" and {len(fields) - 5} more" if len(fields) > 5 else ""

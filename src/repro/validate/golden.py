@@ -13,7 +13,10 @@ replays syscalls in retirement order through its own host handler.
 
 Each commit names its instruction by ``seq``; the checker reads the
 committed instruction's columns (pc, opclass, operands, address, branch
-direction, next pc) from the trace ``run_begin`` hands it.
+direction, next pc) from the trace ``run_begin`` hands it.  The word at
+the committed PC is read from golden memory at every commit; each
+distinct word is decoded once.  Stepping runs the interpreter's own
+decode-once execute closures.
 
 The first divergence is reported with full context (commit index,
 expected/actual values, and the most recent commits); subsequent
@@ -47,7 +50,6 @@ from ..func.run import DEFAULT_STACK_TOP
 from ..func.syscalls import HostSyscalls
 from ..isa import Program, decode
 from ..kernel.image import build_system
-from ..isa.opcodes import OpClass
 from ..trace.io import F_TAKEN, NO_DEST, OPCLASSES, Trace
 from .base import Validator
 
@@ -79,6 +81,10 @@ class GoldenChecker(Validator):
 
     def _init_tracking(self,
                        trace: Sequence | None) -> None:
+        #: Instruction word -> ``(instruction, opclass, dest, sources,
+        #: mem_size, branch condition)``; decode is pure, so each word
+        #: decodes once.
+        self._decoded: dict[int, tuple] = {}
         self._expected = len(trace) if trace is not None else None
         self._commits = 0
         self._dead = False
@@ -149,40 +155,49 @@ class GoldenChecker(Validator):
         pc = columns["pc"][seq]
         state = self.interp.state
         try:
-            instr = decode(self.memory.load(pc, 4))
+            # The word is read at every commit, so a corrupted or
+            # rewritten instruction is still caught.
+            word = self.memory.load(pc, 4)
+            decoded = self._decoded.get(word)
+            if decoded is None:
+                instr = decode(word)
+                info = instr.info
+                decoded = self._decoded[word] = (
+                    instr, info.opclass, instr.dest, instr.sources,
+                    info.mem_size, _BRANCH_OPS.get(instr.opcode))
         except Exception as exc:  # decode/load failures of any flavour
             self._diverge(cycle, "decode",
                           f"pc {pc:#x}: golden memory does not "
                           f"decode ({exc})")
             return False
-        info = instr.info
+        instr, golden_opclass, golden_dest, golden_sources, size, \
+            condition = decoded
         opclass = OPCLASSES[columns["opclass"][seq]]
         dest = columns["dest"][seq]
         dest = None if dest == NO_DEST else dest
         sources = tuple(columns["src"][seq][:columns["nsrc"][seq]])
-        if info.opclass is not opclass or instr.dest != dest or \
-                instr.sources != sources:
+        if golden_opclass is not opclass or golden_dest != dest or \
+                golden_sources != sources:
             self._diverge(cycle, "decode",
                           f"pc {pc:#x}: record says "
                           f"{opclass.value} dest={dest} "
                           f"sources={sources}, golden "
                           f"memory decodes {instr}")
             return False
-        if info.is_mem:
+        if size:
             mem_addr = columns["mem_addr"][seq]
             mem_size = columns["mem_size"][seq]
             address = (state.regs[instr.rs1] + instr.imm) & _MASK64
-            if address != mem_addr or info.mem_size != mem_size:
+            if address != mem_addr or size != mem_size:
                 self._diverge(cycle, "mem_addr",
                               f"pc {pc:#x}: record accesses "
                               f"{mem_addr:#x}/{mem_size}B, "
                               f"golden model computes {address:#x}/"
-                              f"{info.mem_size}B")
+                              f"{size}B")
                 return False
-        if info.opclass is OpClass.BRANCH:
+        if condition is not None:
             recorded = (columns["flags"][seq] & F_TAKEN) != 0
-            taken = _BRANCH_OPS[instr.opcode](state.regs[instr.rs1],
-                                              state.regs[instr.rs2])
+            taken = condition(state.regs[instr.rs1], state.regs[instr.rs2])
             if taken != recorded:
                 self._diverge(cycle, "branch",
                               f"pc {pc:#x}: record says "

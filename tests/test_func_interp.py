@@ -8,12 +8,17 @@ import pytest
 
 from repro.asm import assemble
 from repro.func import (
+    PAGE_SIZE,
+    ConsoleDevice,
     Interpreter,
     Memory,
     SimError,
+    TrapCause,
     load_program,
+    make_console_memory,
     run_bare,
 )
+from repro.isa import SysReg
 from tests.conftest import run_asm
 
 
@@ -425,3 +430,164 @@ loop:
         trace = result.trace
         for prev, nxt in zip(trace, trace[1:]):
             assert prev.next_pc == nxt.pc
+
+
+def run_machine(source: str, trap_vector: str | None = None,
+                premap: int | None = None, max_instructions: int = 10_000):
+    """Assemble *source* and run it in kernel mode on memory with a
+    console, with its *trap_vector* label (if any) as the trap entry and
+    the page at *premap* (if any) mapped first.  Returns the program,
+    the interpreter, its memory, the console and the exit code."""
+    program = assemble(source)
+    memory, console = make_console_memory()
+    load_program(memory, program)
+    if premap is not None:
+        memory.write_bytes(premap, bytes(8))
+    vector = None if trap_vector is None else program.symbols[trap_vector]
+    interp = Interpreter(memory, entry=program.entry, trap_vector=vector)
+    exit_code = interp.run(max_instructions)
+    return program, interp, memory, console, exit_code
+
+
+class TestMemoryFallbacks:
+    """Accesses the loads' and stores' page fast path hands to
+    :meth:`Memory.load` / :meth:`Memory.store`, driven through run()."""
+
+    @pytest.mark.parametrize("premapped", (False, True))
+    def test_store_to_console_page_reaches_console(self, premapped):
+        # A console page mapped as backing store is still a device page.
+        base = ConsoleDevice.DEFAULT_BASE
+        source = f"""
+.text
+main:
+    li t0, {base}
+    li t1, 0x6968
+    sh t1, 0(t0)
+    sb t1, 2(t0)
+    halt
+"""
+        _, _, memory, console, _ = run_machine(
+            source, premap=base if premapped else None)
+        assert console.text() == "hih"
+        assert memory.read_bytes(base, 8) == bytes(8)
+
+    def test_load_from_untouched_page_reads_zero_and_maps_it(self):
+        source = """
+.text
+main:
+    li t0, 0x300000
+    ld a0, 8(t0)
+    lbu t1, 9(t0)
+    add a0, a0, t1
+    halt
+"""
+        program = assemble(source)
+        memory = Memory()
+        load_program(memory, program)
+        mapped, digest = memory.mapped_bytes, memory.content_digest()
+        assert Interpreter(memory, entry=program.entry).run(100) == 0
+        assert memory.mapped_bytes == mapped + PAGE_SIZE
+        assert memory.content_digest() == digest
+
+    @pytest.mark.parametrize("access, cause, badaddr", [
+        ("ld a0, 8(zero)", TrapCause.BADADDR, 8),
+        ("sd t0, 16(zero)", TrapCause.BADADDR, 16),
+        ("lw a0, 2(t1)", TrapCause.MISALIGNED, 0x100002),
+        ("sh t0, 1(t1)", TrapCause.MISALIGNED, 0x100001),
+        ("ld a0, 8(t2)", TrapCause.MISALIGNED, 0x7FFF0001 + 8),
+        ("lb a0, 0(t3)", TrapCause.BADADDR, ConsoleDevice.DEFAULT_BASE),
+    ])
+    def test_faults_trap_with_cause_and_badaddr(self, access, cause,
+                                                badaddr):
+        source = f"""
+.data
+word: .dword 0
+.text
+main:
+    li t0, 5
+    la t1, word
+    li t2, 0x7fff0001
+    li t3, {ConsoleDevice.DEFAULT_BASE}
+fault:
+    {access}
+    halt
+handler:
+    halt
+"""
+        program, interp, _, _, _ = run_machine(source, trap_vector="handler")
+        assert program.data_base == 0x100000
+        sysregs = interp.state.sysregs
+        assert sysregs[SysReg.CAUSE] == cause
+        assert sysregs[SysReg.BADADDR] == badaddr
+        assert sysregs[SysReg.EPC] == program.symbols["fault"]
+        assert interp.traps_taken == 1
+        # The faulting access retires nothing.
+        assert interp.retired == (program.symbols["fault"]
+                                  - program.entry) // 4
+
+
+class TestLiveCounters:
+    """System ops read and reset the counters the run loop keeps."""
+
+    def test_mfsr_cycles_mid_run(self):
+        source = """
+.text
+main:
+    li t0, 10
+loop:
+    subi t0, t0, 1
+    bnez t0, loop
+    mfsr s0, cycles
+    nop
+    nop
+    mfsr s1, cycles
+    sub a0, s1, s0
+    halt
+"""
+        _, interp, _, _, exit_code = run_machine(source)
+        assert interp.state.regs[8] == 1 + 2 * 10  # s0
+        assert exit_code == 3
+        assert interp.retired == 1 + 2 * 10 + 5
+
+    def test_host_time_syscall_mid_run(self):
+        result = run_asm("""
+.text
+main:
+    li t0, 10
+loop:
+    subi t0, t0, 1
+    bnez t0, loop
+    li a7, 6
+    syscall 0
+    li a7, 1
+    syscall 0
+""")
+        assert result.exit_code == 1 + 2 * 10 + 1
+
+    def test_mtsr_timer_restarts_the_count_mid_run(self):
+        # Fifty loop trips run with the timer off; arming it must
+        # restart the count, so the interrupt lands four instructions
+        # after the arm, not at once.
+        source = """
+.text
+main:
+    li t0, 50
+loop:
+    subi t0, t0, 1
+    bnez t0, loop
+    li t1, 3
+    mtsr status, t1
+    li t1, 5
+    mtsr timer, t1
+spin:
+    j spin
+handler:
+    mfsr a0, cycles
+    halt
+"""
+        program, interp, _, _, exit_code = run_machine(
+            source, trap_vector="handler")
+        assert exit_code == 1 + 2 * 50 + 3 + 1 + 4
+        assert interp.timer_interrupts == 1
+        assert interp.state.sysregs[SysReg.CAUSE] == TrapCause.TIMER
+        assert interp.state.sysregs[SysReg.EPC] == program.symbols["spin"]

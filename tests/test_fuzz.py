@@ -62,6 +62,42 @@ class TestChecking:
         assert failures == ["2P: fast loop diverges from the reference "
                             "loop in stats.core.issued"]
 
+    def test_one_reference_loop_run_per_config(self, monkeypatch):
+        # The checked run (golden + invariants) is the differential's
+        # reference: no config runs the reference loop a second time.
+        from repro.core import pipeline
+        reference_loop = pipeline.OoOCore._run_loop
+        runs = []
+
+        def counted(core):
+            runs.append(core.machine.name)
+            return reference_loop(core)
+
+        monkeypatch.setattr(pipeline.OoOCore, "_run_loop", counted)
+        assert fuzz.check_program(fuzz.generate_program(1),
+                                  configs=("1P", "2P")) == []
+        assert runs == ["1P", "2P"]
+
+    def test_checked_run_views_as_a_bare_one(self):
+        # What lets the checked run stand in for a bare reference run:
+        # the checkers change nothing in the result but its digests.
+        from repro.core import OoOCore
+        from repro.func import run_bare
+        from repro.presets import machine
+        from repro.validate import (GoldenChecker, InvariantChecker,
+                                    ValidationSuite, differential_views,
+                                    result_view)
+        program = assemble(fuzz.generate_program(2))
+        trace = run_bare(program, collect_trace=True).trace
+        suite = ValidationSuite([GoldenChecker(program, trace=trace),
+                                 InvariantChecker()])
+        checked = result_view(OoOCore(machine("1P-wide+LB+SC"),
+                                      validator=suite).run(trace))
+        bare, _ = differential_views("1P-wide+LB+SC", trace)
+        assert checked.pop("digests") is not None
+        assert bare.pop("digests") is None
+        assert checked == bare
+
     def test_clean_campaign(self):
         report = fuzz.run_fuzz(fuzz.FuzzConfig(seed=1, count=3,
                                                configs=("1P",)))

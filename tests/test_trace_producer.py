@@ -11,7 +11,10 @@ tiny, the os-mix, the five scenario families, their user-only views and
 a kernel program that takes a syscall trap, timer interrupts and a
 fault, the gathered columns must equal ``Trace.from_records`` of the
 reference records (dtype, shape and values), and the records they
-decode must equal the reference records, instructions included.
+decode must equal the reference records, instructions included.  The
+emitter drives its own run one :meth:`~Interpreter.step` at a time, so
+the columns a plain :meth:`~Interpreter.run` builds are checked against
+records built step by step.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import pytest
 
 from repro import abi
 from repro.asm import assemble
-from repro.func import run as func_run
+from repro.func import SimError, SimHalted, run as func_run
 from repro.func.interp import _BRANCH_OPS, Interpreter
 from repro.isa import INSTRUCTION_BYTES, OpClass
 from repro.kernel import assemble_user, image as kernel_image, run_system
@@ -54,7 +57,7 @@ class ReferenceEmitter(Interpreter):
         super().step()
         if self.retired == retired:
             return  # an interrupt delivery or a fault: nothing retired
-        instr = self._rows[pc][0]
+        instr = self._instructions[pc]
         info = instr.info
         record = TraceRecord(pc=pc, opclass=info.opclass, dest=instr.dest,
                              sources=instr.sources, is_load=info.is_load,
@@ -75,13 +78,19 @@ class ReferenceEmitter(Interpreter):
         self._pending = record
 
     def run(self, max_instructions: int | None = None) -> int:
+        budget = max_instructions if max_instructions is not None else -1
         try:
-            return super().run(max_instructions)
+            while budget:
+                budget -= 1
+                self.step()
+        except SimHalted as halt:
+            return halt.exit_code
         finally:
             if self._pending is not None:
                 self._pending.next_pc = self._pending.pc + INSTRUCTION_BYTES
                 self.records.append(self._pending)
                 self._pending = None
+        raise SimError("instruction budget exhausted")
 
 
 def reference_records(monkeypatch, run, *args, **kwargs) -> list[TraceRecord]:

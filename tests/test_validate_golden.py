@@ -10,6 +10,7 @@ import pytest
 from repro.asm import assemble
 from repro.core import OoOCore
 from repro.func import run_bare
+from repro.isa import encode, nop
 from repro.presets import CONFIG_NAMES, machine
 from repro.validate import GoldenChecker, ValidationError
 
@@ -32,6 +33,18 @@ main:
 done:
     li a0, 0
     li a7, SYS_EXIT
+    syscall 0
+"""
+
+LOOP_SOURCE = """
+.text
+main:
+    li t0, 3
+loop:
+    subi t0, t0, 1
+    bnez t0, loop
+    li a0, 0
+    li a7, 1
     syscall 0
 """
 
@@ -124,6 +137,46 @@ class TestDivergenceDetection:
             trace[3].pc += 4
         _, checker = _golden_run(tamper=tamper)
         assert checker.digests() is None
+
+    def test_corruption_at_an_already_replayed_pc(self):
+        # Each instruction word decodes once; a record corrupted at a PC
+        # the replay has already checked cleanly is still caught there.
+        program = assemble(LOOP_SOURCE)
+        func = run_bare(program, collect_trace=True)
+        trace = list(func.trace)
+        loop = program.symbols["loop"]
+        visits = [index for index, record in enumerate(trace)
+                  if record.pc == loop]
+        assert len(visits) == 3
+        trace[visits[1]].dest = (trace[visits[1]].dest + 1) % 32
+        checker = GoldenChecker(program, trace=trace)
+        OoOCore(machine("1P"), validator=checker).run(trace)
+        [violation] = checker.violations
+        assert violation.check == "golden.decode"
+        assert f"commit #{visits[1] + 1};" in violation.detail
+
+    def test_code_rewritten_after_its_first_replay(self):
+        # The word is read from golden memory at every commit: an
+        # instruction rewritten after it replayed cleanly no longer
+        # matches the record on its next visit.
+        program = assemble(LOOP_SOURCE)
+        trace = run_bare(program, collect_trace=True).trace
+        loop = program.symbols["loop"]
+        visits = [seq for seq, pc in enumerate(trace.pc.tolist())
+                  if pc == loop]
+        checker = GoldenChecker(program, trace=trace)
+        commit = checker.commit
+
+        def rewrite_after_first_visit(seq, cycle, times):
+            commit(seq, cycle, times)
+            if seq == visits[0]:
+                checker.memory.store(loop, 4, encode(nop()))
+
+        checker.commit = rewrite_after_first_visit
+        OoOCore(machine("1P"), validator=checker).run(trace)
+        [violation] = checker.violations
+        assert violation.check == "golden.decode"
+        assert f"commit #{visits[1] + 1};" in violation.detail
 
     def test_checking_stops_after_first_divergence(self):
         def tamper(trace):
