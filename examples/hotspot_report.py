@@ -58,7 +58,7 @@ def main() -> None:
           f"user {user['executions']} instrs / "
           f"{user['port_conflict_slots']} port slots")
 
-    # The same analysis ships as a versioned manifest for the ledger.
+    # The same analysis ships as a versioned manifest.
     report = build_hotspots_report(recorder, result, config,
                                    workload=args.workload,
                                    scale=args.scale)

@@ -11,8 +11,7 @@ comparison rules:
 * **throughput** content — the per-cell median kIPS — is gated one
   way, because host timing is noisy and faster is never a failure: a
   rate regressed when :func:`throughput_regressed` says so, that is
-  when it fell below ``baseline × (1 − tolerance)``.  ``repro watch``
-  applies the same rule against ledger history.
+  when it fell below ``baseline × (1 − tolerance)``.
 
 :func:`compare_bench` reports both halves separately, with the
 per-cell kIPS deltas listed through

@@ -27,20 +27,13 @@
     repro simulate --workload stream --spans run_spans.json
     repro bench --quick --json
     repro bench --compare BENCH_host_2026-01-01.json --tolerance 0.1
-    repro bench --ledger results.sqlite
-    repro simulate --workload stream --json --ledger results.sqlite
-    repro ledger --ledger results.sqlite info
-    repro ledger --ledger results.sqlite ingest manifests/ 'BENCH_*.json'
-    repro dash --ledger results.sqlite -o dash.html
-    repro watch BENCH_new.json --ledger results.sqlite --gate
+    repro bench --compare BENCH_old.json --candidate BENCH_new.json
     repro corpus list
     repro corpus run --scale tiny
     repro corpus verify --scale tiny -o corpus-verify.json
     repro simulate --workload iostorm --scale small --seed 7
 
-Also runnable as ``python -m repro``.  ``REPRO_LEDGER`` names a
-default results-ledger database for every command that takes
-``--ledger``.
+Also runnable as ``python -m repro``.
 """
 
 from __future__ import annotations
@@ -63,8 +56,8 @@ from .obs import (HOTSPOT_SORTS, WHATIF_PORT, CritPathRecorder,
                   compare_documents, count_spans,
                   expand_manifest_paths, iter_events,
                   render_comparison, render_critpath_report,
-                  render_hotspots_report, resolve_ledger_path,
-                  summarize_events, write_chrome_trace)
+                  render_hotspots_report, summarize_events,
+                  write_chrome_trace)
 from .obs import spans as obs_spans
 from .presets import CONFIG_NAMES, EXTENDED_CONFIG_NAMES, machine
 from .scenarios import SCENARIO_NAMES, SCENARIO_SCALES, SCENARIOS
@@ -187,21 +180,6 @@ def _write_json(path: str, document: object) -> None:
         handle.write("\n")
 
 
-def _ingest(ledger_path: str | None,
-            *entries: tuple[dict | None, str]) -> None:
-    """Ingest each ``(document, source)`` entry that has a document
-    into the active ledger, if any, and report whether the first was
-    new."""
-    if ledger_path is None:
-        return
-    from .obs.ledger import Ledger
-    with Ledger(ledger_path) as ledger:
-        added = [ledger.ingest(document, source=source)
-                 for document, source in entries if document is not None]
-    print(f"ledger: {'ingested into' if added[0] else 'already in'} "
-          f"{ledger_path}", file=sys.stderr)
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     trace = _build_named_trace(args.workload, args.scale, args.seed)
     save_trace(args.output, trace)
@@ -257,7 +235,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         profiler.write(profile_path)
 
     critpath_path = None
-    critpath_report = None
     if critpath is not None:
         critpath_report = build_critpath_report(
             critpath, result, config, workload=workload, scale=scale,
@@ -267,7 +244,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         _write_json(critpath_path, critpath_report)
 
     hotspots_path = None
-    hotspots_report = None
     if hotspots is not None:
         hotspots.check_conservation(result)
         hotspots_report = build_hotspots_report(
@@ -278,18 +254,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"HOTSPOTS_{workload or 'trace'}_{args.config}.json")
         _write_json(hotspots_path, hotspots_report)
 
-    ledger_path = resolve_ledger_path(args.ledger)
-    if args.json or ledger_path is not None:
+    if args.json:
         report = build_run_report(result, config, workload=workload,
                                   scale=scale, seed=args.seed,
                                   trace_file=trace_file,
                                   wall_time=wall_time,
                                   violations=validator.violations
                                   if validator is not None else None)
-        _ingest(ledger_path, (report, "simulate"),
-                (critpath_report, critpath_path),
-                (hotspots_report, hotspots_path))
-    if args.json:
         print(json.dumps(report, indent=2))
         return 0 if validator is None or validator.ok else 1
 
@@ -369,8 +340,6 @@ def _cmd_critpath(args: argparse.Namespace) -> int:
                                    wall_time=wall_time)
     if args.output:
         _write_json(args.output, report)
-    _ingest(resolve_ledger_path(args.ledger),
-            (report, args.output or "critpath"))
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -410,8 +379,6 @@ def _cmd_hotspots(args: argparse.Namespace) -> int:
                                                            scale))
     if args.output:
         _write_json(args.output, report)
-    _ingest(resolve_ledger_path(args.ledger),
-            (report, args.output or "hotspots"))
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -440,16 +407,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 f"unknown experiment {args.id!r}; "
                 f"choose from {', '.join(ALL_EXPERIMENTS)} or 'all'")
         ids = [exp_id]
-    ledger_path = resolve_ledger_path(args.ledger)
-    # In --json mode the experiment manifest (runs included) is
-    # ingested whole at the end; in table mode the engine's workers
-    # ingest their own run reports instead.  Never both — the same
-    # run would land twice under different manifests.
     engine = Engine(jobs=args.jobs, trace_cache=args.trace_cache,
                     metrics_interval=args.metrics_interval,
                     progress=args.progress,
-                    collect_spans=bool(args.spans),
-                    ledger=None if args.json else ledger_path)
+                    collect_spans=bool(args.spans))
     if args.output:
         os.makedirs(args.output, exist_ok=True)
     status = 0
@@ -470,7 +431,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                     wall_time=time.perf_counter() - start,
                     jobs=engine.jobs, trace_cache=cache,
                     engine_summary=engine.last_summary)
-                _ingest(ledger_path, (manifest, f"experiment {exp_id}"))
                 if args.output:
                     path = os.path.join(
                         args.output, f"{exp_id.lower()}_{args.scale}.json")
@@ -547,7 +507,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                               warmup=args.warmup)
         path = args.output or str(default_bench_path())
         _write_json(path, candidate)
-        _ingest(resolve_ledger_path(args.ledger), (candidate, path))
         if args.json:
             print(json.dumps(candidate, indent=2))
         else:
@@ -778,126 +737,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                     for _, _, report in reports) else 1
 
 
-def _require_ledger(flag: str | None) -> str:
-    path = resolve_ledger_path(flag)
-    if path is None:
-        raise SystemExit("error: no ledger database given (use --ledger "
-                         "PATH or set REPRO_LEDGER)")
-    return path
-
-
-def _cmd_ledger(args: argparse.Namespace) -> int:
-    from .obs.ledger import Ledger
-    with Ledger(_require_ledger(args.ledger)) as ledger:
-        if args.action == "info":
-            counts = ledger.counts()
-            versions = ledger.code_versions()
-            print(f"{ledger.path} (ledger schema v{ledger.db_version})")
-            print(f"  manifests: {counts['manifests']} "
-                  f"({counts['manifests.run']} run, "
-                  f"{counts['manifests.experiment']} experiment, "
-                  f"{counts['manifests.bench']} bench, "
-                  f"{counts['manifests.compare']} compare, "
-                  f"{counts['manifests.critpath']} critpath, "
-                  f"{counts['manifests.hotspots']} hotspots)")
-            print(f"  normalized rows: {counts['runs']} runs, "
-                  f"{counts['bench_cells']} bench cells, "
-                  f"{counts['experiments']} experiment tables, "
-                  f"{counts['critpaths']} critpath stacks, "
-                  f"{counts['hotspots']} hotspot profiles")
-            print(f"  code versions ({len(versions)}): "
-                  f"{', '.join(versions) if versions else '-'}")
-            return 0
-        if args.action == "ingest":
-            try:
-                paths = expand_manifest_paths(args.paths)
-            except FileNotFoundError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            added = skipped = 0
-            for path in paths:
-                document = _read_document(path)
-                if document is None:
-                    return 2
-                try:
-                    if ledger.ingest(document, source=path,
-                                     code_version=args.code_version):
-                        added += 1
-                    else:
-                        skipped += 1
-                except ValueError as exc:
-                    print(f"error: {path}: {exc}", file=sys.stderr)
-                    return 2
-            print(f"{added} ingested, {skipped} already present "
-                  f"-> {ledger.path}")
-            return 0
-        if args.action == "export":
-            count = ledger.export_jsonl(args.path)
-            print(f"{count} manifests -> {args.path}")
-            return 0
-        added, skipped = ledger.import_jsonl(args.path)
-        print(f"{added} imported, {skipped} already present "
-              f"-> {ledger.path}")
-        return 0
-
-
-def _cmd_dash(args: argparse.Namespace) -> int:
-    from .obs.dash import build_dashboard
-    from .obs.ledger import Ledger
-    with Ledger(_require_ledger(args.ledger)) as ledger:
-        document = build_dashboard(ledger) if args.title is None \
-            else build_dashboard(ledger, title=args.title)
-    with atomic_write(args.output) as handle:
-        handle.write(document)
-    print(f"dashboard -> {args.output}")
-    return 0
-
-
-def _cmd_watch(args: argparse.Namespace) -> int:
-    from .obs.ledger import Ledger
-    from .obs.watch import exit_code, render_watch, watch_document
-    if args.window < 1:
-        print("error: --window must be >= 1", file=sys.stderr)
-        return 2
-    if args.tolerance is not None and args.tolerance < 0:
-        print("error: --tolerance cannot be negative", file=sys.stderr)
-        return 2
-    try:
-        candidates = expand_manifest_paths(args.candidates)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    worst = 0
-    reports = []
-    with Ledger(_require_ledger(args.ledger)) as ledger:
-        for path in candidates:
-            document = _read_document(path)
-            if document is None:
-                return 2
-            try:
-                report = watch_document(ledger, document,
-                                        window=args.window,
-                                        tolerance=args.tolerance)
-            except ValueError as exc:
-                print(f"error: {path}: {exc}", file=sys.stderr)
-                return 2
-            reports.append({"path": path, "report": report})
-            worst = max(worst, exit_code(report))
-            if not args.json:
-                print(render_watch(report, path))
-            if args.ingest:
-                added = ledger.ingest(document, source=path)
-                print(f"ledger: {path} "
-                      f"{'ingested' if added else 'already present'}",
-                      file=sys.stderr)
-    if args.json:
-        if len(reports) == 1:
-            print(json.dumps(reports[0]["report"], indent=2))
-        else:
-            print(json.dumps(reports, indent=2))
-    return worst if args.gate else 0
-
-
 def _corpus_names(requested: list[str]) -> list[str]:
     if not requested:
         return list(SCENARIO_NAMES)
@@ -1058,9 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "view")
     simulate.add_argument("--stats", action="store_true",
                           help="dump every counter")
-    simulate.add_argument("--ledger", metavar="DB",
-                          help="ingest the run report into this results "
-                               "ledger (default: REPRO_LEDGER)")
     simulate.set_defaults(func=_cmd_simulate)
 
     critpath = sub.add_parser(
@@ -1092,9 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "instead of the ASCII report")
     critpath.add_argument("--output", metavar="PATH",
                           help="also write the manifest to PATH")
-    critpath.add_argument("--ledger", metavar="DB",
-                          help="ingest the manifest into this results "
-                               "ledger (default: REPRO_LEDGER)")
     critpath.set_defaults(func=_cmd_critpath)
 
     hotspots = sub.add_parser(
@@ -1130,9 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "instead of the ASCII report")
     hotspots.add_argument("--output", metavar="PATH",
                           help="also write the manifest to PATH")
-    hotspots.add_argument("--ledger", metavar="DB",
-                          help="ingest the manifest into this results "
-                               "ledger (default: REPRO_LEDGER)")
     hotspots.set_defaults(func=_cmd_hotspots)
 
     fuzz = sub.add_parser("fuzz",
@@ -1245,11 +1075,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="live single-line fleet progress on "
                                  "stderr (jobs done/total, ETA, aggregate "
                                  "kIPS, trace-cache hit ratio)")
-    experiment.add_argument("--ledger", metavar="DB",
-                            help="ingest results into this results "
-                                 "ledger: the manifest with --json, "
-                                 "per-job run reports otherwise "
-                                 "(default: REPRO_LEDGER)")
     experiment.set_defaults(func=_cmd_experiment)
 
     bench = sub.add_parser("bench",
@@ -1282,78 +1107,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="REL",
                        help="relative throughput tolerance for --compare "
                             "(default 0.1)")
-    bench.add_argument("--ledger", metavar="DB",
-                       help="ingest the fresh manifest into this results "
-                            "ledger (default: REPRO_LEDGER)")
     bench.set_defaults(func=_cmd_bench)
-
-    ledger = sub.add_parser("ledger",
-                            help="inspect/maintain a results-ledger "
-                                 "database (SQLite)")
-    ledger.add_argument("--ledger", metavar="DB",
-                        help="ledger database path (default: "
-                             "REPRO_LEDGER)")
-    actions = ledger.add_subparsers(dest="action", required=True)
-    actions.add_parser("info", help="counts, schema version, code "
-                                    "versions").set_defaults(
-        func=_cmd_ledger)
-    ingest = actions.add_parser("ingest",
-                                help="ingest manifests (files, "
-                                     "directories, or globs)")
-    ingest.add_argument("paths", nargs="+",
-                        help="manifest files, directories, or globs")
-    ingest.add_argument("--code-version", metavar="VERSION",
-                        help="stamp for manifests that predate "
-                             "code-version stamping")
-    ingest.set_defaults(func=_cmd_ledger)
-    export = actions.add_parser("export",
-                                help="export the store as diffable "
-                                     "JSONL")
-    export.add_argument("path", help="output JSONL path")
-    export.set_defaults(func=_cmd_ledger)
-    importer = actions.add_parser("import",
-                                  help="import a JSONL export "
-                                       "(idempotent)")
-    importer.add_argument("path", help="input JSONL path")
-    importer.set_defaults(func=_cmd_ledger)
-
-    dash = sub.add_parser("dash",
-                          help="render a self-contained HTML dashboard "
-                               "from the results ledger")
-    dash.add_argument("--ledger", metavar="DB",
-                      help="ledger database path (default: "
-                           "REPRO_LEDGER)")
-    dash.add_argument("-o", "--output", default="dash.html",
-                      metavar="PATH",
-                      help="output HTML path (default dash.html)")
-    dash.add_argument("--title", help="dashboard title")
-    dash.set_defaults(func=_cmd_dash)
-
-    watch = sub.add_parser("watch",
-                           help="gate fresh manifests against ledger "
-                                "history (throughput + determinism)")
-    watch.add_argument("candidates", nargs="+",
-                       help="candidate manifests: files, directories, "
-                            "or globs (run, experiment, or bench)")
-    watch.add_argument("--ledger", metavar="DB",
-                       help="ledger database path (default: "
-                            "REPRO_LEDGER)")
-    watch.add_argument("--window", type=int, default=5, metavar="N",
-                       help="history window per key: compare against "
-                            "the median of the last N entries "
-                            "(default 5)")
-    watch.add_argument("--tolerance", type=float, metavar="REL",
-                       help="relative throughput tolerance (default: "
-                            "the bench-compare default, 0.1)")
-    watch.add_argument("--gate", action="store_true",
-                       help="exit 1 on a throughput regression and 2 "
-                            "on a determinism break (default: report "
-                            "only, exit 0)")
-    watch.add_argument("--ingest", action="store_true",
-                       help="ingest each candidate after checking it")
-    watch.add_argument("--json", action="store_true",
-                       help="emit repro.watch/1 report(s) as JSON")
-    watch.set_defaults(func=_cmd_watch)
 
     corpus = sub.add_parser("corpus",
                             help="OS-activity scenario corpus: list, "

@@ -11,7 +11,7 @@ step.  This module runs the grid:
 * :class:`SimJob` pairs a :class:`TraceSpec` with a complete
   :class:`~repro.core.config.MachineConfig` and a hashable result key.
 * :class:`Engine` executes a job list — inline for ``jobs=1``, across
-  a ``multiprocessing`` pool otherwise — and merges results in
+  a process pool otherwise — and merges results in
   **insertion order**, so the result dict (and any captured run
   reports) is identical whatever the completion order or worker
   count.  Simulated cycles, counters, and rendered tables are
@@ -39,6 +39,9 @@ A job that raises inside a worker no longer surfaces as a bare
 multiprocessing traceback: the engine wraps it in
 :class:`EngineJobError` carrying the job key, configuration name,
 trace identity and generator seed, and records it in the run summary.
+A worker process that dies (killed by a signal, or crashed) fails
+every job that had not finished, through the same error, instead of
+leaving the engine waiting for results that never come.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ import os
 import time
 import traceback
 from collections.abc import Sequence
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from queue import Empty
 
@@ -113,8 +118,7 @@ class TraceSpec:
         return self.scenario_seed
 
     def report_identity(self) -> dict[str, object]:
-        """Workload identity stamped into run reports, which is what
-        the results ledger hashes into ``trace_digest`` — the user-only
+        """Workload identity stamped into run reports — the user-only
         mix is a different trace than the full mix, so it gets a
         distinct workload name."""
         if self.kind == "workload":
@@ -188,8 +192,9 @@ class SimJob:
 class EngineJobError(RuntimeError):
     """A grid job failed; the message carries the job's identity —
     key, configuration name, trace (and seed) — plus the original
-    traceback, instead of a bare multiprocessing dump.  ``failures``
-    holds one context dict per failed job."""
+    traceback, instead of a bare multiprocessing dump, and names every
+    other failed job.  ``failures`` holds one context dict per failed
+    job."""
 
     def __init__(self, failures: list[dict]) -> None:
         first = failures[0]
@@ -200,6 +205,10 @@ class EngineJobError(RuntimeError):
             f"trace {first['trace']}"
             + (f", seed {seed}" if seed is not None else "")
             + f") raised {first['error']}"]
+        if len(failures) > 1:
+            lines.append("also failed: " + ", ".join(
+                f"job {failure['key']} (config {failure['config']})"
+                for failure in failures[1:]))
         if first.get("traceback"):
             lines.append("worker traceback:")
             lines.append(first["traceback"].rstrip())
@@ -224,8 +233,7 @@ def _job_context(job: SimJob) -> dict[str, object]:
 
 
 def _run_job_outcome(job: SimJob, metrics_interval: int | None,
-                     recorder: SpanRecorder | None,
-                     ledger_path: str | None = None) -> dict:
+                     recorder: SpanRecorder | None) -> dict:
     """Simulate one job, catching any failure into the outcome."""
     outcome: dict = {"pid": os.getpid(), "started": time.time()}
     depth = recorder.depth if recorder is not None else 0
@@ -243,14 +251,6 @@ def _run_job_outcome(job: SimJob, metrics_interval: int | None,
                          cycles=result.cycles)
         report = build_run_report(result, job.machine, wall_time=wall,
                                   **job.trace.report_identity())
-        if ledger_path is not None:
-            # Every worker ingests its own reports; the ledger's
-            # UNIQUE-digest constraint and sqlite's busy timeout make
-            # concurrent ingest safe.  An ingest failure fails the job
-            # loudly (with full context) rather than dropping history.
-            from ..obs.ledger import Ledger
-            with Ledger(ledger_path) as ledger:
-                ledger.ingest(report, source="engine")
         outcome.update(ok=True, result=result, wall=wall, report=report)
     except Exception as exc:
         if recorder is not None:
@@ -265,19 +265,16 @@ def _run_job_outcome(job: SimJob, metrics_interval: int | None,
 
 
 # Per-worker-process state, installed by the pool initializer.
-_worker_state: dict = {"queue": None, "epoch": None, "ledger": None}
+_worker_state: dict = {"queue": None, "epoch": None}
 
 
-def _init_worker(cache_dir: object, progress_queue, epoch_us,
-                 ledger_path: str | None = None) -> None:
+def _init_worker(cache_dir: object, progress_queue, epoch_us) -> None:
     suite.set_trace_cache_dir(cache_dir)
     _worker_state["queue"] = progress_queue
     _worker_state["epoch"] = epoch_us
-    _worker_state["ledger"] = ledger_path
 
 
-def _run_job(item: tuple[SimJob, int | None]) -> dict:
-    job, metrics_interval = item
+def _run_job(job: SimJob, metrics_interval: int | None) -> dict:
     queue = _worker_state["queue"]
     key = str(job.key)
     if queue is not None:
@@ -287,8 +284,7 @@ def _run_job(item: tuple[SimJob, int | None]) -> dict:
         recorder = SpanRecorder(f"engine worker {os.getpid()}",
                                 epoch_us=_worker_state["epoch"])
     with obs_spans.activate(recorder):
-        outcome = _run_job_outcome(job, metrics_interval, recorder,
-                                   _worker_state["ledger"])
+        outcome = _run_job_outcome(job, metrics_interval, recorder)
     if recorder is not None:
         outcome["spans"] = recorder.events()
     if queue is not None:
@@ -298,6 +294,21 @@ def _run_job(item: tuple[SimJob, int | None]) -> dict:
         else:
             queue.put(("failed", key))
     return outcome
+
+
+def _pool_outcome(job: SimJob, future: Future) -> dict:
+    """The outcome a pool future carries or, when a worker process
+    died before the job finished, a failure saying so.  Such a job has
+    no ``pid`` or host times: nothing of it was timed."""
+    try:
+        return future.result()
+    except BrokenProcessPool:
+        return {"ok": False, "context": _job_context(job),
+                "error": {"type": "BrokenProcessPool",
+                          "message": "a worker process died (killed by "
+                                     "a signal, or crashed) before the "
+                                     "job finished",
+                          "traceback": ""}}
 
 
 def _feed_display(display: ProgressDisplay, event: tuple) -> None:
@@ -323,11 +334,6 @@ class Engine:
     that cycle interval and the captured run reports carry them, in
     the same deterministic job order, whatever the worker count.
 
-    ``ledger`` names a results-ledger database
-    (:class:`repro.obs.ledger.Ledger`): every successful job's run
-    report is ingested from the worker that simulated it, so a
-    multi-process grid doubles as a concurrent-ingest exercise.
-
     ``progress`` turns on the live fleet display (``True`` writes to
     stderr; a stream object redirects it).  ``collect_spans`` records
     a host-time span timeline across the parent and every worker;
@@ -340,14 +346,9 @@ class Engine:
                  trace_cache: str | os.PathLike | None = None,
                  metrics_interval: int | None = None,
                  progress: object = False,
-                 collect_spans: bool = False,
-                 ledger: str | os.PathLike | None = None) -> None:
+                 collect_spans: bool = False) -> None:
         self.jobs = max(1, jobs) if jobs is not None else _default_jobs()
         self.metrics_interval = metrics_interval
-        # Results-ledger path; every successful job's run report is
-        # ingested by the worker that produced it.  None costs one
-        # ``is None`` check per job.
-        self.ledger = os.fspath(ledger) if ledger is not None else None
         self.progress = progress
         self.collect_spans = collect_spans
         self.span_events: list[dict] | None = None
@@ -380,7 +381,8 @@ class Engine:
         :func:`repro.experiments.runner.capture_reports`) are appended
         to the active sink in the same order.  Raises
         :class:`EngineJobError` if any job failed (after every job has
-        run and ``last_summary`` has recorded the failures)."""
+        run, or its worker died, and ``last_summary`` has recorded the
+        failures)."""
         jobs = list(sim_jobs)
         keys = [job.key for job in jobs]
         if len(set(keys)) != len(keys):
@@ -450,7 +452,7 @@ class Engine:
                 if display is not None:
                     display.job_started(str(job.key))
                 outcome = _run_job_outcome(job, self.metrics_interval,
-                                           recorder, self.ledger)
+                                           recorder)
                 outcomes.append(outcome)
                 if display is None:
                     continue
@@ -465,28 +467,34 @@ class Engine:
                       display: ProgressDisplay | None) -> list[dict]:
         workers = min(self.jobs, len(jobs))
         queue = multiprocessing.Queue() if display is not None else None
-        items = [(job, self.metrics_interval) for job in jobs]
-        with multiprocessing.Pool(
-                processes=workers, initializer=_init_worker,
-                initargs=(suite.trace_cache_dir(), queue, epoch,
-                          self.ledger)) as pool:
-            # map() preserves submission order — the merge in execute()
-            # is deterministic no matter which worker finishes first.
-            if display is None:
-                return pool.map(_run_job, items, chunksize=1)
-            pending = pool.map_async(_run_job, items, chunksize=1)
-            while True:
-                try:
-                    _feed_display(display, queue.get(timeout=0.05))
-                except Empty:
-                    if pending.ready():
+        with ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker,
+                initargs=(suite.trace_cache_dir(), queue, epoch)) as pool:
+            futures = [pool.submit(_run_job, job, self.metrics_interval)
+                       for job in jobs]
+            if display is not None:
+                while True:
+                    try:
+                        _feed_display(display, queue.get(timeout=0.05))
+                    except Empty:
+                        if all(future.done() for future in futures):
+                            break
+                while True:
+                    try:
+                        _feed_display(display, queue.get_nowait())
+                    except Empty:
                         break
-            while True:
-                try:
-                    _feed_display(display, queue.get_nowait())
-                except Empty:
-                    break
-            return pending.get()
+            # Results are read in submission order, so the merge in
+            # execute() is deterministic whichever worker finishes
+            # first.  A dead worker breaks the pool, which fails every
+            # unfinished future at once.
+            outcomes = [_pool_outcome(job, future)
+                        for job, future in zip(jobs, futures)]
+        if display is not None:
+            for job, outcome in zip(jobs, outcomes):
+                if "pid" not in outcome:
+                    display.job_failed(str(job.key))
+        return outcomes
 
     @staticmethod
     def _build_summary(jobs: list[SimJob], outcomes: list[dict],
@@ -500,6 +508,8 @@ class Engine:
         waits = []
         timed = []
         for job, outcome in zip(jobs, outcomes):
+            if "pid" not in outcome:
+                continue  # lost with its worker: nothing was timed
             worker = workers.setdefault(
                 outcome["pid"], {"pid": outcome["pid"], "jobs": 0,
                                  "busy_s": 0.0})

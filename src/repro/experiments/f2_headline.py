@@ -19,7 +19,7 @@ _CONFIGS = ("1P", BEST_SINGLE_PORT, DUAL_PORT, STRONG_DUAL_PORT)
 
 #: Scenario-corpus rows appended below the classic suite rows.  The
 #: suite means keep their historical membership (``MEAN (all)`` stays
-#: comparable across ledger history); scenarios get their own mean.
+#: comparable with earlier results); scenarios get their own mean.
 SCENARIO_ROWS = ("proctree", "iostorm", "syspipe", "copystorm",
                  "locality")
 

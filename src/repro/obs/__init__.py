@@ -33,14 +33,6 @@ The layers below are optional from the timing core's point of view:
   begin/end spans over the simulator's own wall-clock, exported in the
   Chrome Trace Event Format for Perfetto, with per-worker tracks that
   merge into one fleet timeline.
-* :mod:`repro.obs.ledger` — the **persistent results ledger**: a
-  dependency-free SQLite store that ingests every ``repro.*/1``
-  manifest, normalized and keyed by ``(trace_digest, config_digest,
-  code_version)``, with idempotent ingest and longitudinal queries.
-* :mod:`repro.obs.dash` — ``repro dash``: a **self-contained static
-  HTML dashboard** (inline CSS/SVG, no external deps) over the ledger.
-* :mod:`repro.obs.watch` — ``repro watch``: the **perf-regression
-  watchdog** gating a fresh manifest against ledger history.
 * :mod:`repro.obs.codeversion` — the ``code_version`` stamp (git SHA
   plus dirty flag, package-version fallback) every manifest carries.
 * :mod:`repro.obs.critpath` — **causal observability**: a streaming
@@ -76,7 +68,6 @@ from .compare import (
     expand_manifest_paths,
     render_comparison,
 )
-from .dash import build_dashboard
 from .hotspots import (
     HOTSPOT_SORTS,
     HOTSPOTS_SCHEMA,
@@ -84,17 +75,6 @@ from .hotspots import (
     build_hotspots_report,
     render_hotspots_report,
     validate_hotspots_report,
-)
-from .ledger import (
-    LEDGER_DB_VERSION,
-    LEDGER_ENV,
-    Ledger,
-    LedgerError,
-    config_digest_of,
-    detect_kind,
-    manifest_digest,
-    resolve_ledger_path,
-    trace_digest_of,
 )
 from .metrics import (
     DEFAULT_METRICS_INTERVAL,
@@ -132,7 +112,6 @@ from .spans import (
 from .stall import StallCause, StallLedger
 from .tracer import (EVENT_SCHEMA, JsonlTracer, Tracer, iter_events,
                      summarize_events)
-from .watch import WATCH_SCHEMA, exit_code, render_watch, watch_document
 
 __all__ = [
     "code_version",
@@ -148,26 +127,12 @@ __all__ = [
     "compare_documents",
     "expand_manifest_paths",
     "render_comparison",
-    "build_dashboard",
     "HOTSPOT_SORTS",
     "HOTSPOTS_SCHEMA",
     "HotspotRecorder",
     "build_hotspots_report",
     "render_hotspots_report",
     "validate_hotspots_report",
-    "LEDGER_DB_VERSION",
-    "LEDGER_ENV",
-    "Ledger",
-    "LedgerError",
-    "config_digest_of",
-    "detect_kind",
-    "manifest_digest",
-    "resolve_ledger_path",
-    "trace_digest_of",
-    "WATCH_SCHEMA",
-    "exit_code",
-    "render_watch",
-    "watch_document",
     "DEFAULT_METRICS_INTERVAL",
     "Interval",
     "IntervalMetrics",

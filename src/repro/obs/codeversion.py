@@ -1,10 +1,8 @@
 """Code-version stamping for manifests.
 
 Every ``repro.*/1`` manifest records the **code version** that
-produced it, so longitudinal stores (:mod:`repro.obs.ledger`) can key
-results by *(trace digest, config digest, code version)* and a
-dashboard can plot "the simulator got faster/slower" over the
-repository's history.
+produced it, so a saved manifest (a pinned ``BENCH_*.json``, a CI
+artifact) says which revision of the simulator made it.
 
 Resolution order:
 

@@ -208,18 +208,14 @@ class TestCritPathCli:
 
     def test_output_and_ledger_ingest(self, tmp_path, capsys):
         import json
-        from repro.obs.ledger import Ledger
         out_path = str(tmp_path / "cp.json")
-        db = str(tmp_path / "led.sqlite")
         assert main(["critpath", "--workload", "qsort", "--scale",
                      "tiny", "--config", "2P", "--window", "256",
-                     "--output", out_path, "--ledger", db]) == 0
+                     "--output", out_path]) == 0
         capsys.readouterr()
         with open(out_path, encoding="utf-8") as handle:
             report = json.load(handle)
         assert report["config"]["name"] == "2P"
-        with Ledger(db) as ledger:
-            assert ledger.counts()["critpaths"] == 1
 
     def test_scenario_workload(self, capsys):
         import json
@@ -257,17 +253,6 @@ class TestCritPathCli:
         validate_critpath_report(report)
         assert report["workload"] == "stream"
 
-    def test_simulate_critpath_coingests(self, tmp_path, capsys):
-        from repro.obs.ledger import Ledger
-        path = str(tmp_path / "cp.json")
-        db = str(tmp_path / "led.sqlite")
-        assert main(["simulate", "--workload", "stream", "--scale",
-                     "tiny", "--critpath", path, "--ledger", db]) == 0
-        capsys.readouterr()
-        with Ledger(db) as ledger:
-            counts = ledger.counts()
-            assert counts["manifests.run"] == 1
-            assert counts["manifests.critpath"] == 1
 
 
 class TestHotspotsCli:
@@ -310,18 +295,13 @@ class TestHotspotsCli:
 
     def test_output_and_ledger_ingest(self, tmp_path, capsys):
         import json
-        from repro.obs.ledger import Ledger
         out_path = str(tmp_path / "hs.json")
-        db = str(tmp_path / "led.sqlite")
         assert main(["hotspots", "--workload", "qsort", "--scale",
-                     "tiny", "--config", "2P", "--output", out_path,
-                     "--ledger", db]) == 0
+                     "tiny", "--config", "2P", "--output", out_path]) == 0
         capsys.readouterr()
         with open(out_path, encoding="utf-8") as handle:
             report = json.load(handle)
         assert report["config"]["name"] == "2P"
-        with Ledger(db) as ledger:
-            assert ledger.counts()["hotspots"] == 1
 
     def test_bad_sort_is_a_clean_error(self):
         with pytest.raises(SystemExit):
@@ -343,17 +323,6 @@ class TestHotspotsCli:
         # Workload sources re-assemble for disassembly annotation.
         assert any(row["disasm"] for row in report["rows"])
 
-    def test_simulate_hotspots_coingests(self, tmp_path, capsys):
-        from repro.obs.ledger import Ledger
-        path = str(tmp_path / "hs.json")
-        db = str(tmp_path / "led.sqlite")
-        assert main(["simulate", "--workload", "stream", "--scale",
-                     "tiny", "--hotspots", path, "--ledger", db]) == 0
-        capsys.readouterr()
-        with Ledger(db) as ledger:
-            counts = ledger.counts()
-            assert counts["manifests.run"] == 1
-            assert counts["manifests.hotspots"] == 1
 
 
 class TestEvents:

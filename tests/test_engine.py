@@ -9,11 +9,18 @@ simulations.
 
 from __future__ import annotations
 
+import json
+import os
 import re
+import signal
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import repro
 from repro.experiments import engine as engine_module
 from repro.experiments import f2_headline, run_all
 from repro.experiments.engine import Engine, SimJob, TraceSpec, execute
@@ -25,6 +32,9 @@ from repro.workloads import (build_trace, clear_trace_cache,
                              set_trace_cache_dir, trace_cache_dir,
                              trace_cache_stats)
 from repro.workloads import suite as suite_module
+
+#: The directory holding the ``repro`` package, for child interpreters.
+SRC_DIR = os.path.dirname(os.path.dirname(repro.__file__))
 
 
 def _corrupt(path, fault: str) -> None:
@@ -377,6 +387,66 @@ class TestFleetObservability:
             engine.execute([SimJob("bad", TraceSpec("nonsense"),
                                    machine("1P"))])
         assert engine.last_summary["jobs"]["failed"] == 1
+
+    def test_killed_worker_raises_instead_of_hanging(self, tmp_path):
+        # The engine runs in a child interpreter in its own session, so
+        # a parent that waits forever fails the test at the timeout and
+        # the whole process group, pool workers included, is killed.
+        script = textwrap.dedent("""
+            import io, json, multiprocessing, os, signal
+            from repro.experiments.engine import (Engine, EngineJobError,
+                                                  SimJob, TraceSpec)
+            from repro.presets import machine
+
+            class KillsItsWorker(TraceSpec):
+                def build(self):
+                    if multiprocessing.parent_process() is None:
+                        raise RuntimeError("only a pool worker builds it")
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+            jobs = [
+                SimJob("a", TraceSpec.workload("stream", "tiny"),
+                       machine("1P")),
+                SimJob("killer", KillsItsWorker("workload", "stream",
+                                                "tiny"), machine("1P")),
+                SimJob("c", TraceSpec.workload("stream", "tiny"),
+                       machine("2P")),
+            ]
+            for progress in (False, io.StringIO()):
+                engine = Engine(jobs=2, progress=progress)
+                try:
+                    engine.execute(jobs)
+                except EngineJobError as exc:
+                    print(json.dumps({
+                        "message": str(exc),
+                        "failed": [failure["key"]
+                                   for failure in exc.failures],
+                        "jobs": engine.last_summary["jobs"],
+                        "children": len(multiprocessing.active_children()),
+                    }))
+        """)
+        env = dict(os.environ, REPRO_TRACE_CACHE=str(tmp_path),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
+        child = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                 stdout=subprocess.PIPE, text=True,
+                                 start_new_session=True)
+        try:
+            out, _ = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("Engine.execute still waiting 60 s after a "
+                        "worker died")
+        assert child.returncode == 0
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert len(reports) == 2  # with and without the progress display
+        for report in reports:
+            assert "killer" in report["failed"]
+            assert "worker process died" in report["message"]
+            assert report["jobs"]["total"] == 3
+            assert report["jobs"]["failed"] == len(report["failed"])
+            assert report["children"] == 0
 
     def test_progress_stream_sees_every_job(self):
         import io

@@ -92,18 +92,6 @@ def test_locality_sweep(monkeypatch, capsys):
     assert "locality" in out and "|" in out
 
 
-def test_perf_trend(monkeypatch, capsys, tmp_path):
-    output = tmp_path / "trend.html"
-    run_example("perf_trend.py", ["--output", str(output)], monkeypatch)
-    out = capsys.readouterr().out
-    assert "verdict:" in out
-    assert "3 code versions" in out
-    assert "self-contained" in out
-    document = output.read_text()
-    assert "<title>perf trend demo</title>" in document
-    assert 'id="kips-trend"' in document
-
-
 def test_fleet_timeline(monkeypatch, capsys, tmp_path):
     output = tmp_path / "fleet.json"
     run_example("fleet_timeline.py",
