@@ -966,8 +966,9 @@ def build_parser() -> argparse.ArgumentParser:
     hotspots.set_defaults(func=_cmd_hotspots)
 
     fuzz = sub.add_parser("fuzz",
-                          help="differential-fuzz the timing core against "
-                               "the functional golden model")
+                          help="fuzz random programs: each trace "
+                               "golden-checked once, then invariant-"
+                               "checked and fast-path compared per config")
     fuzz.add_argument("--seed", type=int, default=1,
                       help="first program seed (default 1)")
     fuzz.add_argument("--count", type=int, default=20,
@@ -1121,8 +1122,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "expected-results contracts")
     corpus_verify = corpus_actions.add_parser(
         "verify", help="full co-execution verification: contract + "
-                       "golden/invariant timing replay + fast-path "
-                       "differential, one pass/fail table")
+                       "golden check per trace + invariants and fast-path "
+                       "differential per config, one pass/fail table")
     for sub_parser in (corpus_run, corpus_verify):
         sub_parser.add_argument("scenario", nargs="*",
                                 help="scenario names (default: all)")

@@ -126,9 +126,6 @@ class CoreResult:
     #: Interval telemetry (only when the run asked for it; see
     #: :mod:`repro.obs.metrics`).
     metrics: IntervalMetrics | None = None
-    #: Architectural end-state digests (registers, memory) from an
-    #: attached golden-model validator; ``None`` without one.
-    digests: dict[str, str] | None = None
     #: Whether the run took the fast cycle loop, and — when it did not
     #: — why the fast path was rejected (surfaced into ``repro.run/1``
     #: and ``repro.bench/1`` manifests).
@@ -191,11 +188,9 @@ class OoOCore:
                           "self-profiler attached": profiler,
                           "critpath recorder attached": critpath,
                           "hotspots recorder attached": hotspots}
-        # The profiler times the stages and is no probe listener; a
-        # ValidationSuite attaches its children.
-        validators = getattr(validator, "children", [validator])
+        # The profiler times the stages and is no probe listener.
         listeners = [recorder for recorder in (
-            tracer, *validators, self.metrics, pipe_trace, critpath,
+            tracer, validator, self.metrics, pipe_trace, critpath,
             hotspots) if recorder is not None]
         #: The one recorder slot (see repro.obs.probe).
         self.probe = Probe(listeners) if listeners else None
@@ -283,8 +278,6 @@ class OoOCore:
             cycle = self._run_loop()
         if probe is not None:
             probe.run_end(self, cycle, self._committed)
-        digests = None if self._validate is None else \
-            self._validate.digests()
         self.stats.set("core.cycles", cycle)
         self.stats.set("core.committed", self._committed)
         for cause, slots in self.ledger.lost.items():
@@ -294,7 +287,6 @@ class OoOCore:
                           instructions=self._committed, stats=self.stats,
                           load_latency=self.load_latency,
                           ledger=self.ledger, metrics=self.metrics,
-                          digests=digests,
                           used_fastpath=self.used_fastpath,
                           fastpath_reason=self.fastpath_reason)
 

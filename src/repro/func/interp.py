@@ -6,7 +6,9 @@ timer interrupts.  It runs threaded code: the first decode of a PC
 builds that instruction's *execute closure*, with its operands, the
 register list, the page table and the trace-column appends already
 bound, and caches it with the PC's row id, its load and store flags and
-whether it is a system op.  :meth:`Interpreter.run`
+whether it is a system op.  It never reads a PC's word again, which
+is sound because loaded text is immutable: a store that overlaps it
+faults (see :mod:`repro.func.memory`).  :meth:`Interpreter.run`
 and :meth:`Interpreter.step` share one loop that calls the closure
 (which returns the next pc) and retires the instruction, its counters
 held in locals; a system op or a trap ends an inner pass so the mode
@@ -66,12 +68,14 @@ Execute = Callable[..., int]
 
 
 def load_program(memory: Memory, program: Program) -> None:
-    """Write a program's text and data images into memory."""
+    """Write a program's text and data images into memory; the text is
+    immutable from then on (a store that overlaps it faults)."""
     from ..isa.encoding import encode_program_text
 
     if program.text:
-        memory.write_bytes(program.text_base,
-                           encode_program_text(program.text))
+        text = encode_program_text(program.text)
+        memory.write_bytes(program.text_base, text)
+        memory.add_text(program.text_base, len(text))
     if program.data:
         memory.write_bytes(program.data_base, program.data)
 
@@ -177,12 +181,6 @@ class Interpreter:
         state.enter_trap()
         state.pc = self.trap_vector
         self.traps_taken += 1
-
-    def _timer_pending(self) -> bool:
-        sysregs = self.state.sysregs
-        interval = sysregs[_TIMER]
-        return (interval > 0 and self._timer_count >= interval
-                and sysregs[_STATUS] & STATUS_INT_ENABLE != 0)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -419,15 +417,15 @@ _PACK = {size: struct.Struct("<" + code).pack_into
 def _memory_access(interp: Interpreter, instr: Instruction,
                    next_pc: int) -> Execute:
     """A load or store closure.  An aligned access to an already-mapped
-    page above the null guard that holds no device reads or writes the
-    page directly; every other access (first touch, device pages, the
-    null guard, faults) goes through :meth:`Memory.load` /
-    :meth:`Memory.store`, whose :class:`MemoryFault` becomes a BADADDR
-    trap."""
+    page above the null guard reads or writes the page directly when no
+    device overlaps the page and, for a store, no loaded text does;
+    every other access (first touch, device and text pages, the null
+    guard, faults) goes through :meth:`Memory.load` /
+    :meth:`Memory.store`, whose :class:`MemoryFault` (a store to text
+    among them) becomes a BADADDR trap."""
     regs = interp.state.regs
     memory = interp.memory
     pages = memory._pages
-    device_pages = memory._device_pages
     guard = memory.null_guard
     info = instr.info
     size = info.mem_size
@@ -441,6 +439,7 @@ def _memory_access(interp: Interpreter, instr: Instruction,
         signed = info.mem_signed
         unpack = _UNPACK[size, signed]
         slow = memory.load_signed if signed else memory.load
+        device_pages = memory._device_pages
 
         def execute() -> int:
             address = (regs[rs1] + imm) & _MASK64
@@ -468,6 +467,7 @@ def _memory_access(interp: Interpreter, instr: Instruction,
     mask = (1 << (8 * size)) - 1
     pack = _PACK[size]
     store = memory.store
+    store_pages = memory._store_pages
 
     def execute() -> int:
         address = (regs[rs1] + imm) & _MASK64
@@ -475,7 +475,7 @@ def _memory_access(interp: Interpreter, instr: Instruction,
             raise _Trap(TrapCause.MISALIGNED, address)
         number = address >> PAGE_SHIFT
         page = pages.get(number)
-        if page is None or number in device_pages or address < guard:
+        if page is None or number in store_pages or address < guard:
             try:
                 store(address, size, regs[rs2])
             except MemoryFault as exc:
@@ -646,13 +646,6 @@ _ALU_BUILDERS = {op: _compile(_ALU_TEMPLATE.format(
 #: closure; *record* appends the direction to the trace, or is None.
 _BRANCH_BUILDERS = {op: _compile(_BRANCH_TEMPLATE.format(
     condition=condition.format(**_OPERANDS)), "build")
-    for op, condition in _BRANCH_SEMANTICS.items()}
-
-#: rs1_value, rs2_value -> taken, from the same conditions (the golden
-#: checker evaluates directions with these).
-_BRANCH_OPS: dict[Opcode, Callable[[int, int], bool]] = {
-    op: _compile(f"def taken(a, b):\n    return "
-                 f"{condition.format(a='a', b='b')}\n", "taken")
     for op, condition in _BRANCH_SEMANTICS.items()}
 
 _FP_OPS: dict[Opcode, Callable[[float, float], float | int]] = {

@@ -6,12 +6,20 @@ dereferences fault instead of silently reading zeros.  Devices claim
 address ranges; loads and stores that hit a device range are routed to
 the device instead of backing storage.
 
+Loaded program text is immutable: :func:`repro.func.interp.load_program`
+records each text range with :meth:`Memory.add_text`, and a store that
+overlaps one faults.  The interpreter decodes each PC once and never
+reads the word again, so this rule is what keeps its decode cache
+sound.
+
 The interpreter's load and store closures read the page table
-(``_pages``) and the set of pages any device overlaps
-(``_device_pages``) directly: an aligned access to a mapped page above
-the null guard that holds no device touches the page's ``bytearray``,
-and every other access comes through :meth:`Memory.load` /
-:meth:`Memory.store`.
+(``_pages``) directly, with one set of pages that need the slow path:
+loads test ``_device_pages`` (the pages any device overlaps), stores
+test ``_store_pages`` (those plus the pages any text range overlaps).
+An aligned access to a mapped page above the null guard outside its
+set touches the page's ``bytearray``; every other access comes through
+:meth:`Memory.load` / :meth:`Memory.store`, which check the exact
+ranges, so data that shares a page with text still stores.
 """
 
 from __future__ import annotations
@@ -82,6 +90,12 @@ class Memory:
         self._devices: list[Device] = []
         #: Page numbers any device overlaps, kept by :meth:`add_device`.
         self._device_pages: set[int] = set()
+        #: Loaded program text as ``(start, end)`` ranges, kept by
+        #: :meth:`add_text`.
+        self.text_ranges: list[tuple[int, int]] = []
+        #: Page numbers a device or a text range overlaps: the pages
+        #: whose stores take :meth:`store`.
+        self._store_pages: set[int] = set()
         self.null_guard = null_guard
 
     # -- device plumbing ---------------------------------------------------
@@ -91,9 +105,16 @@ class Memory:
                     existing.base < device.base + device.size):
                 raise ValueError("device ranges overlap")
         self._devices.append(device)
-        self._device_pages.update(range(
-            device.base >> PAGE_SHIFT,
-            (device.base + device.size + PAGE_MASK) >> PAGE_SHIFT))
+        pages = _pages_of(device.base, device.size)
+        self._device_pages.update(pages)
+        self._store_pages.update(pages)
+
+    def add_text(self, base: int, size: int) -> None:
+        """Make ``[base, base+size)`` immutable program text: a later
+        :meth:`store` that overlaps it faults (image loading goes
+        through :meth:`write_bytes`, which does not check)."""
+        self.text_ranges.append((base, base + size))
+        self._store_pages.update(_pages_of(base, size))
 
     def _device_at(self, address: int) -> Device | None:
         for device in self._devices:
@@ -192,6 +213,9 @@ class Memory:
             device.store(address, size, value)
             return
         self._check(address, size)
+        for start, end in self.text_ranges:
+            if address < end and start < address + size:
+                raise MemoryFault(address, "store to loaded program text")
         value &= (1 << (8 * size)) - 1
         page = self._page(address)
         start = address & PAGE_MASK
@@ -207,6 +231,11 @@ class Memory:
         if value & sign:
             value |= _MASK64 ^ ((1 << (8 * size)) - 1)
         return value
+
+
+def _pages_of(base: int, size: int) -> range:
+    """The numbers of the pages ``[base, base+size)`` overlaps."""
+    return range(base >> PAGE_SHIFT, (base + size + PAGE_MASK) >> PAGE_SHIFT)
 
 
 def make_console_memory() -> tuple[Memory, ConsoleDevice]:

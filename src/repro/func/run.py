@@ -30,7 +30,8 @@ class RunResult:
     #: The retired instructions (``collect_trace=True`` only).
     trace: Trace | None = None
     #: Architectural end-state digests (``compute_digests=True`` only);
-    #: comparable against :attr:`repro.core.pipeline.CoreResult.digests`.
+    #: :func:`repro.validate.golden_check` compares a fresh run's with
+    #: them.
     digests: dict[str, str] | None = None
 
     @property

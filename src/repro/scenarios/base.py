@@ -16,9 +16,11 @@ functional interpreter:
 * named memory regions with the SHA-256 of their expected end-of-run
   bytes.
 
-The contract is what lets :mod:`repro.scenarios.verify` co-execute the
-timing core against the reference: a timing run that commits the golden
-retirement stream must land on exactly these registers and bytes.
+The contract is what lets :mod:`repro.scenarios.verify` tie the timing
+core to the reference model: the functional run must land on exactly
+these exit codes and bytes, the golden check proves the trace is that
+run's retirement stream, and the invariant checker proves each timing
+run commits every record of it once, in order.
 """
 
 from __future__ import annotations

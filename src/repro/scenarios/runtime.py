@@ -63,7 +63,8 @@ class ScenarioRun:
     result: SystemRunResult
     system: System
     #: Architectural end-state digests of the functional run — the
-    #: values a lock-step golden replay of the trace must reproduce.
+    #: values a fresh run must reproduce (see
+    #: :func:`repro.validate.golden_check`).
     digests: dict[str, str]
 
 

@@ -1,20 +1,24 @@
 """Corpus-wide co-execution verification.
 
-For every scenario × scale cell this harness runs three independent
-checks and folds them into one pass/fail table:
+For every scenario × scale cell this harness runs four checks and folds
+them into one pass/fail table:
 
 1. **contract** — the functional run must satisfy the scenario's
    expected-results contract (per-process exit codes, memory-region
    digests, console bytes), all predicted by the pure-Python reference
    model without executing the ISA.
-2. **golden+invariants** (per machine config) — the timing core replays
-   the trace with a :class:`~repro.validate.SystemGoldenChecker` +
-   :class:`~repro.validate.InvariantChecker` suite attached; zero
-   violations are tolerated, and the golden model's architectural end
-   digests must equal the functional run's.
-3. **fastpath** (per machine config) — the fast cycle loop must produce
+2. **golden** (once per trace) — :func:`~repro.validate.golden_check`:
+   every trace column must equal a fresh run's, every record's static
+   columns the ISA decoder's, and the fresh run's end digests the
+   functional run's.
+3. **invariants** (per machine config) — the reference cycle loop runs
+   the trace with an :class:`~repro.validate.InvariantChecker`
+   attached; zero violations are tolerated.  Its ``rob.order`` and
+   ``drain.commit_count`` checks prove every record committed once, in
+   order.
+4. **fastpath** (per machine config) — the fast cycle loop must produce
    a byte-identical :class:`~repro.core.pipeline.CoreResult` view
-   (cycles, stats, stall ledger, load-latency histogram) to check 2's
+   (cycles, stats, stall ledger, load-latency histogram) to check 3's
    reference-loop run, or to a bare reference run where that one
    raised (:func:`repro.validate.fastpath_divergence`).
 
@@ -29,12 +33,8 @@ from collections.abc import Sequence
 from ..core.pipeline import OoOCore
 from ..presets import machine
 from ..stats.report import Table
-from ..validate import (
-    InvariantChecker,
-    SystemGoldenChecker,
-    ValidationSuite,
-    fastpath_divergence,
-)
+from ..validate import (InvariantChecker, Violation, fastpath_divergence,
+                        golden_check)
 from . import SCENARIO_NAMES, SCENARIOS
 from .runtime import check_contract, run_scenario
 
@@ -76,35 +76,36 @@ def verify_scenario(name: str, scale: str, seed: int | None = None,
         # for the timing checks; report the cell and stop here.
         return rows
     trace = run.result.trace
+    try:
+        detail = _summary(golden_check(trace, build, run.digests))
+    except Exception as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+    row("golden", "-", detail)
 
-    checked = {}
     for config in configs:
-        golden = SystemGoldenChecker(build.programs,
-                                     timer_interval=build.timer_interval,
-                                     trace=trace)
-        suite = ValidationSuite([golden, InvariantChecker()])
-        detail: str | None = None
+        checker = InvariantChecker()
+        checked = None
         try:
-            checked[config] = OoOCore(machine(config),
-                                      validator=suite).run(trace)
+            checked = OoOCore(machine(config),
+                              validator=checker).run(trace)
+            detail = _summary(checker.violations)
         except Exception as exc:
             detail = f"{type(exc).__name__}: {exc}"
-        if detail is None and not suite.ok:
-            first = suite.all_violations[0]
-            detail = (f"{len(suite.all_violations)} violation(s); "
-                      f"first: {first}")
-        if detail is None and golden.digests() != run.digests:
-            detail = "golden digests diverge from the functional run"
-        row("golden+invariants", config, detail)
-
-    for config in configs:
+        row("invariants", config, detail)
         try:
-            detail = fastpath_divergence(config, trace,
-                                         checked=checked.get(config))
+            detail = fastpath_divergence(config, trace, checked=checked)
         except Exception as exc:
             detail = f"{type(exc).__name__}: {exc}"
         row("fastpath", config, detail)
     return rows
+
+
+def _summary(violations: list[Violation]) -> str | None:
+    """A row's failure detail for *violations*, None when there are
+    none."""
+    if not violations:
+        return None
+    return f"{len(violations)} violation(s); first: {violations[0]}"
 
 
 def verify_corpus(scale: str = "tiny",
@@ -143,7 +144,8 @@ def verify_corpus(scale: str = "tiny",
                    f"{failed_total} failed; configs: "
                    + ", ".join(configs))
     table.add_note("checks: contract (functional run vs reference "
-                   "model), golden+invariants (lock-step replay + "
-                   "microarchitectural invariants), fastpath "
-                   "(byte-identical fast loop)")
+                   "model), golden (the trace vs a fresh run and the "
+                   "ISA decoder, once per trace), invariants (every "
+                   "record committed once, in order; microarchitectural "
+                   "invariants), fastpath (byte-identical fast loop)")
     return table, ok

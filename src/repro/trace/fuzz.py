@@ -4,11 +4,12 @@ Generates well-formed assembly programs over the whole ISA (integer
 ALU, multiply/divide, loads/stores of every size, floating point,
 forward branches, bounded loops, direct/indirect jumps, safe host
 syscalls), then pushes each program through the full stack —
-assembler → functional interpreter → timing core — with the
-:mod:`repro.validate` checkers attached, across a matrix of machine
-configurations, and through the fast cycle loop against the reference
-loop.  Any divergence, invariant violation, commit-count mismatch,
-digest mismatch or fast-loop difference is a failure.
+assembler → functional interpreter → timing core.  Each trace is
+golden-checked once (a fresh run, the ISA decoder, the end digests);
+each machine configuration of a matrix then runs it with the invariant
+checker attached, and the fast cycle loop against that reference-loop
+run.  Any golden divergence, invariant violation, commit-order or
+commit-count break or fast-loop difference is a failure.
 
 Programs are built from **units**: self-contained blocks of lines that
 can be removed independently (labels are unique per unit, registers are
@@ -305,17 +306,19 @@ def generate_program(seed: int, units: int = 24) -> str:
 def check_program(source: str,
                   configs: Sequence[str] = DEFAULT_CONFIGS,
                   max_instructions: int = 200_000) -> list[str]:
-    """Run *source* through every config with full validation, and
-    through the fast cycle loop against that checked reference-loop run.
+    """Check *source*'s trace once against the golden check, then run it
+    through every config with the invariant checker attached, and
+    through the fast cycle loop against that checked reference-loop
+    run.
 
-    Returns a list of failure descriptions (empty = the program agrees
-    with the golden model, breaks no invariant and times identically on
-    both loops everywhere).
+    Returns a list of failure descriptions (empty = the trace is what
+    the program does, and on every config the core commits it once, in
+    order, breaks no invariant and times identically on both loops).
     """
     from ..core.pipeline import OoOCore
     from ..presets import machine
-    from ..validate import (GoldenChecker, InvariantChecker,
-                            ValidationSuite, fastpath_divergence)
+    from ..validate import (InvariantChecker, fastpath_divergence,
+                            golden_check)
 
     try:
         program = assemble(source)
@@ -328,27 +331,22 @@ def check_program(source: str,
         return [f"functional: {exc}"]
     if not func.trace:
         return ["functional: empty trace"]
-    failures: list[str] = []
+    failures = [str(violation) for violation
+                in golden_check(func.trace, program, func.digests)]
     for name in configs:
-        suite = ValidationSuite([
-            GoldenChecker(program, trace=func.trace),
-            InvariantChecker(),
-        ])
+        checker = InvariantChecker()
         try:
-            result = OoOCore(machine(name), validator=suite).run(func.trace)
+            result = OoOCore(machine(name),
+                             validator=checker).run(func.trace)
         except SimError as exc:
             failures.append(f"{name}: timing core error: {exc}")
             continue
-        violations = suite.all_violations
+        violations = checker.violations
         failures.extend(f"{name}: {violation}"
                         for violation in violations[:5])
         if len(violations) > 5:
             failures.append(f"{name}: ... {len(violations) - 5} more "
                             f"violations")
-        if not violations and result.digests != func.digests:
-            failures.append(
-                f"{name}: end-state digest mismatch (functional "
-                f"{func.digests}, timing {result.digests})")
         try:
             divergence = fastpath_divergence(name, func.trace,
                                              checked=result)

@@ -1,4 +1,5 @@
-"""Validator plumbing shared by the golden-model and invariant checkers.
+"""Validator plumbing of the invariant checker, and the violation type
+every check reports.
 
 A :class:`Validator` is a probe recorder (see :mod:`repro.obs.probe`)
 on :class:`repro.core.pipeline.OoOCore`: a checker defines the events it
@@ -35,7 +36,8 @@ MAX_VIOLATIONS = 100
 
 @dataclass(frozen=True)
 class Violation:
-    """One observed rule break."""
+    """One observed rule break.  ``cycle`` is -1 for the golden check,
+    which runs no machine; its detail names the record by seq."""
 
     cycle: int
     check: str
@@ -46,7 +48,8 @@ class Violation:
                 "detail": self.detail}
 
     def __str__(self) -> str:
-        return f"[cycle {self.cycle}] {self.check}: {self.detail}"
+        where = "trace" if self.cycle < 0 else f"cycle {self.cycle}"
+        return f"[{where}] {self.check}: {self.detail}"
 
 
 class ValidationError(SimError):
@@ -74,11 +77,6 @@ class Validator:
         """Probe event: violations go out through *core*'s probe."""
         self._probe = core.probe
 
-    def digests(self) -> dict[str, str] | None:
-        """Architectural end-state digests, when the validator tracks
-        them (the golden checker does; invariant checking does not)."""
-        return None
-
     # -- reporting -----------------------------------------------------
     def report(self, cycle: int, check: str, detail: str) -> None:
         """Record one violation (raises in strict mode)."""
@@ -94,30 +92,3 @@ class Validator:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-class ValidationSuite(Validator):
-    """Several validators as one: the core attaches each child to its
-    probe, and the suite aggregates their results."""
-
-    def __init__(self, children: list[Validator]) -> None:
-        super().__init__()
-        self.children = list(children)
-
-    def digests(self) -> dict[str, str] | None:
-        for child in self.children:
-            digests = child.digests()
-            if digests is not None:
-                return digests
-        return None
-
-    @property
-    def all_violations(self) -> list[Violation]:
-        collected = list(self.violations)
-        for child in self.children:
-            collected.extend(child.violations)
-        return collected
-
-    @property
-    def ok(self) -> bool:
-        return all(child.ok for child in self.children)

@@ -1,262 +1,201 @@
-"""Golden-model differential checking.
+"""The golden check: a trace is what its program does.
 
-The timing core is trace-driven: it never computes architectural
-values, so its correctness claim is "I committed exactly the retirement
-stream the functional interpreter produced, in order".  This module
-checks that claim by replaying the commit stream against a **fresh**
-:class:`repro.func.interp.Interpreter` instance running the same
-program in lock step: at every commit the golden model must be at the
-committed record's PC, agree on the decoded instruction (opclass,
-destination, sources), on the effective address of memory operations,
-and on branch direction; the golden model then steps, which also
-replays syscalls in retirement order through its own host handler.
+The timing core is trace-driven: it never computes a value, so its
+correctness claim has two halves.  The trace must be what the program
+does, and the core must commit every record once, in order.  The
+second half depends on the machine and is proved per run by
+:class:`~repro.validate.InvariantChecker`: ``rob.order`` (committed
+seqs strictly increase) and ``drain.commit_count`` (as many commits as
+records) mean the commits are exactly ``0..n-1``.  The first half does
+not depend on the machine, so :func:`golden_check` proves it once per
+trace, comparing three things:
 
-Each commit names its instruction by ``seq``; the checker reads the
-committed instruction's columns (pc, opclass, operands, address, branch
-direction, next pc) from the trace ``run_begin`` hands it.  The word at
-the committed PC is read from golden memory at every commit; each
-distinct word is decoded once.  Stepping runs the interpreter's own
-decode-once execute closures.
+* every column of the trace against a fresh interpretation of the same
+  program (:func:`~repro.func.run.run_bare`) or mini-OS system
+  (:func:`~repro.scenarios.runtime.run_build`);
+* every record's static columns against :func:`~repro.isa.decode` of
+  the word at its PC in a freshly loaded image: one expected row per
+  distinct PC, compared with every record, so corruption at a PC that
+  earlier records passed is still caught;
+* the fresh run's end digests against the producer's.
 
-The first divergence is reported with full context (commit index,
-expected/actual values, and the most recent commits); subsequent
-commits are not checked — one wrong step invalidates everything after
-it.
-
-At drain the checker exposes architectural **digests** (registers+PC
-and memory) computed from the golden state; these are by construction
-the state after the last committed instruction, and match the digests
-:func:`repro.func.run.run_bare` reports for the same program because
-the final (never-traced) exit syscall does not mutate state.
-
-:class:`GoldenChecker` replays bare user-mode traces.
-:class:`SystemGoldenChecker` replays full-system (mini-OS) traces —
-kernel instructions, syscalls, and timer interrupts included: it
-rebuilds the same kernel+user image and, because interrupt delivery is
-deterministic in retired-instruction counts and trap deliveries retire
-nothing, the replayed commit stream lines up instruction for
-instruction with the timing core's.
+Decoding each PC once is sound because loaded text is immutable: the
+producer faults a store that overlaps it (see
+:mod:`repro.func.memory`).  A divergence is reported once, at the first
+record that differs: its seq, its PC, the column, the trace's value,
+the expected one and the PCs before it.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from ..func.exceptions import SimError, SimHalted
-from ..func.interp import _BRANCH_OPS, Interpreter, load_program
-from ..func.memory import ConsoleDevice, Memory
-from ..func.run import DEFAULT_STACK_TOP
-from ..func.syscalls import HostSyscalls
-from ..isa import Program, decode
+import numpy as np
+
+from ..func.interp import load_program
+from ..func.memory import Memory
+from ..func.run import run_bare
+from ..isa import INSTRUCTION_BYTES, Program, decode
 from ..kernel.image import build_system
-from ..trace.io import F_TAKEN, NO_DEST, OPCLASSES, Trace
-from .base import Validator
+from ..scenarios.runtime import ScenarioBuild, run_build
+from ..trace.io import (F_KERNEL, F_TAKEN, _STATIC_FIELDS, Trace,
+                        _static_row, as_trace)
+from .base import Violation
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.pipeline import OoOCore
+#: Trace PCs a divergence report shows before the diverging record.
+_CONTEXT = 4
 
-_MASK64 = (1 << 64) - 1
-_SP = 2
-_CONTEXT = 6  # recent commits kept for divergence reports
+#: Flag bits the instruction alone fixes: not a branch's taken bit,
+#: not the kernel bit.
+_STATIC_FLAGS = 0xFF & ~(F_TAKEN | F_KERNEL)
+
+#: Columns compared with the fresh run, in the order a divergence at
+#: one record is named: (column, check, flag bits or None for all).
+_FRESH_CHECKS = (("pc", "pc", None), ("opclass", "decode", None),
+                 ("dest", "decode", None), ("src", "decode", None),
+                 ("nsrc", "decode", None), ("naddr", "decode", None),
+                 ("mem_size", "decode", None), ("mem_addr", "mem_addr", None),
+                 ("flags", "branch", F_TAKEN),
+                 ("flags", "decode", 0xFF & ~F_TAKEN),
+                 ("next_pc", "next_pc", None))
+
+#: Columns a report shows in hex.
+_HEX = ("pc", "mem_addr", "next_pc", "flags")
 
 
-class GoldenChecker(Validator):
-    """Lock-step replay of the commit stream against the interpreter."""
+def golden_check(trace: Trace | Sequence, source: Program | ScenarioBuild,
+                 digests: dict[str, str]) -> list[Violation]:
+    """Check *trace* (a :class:`Trace` or a record list) against a fresh
+    run of *source*: a :class:`Program` for a bare user-mode trace, a
+    :class:`ScenarioBuild` for a full-system one.  *digests*, the
+    producer's end digests, are compared with the fresh run's.  Returns
+    the violations, empty when the trace is what the program does."""
+    trace = as_trace(trace)
+    if isinstance(source, Program):
+        run = run_bare(source, collect_trace=True, compute_digests=True)
+        fresh, fresh_digests = run.trace, run.digests
+        image = Memory()
+        load_program(image, source)
+    else:
+        run = run_build(source, collect_trace=True)
+        fresh, fresh_digests = run.result.trace, run.digests
+        image = build_system(list(source.programs),
+                             source.timer_interval).memory
+    violations = []
+    first = _first_divergence(trace, fresh, image)
+    if first is not None:
+        violations.append(first)
+    if len(trace) != len(fresh):
+        violations.append(Violation(-1, "golden.length", (
+            f"the trace has {len(trace)} records, a fresh run retires "
+            f"{len(fresh)}")))
+    if digests != fresh_digests:
+        differ = [key for key in sorted(digests.keys() | fresh_digests)
+                  if digests.get(key) != fresh_digests.get(key)]
+        violations.append(Violation(-1, "golden.digests", (
+            f"the producer's end digests differ from a fresh run's in "
+            f"{', '.join(differ)}")))
+    return violations
 
-    def __init__(self, program: Program,
-                 trace: Sequence | None = None,
-                 stack_top: int = DEFAULT_STACK_TOP,
-                 strict: bool = False) -> None:
-        super().__init__(strict=strict)
-        self.memory = Memory()
-        console = ConsoleDevice()
-        self.memory.add_device(console)
-        load_program(self.memory, program)
-        self.interp = Interpreter(self.memory, entry=program.entry,
-                                  syscall_handler=HostSyscalls(console))
-        self.interp.state.status = 0  # user mode, like run_bare
-        self.interp.state.write_reg(_SP, stack_top)
-        self._init_tracking(trace)
 
-    def _init_tracking(self,
-                       trace: Sequence | None) -> None:
-        #: Instruction word -> ``(instruction, opclass, dest, sources,
-        #: mem_size, branch condition)``; decode is pure, so each word
-        #: decodes once.
-        self._decoded: dict[int, tuple] = {}
-        self._expected = len(trace) if trace is not None else None
-        self._commits = 0
-        self._dead = False
-        self._context: deque[str] = deque(maxlen=_CONTEXT)
-        #: A next_pc mismatch is only a divergence if another commit
-        #: follows — the final record of a flushed trace carries a
-        #: synthesized (sequential) next_pc.
-        self._pending_next: str | None = None
+def _first_divergence(trace: Trace, fresh: Trace,
+                      image: Memory) -> Violation | None:
+    """The first record at which *trace* disagrees with the decoder or
+    with *fresh*, as one violation; None when every record agrees."""
+    # (seq, rank, check, claim) of each test's first diverging record.
+    found = []
+    decoded = _decode_check(trace, image)
+    if decoded is not None:
+        found.append(decoded)
+    count = min(len(trace), len(fresh))
+    for rank, (name, check, bits) in enumerate(_FRESH_CHECKS):
+        ours = getattr(trace, name)[:count]
+        theirs = getattr(fresh, name)[:count]
+        differs = ours != theirs if bits is None \
+            else ((ours ^ theirs) & bits) != 0
+        if differs.ndim > 1:
+            differs = differs.any(axis=1)
+        if differs.any():
+            seq = int(np.argmax(differs))
+            found.append((seq, rank, check,
+                          f"{name}: trace {_show(name, ours[seq])}, fresh "
+                          f"run {_show(name, theirs[seq])}"))
+    if not found:
+        return None
+    seq, _, check, claim = min(found)
+    recent = ", ".join(f"{pc:#x}" for pc
+                       in trace.pc[max(0, seq - _CONTEXT):seq].tolist())
+    return Violation(-1, f"golden.{check}", (
+        f"seq {seq} (pc {int(trace.pc[seq]):#x}): {claim}; "
+        f"recent: {recent or 'none'}"))
 
-    def run_begin(self, core: "OoOCore", trace: Trace) -> None:
-        super().run_begin(core, trace)
-        self._columns = trace.lists()
-        if self._expected is None:
-            self._expected = len(trace)
 
-    # ------------------------------------------------------------------
-    def commit(self, seq: int, cycle: int, times: tuple) -> None:
-        if self._dead:
-            return
-        columns = self._columns
-        pc = columns["pc"][seq]
-        self._commits += 1
-        if self._pending_next is not None:
-            detail, self._pending_next = self._pending_next, None
-            self._diverge(cycle, "next_pc", detail)
-            return
-        state = self.interp.state
-        if state.pc != pc:
-            self._diverge(cycle, "pc",
-                          f"golden model at pc {state.pc:#x}, core "
-                          f"committed pc {pc:#x}")
-            return
-        if not self._check_decode(cycle, seq):
-            return
+def _decode_check(trace: Trace, image: Memory) -> tuple | None:
+    """The first record whose static columns disagree with the decode of
+    the word at its PC in *image*, as ``(seq, rank, check, claim)``
+    ranked just after the pc test; None when every record agrees.  The
+    columns are compared one at a time, so the check holds one expected
+    column, not a row per record, beside the trace."""
+    if not len(trace):
+        return None
+    pcs, row_of = np.unique(trace.pc, return_inverse=True)
+    row_of = row_of.ravel()
+    rows, shown, missing = [], [], []
+    for pc in pcs.tolist():
         try:
-            self.interp.step()
-        except SimHalted:
-            self._diverge(cycle, "halt",
-                          f"golden model halted at pc {pc:#x} but "
-                          f"the record retired in the functional run")
-            return
-        except SimError as exc:
-            self._diverge(cycle, "trap",
-                          f"golden model faulted at pc {pc:#x}: "
-                          f"{exc}")
-            return
-        # Interrupt deliveries are interpreter steps that retire nothing
-        # and emit no trace record; the trace encodes them only as the
-        # previous record's next_pc pointing at the trap vector.  Replay
-        # any delivery due here so the pc chain lines up.  (Bare
-        # user-mode runs never arm the timer, so this is a no-op for
-        # plain GoldenChecker.)
-        while self.interp._timer_pending():
-            self.interp.step()
-        next_pc = columns["next_pc"][seq]
-        if state.pc != next_pc:
-            self._pending_next = (
-                f"record at pc {pc:#x} says next_pc "
-                f"{next_pc:#x}, golden model went to "
-                f"{state.pc:#x}")
-        self._context.append(f"#{self._commits} pc={pc:#x}")
-
-    def _check_decode(self, cycle: int, seq: int) -> bool:
-        """The committed record must describe the instruction the golden
-        memory holds at its PC — catches trace corruption and
-        self-modifying-code hazards alike."""
-        columns = self._columns
-        pc = columns["pc"][seq]
-        state = self.interp.state
-        try:
-            # The word is read at every commit, so a corrupted or
-            # rewritten instruction is still caught.
-            word = self.memory.load(pc, 4)
-            decoded = self._decoded.get(word)
-            if decoded is None:
-                instr = decode(word)
-                info = instr.info
-                decoded = self._decoded[word] = (
-                    instr, info.opclass, instr.dest, instr.sources,
-                    info.mem_size, _BRANCH_OPS.get(instr.opcode))
-        except Exception as exc:  # decode/load failures of any flavour
-            self._diverge(cycle, "decode",
-                          f"pc {pc:#x}: golden memory does not "
-                          f"decode ({exc})")
-            return False
-        instr, golden_opclass, golden_dest, golden_sources, size, \
-            condition = decoded
-        opclass = OPCLASSES[columns["opclass"][seq]]
-        dest = columns["dest"][seq]
-        dest = None if dest == NO_DEST else dest
-        sources = tuple(columns["src"][seq][:columns["nsrc"][seq]])
-        if golden_opclass is not opclass or golden_dest != dest or \
-                golden_sources != sources:
-            self._diverge(cycle, "decode",
-                          f"pc {pc:#x}: record says "
-                          f"{opclass.value} dest={dest} "
-                          f"sources={sources}, golden "
-                          f"memory decodes {instr}")
-            return False
-        if size:
-            mem_addr = columns["mem_addr"][seq]
-            mem_size = columns["mem_size"][seq]
-            address = (state.regs[instr.rs1] + instr.imm) & _MASK64
-            if address != mem_addr or size != mem_size:
-                self._diverge(cycle, "mem_addr",
-                              f"pc {pc:#x}: record accesses "
-                              f"{mem_addr:#x}/{mem_size}B, "
-                              f"golden model computes {address:#x}/"
-                              f"{size}B")
-                return False
-        if condition is not None:
-            recorded = (columns["flags"][seq] & F_TAKEN) != 0
-            taken = condition(state.regs[instr.rs1], state.regs[instr.rs2])
-            if taken != recorded:
-                self._diverge(cycle, "branch",
-                              f"pc {pc:#x}: record says "
-                              f"taken={recorded}, golden model "
-                              f"evaluates taken={taken}")
-                return False
-        return True
-
-    def _diverge(self, cycle: int, what: str, detail: str) -> None:
-        self._dead = True
-        context = "; ".join(self._context) or "none"
-        self.report(cycle, f"golden.{what}",
-                    f"{detail} (commit #{self._commits}; "
-                    f"recent: {context})")
-
-    # ------------------------------------------------------------------
-    def run_end(self, core: "OoOCore", cycle: int,
-                instructions: int) -> None:
-        if self._dead:
-            return
-        self._pending_next = None  # final record: synthesized next_pc
-        if self._commits != self._expected:
-            self._diverge(cycle, "commit_count",
-                          f"core committed {self._commits} of "
-                          f"{self._expected} trace records")
-
-    def digests(self) -> dict[str, str] | None:
-        """Architectural end-state digests (None after a divergence —
-        the golden state is no longer meaningful)."""
-        if self._dead:
-            return None
-        return {"registers": self.interp.state.digest(),
-                "memory": self.memory.content_digest()}
+            instr = decode(_word_at(image, pc))
+        except ValueError as exc:  # the word is no instruction
+            rows.append((pc,) + (0,) * (len(_STATIC_FIELDS) - 1))
+            shown.append(f"no instruction there ({exc})")
+            missing.append(True)
+            continue
+        rows.append(_static_row(pc, instr))
+        shown.append(str(instr))
+        missing.append(False)
+    table = np.array(rows, dtype=np.uint64)
+    table[:, -1] &= _STATIC_FLAGS
+    # (seq, field) of the first diverging record; field -1 is a PC with
+    # no instruction, which outranks the columns at the same record.
+    found = []
+    if any(missing):
+        found.append((int(np.argmax(np.array(missing)[row_of])), -1))
+    for field, name in enumerate(_STATIC_FIELDS):
+        ours = _static_column(trace, name)
+        differs = ours != table[:, field].astype(ours.dtype)[row_of]
+        if differs.any():
+            found.append((int(np.argmax(differs)), field))
+    if not found:
+        return None
+    seq, field = min(found)
+    row = int(row_of[seq])
+    if field < 0:
+        return seq, 0.5, "decode", f"the loaded image holds {shown[row]}"
+    name = _STATIC_FIELDS[field]
+    return seq, 0.5, "decode", (
+        f"{name}: trace {_show(name, _static_column(trace, name)[seq])}, "
+        f"isa.decode {_show(name, table[row, field])} ({shown[row]})")
 
 
-class SystemGoldenChecker(GoldenChecker):
-    """Lock-step replay for full-system (mini-OS) traces.
+def _static_column(trace: Trace, name: str) -> np.ndarray:
+    """The trace column of static field *name*, flags masked to the bits
+    the instruction alone fixes."""
+    if name.startswith("src"):
+        return trace.src[:, int(name[3:])]
+    column = getattr(trace, name)
+    return column & _STATIC_FLAGS if name == "flags" else column
 
-    Rebuilds the same kernel+user image as the functional run that
-    produced the trace and replays the commit stream through a fresh
-    kernel-mode interpreter — kernel instructions, syscall dispatches
-    and context switches are checked exactly like user instructions.
-    Timer interrupts are deterministic in retired-instruction counts
-    and their delivery retires nothing, so :meth:`commit`'s drain
-    loop reproduces every delivery point without needing them in the
-    trace.
 
-    The end digests equal the functional run's (the final ``halt``
-    never retires and never mutates state), so scenario contracts can
-    compare them directly.
-    """
+def _word_at(image: Memory, pc: int) -> int:
+    """The instruction word at *pc* in *image*; a ValueError when *pc*
+    is not an instruction address of its loaded text."""
+    if pc % INSTRUCTION_BYTES or not any(
+            start <= pc < end for start, end in image.text_ranges):
+        raise ValueError("not in the loaded text")
+    return image.load(pc, INSTRUCTION_BYTES)
 
-    def __init__(self, programs: Sequence[Program],
-                 timer_interval: int = 20_000,
-                 trace: Sequence | None = None,
-                 strict: bool = False) -> None:
-        Validator.__init__(self, strict=strict)
-        system = build_system(list(programs), timer_interval)
-        self.memory = system.memory
-        self.interp = Interpreter(self.memory, entry=system.entry,
-                                  trap_vector=system.trap_vector)
-        self._init_tracking(trace)
+
+def _show(name: str, value) -> str:
+    """One column value as a report shows it."""
+    if isinstance(value, np.ndarray):
+        return str(value.tolist())
+    return f"{int(value):#x}" if name in _HEX else str(int(value))

@@ -238,8 +238,8 @@ class TestThroughputRule:
         (100.0, 150.0, 0.0, False),
         (100.0, 60.0, 0.5, False),
     ])
-    def test_compare_and_watch_agree(self, baseline, candidate,
-                                     tolerance, regressed):
+    def test_compare_verdict_follows_the_rule(self, baseline, candidate,
+                                              tolerance, regressed):
         with open(BASELINE_CI, encoding="utf-8") as handle:
             manifest = json.load(handle)
         base = _at_kips(manifest, baseline)

@@ -206,7 +206,7 @@ class TestCritPathCli:
         assert report["workload"] == "stream"
         assert sum(report["stack"].values()) == report["cycles"]
 
-    def test_output_and_ledger_ingest(self, tmp_path, capsys):
+    def test_output_manifest(self, tmp_path, capsys):
         import json
         out_path = str(tmp_path / "cp.json")
         assert main(["critpath", "--workload", "qsort", "--scale",
@@ -293,7 +293,7 @@ class TestHotspotsCli:
         assert split["kernel"]["executions"] \
             + split["user"]["executions"] == report["instructions"]
 
-    def test_output_and_ledger_ingest(self, tmp_path, capsys):
+    def test_output_manifest(self, tmp_path, capsys):
         import json
         out_path = str(tmp_path / "hs.json")
         assert main(["hotspots", "--workload", "qsort", "--scale",
@@ -919,7 +919,7 @@ class TestCorpus:
         assert document["ok"] is True
         rows = document["table"]["rows"]
         assert [row[3] for row in rows] == \
-            ["contract", "golden+invariants", "fastpath"]
+            ["contract", "golden", "invariants", "fastpath"]
         table_text = capsys.readouterr().out
         assert "pass" in table_text and "FAIL" not in table_text
 

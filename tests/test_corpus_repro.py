@@ -3,8 +3,8 @@
 ``tests/corpus/*.repro`` are fuzzer-generated programs promoted into a
 permanent regression corpus (``repro.fuzz/1`` artifacts, replayable
 with ``repro fuzz --replay``).  Each one must stay clean through the
-whole differential stack: the reference cycle loop with the golden
-checker **and** the invariant checker attached, and the fast cycle
+whole differential stack: the golden check of its trace, the reference
+cycle loop with the invariant checker attached, and the fast cycle
 loop byte-identical to the reference.  A fuzzer find that ever slips
 through gets shrunk and added here so it can never regress silently.
 """
@@ -39,8 +39,9 @@ def test_corpus_seeds_are_distinct():
 
 @pytest.mark.parametrize("path", ARTIFACTS, ids=_artifact_ids())
 def test_artifact_replays_clean_with_both_checkers(path):
-    # replay_artifact runs the program through every recorded config on
-    # the reference loop with GoldenChecker + InvariantChecker attached.
+    # replay_artifact golden-checks the program's trace once, then runs
+    # it through every recorded config on the reference loop with the
+    # InvariantChecker attached.
     payload = load_artifact(str(path))
     assert payload["schema"] == ARTIFACT_SCHEMA
     failures = replay_artifact(payload)

@@ -19,6 +19,7 @@ from repro.func import (
     run_bare,
 )
 from repro.isa import SysReg
+from repro.isa.encoding import encode_program_text
 from tests.conftest import run_asm
 
 
@@ -524,6 +525,60 @@ handler:
         # The faulting access retires nothing.
         assert interp.retired == (program.symbols["fault"]
                                   - program.entry) // 4
+
+
+class TestImmutableText:
+    """A store that overlaps loaded text faults; the text page is always
+    mapped, so only the store fast path's set test keeps it off the
+    page."""
+
+    @pytest.mark.parametrize("access, offset", [("sw t0, 0(t4)", 0),
+                                                ("sb t0, 3(t4)", 3)])
+    def test_store_to_text_traps(self, access, offset):
+        source = f"""
+.text
+main:
+    li t0, 5
+    la t4, main
+fault:
+    {access}
+    halt
+handler:
+    halt
+"""
+        program, interp, memory, _, _ = run_machine(
+            source, trap_vector="handler")
+        sysregs = interp.state.sysregs
+        assert sysregs[SysReg.CAUSE] == TrapCause.BADADDR
+        assert sysregs[SysReg.BADADDR] == program.entry + offset
+        assert sysregs[SysReg.EPC] == program.symbols["fault"]
+        text = encode_program_text(program.text)
+        assert memory.read_bytes(program.text_base, len(text)) == text
+
+    def test_bare_mode_store_to_text_is_an_error(self):
+        program = assemble(".text\nmain:\n    la t0, main\n"
+                           "    sw zero, 4(t0)\n    li a7, 1\n"
+                           "    syscall 0\n")
+        with pytest.raises(SimError, match=f"BADADDR .*badaddr="
+                                           f"{program.entry + 4:#x}"):
+            run_bare(program)
+
+    def test_data_sharing_a_text_page_still_stores(self):
+        program = assemble("""
+.data
+word: .dword 0
+.text
+main:
+    la t0, word
+    li t1, 42
+    sd t1, 0(t0)
+    ld a0, 0(t0)
+    halt
+""", data_base=0x1800)
+        assert program.data_base >> 12 == program.text_base >> 12
+        memory = Memory()
+        load_program(memory, program)
+        assert Interpreter(memory, entry=program.entry).run(100) == 42
 
 
 class TestLiveCounters:

@@ -60,6 +60,27 @@ class TestFaults:
         with pytest.raises(MemoryFault):
             Memory().load((1 << 64) - 4, 8)
 
+    @pytest.mark.parametrize("address, size", [
+        (0x2000, 4), (0x200C, 4), (0x200F, 1), (0x1FFC, 8), (0x200C, 8)])
+    def test_store_overlapping_text_faults(self, address, size):
+        memory = Memory()
+        memory.write_bytes(0x2000, bytes(range(1, 17)))
+        memory.add_text(0x2000, 16)
+        with pytest.raises(MemoryFault, match="program text"):
+            memory.store(address, size, 0)
+        assert memory.read_bytes(0x2000, 16) == bytes(range(1, 17))
+
+    def test_text_neighbours_on_its_page_still_store(self):
+        memory = Memory()
+        memory.add_text(0x2000, 16)
+        memory.store(0x1FF8, 8, 0x11)
+        memory.store(0x2010, 8, 0x22)
+        assert memory.load(0x1FF8, 8) == 0x11
+        assert memory.load(0x2010, 8) == 0x22
+        # Image loading goes through write_bytes, which does not check.
+        memory.write_bytes(0x2000, b"\x33")
+        assert memory.load(0x2000, 1) == 0x33
+
 
 class TestBulkAccess:
     def test_write_read_bytes(self):

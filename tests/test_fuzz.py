@@ -63,8 +63,8 @@ class TestChecking:
                             "loop in stats.core.issued"]
 
     def test_one_reference_loop_run_per_config(self, monkeypatch):
-        # The checked run (golden + invariants) is the differential's
-        # reference: no config runs the reference loop a second time.
+        # The checked run (invariants) is the differential's reference:
+        # no config runs the reference loop a second time.
         from repro.core import pipeline
         reference_loop = pipeline.OoOCore._run_loop
         runs = []
@@ -80,23 +80,55 @@ class TestChecking:
 
     def test_checked_run_views_as_a_bare_one(self):
         # What lets the checked run stand in for a bare reference run:
-        # the checkers change nothing in the result but its digests.
+        # the checker changes nothing in the result.
         from repro.core import OoOCore
         from repro.func import run_bare
         from repro.presets import machine
-        from repro.validate import (GoldenChecker, InvariantChecker,
-                                    ValidationSuite, differential_views,
+        from repro.validate import (InvariantChecker, differential_views,
                                     result_view)
         program = assemble(fuzz.generate_program(2))
         trace = run_bare(program, collect_trace=True).trace
-        suite = ValidationSuite([GoldenChecker(program, trace=trace),
-                                 InvariantChecker()])
         checked = result_view(OoOCore(machine("1P-wide+LB+SC"),
-                                      validator=suite).run(trace))
+                                      validator=InvariantChecker())
+                              .run(trace))
         bare, _ = differential_views("1P-wide+LB+SC", trace)
-        assert checked.pop("digests") is not None
-        assert bare.pop("digests") is None
         assert checked == bare
+
+    @pytest.mark.parametrize("configs", (("1P",),
+                                         ("1P", "2P", "1P-wide+LB+SC")))
+    def test_one_fresh_interpretation_per_trace(self, configs,
+                                                monkeypatch):
+        # The producer's run and the golden check's fresh run: two
+        # interpreters per program, however many configs time it.
+        from repro.func import interp
+        built = []
+        init = interp.Interpreter.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(interp.Interpreter, "__init__", counted)
+        assert fuzz.check_program(fuzz.generate_program(1),
+                                  configs=configs) == []
+        assert len(built) == 2
+
+    def test_trace_that_is_not_the_program_fails(self, monkeypatch):
+        # A producer that drops its last record: the golden check
+        # reports it once, and each config's core still commits the
+        # trace it was given cleanly.
+        run_bare = fuzz.run_bare
+
+        def short_producer(*args, **kwargs):
+            result = run_bare(*args, **kwargs)
+            result.trace = result.trace.records[:-1]
+            return result
+
+        monkeypatch.setattr(fuzz, "run_bare", short_producer)
+        failures = fuzz.check_program(fuzz.generate_program(1),
+                                      configs=("1P", "2P"))
+        assert len(failures) == 1
+        assert failures[0].startswith("[trace] golden.length: ")
 
     def test_clean_campaign(self):
         report = fuzz.run_fuzz(fuzz.FuzzConfig(seed=1, count=3,

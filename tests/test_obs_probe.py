@@ -20,7 +20,7 @@ from repro.core.pipeline import OoOCore
 from repro.obs import (CritPathRecorder, HotspotRecorder, JsonlTracer,
                        PipeTrace, Probe)
 from repro.presets import machine
-from repro.validate import InvariantChecker, ValidationSuite, result_view
+from repro.validate import InvariantChecker, result_view
 from repro.workloads import build_trace
 from repro.workloads.suite import build_scenario_trace
 
@@ -79,14 +79,6 @@ def test_per_run_recorder_serves_one_run(stream_trace, slot):
     OoOCore(machine("1P"), **{slot: recorder}).run(stream_trace)
     with pytest.raises(ValueError, match="exactly one run"):
         OoOCore(machine("1P"), **{slot: recorder}).run(stream_trace)
-
-
-def test_validation_suite_children_serve_one_run(stream_trace):
-    checker = InvariantChecker()
-    OoOCore(machine("1P"), validator=ValidationSuite([checker])) \
-        .run(stream_trace)
-    with pytest.raises(ValueError, match="InvariantChecker"):
-        OoOCore(machine("1P"), validator=checker).run(stream_trace)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,4 @@
-"""Scenario corpus: contracts, golden replay, caching, verification.
+"""Scenario corpus: contracts, caching, verification.
 
 Satellite coverage for the OS-activity scenario corpus:
 
@@ -6,11 +6,13 @@ Satellite coverage for the OS-activity scenario corpus:
   declared scale, and every scenario satisfies its full expected-results
   contract (exit codes, memory regions, console bytes) at every
   declared scale, under the functional interpreter;
-* :class:`SystemGoldenChecker` replays full-system traces in lock step
-  (and catches corrupted streams);
 * the trace cache keys scenarios by seed and parameters — the same
   scenario name with different seeds can never collide;
-* the corpus verification harness passes end to end at tiny scale.
+* the corpus verification harness passes end to end at tiny scale, and
+  golden-checks each trace once, whatever the number of configs.
+
+The golden check's fault classes on full-system traces are in
+``tests/test_validate_golden.py``.
 """
 
 from __future__ import annotations
@@ -18,16 +20,13 @@ from __future__ import annotations
 import pytest
 
 from repro.asm import assemble
-from repro.core.pipeline import OoOCore
 from repro.func import run_bare
-from repro.presets import machine
 from repro.scenarios import (
     SCENARIO_NAMES,
     SCENARIOS,
     materialize,
     run_scenario,
 )
-from repro.validate import SystemGoldenChecker
 from repro.scenarios import runtime
 from repro.workloads import (WORKLOADS, build_scenario_trace,
                              clear_trace_cache, set_trace_cache_dir,
@@ -102,47 +101,6 @@ class TestScenarioSpec:
         assert 0 < kernel < len(trace)
 
 
-class TestSystemGoldenChecker:
-    @pytest.fixture(scope="class")
-    def scenario_run(self):
-        build, run = run_scenario(SCENARIOS["syspipe"], "tiny",
-                                  collect_trace=True)
-        return build, run
-
-    def test_clean_replay_and_digests(self, scenario_run):
-        build, run = scenario_run
-        trace = run.result.trace
-        checker = SystemGoldenChecker(
-            build.programs, timer_interval=build.timer_interval,
-            trace=trace)
-        OoOCore(machine("1P"), validator=checker).run(trace)
-        assert checker.ok, checker.violations
-        assert checker.digests() == run.digests
-
-    def test_corrupted_pc_is_caught(self, scenario_run):
-        import dataclasses
-        build, run = scenario_run
-        trace = [dataclasses.replace(record)
-                 for record in run.result.trace]
-        trace[len(trace) // 2].pc ^= 0x8
-        checker = SystemGoldenChecker(
-            build.programs, timer_interval=build.timer_interval,
-            trace=trace)
-        OoOCore(machine("1P"), validator=checker).run(trace)
-        assert not checker.ok
-        assert checker.digests() is None
-
-    def test_commit_count_shortfall_is_caught(self, scenario_run):
-        build, run = scenario_run
-        trace = run.result.trace
-        checker = SystemGoldenChecker(
-            build.programs, timer_interval=build.timer_interval,
-            trace=trace)
-        OoOCore(machine("1P"), validator=checker).run(trace[:-10])
-        assert any(v.check == "golden.commit_count"
-                   for v in checker.violations)
-
-
 class TestScenarioTraceCache:
     def test_same_name_different_seeds_never_collide(self):
         default = build_scenario_trace("proctree", "tiny")
@@ -208,8 +166,9 @@ class TestCorpusVerification:
     def test_verify_scenario_all_checks_pass(self):
         from repro.scenarios.verify import verify_scenario
         rows = verify_scenario("copystorm", "tiny", configs=("1P",))
-        assert [row["check"] for row in rows] == \
-            ["contract", "golden+invariants", "fastpath"]
+        assert [(row["check"], row["config"]) for row in rows] == [
+            ("contract", "-"), ("golden", "-"), ("invariants", "1P"),
+            ("fastpath", "1P")]
         assert all(row["status"] == "pass" for row in rows), rows
 
     def test_verify_corpus_table_shape(self):
@@ -217,9 +176,46 @@ class TestCorpusVerification:
         table, ok = verify_corpus("tiny", names=["proctree"],
                                   configs=("1P", "2P"))
         assert ok
-        # contract + 2 configs x (golden+invariants, fastpath)
-        assert len(table.rows) == 5
+        # contract + golden + 2 configs x (invariants, fastpath)
+        assert len(table.rows) == 6
         assert set(table.column("status")) == {"pass"}
+
+    @pytest.mark.parametrize("configs", (("1P",),
+                                         ("1P", "2P", "1P-wide+LB+SC")))
+    def test_one_fresh_interpretation_per_trace(self, configs,
+                                                monkeypatch):
+        # The producer's run and the golden check's fresh run: two
+        # interpreters per scenario, however many configs time it.
+        from repro.func import interp
+        from repro.scenarios.verify import verify_scenario
+        built = []
+        init = interp.Interpreter.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(interp.Interpreter, "__init__", counted)
+        rows = verify_scenario("syspipe", "tiny", configs=configs)
+        assert all(row["status"] == "pass" for row in rows), rows
+        assert len(built) == 2
+
+    def test_golden_failure_is_one_row(self, monkeypatch):
+        # A trace that is not what its program does fails the golden
+        # row once; the per-config timing rows still run on it.
+        from repro.scenarios import verify as verify_mod
+        from repro.validate import Violation
+
+        def diverging(trace, source, digests=None):
+            return [Violation(-1, "golden.pc", "seq 1 (pc 0x2000)")]
+
+        monkeypatch.setattr(verify_mod, "golden_check", diverging)
+        rows = verify_mod.verify_scenario("syspipe", "tiny",
+                                          configs=("1P", "2P"))
+        assert [row["status"] for row in rows] == \
+            ["pass", "FAIL", "pass", "pass", "pass", "pass"]
+        assert rows[1]["detail"] == (
+            "1 violation(s); first: [trace] golden.pc: seq 1 (pc 0x2000)")
 
     def test_verify_scenario_reports_contract_breach(self):
         import dataclasses

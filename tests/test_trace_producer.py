@@ -25,8 +25,8 @@ import pytest
 from repro import abi
 from repro.asm import assemble
 from repro.func import SimError, SimHalted, run as func_run
-from repro.func.interp import _BRANCH_OPS, Interpreter
-from repro.isa import INSTRUCTION_BYTES, OpClass
+from repro.func.interp import Interpreter
+from repro.isa import INSTRUCTION_BYTES, OpClass, Opcode
 from repro.kernel import assemble_user, image as kernel_image, run_system
 from repro.scenarios import SCENARIO_NAMES, SCENARIOS
 from repro.scenarios.runtime import materialize, run_build
@@ -39,6 +39,24 @@ from repro.workloads import (SUITE_NAMES, WORKLOADS, build_os_mix_trace,
 from repro.workloads.suite import OS_MIX_MEMBERS, OS_MIX_TIMER
 
 _MASK64 = (1 << 64) - 1
+
+
+def _signed(value: int) -> int:
+    """A 64-bit register value as a two's-complement integer."""
+    return value - (1 << 64) if value >> 63 else value
+
+
+#: Opcode -> taken(rs1 value, rs2 value), written out here rather than
+#: taken from the interpreter's condition templates, so the reference
+#: stays independent of the producer it checks.
+BRANCH_TAKEN = {
+    Opcode.BEQ: lambda a, b: a == b,
+    Opcode.BNE: lambda a, b: a != b,
+    Opcode.BLT: lambda a, b: _signed(a) < _signed(b),
+    Opcode.BGE: lambda a, b: _signed(a) >= _signed(b),
+    Opcode.BLTU: lambda a, b: a < b,
+    Opcode.BGEU: lambda a, b: a >= b,
+}
 
 
 class ReferenceEmitter(Interpreter):
@@ -68,8 +86,8 @@ class ReferenceEmitter(Interpreter):
             record.mem_addr = (regs[instr.rs1] + instr.imm) & _MASK64
             record.mem_size = info.mem_size
         if info.opclass is OpClass.BRANCH:
-            record.taken = _BRANCH_OPS[instr.opcode](regs[instr.rs1],
-                                                     regs[instr.rs2])
+            record.taken = BRANCH_TAKEN[instr.opcode](regs[instr.rs1],
+                                                      regs[instr.rs2])
         elif info.opclass is OpClass.JUMP:
             record.taken = True
         if self._pending is not None:

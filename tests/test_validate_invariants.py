@@ -16,7 +16,6 @@ from repro.validate import (
     MAX_VIOLATIONS,
     InvariantChecker,
     ValidationError,
-    ValidationSuite,
     Violation,
 )
 from repro.workloads import build_trace
@@ -100,21 +99,6 @@ class TestViolationType:
         assert violation.as_dict() == {"cycle": 42, "check": "rob.order",
                                        "detail": "boom"}
 
-
-class TestValidationSuite:
-    def test_fans_out_and_aggregates(self, monkeypatch, qsort_trace):
-        _inject_lsq_bug(monkeypatch)
-        first = InvariantChecker(max_violations=3)
-        second = InvariantChecker(max_violations=3)
-        suite = ValidationSuite([first, second])
-        OoOCore(machine("1P"), validator=suite).run(qsort_trace)
-        assert not suite.ok
-        assert len(first.violations) == 3
-        assert len(second.violations) == 3
-        assert len(suite.all_violations) == 6
-
-    def test_clean_suite_is_ok(self, qsort_trace):
-        suite = ValidationSuite([InvariantChecker(), InvariantChecker()])
-        OoOCore(machine("2P"), validator=suite).run(qsort_trace)
-        assert suite.ok
-        assert suite.all_violations == []
+    def test_a_trace_check_names_no_cycle(self):
+        violation = Violation(cycle=-1, check="golden.pc", detail="seq 3")
+        assert str(violation) == "[trace] golden.pc: seq 3"
