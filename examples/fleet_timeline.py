@@ -5,9 +5,10 @@ Runs a small simulation grid across worker processes with span
 tracing on, then writes the merged Chrome-trace JSON.  Load the
 output in https://ui.perfetto.dev: the parent process appears as one
 track (trace warm-up), and every worker as its own track showing its
-jobs, each job's `core.run`, the per-interval `pipeline.chunk` spans
-with their stage slices, and `mem.refill` instants — where the host's
-time went, across the whole fleet, on one timeline.
+jobs and each job's `core.run` — where the host's time went, across
+the whole fleet, on one timeline.  Tracing leaves every job on the
+cycle loop a plain run takes; `repro simulate --self-profile` breaks a
+run down by pipeline stage.
 """
 
 import argparse

@@ -43,6 +43,7 @@ import json
 import sys
 import time
 from collections.abc import Sequence
+from contextlib import nullcontext
 
 from .asm import AsmError, assemble
 from .atomic import atomic_write
@@ -197,10 +198,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = machine(args.config, issue_width=args.issue_width)
     tracer = JsonlTracer(args.events) if args.events else None
     pipe = PipeTrace() if args.pipe_trace else None
-    profiler = None
-    if args.self_profile is not None:
-        interval = args.metrics_interval or None
-        profiler = SelfProfiler(interval) if interval else SelfProfiler()
+    profiler = SelfProfiler() if args.self_profile is not None else None
     validator = None
     if args.validate:
         from .validate import InvariantChecker
@@ -211,17 +209,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     hotspots = None
     if getattr(args, "hotspots", None) is not None:
         hotspots = HotspotRecorder()
+    if recorder is not None:
+        recorder.begin("core.run", "sim", config=config.name,
+                       records=len(trace))
     start = time.perf_counter()
     try:
-        result = core_simulate(trace, config, tracer=tracer,
-                               metrics_interval=args.metrics_interval,
-                               pipe_trace=pipe, profiler=profiler,
-                               validator=validator, spans=recorder,
-                               critpath=critpath, hotspots=hotspots)
+        with profiler or nullcontext():
+            result = core_simulate(trace, config, tracer=tracer,
+                                   metrics_interval=args.metrics_interval,
+                                   pipe_trace=pipe, validator=validator,
+                                   critpath=critpath, hotspots=hotspots)
     finally:
         if tracer is not None:
             tracer.close()
     wall_time = time.perf_counter() - start
+    if recorder is not None:
+        recorder.end(cycles=result.cycles, instructions=result.instructions)
     stats = result.stats
 
     if pipe is not None:
@@ -866,14 +869,14 @@ def build_parser() -> argparse.ArgumentParser:
                                "Konata/Kanata pipeline trace")
     simulate.add_argument("--self-profile", metavar="PATH", nargs="?",
                           const="",
-                          help="profile the simulator itself (host time per "
-                               "component per interval) into PATH (default "
+                          help="sample the cycle loop that runs and "
+                               "write its host time per pipeline stage to "
+                               "PATH (default "
                                "BENCH_selfprofile_<workload>_<config>.json)")
     simulate.add_argument("--spans", metavar="PATH",
-                          help="record host-time spans (pipeline chunks, "
-                               "stage slices, memory refills, trace cache "
-                               "I/O) as a Chrome-trace JSON loadable in "
-                               "Perfetto")
+                          help="record host-time spans (trace cache I/O "
+                               "and the core run) as a Chrome-trace JSON "
+                               "loadable in Perfetto")
     simulate.add_argument("--validate", action="store_true",
                           help="attach the microarchitectural invariant "
                                "checker (see docs/VALIDATION.md); "

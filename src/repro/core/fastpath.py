@@ -1,10 +1,9 @@
 """The specialized fast cycle loop — the uninstrumented twin of
 :meth:`repro.core.pipeline.OoOCore._run_loop`.
 
-When a core has nothing in its ``probe`` slot and no self-profiler
-(``probe is None and profiler is None``: no tracer, validator, interval
-metrics, pipe trace, critpath or hotspots recorder listens, and no
-stage timer runs; see :mod:`repro.obs.probe`), :meth:`OoOCore.run`
+When a core has nothing in its ``probe`` slot (``probe is None``: no
+tracer, validator, interval metrics, pipe trace, critpath or hotspots
+recorder listens; see :mod:`repro.obs.probe`), :meth:`OoOCore.run`
 dispatches here instead of the instrumented reference loop.  This
 module is a flattened re-statement of the same machine:
 
@@ -63,6 +62,12 @@ verify`` (:func:`repro.validate.differential_views`) — is that
 (cycles, every counter, the stall ledger, the load-latency histogram)
 to the instrumented reference loop.  A watchdog trip raises the
 reference loop's deadlock report, word for word.
+
+The boxed region headers in :func:`run_fast` (``# 1. events`` …
+``# 6. fetch``, the stall attribution and the idle-cycle skip) are
+read: the self-profiler charges each line to the header above it
+(:mod:`repro.obs.selfprof`), and ``tests/test_obs_selfprof.py`` fails
+when one goes missing.
 """
 
 from __future__ import annotations

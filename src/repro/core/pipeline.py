@@ -32,7 +32,6 @@ one occupancy sample per cycle.
 from __future__ import annotations
 
 import os
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -45,8 +44,6 @@ from ..obs.hotspots import HotspotRecorder
 from ..obs.metrics import IntervalMetrics
 from ..obs.pipetrace import PipeTrace
 from ..obs.probe import (BLK_NO_PORT, NO_SEQ, SRC_HIT, SRC_MISS, Probe)
-from ..obs.selfprof import SelfProfiler
-from ..obs.spans import SpanRecorder
 from ..obs.stall import DEFAULT_INTERVAL, StallCause, StallLedger
 from ..obs.tracer import Tracer
 from ..stats.counters import Stats
@@ -153,8 +150,6 @@ class OoOCore:
                  stall_interval: int = DEFAULT_INTERVAL,
                  metrics_interval: int | None = None,
                  pipe_trace: PipeTrace | None = None,
-                 profiler: SelfProfiler | None = None,
-                 spans: SpanRecorder | None = None,
                  validator: "Validator | None" = None,
                  fastpath: bool | None = None,
                  critpath: CritPathRecorder | None = None,
@@ -166,36 +161,24 @@ class OoOCore:
             from ..validate.invariants import InvariantChecker
             validator = InvariantChecker(strict=True)
         self._validate = validator
-        # Span tracing rides on the self-profiler's instrumented loop:
-        # the per-stage brackets it already takes are the span slices
-        # (one shared instrumentation layer, see repro.obs.selfprof).
-        if spans is not None:
-            if profiler is None:
-                profiler = SelfProfiler(spans=spans)
-            elif profiler.spans is None:
-                profiler.spans = spans
-        self.spans = spans
-        self.profiler = profiler
         self.metrics = IntervalMetrics(
             self.stats, ports=machine.mem.dcache.ports,
             interval=metrics_interval) if metrics_interval else None
         #: Every recorder slot, keyed by the reason it keeps a run off
-        #: the fast loop, in the priority run/bench manifests record.
+        #: the fast loop, in the priority run/bench manifests record
+        #: (also the order the probe calls its listeners in).
         self._attached = {"tracer attached": tracer,
                           "validator attached": validator,
                           "interval metrics attached": self.metrics,
                           "pipe trace attached": pipe_trace,
-                          "self-profiler attached": profiler,
                           "critpath recorder attached": critpath,
                           "hotspots recorder attached": hotspots}
-        # The profiler times the stages and is no probe listener.
-        listeners = [recorder for recorder in (
-            tracer, validator, self.metrics, pipe_trace, critpath,
-            hotspots) if recorder is not None]
+        listeners = [recorder for recorder in self._attached.values()
+                     if recorder is not None]
         #: The one recorder slot (see repro.obs.probe).
         self.probe = Probe(listeners) if listeners else None
         self.mem = MemorySystem(machine.mem, stats=self.stats,
-                                probe=self.probe, spans=spans)
+                                probe=self.probe)
         self.bpred = BranchPredictor(self.cfg.bpred, stats=self.stats)
         self.fu = FUPool(self.cfg.fu_specs, stats=self.stats)
         self.lsq = LoadStoreQueue(self.cfg, self.mem.dcache,
@@ -246,8 +229,8 @@ class OoOCore:
         self._trace = trace
         rejection = self._fastpath_rejection()
         if self._fastpath and rejection is not None:
-            raise ValueError(f"fastpath=True requires no recorder and no "
-                             f"profiler ({rejection})")
+            raise ValueError(f"fastpath=True requires no recorder "
+                             f"({rejection})")
         use_fast = (rejection is None) if self._fastpath is None \
             else self._fastpath
         if not use_fast and rejection is None:
@@ -262,18 +245,6 @@ class OoOCore:
             self._read_columns(columns)
         if use_fast:
             cycle = run_fast(self, trace)
-        elif self.profiler is not None:
-            recorder = self.profiler.spans
-            if recorder is not None:
-                recorder.begin("core.run", "sim",
-                               config=self.machine.name,
-                               records=len(trace))
-            start = time.perf_counter()
-            cycle = self._run_loop_profiled()
-            self.profiler.wall_time_s = time.perf_counter() - start
-            self.profiler.finish()
-            if recorder is not None:
-                recorder.end(cycles=cycle, instructions=self._committed)
         else:
             cycle = self._run_loop()
         if probe is not None:
@@ -306,7 +277,7 @@ class OoOCore:
         self._sizes = lists["mem_size"]
 
     def _run_loop(self) -> int:
-        """The plain (unprofiled) per-cycle loop; returns final cycle."""
+        """The reference per-cycle loop; returns the final cycle."""
         total = len(self._trace)
         probe = self.probe
         sampled = probe is not None and probe.listens("cycle_end")
@@ -322,44 +293,6 @@ class OoOCore:
             self._issue_stage(cycle)
             self._dispatch_stage(cycle)
             self._fetch_stage(cycle)
-            if sampled:
-                probe.cycle_end(cycle, self._sample())
-            self._watchdog(cycle)
-            cycle += 1
-        return cycle
-
-    def _run_loop_profiled(self) -> int:
-        """The same loop with each stage group bracketed by host
-        timers feeding :class:`SelfProfiler` (see repro.obs.selfprof).
-        A separate loop so the default path pays nothing."""
-        total = len(self._trace)
-        profiler = self.profiler
-        probe = self.probe
-        sampled = probe is not None and probe.listens("cycle_end")
-        perf = time.perf_counter
-        cycle = 0
-        while self._trace_pos < total or self._rob or self._fetch_queue:
-            self._cycle = cycle
-            t0 = perf()
-            self.mem.begin_cycle(cycle)
-            self.fu.begin_cycle(cycle)
-            self._process_events(cycle)
-            t1 = perf()
-            self._commit_stage(cycle)
-            t2 = perf()
-            self.lsq.schedule(cycle, self._schedule_load_completion)
-            t3 = perf()
-            self.mem.end_cycle()
-            t4 = perf()
-            self._issue_stage(cycle)
-            t5 = perf()
-            self._dispatch_stage(cycle)
-            t6 = perf()
-            self._fetch_stage(cycle)
-            t7 = perf()
-            profiler.add_cycle(cycle, (t1 - t0, t2 - t1, t3 - t2,
-                                       t4 - t3, t5 - t4, t6 - t5,
-                                       t7 - t6))
             if sampled:
                 probe.cycle_end(cycle, self._sample())
             self._watchdog(cycle)
@@ -387,18 +320,16 @@ class OoOCore:
     def _fastpath_rejection(self) -> str | None:
         """Why the fast loop cannot run, or ``None`` when it can.
 
-        The fast loop fires no probe events and times no stages; the
-        returned reason is surfaced through
-        :attr:`CoreResult.fastpath_reason` into run/bench manifests.
-        Span recording rides on the profiler (see ``__init__``), so the
-        profiler check covers it."""
-        if self.probe is None and self.profiler is None:
+        The fast loop fires no probe events; the returned reason is
+        surfaced through :attr:`CoreResult.fastpath_reason` into
+        run/bench manifests."""
+        if self.probe is None:
             return None
         return next(reason for reason, recorder in self._attached.items()
                     if recorder is not None)
 
     def _watchdog(self, cycle: int) -> None:
-        """Single zero-progress check shared by both reference loops."""
+        """The reference loop's zero-progress check."""
         if cycle - self._last_activity > self._watchdog_limit:
             raise SimError(self._deadlock_report(cycle))
 
@@ -803,8 +734,6 @@ def simulate(trace: Sequence[TraceRecord],
              tracer: Tracer | None = None,
              metrics_interval: int | None = None,
              pipe_trace: PipeTrace | None = None,
-             profiler: SelfProfiler | None = None,
-             spans: SpanRecorder | None = None,
              validator: "Validator | None" = None,
              fastpath: bool | None = None,
              critpath: CritPathRecorder | None = None,
@@ -812,7 +741,6 @@ def simulate(trace: Sequence[TraceRecord],
     """Convenience: run *trace* through a fresh machine instance."""
     return OoOCore(machine, tracer=tracer,
                    metrics_interval=metrics_interval,
-                   pipe_trace=pipe_trace, profiler=profiler,
-                   spans=spans, validator=validator,
+                   pipe_trace=pipe_trace, validator=validator,
                    fastpath=fastpath, critpath=critpath,
                    hotspots=hotspots).run(trace)

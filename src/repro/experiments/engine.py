@@ -24,9 +24,11 @@ disk tier, and no worker ever repeats a functional simulation.
 Fleet observability (all opt-in, all free when off):
 
 * ``collect_spans=True`` records host-time spans — the parent's trace
-  warm-up, each worker's per-job lifecycle, and the timing core's
-  pipeline chunks — against one shared epoch; after ``execute`` the
-  merged, Perfetto-loadable event stream is on ``Engine.span_events``.
+  warm-up, and each worker's jobs with the ``core.run`` inside each —
+  against one shared epoch; after ``execute`` the merged,
+  Perfetto-loadable event stream is on ``Engine.span_events``.  The
+  core is never handed the recorder, so every job takes the cycle
+  loop a plain run takes.
 * ``progress=True`` (or a stream) drives a live single-line display
   from per-job started/finished/failed events the workers push
   through a queue (see :mod:`repro.experiments.progress`).
@@ -242,11 +244,16 @@ def _run_job_outcome(job: SimJob, metrics_interval: int | None,
             recorder.begin("job", "engine", key=str(job.key),
                            config=job.machine.name)
         trace = job.trace.build()
+        if recorder is not None:
+            recorder.begin("core.run", "sim", config=job.machine.name,
+                           records=len(trace))
         start = time.perf_counter()
-        result = OoOCore(job.machine, metrics_interval=metrics_interval,
-                         spans=recorder).run(trace)
+        result = OoOCore(job.machine,
+                         metrics_interval=metrics_interval).run(trace)
         wall = time.perf_counter() - start
         if recorder is not None:
+            recorder.end(cycles=result.cycles,
+                         instructions=result.instructions)
             recorder.end(instructions=result.instructions,
                          cycles=result.cycles)
         report = build_run_report(result, job.machine, wall_time=wall,

@@ -137,6 +137,10 @@ class Interpreter:
         self.traps_taken = 0
         self.timer_interrupts = 0
         self._timer_count = 0
+        # User instructions retired at the last timer delivery: a
+        # delivery that finds this unchanged found a quantum the kernel
+        # spent entirely on its own trap path.
+        self._timer_user = -1
 
     # ------------------------------------------------------------------
     # Fetch / decode
@@ -237,6 +241,15 @@ class Interpreter:
                 while budget:
                     budget -= 1
                     if timer_count >= timer_at:
+                        user = retired - kernel_retired
+                        if user == self._timer_user:
+                            raise SimError(
+                                f"timer interrupt at pc {pc:#x} with no "
+                                f"user instruction retired since the "
+                                f"last one: the timer interval "
+                                f"({timer_at}) is shorter than the "
+                                f"kernel's trap path")
+                        self._timer_user = user
                         timer_count = 0
                         self.timer_interrupts += 1
                         self._take_trap(TrapCause.TIMER, pc)

@@ -27,8 +27,9 @@ The layers below are optional from the timing core's point of view:
 * :mod:`repro.obs.compare` — **differential run comparison**: a
   deterministic deep diff of two report documents with a relative
   tolerance, behind ``repro compare``.
-* :mod:`repro.obs.selfprof` — **simulator self-profiling**: host
-  wall-clock attributed to pipeline stage groups per interval.
+* :mod:`repro.obs.selfprof` — **simulator self-profiling**: a
+  ``SIGPROF`` line sampler that charges host time to the pipeline
+  stages of whichever cycle loop runs.
 * :mod:`repro.obs.spans` — **host-time span tracing**: nested
   begin/end spans over the simulator's own wall-clock, exported in the
   Chrome Trace Event Format for Perfetto, with per-worker tracks that

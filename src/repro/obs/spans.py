@@ -10,9 +10,11 @@ so a capture loads directly into Perfetto (https://ui.perfetto.dev) or
 The discipline matches the rest of the observability layer — zero
 overhead when off:
 
-* components that are handed a recorder explicitly (the timing core,
-  the experiment engine) guard call sites with a single ``is None``
-  check;
+* components that are handed a recorder explicitly (the experiment
+  engine, ``repro simulate``) guard call sites with a single ``is
+  None`` check, and wrap the timing core's ``run()`` in a ``core.run``
+  span from the outside: the core never sees a recorder, so tracing
+  does not change which cycle loop runs;
 * components too far from the call chain to thread a parameter through
   (the workload suite's trace cache) consult the context-local
   *current recorder* (:func:`current`), which is ``None`` by default.
@@ -143,10 +145,10 @@ class SpanRecorder(SpanTracer):
 
     def add(self, ph: str, name: str, cat: str, ts: int,
             args: dict | None = None) -> None:
-        """Low-level append (used by the self-profiler to lay out
-        per-chunk stage slices whose timestamps are computed after the
-        fact).  Timestamps are clamped monotonic per recorder so a
-        capture always satisfies the exporter's invariants."""
+        """Low-level append, under :meth:`begin`, :meth:`end` and
+        :meth:`instant`; *ts* may be computed after the fact.
+        Timestamps are clamped monotonic per recorder so a capture
+        always satisfies the exporter's invariants."""
         if ts < self._last_ts:
             ts = self._last_ts
         self._last_ts = ts

@@ -19,9 +19,8 @@ from typing import Sequence
 from ..core import pipeline
 from ..core.config import MachineConfig
 from ..core.pipeline import OoOCore
+from ..obs.compare import compare_documents
 from ..presets import machine
-
-_MISSING = object()
 
 
 def result_view(result) -> dict:
@@ -83,27 +82,11 @@ def fastpath_divergence(config: str | MachineConfig,
                              "run")
         views = (result_view(checked),
                  result_view(_bare_run(config, trace, fastpath=True)))
-    fields = _diverging_fields(*views)
+    fields = [delta["path"] for delta in
+              compare_documents(*views, ignore=frozenset())["deltas"]]
     if not fields:
         return None
     more = f" and {len(fields) - 5} more" if len(fields) > 5 else ""
     return (f"fast loop diverges from the reference loop in "
             f"{', '.join(fields[:5])}{more}")
 
-
-def _diverging_fields(reference: dict, fast: dict) -> list[str]:
-    """The dotted paths of the view entries that differ, in sorted key
-    order (``cycles``, ``stats.core.issued``, ``ledger.lost.fetch``);
-    an entry one side lacks differs."""
-    fields: list[str] = []
-
-    def walk(path: str, left: object, right: object) -> None:
-        if isinstance(left, dict) and isinstance(right, dict):
-            for key in sorted(left.keys() | right.keys(), key=str):
-                walk(f"{path}.{key}" if path else str(key),
-                     left.get(key, _MISSING), right.get(key, _MISSING))
-        elif left != right:
-            fields.append(path)
-
-    walk("", reference, fast)
-    return fields

@@ -462,7 +462,7 @@ class TestSimulateTelemetry:
                      "--self-profile", path]) == 0
         assert "self-profile:" in capsys.readouterr().out
         document = json.loads(open(path).read())
-        assert document["schema"] == "repro.selfprofile/1"
+        assert document["schema"] == "repro.selfprofile/2"
         assert document["wall_time_s"] > 0
 
     def test_self_profile_default_name(self, tmp_path, capsys,
@@ -471,6 +471,39 @@ class TestSimulateTelemetry:
         assert main(["simulate", "--workload", "memops", "--scale", "tiny",
                      "--config", "2P", "--self-profile"]) == 0
         assert (tmp_path / "BENCH_selfprofile_memops_2P.json").exists()
+
+    _QSORT = ["simulate", "--workload", "qsort", "--scale", "small",
+              "--config", "2P+SC"]
+
+    def test_self_profile_and_spans_keep_the_fast_loop(self, tmp_path,
+                                                       capsys,
+                                                       monkeypatch):
+        import json
+
+        from repro.core import pipeline
+        from repro.obs import compare_documents
+        monkeypatch.setattr(pipeline, "_ENV_VALIDATE", False)
+        assert main(self._QSORT + ["--json"]) == 0
+        bare = json.loads(capsys.readouterr().out)
+        profile = tmp_path / "p.json"
+        assert main(self._QSORT + ["--json", "--self-profile",
+                                   str(profile), "--spans",
+                                   str(tmp_path / "s.json")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["fastpath"] == {"used": True,
+                                      "rejected_reason": None}
+        assert compare_documents(bare, report)["equal"]
+        document = json.loads(profile.read_text())
+        assert document["loop"] == "fast" and document["samples"] > 0
+
+    def test_self_profile_names_the_reference_loop(self, tmp_path,
+                                                   capsys):
+        import json
+        profile = tmp_path / "p.json"
+        assert main(self._QSORT + ["--validate", "--self-profile",
+                                   str(profile)]) == 0
+        assert "self-profile: reference loop" in capsys.readouterr().out
+        assert json.loads(profile.read_text())["loop"] == "reference"
 
 
 class TestCompare:
@@ -855,7 +888,7 @@ class TestSpansAndProgress:
         tracks = parse_chrome_trace(json.loads(path.read_text()))
         names = {span.name for roots in tracks.values()
                  for root in roots for span in root.walk()}
-        assert "core.run" in names and "pipeline.chunk" in names
+        assert "core.run" in names
 
     def test_experiment_spans_merge_fleet_timeline(self, tmp_path,
                                                    capsys):

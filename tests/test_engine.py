@@ -323,8 +323,29 @@ class TestFleetObservability:
         tracks = parse_chrome_trace(chrome_trace(events))
         names = {span.name for roots in tracks.values()
                  for root in roots for span in root.walk()}
-        assert {"engine.warm", "job", "core.run",
-                "pipeline.chunk"} <= names
+        assert {"engine.warm", "job", "core.run"} <= names
+
+    def test_spanned_jobs_take_the_fast_loop(self, monkeypatch):
+        from repro.core import pipeline
+        from repro.experiments.runner import capture_reports
+        from repro.obs.spans import chrome_trace, parse_chrome_trace
+        monkeypatch.setattr(pipeline, "_ENV_VALIDATE", False)
+        engine = Engine(jobs=1, collect_spans=True)
+        with capture_reports() as reports:
+            results = engine.execute(self._two_jobs())
+        assert [report["fastpath"] for report in reports] == \
+            [{"used": True, "rejected_reason": None}] * 2
+        tracks = parse_chrome_trace(chrome_trace(engine.span_events))
+        jobs = [root for roots in tracks.values() for root in roots
+                if root.name == "job"]
+        assert [job.args["key"] for job in jobs] == ["a", "b"]
+        for job in jobs:
+            (run,) = [child for child in job.children
+                      if child.name == "core.run"]
+            result = results[job.args["key"]]
+            assert run.args["config"] == job.args["config"]
+            assert run.args["records"] == result.instructions
+            assert run.args["cycles"] == result.cycles
 
     def test_spans_accumulate_across_execute_calls(self):
         from repro.obs.spans import count_spans

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import abi
+from repro.func import SimError
 from repro.kernel import assemble_user, build_kernel, build_system, layout, run_system
 
 
@@ -170,6 +171,14 @@ spin:
             if not regions or regions[-1] != region:
                 regions.append(region)
         assert len(regions) > 4  # switched back and forth
+
+    def test_timer_shorter_than_the_trap_path_fails_at_once(self):
+        # Each quantum expires inside the kernel before its ERET, so no
+        # user instruction ever retires: an error, not a spent budget.
+        programs = [self._spin_program(200, 0), exit_program(0, slot=1)]
+        with pytest.raises(SimError, match=r"timer interval \(50\)"):
+            run_system(programs, timer_interval=50,
+                       max_instructions=200_000)
 
     def test_no_timer_runs_to_completion_in_order(self):
         programs = [self._spin_program(500, slot) for slot in range(2)]

@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-from repro.core import simulate
 from repro.obs import spans as spans_mod
 from repro.obs.spans import (NULL_SPANS, SpanRecorder, chrome_trace,
                              count_spans, merge_events,
@@ -188,27 +187,14 @@ class TestMerge:
 
 
 class TestSimulationSpans:
-    def test_spans_do_not_change_simulated_results(self, stream_trace):
-        config = machine("1P")
-        plain = simulate(stream_trace, config)
-        recorder = SpanRecorder("test")
-        spanned = simulate(stream_trace, config, spans=recorder)
-        assert spanned.cycles == plain.cycles
-        assert spanned.instructions == plain.instructions
-        assert spanned.stats.as_dict() == plain.stats.as_dict()
-
-    def test_core_run_emits_chunked_stage_slices(self, stream_trace):
-        recorder = SpanRecorder("test")
-        simulate(stream_trace, machine("1P"), spans=recorder)
-        tracks = parse_chrome_trace(chrome_trace(recorder.events()))
-        (track,) = tracks.values()
-        roots = [span for span in track if span.name == "core.run"]
-        assert len(roots) == 1
-        chunks = [child for child in roots[0].children
-                  if child.name == "pipeline.chunk"]
-        assert chunks  # at least one interval flushed
-        stage_names = {grandchild.name for chunk in chunks
-                       for grandchild in chunk.children}
-        assert {"fetch", "dispatch", "issue", "commit"} <= stage_names
-        # Every chunk records where in simulated time it starts.
-        assert all("first_cycle" in chunk.args for chunk in chunks)
+    def test_spans_do_not_change_simulated_results(self):
+        from repro.experiments.engine import Engine, SimJob, TraceSpec
+        jobs = [SimJob(config, TraceSpec.workload("stream", "tiny"),
+                       machine(config)) for config in ("1P", "2P+SC")]
+        plain = Engine(jobs=1).execute(jobs)
+        spanned = Engine(jobs=1, collect_spans=True).execute(jobs)
+        for key, result in plain.items():
+            assert spanned[key].used_fastpath == result.used_fastpath
+            assert spanned[key].cycles == result.cycles
+            assert spanned[key].instructions == result.instructions
+            assert spanned[key].stats.as_dict() == result.stats.as_dict()
