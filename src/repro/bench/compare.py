@@ -27,7 +27,8 @@ import socket
 from pathlib import Path
 
 from ..obs.compare import compare_documents, render_comparison
-from ..obs.report import SchemaError, _check_code_version, _require
+from ..obs.report import (NUMBER, Check, Opt, Rules, head_spec,
+                          used_without_reason, validate)
 from .harness import BENCH_SCHEMA
 
 #: Relative tolerance ``--compare`` applies to throughput by default.
@@ -47,92 +48,45 @@ def default_bench_path(directory: str | Path = ".") -> Path:
     return Path(directory) / f"BENCH_{socket.gethostname()}_{stamp}.json"
 
 
+_STATS = {
+    "values": Check(lambda values: isinstance(values, list) and all(
+        isinstance(value, NUMBER) and not isinstance(value, bool)
+        for value in values), "a list of numbers"),
+    "median": NUMBER,
+    "iqr": NUMBER,
+}
+
+BENCH_SPEC = {
+    **head_spec(BENCH_SCHEMA),
+    "mode": Check(lambda mode: mode in ("quick", "full"),
+                  "'quick' or 'full'"),
+    "settings": {"repeats": int, "warmup": int},
+    "matrix": [{"workload": str, "scale": str, "config": str}],
+    "results": [Rules({
+        "label": str,
+        "workload": str,
+        "scale": str,
+        "config": str,
+        "instructions": int,
+        "cycles": int,
+        "ipc": NUMBER,
+        # Optional: older manifests predate the fast path.
+        "used_fastpath": Opt(bool, null=False),
+        "fastpath_reason": Opt(str),
+        "seconds": _STATS,
+        "kips": _STATS,
+        "cps": NUMBER,
+    }, used_without_reason("used_fastpath", "fastpath_reason"))],
+    "tracegen": [{"label": str, "instructions": int, "cold_s": NUMBER,
+                  "warm_s": NUMBER}],
+    "host": dict,
+}
+
+
 def validate_bench_manifest(manifest: dict) -> None:
     """Raise :class:`~repro.obs.report.SchemaError` unless *manifest*
     is a structurally valid ``repro.bench/1`` document."""
-    problems: list[str] = []
-    if not isinstance(manifest, dict):
-        raise SchemaError(["bench manifest must be an object"])
-    _require(manifest, {
-        "schema": str,
-        "schema_version": int,
-        "mode": str,
-        "settings": dict,
-        "matrix": list,
-        "results": list,
-        "tracegen": list,
-        "host": dict,
-    }, problems, "bench")
-    if manifest.get("schema") not in (None, BENCH_SCHEMA):
-        problems.append(f"bench: schema is {manifest['schema']!r}, "
-                        f"expected {BENCH_SCHEMA!r}")
-    if manifest.get("mode") not in (None, "quick", "full"):
-        problems.append(f"bench: mode is {manifest['mode']!r}, "
-                        f"expected 'quick' or 'full'")
-    _check_code_version(manifest, problems, "bench")
-    settings = manifest.get("settings")
-    if isinstance(settings, dict):
-        _require(settings, {"repeats": int, "warmup": int},
-                 problems, "bench.settings")
-    for index, cell in enumerate(manifest.get("matrix") or ()):
-        if not isinstance(cell, dict):
-            problems.append(f"bench.matrix[{index}]: must be an object")
-            continue
-        _require(cell, {"workload": str, "scale": str, "config": str},
-                 problems, f"bench.matrix[{index}]")
-    for index, result in enumerate(manifest.get("results") or ()):
-        if not isinstance(result, dict):
-            problems.append(f"bench.results[{index}]: must be an object")
-            continue
-        context = f"bench.results[{index}]"
-        _require(result, {
-            "label": str,
-            "workload": str,
-            "scale": str,
-            "config": str,
-            "instructions": int,
-            "cycles": int,
-            "ipc": (int, float),
-            "seconds": dict,
-            "kips": dict,
-            "cps": (int, float),
-        }, problems, context)
-        if "used_fastpath" in result:  # optional: pre-PR8 manifests
-            if not isinstance(result["used_fastpath"], bool):
-                problems.append(f"{context}: used_fastpath must be a "
-                                f"boolean")
-            reason = result.get("fastpath_reason")
-            if reason is not None and not isinstance(reason, str):
-                problems.append(f"{context}: fastpath_reason must be a "
-                                f"string or null")
-            if result["used_fastpath"] is True and \
-                    isinstance(reason, str):
-                problems.append(f"{context}: used_fastpath=true cannot "
-                                f"carry a fastpath_reason")
-        for key in ("seconds", "kips"):
-            stats = result.get(key)
-            if not isinstance(stats, dict):
-                continue
-            _require(stats, {"values": list, "median": (int, float),
-                             "iqr": (int, float)},
-                     problems, f"{context}.{key}")
-            values = stats.get("values")
-            if isinstance(values, list) and not all(
-                    isinstance(value, (int, float)) and
-                    not isinstance(value, bool) for value in values):
-                problems.append(f"{context}.{key}: values must be "
-                                f"numbers")
-    for index, timing in enumerate(manifest.get("tracegen") or ()):
-        if not isinstance(timing, dict):
-            problems.append(f"bench.tracegen[{index}]: must be an "
-                            f"object")
-            continue
-        _require(timing, {"label": str, "instructions": int,
-                          "cold_s": (int, float),
-                          "warm_s": (int, float)},
-                 problems, f"bench.tracegen[{index}]")
-    if problems:
-        raise SchemaError(problems)
+    validate(manifest, BENCH_SPEC, "bench")
 
 
 def _cell_label(cell: dict) -> str:

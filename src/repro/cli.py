@@ -19,7 +19,7 @@
     repro fuzz --seed 1 --count 50 --artifacts fuzz-artifacts
     repro fuzz --replay fuzz-artifacts/seed17.repro
     repro events run.jsonl.gz --event stall --limit 20
-    repro events run.jsonl.gz --type wb.drain --cycle-range 1000:2000
+    repro events run.jsonl.gz --event wb.drain --cycle-range 1000:2000
     repro compare a.json b.json --tolerance 0.01
     repro experiment F2 --scale small
     repro experiment all
@@ -543,8 +543,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.replay:
         try:
             payload = fuzz_mod.load_artifact(args.replay)
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            for name in payload.get("configs") or ():
+                machine(name)  # reject unknown names before the replay
+        except ValueError as exc:  # SchemaError and JSONDecodeError too
+            print(f"error: {args.replay}: {exc}", file=sys.stderr)
             return 2
         failures = fuzz_mod.replay_artifact(payload, args.max_instructions)
         if failures:
@@ -626,11 +628,8 @@ def _parse_pc_range(text: str) -> tuple[int | None, int | None]:
 
 def _cmd_events(args: argparse.Namespace) -> int:
     import gzip
-    if args.cycle_range:
-        if args.since is not None or args.until is not None:
-            raise SystemExit("--cycle-range replaces --since/--until; "
-                             "give one or the other")
-        args.since, args.until = _parse_cycle_range(args.cycle_range)
+    since, until = _parse_cycle_range(args.cycle_range) \
+        if args.cycle_range else (None, None)
     pc = _parse_pc(args.pc) if args.pc is not None else None
     pc_range = _parse_pc_range(args.pc_range) if args.pc_range else None
     if pc is not None and pc_range is not None:
@@ -639,16 +638,14 @@ def _cmd_events(args: argparse.Namespace) -> int:
     try:
         if args.limit:
             shown = 0
-            for record in iter_events(args.capture, events,
-                                      args.since, args.until,
+            for record in iter_events(args.capture, events, since, until,
                                       pc=pc, pc_range=pc_range):
                 print(json.dumps(record, separators=(",", ":")))
                 shown += 1
                 if shown >= args.limit:
                     break
             return 0
-        summary = summarize_events(args.capture, events,
-                                   args.since, args.until,
+        summary = summarize_events(args.capture, events, since, until,
                                    pc=pc, pc_range=pc_range)
         print(summary.render())
         return 0
@@ -998,17 +995,11 @@ def build_parser() -> argparse.ArgumentParser:
     events = sub.add_parser("events",
                             help="filter/summarize a captured event trace")
     events.add_argument("capture", help="JSONL file from simulate --events")
-    events.add_argument("--event", "--type", action="append", dest="event",
-                        metavar="NAME",
-                        help="keep only this event type (repeatable; "
-                             "--type is an alias)")
-    events.add_argument("--since", type=int, metavar="CYCLE",
-                        help="drop events before this cycle")
-    events.add_argument("--until", type=int, metavar="CYCLE",
-                        help="drop events after this cycle")
+    events.add_argument("--event", action="append", metavar="NAME",
+                        help="keep only this event type (repeatable)")
     events.add_argument("--cycle-range", metavar="FIRST:LAST",
                         help="keep cycles FIRST..LAST inclusive (either "
-                             "side may be empty; replaces --since/--until)")
+                             "side may be empty)")
     events.add_argument("--pc", metavar="ADDR",
                         help="keep only events whose pc equals ADDR "
                              "(decimal or 0x-hex); events without a pc "

@@ -55,11 +55,11 @@ from heapq import heappush, heapreplace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..trace.io import F_LOAD, F_STORE, OPCLASSES, Trace
-from .codeversion import code_version
 from .probe import (BLK_BANK, BLK_MSHR, BLK_NO_PORT, BLK_ORDER,
                     BLK_SQ_WAIT, BLK_WB_CONFLICT, SRC_HIT, SRC_LB,
                     SRC_MISS, SRC_SECONDARY, SRC_SQ, SRC_WB)
-from .report import SchemaError, _check_code_version, _dcache_dict, _require
+from .report import (NUMBER, Check, MapOf, envelope, envelope_spec,
+                     validate)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..core.config import MachineConfig
@@ -908,113 +908,52 @@ def build_critpath_report(recorder: CritPathRecorder,
                           wall_time: float | None = None
                           ) -> dict[str, object]:
     """Assemble the versioned ``repro.critpath/1`` document."""
-    if workload is not None and trace_file is not None:
-        raise ValueError("a critpath report names a workload or a "
-                         "trace_file, not both")
+    head = envelope(CRITPATH_SCHEMA, CRITPATH_SCHEMA_VERSION, machine,
+                    workload=workload, scale=scale, seed=seed,
+                    trace_file=trace_file)
     if recorder.total_cycles != result.cycles:
         raise ValueError(
             f"recorder saw {recorder.total_cycles} cycles but the "
             f"result reports {result.cycles}; the recorder must come "
             f"from this run")
-    document: dict[str, object] = {
-        "schema": CRITPATH_SCHEMA,
-        "schema_version": CRITPATH_SCHEMA_VERSION,
-        "code_version": code_version(),
-        "config": {
-            "name": machine.name,
-            "issue_width": machine.core.issue_width,
-            "dcache": _dcache_dict(machine),
-        },
-        "workload": workload,
-        "scale": scale,
-        "seed": seed,
-        "trace_file": trace_file,
-        "ipc": result.ipc,
-    }
-    document.update(recorder.as_dict())
-    document["host"] = {"wall_time_s": wall_time}
-    return document
+    return {**head, "ipc": result.ipc, **recorder.as_dict(),
+            "host": {"wall_time_s": wall_time}}
+
+
+def _reconciles(report: dict) -> Iterable[str]:
+    total = sum(report["stack"].values())
+    if total != report["cycles"]:
+        yield (f"stack classes sum to {total} cycles, run took "
+               f"{report['cycles']} — the stack must reconcile exactly")
+
+
+_EDGE_CLASS = Check(_EDGE_CLASS_SET.__contains__, "an edge class")
+
+CRITPATH_SPEC = envelope_spec(CRITPATH_SCHEMA, {
+    "cycles": int,
+    "instructions": int,
+    "window": int,
+    "windows": int,
+    "stack": MapOf(Check(lambda v: isinstance(v, int) and v >= 0,
+                         "a non-negative integer"), keys=_EDGE_CLASS),
+    "stack_share": dict,
+    "top_instructions": [{"pc": int, "kind": str, "cycles": int,
+                          "events": int, "share": NUMBER}],
+    "whatif": [{
+        "scenario": [Check(lambda spec: isinstance(spec, str) and
+                           spec.partition("/")[0] in _EDGE_CLASS_SET,
+                           "an edge class or class/N")],
+        "predicted_cycles": int,
+        "predicted_ipc": NUMBER,
+        "speedup": NUMBER,
+    }],
+}, _reconciles)
 
 
 def validate_critpath_report(report: dict) -> None:
     """Raise :class:`SchemaError` unless *report* is a valid
     ``repro.critpath/1`` document — including exact conservation."""
-    problems: list[str] = []
-    if not isinstance(report, dict):
-        raise SchemaError(["critpath report must be an object"])
-    _require(report, {
-        "schema": str,
-        "schema_version": int,
-        "config": dict,
-        "cycles": int,
-        "instructions": int,
-        "window": int,
-        "windows": int,
-        "stack": dict,
-        "stack_share": dict,
-        "top_instructions": list,
-        "whatif": list,
-        "host": dict,
-    }, problems, "critpath")
-    if report.get("schema") not in (None, CRITPATH_SCHEMA):
-        problems.append(f"critpath: schema is {report.get('schema')!r}, "
-                        f"expected {CRITPATH_SCHEMA!r}")
-    _check_code_version(report, problems, "critpath")
-    config = report.get("config")
-    if isinstance(config, dict):
-        _require(config, {"name": str, "issue_width": int, "dcache": dict},
-                 problems, "critpath.config")
-    for key in ("workload", "scale", "trace_file"):
-        if key in report and report[key] is not None and \
-                not isinstance(report[key], str):
-            problems.append(f"critpath: {key} must be a string or null")
-    if isinstance(report.get("workload"), str) and \
-            isinstance(report.get("trace_file"), str):
-        problems.append("critpath: workload and trace_file are mutually "
-                        "exclusive")
-    stack = report.get("stack")
-    if isinstance(stack, dict):
-        for cls, cycles in stack.items():
-            if cls not in _EDGE_CLASS_SET:
-                problems.append(f"critpath.stack: unknown edge class "
-                                f"{cls!r}")
-            if not isinstance(cycles, int) or cycles < 0:
-                problems.append(f"critpath.stack: {cls!r} must be a "
-                                f"non-negative integer")
-        if not problems and isinstance(report.get("cycles"), int) and \
-                sum(stack.values()) != report["cycles"]:
-            problems.append(
-                f"critpath.stack: classes sum to {sum(stack.values())} "
-                f"cycles, run took {report['cycles']} — the stack must "
-                f"reconcile exactly")
-    for idx, entry in enumerate(report.get("top_instructions") or ()):
-        if not isinstance(entry, dict):
-            problems.append(f"critpath.top_instructions[{idx}]: must be "
-                            f"an object")
-            continue
-        _require(entry, {"pc": int, "kind": str, "cycles": int,
-                         "events": int, "share": (int, float)},
-                 problems, f"critpath.top_instructions[{idx}]")
-    for idx, entry in enumerate(report.get("whatif") or ()):
-        if not isinstance(entry, dict):
-            problems.append(f"critpath.whatif[{idx}]: must be an object")
-            continue
-        _require(entry, {"scenario": list, "predicted_cycles": int,
-                         "predicted_ipc": (int, float),
-                         "speedup": (int, float)},
-                 problems, f"critpath.whatif[{idx}]")
-        scenario = entry.get("scenario")
-        if isinstance(scenario, list):
-            for spec in scenario:
-                cls = str(spec).partition("/")[0]
-                if cls not in _EDGE_CLASS_SET:
-                    problems.append(f"critpath.whatif[{idx}]: unknown "
-                                    f"edge class {cls!r}")
-    host = report.get("host")
-    if isinstance(host, dict) and "wall_time_s" not in host:
-        problems.append("critpath.host: missing key 'wall_time_s'")
-    if problems:
-        raise SchemaError(problems)
+    validate(report, CRITPATH_SPEC, "critpath")
 
 
 def render_critpath_report(report: dict, top: int = 10,

@@ -59,13 +59,14 @@ shows up here as the memory-ordering waits (``order_stalls`` /
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from ..trace.io import F_KERNEL, OPCLASSES, Trace
-from .codeversion import code_version
 from .probe import (NO_SEQ, SRC_HIT, SRC_LB, SRC_MISS, SRC_SECONDARY,
                     SRC_SQ, SRC_WB)
-from .report import SchemaError, _check_code_version, _dcache_dict, _require
+from .report import (NUMBER, Check, MapOf, Opt, envelope, envelope_spec,
+                     validate)
 from .stall import CAUSE_ORDER, StallCause
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -447,12 +448,13 @@ class HotspotRecorder:
         if result.ledger is None:
             raise ValueError("hotspot conservation needs the run's "
                              "stall ledger")
-        problems = _conservation_problems(
-            self.rows(), self._frontend,
-            dict(self._unattributed,
-                 **({"ports": self._unattributed_ports}
-                    if any(self._unattributed_ports) else {})),
-            _globals_block(result), result.instructions, "hotspots")
+        unattributed = dict(self._unattributed)
+        if any(self._unattributed_ports):
+            unattributed["ports"] = self._unattributed_ports
+        problems = list(_conserved({
+            "rows": self.rows(), "frontend_stall": self._frontend,
+            "unattributed": unattributed, "global": _globals_block(result),
+            "instructions": result.instructions}))
         if problems:
             raise AssertionError("; ".join(problems))
 
@@ -507,183 +509,92 @@ def build_hotspots_report(recorder: HotspotRecorder,
     do not carry instruction objects (the workload suite's saved
     traces); it only fills rows whose disassembly is unknown.
     """
-    if workload is not None and trace_file is not None:
-        raise ValueError("a hotspots report names a workload or a "
-                         "trace_file, not both")
+    head = envelope(HOTSPOTS_SCHEMA, HOTSPOTS_SCHEMA_VERSION, machine,
+                    workload=workload, scale=scale, seed=seed,
+                    trace_file=trace_file)
     if recorder.total_cycles != result.cycles:
         raise ValueError(
             f"recorder saw {recorder.total_cycles} cycles but the "
             f"result reports {result.cycles}; the recorder must come "
             f"from this run")
-    document: dict[str, object] = {
-        "schema": HOTSPOTS_SCHEMA,
-        "schema_version": HOTSPOTS_SCHEMA_VERSION,
-        "code_version": code_version(),
-        "config": {
-            "name": machine.name,
-            "issue_width": machine.core.issue_width,
-            "dcache": _dcache_dict(machine),
-        },
-        "workload": workload,
-        "scale": scale,
-        "seed": seed,
-        "trace_file": trace_file,
-        "ipc": result.ipc,
-    }
-    document.update(recorder.as_dict())
+    document = {**head, "ipc": result.ipc, **recorder.as_dict(),
+                "global": _globals_block(result),
+                "host": {"wall_time_s": wall_time}}
     if disasm:
         for row in document["rows"]:
             if row.get("disasm") is None:
                 row["disasm"] = disasm.get(row["pc"])
-    document["global"] = _globals_block(result)
-    document["host"] = {"wall_time_s": wall_time}
     return document
 
 
-def _conservation_problems(rows, frontend: dict, unattributed: dict,
-                           global_block: dict, instructions: int,
-                           context: str) -> list[str]:
-    """Recompute every per-PC sum against the global counters."""
-    problems: list[str] = []
-    executions = sum(row.get("executions", 0) for row in rows)
-    if executions != instructions:
-        problems.append(f"{context}: row executions sum to {executions}, "
-                        f"run committed {instructions}")
-    global_stall = global_block.get("stall") or {}
-    for value in _CAUSE_VALUES:
-        total = sum((row.get("stall") or {}).get(value, 0) for row in rows)
-        total += frontend.get(value, 0)
-        expect = global_stall.get(value, 0)
-        if total != expect:
-            problems.append(
-                f"{context}: stall[{value}] rows+frontend sum to {total}, "
-                f"ledger lost {expect}")
-    global_lsq = global_block.get("lsq") or {}
-    for name in LSQ_COUNTERS:
-        total = sum((row.get("lsq") or {}).get(name, 0) for row in rows)
-        expect = global_lsq.get(name, 0)
-        if total != expect:
-            problems.append(f"{context}: lsq[{name}] rows sum to {total}, "
-                            f"global is {expect}")
-    global_dcache = global_block.get("dcache") or {}
-    for name in DCACHE_COUNTERS:
-        total = sum((row.get("dcache") or {}).get(name, 0) for row in rows)
-        total += unattributed.get(name, 0)
-        expect = global_dcache.get(name, 0)
-        if total != expect:
-            problems.append(
-                f"{context}: dcache[{name}] rows+unattributed sum to "
-                f"{total}, global is {expect}")
-    port_total = sum(sum(row.get("ports") or ()) for row in rows)
-    port_total += sum(unattributed.get("ports") or ())
-    if port_total != global_dcache.get("port_uses", 0):
-        problems.append(
-            f"{context}: per-port histograms sum to {port_total}, "
-            f"global port_uses is {global_dcache.get('port_uses', 0)}")
-    return problems
+def _conserved(report: dict) -> Iterable[str]:
+    """Rule: every per-PC sum reconciles with the global counters; the
+    frontend and unattributed buckets hold what no row could take."""
+    rows = report["rows"]
+    executions = sum(row["executions"] for row in rows)
+    if executions != report["instructions"]:
+        yield (f"row executions sum to {executions}, run committed "
+               f"{report['instructions']}")
+    for family, names, bucket in (
+            ("stall", _CAUSE_VALUES, report["frontend_stall"]),
+            ("lsq", LSQ_COUNTERS, {}),
+            ("dcache", DCACHE_COUNTERS, report["unattributed"])):
+        expected = report["global"].get(family) or {}
+        for name in names:
+            total = sum(row[family].get(name, 0) for row in rows) + \
+                bucket.get(name, 0)
+            if total != expected.get(name, 0):
+                yield (f"{family}[{name}] sums to {total}, global is "
+                       f"{expected.get(name, 0)}")
+    port_uses = (report["global"].get("dcache") or {}).get("port_uses", 0)
+    ports = sum(sum(row.get("ports") or ()) for row in rows) + \
+        sum(report["unattributed"].get("ports") or ())
+    if ports != port_uses:
+        yield (f"per-port histograms sum to {ports}, global port_uses is "
+               f"{port_uses}")
+
+
+def _split_conserved(report: dict) -> Iterable[str]:
+    split = report["split"]
+    executions = sum(split[side].get("executions", 0)
+                     for side in ("kernel", "user"))
+    if executions != report["instructions"]:
+        yield (f"split kernel+user executions sum to {executions}, run "
+               f"committed {report['instructions']}")
+
+
+_COUNTS = MapOf(int)
+_STALLS = MapOf(int, keys=Check(_CAUSE_SET.__contains__, "a stall cause"))
+
+HOTSPOTS_SPEC = envelope_spec(HOTSPOTS_SCHEMA, {
+    "cycles": int,
+    "instructions": int,
+    "ipc": NUMBER,
+    "geometry": {"num_sets": int, "banks": int, "ports": int,
+                 "line_shift": int},
+    "rows": [{
+        "pc": int, "kernel": bool, "kind": str, "executions": int,
+        "stall": _STALLS, "stall_total": int, "lsq": _COUNTS,
+        "dcache": _COUNTS, "ports": Opt([int]),
+        "stream": Opt({"accesses": int, "strides": dict, "banks": list,
+                       "sets": dict, "working_set_lines": int,
+                       "working_set_saturated": bool}),
+    }],
+    "frontend_stall": _STALLS,
+    # Only non-zero counters appear; a present one must be a count.
+    "unattributed": {**{name: Opt(int, null=False)
+                        for name in DCACHE_COUNTERS},
+                     "ports": Opt([int])},
+    "split": {"kernel": _COUNTS, "user": _COUNTS},
+    "global": {"stall": Opt(_COUNTS), "lsq": Opt(_COUNTS),
+               "dcache": Opt(_COUNTS)},
+}, _conserved, _split_conserved)
 
 
 def validate_hotspots_report(report: dict) -> None:
     """Raise :class:`SchemaError` unless *report* is a valid
     ``repro.hotspots/1`` document — including exact conservation."""
-    problems: list[str] = []
-    if not isinstance(report, dict):
-        raise SchemaError(["hotspots report must be an object"])
-    _require(report, {
-        "schema": str,
-        "schema_version": int,
-        "config": dict,
-        "cycles": int,
-        "instructions": int,
-        "ipc": (int, float),
-        "geometry": dict,
-        "rows": list,
-        "frontend_stall": dict,
-        "unattributed": dict,
-        "split": dict,
-        "global": dict,
-        "host": dict,
-    }, problems, "hotspots")
-    if report.get("schema") not in (None, HOTSPOTS_SCHEMA):
-        problems.append(f"hotspots: schema is {report.get('schema')!r}, "
-                        f"expected {HOTSPOTS_SCHEMA!r}")
-    _check_code_version(report, problems, "hotspots")
-    config = report.get("config")
-    if isinstance(config, dict):
-        _require(config, {"name": str, "issue_width": int, "dcache": dict},
-                 problems, "hotspots.config")
-    for key in ("workload", "scale", "trace_file"):
-        if key in report and report[key] is not None and \
-                not isinstance(report[key], str):
-            problems.append(f"hotspots: {key} must be a string or null")
-    if isinstance(report.get("workload"), str) and \
-            isinstance(report.get("trace_file"), str):
-        problems.append("hotspots: workload and trace_file are mutually "
-                        "exclusive")
-    geometry = report.get("geometry")
-    if isinstance(geometry, dict):
-        _require(geometry, {"num_sets": int, "banks": int, "ports": int,
-                            "line_shift": int}, problems,
-                 "hotspots.geometry")
-    rows = report.get("rows")
-    if isinstance(rows, list):
-        for idx, row in enumerate(rows):
-            if not isinstance(row, dict):
-                problems.append(f"hotspots.rows[{idx}]: must be an object")
-                continue
-            _require(row, {"pc": int, "kernel": bool, "kind": str,
-                           "executions": int, "stall": dict,
-                           "stall_total": int, "lsq": dict,
-                           "dcache": dict}, problems,
-                     f"hotspots.rows[{idx}]")
-            for value in (row.get("stall") or {}):
-                if value not in _CAUSE_SET:
-                    problems.append(f"hotspots.rows[{idx}].stall: unknown "
-                                    f"cause {value!r}")
-            stream = row.get("stream")
-            if stream is not None:
-                if not isinstance(stream, dict):
-                    problems.append(f"hotspots.rows[{idx}]: stream must "
-                                    f"be an object or null")
-                else:
-                    _require(stream, {
-                        "accesses": int,
-                        "strides": dict,
-                        "banks": list,
-                        "sets": dict,
-                        "working_set_lines": int,
-                        "working_set_saturated": bool,
-                    }, problems, f"hotspots.rows[{idx}].stream")
-    frontend = report.get("frontend_stall")
-    if isinstance(frontend, dict):
-        for value in frontend:
-            if value not in _CAUSE_SET:
-                problems.append(f"hotspots.frontend_stall: unknown cause "
-                                f"{value!r}")
-    split = report.get("split")
-    if isinstance(split, dict):
-        for side in ("kernel", "user"):
-            if not isinstance(split.get(side), dict):
-                problems.append(f"hotspots.split: missing side {side!r}")
-    if not problems and isinstance(rows, list):
-        problems.extend(_conservation_problems(
-            rows, report.get("frontend_stall") or {},
-            report.get("unattributed") or {},
-            report.get("global") or {}, report.get("instructions", 0),
-            "hotspots"))
-    if not problems and isinstance(split, dict):
-        split_exec = sum(side.get("executions", 0)
-                         for side in split.values()
-                         if isinstance(side, dict))
-        if split_exec != report.get("instructions", 0):
-            problems.append(
-                f"hotspots.split: kernel+user executions sum to "
-                f"{split_exec}, run committed {report.get('instructions')}")
-    host = report.get("host")
-    if isinstance(host, dict) and "wall_time_s" not in host:
-        problems.append("hotspots.host: missing key 'wall_time_s'")
-    if problems:
-        raise SchemaError(problems)
+    validate(report, HOTSPOTS_SPEC, "hotspots")
 
 
 # ----------------------------------------------------------------------

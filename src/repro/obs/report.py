@@ -9,14 +9,24 @@ with the run reports it was built from, so benchmark harnesses can
 persist performance trajectories (``BENCH_*.json`` style) without
 scraping rendered tables.
 
-Both documents carry ``schema`` / ``schema_version`` and are validated
-by hand-rolled checkers (no external JSON-schema dependency) so CI can
-reject drift.  Bump :data:`SCHEMA_VERSION` on any incompatible change
-and describe it in ``docs/OBSERVABILITY.md``.
+Run reports, critpath and hotspots manifests open with one
+:func:`envelope` (schema, version, ``code_version``, configuration and
+workload identity).  Every manifest the program reads back is declared
+once, as a field spec (:data:`RUN_SPEC`, :data:`EXPERIMENT_SPEC`, and
+the critpath, hotspots, bench and fuzz specs beside their builders),
+and checked by one walker, :func:`validate`, which reports every
+problem as a :class:`SchemaError` and raises nothing else, so CI can
+reject drift and bad input fails loudly.  Cross-field checks
+(conservation, mutual exclusion) are :class:`Rules` that run once
+their fields are well typed.  No external JSON-schema dependency.
+Bump :data:`SCHEMA_VERSION` on any incompatible change and describe it
+in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .codeversion import code_version
@@ -33,17 +43,40 @@ RUN_SCHEMA = f"repro.run/{SCHEMA_VERSION}"
 EXPERIMENT_SCHEMA = f"repro.experiment/{SCHEMA_VERSION}"
 
 
-def _dcache_dict(machine: "MachineConfig") -> dict[str, object]:
+def envelope(schema: str, version: int, machine: "MachineConfig", *,
+             workload: str | None, scale: str | None, seed: int | None,
+             trace_file: str | None) -> dict[str, object]:
+    """The head every run-shaped document (run report, critpath and
+    hotspots manifests) opens with.  ``workload`` names a generated
+    workload; ``trace_file`` records the path of a pre-saved trace.
+    The two are mutually exclusive: a simulation driven from a file
+    has ``workload: null``."""
+    if workload is not None and trace_file is not None:
+        raise ValueError(f"a {schema} document names a workload or a "
+                         f"trace_file, not both")
     dcache = machine.mem.dcache
     return {
-        "ports": dcache.ports,
-        "port_width": dcache.port_width,
-        "banks": dcache.banks,
-        "line_buffer_entries": dcache.line_buffer_entries,
-        "combine_loads": dcache.combine_loads,
-        "combine_stores": dcache.combine_stores,
-        "write_buffer_depth": dcache.write_buffer_depth,
-        "mshrs": dcache.mshrs,
+        "schema": schema,
+        "schema_version": version,
+        "code_version": code_version(),
+        "config": {
+            "name": machine.name,
+            "issue_width": machine.core.issue_width,
+            "dcache": {
+                "ports": dcache.ports,
+                "port_width": dcache.port_width,
+                "banks": dcache.banks,
+                "line_buffer_entries": dcache.line_buffer_entries,
+                "combine_loads": dcache.combine_loads,
+                "combine_stores": dcache.combine_stores,
+                "write_buffer_depth": dcache.write_buffer_depth,
+                "mshrs": dcache.mshrs,
+            },
+        },
+        "workload": workload,
+        "scale": scale,
+        "seed": seed,
+        "trace_file": trace_file,
     }
 
 
@@ -56,15 +89,10 @@ def build_run_report(result: "CoreResult", machine: "MachineConfig", *,
                      violations: list | None = None) -> dict[str, object]:
     """Assemble the versioned JSON document for one simulation.
 
-    ``workload`` names a generated workload; ``trace_file`` records the
-    path of a pre-saved trace.  The two are mutually exclusive — a
-    simulation driven from a file has ``workload: null``.
-    ``violations`` carries the findings of an attached validator (see
+    The identity arguments fill the :func:`envelope`.  ``violations``
+    carries the findings of an attached validator (see
     :mod:`repro.validate`); ``None`` means validation did not run.
     """
-    if workload is not None and trace_file is not None:
-        raise ValueError("a run report names a workload or a trace_file, "
-                         "not both")
     sim_ips = (result.instructions / wall_time
                if wall_time else None)
     load_latency = None
@@ -79,18 +107,8 @@ def build_run_report(result: "CoreResult", machine: "MachineConfig", *,
                        for value, count in hist.as_dict().items()},
         }
     return {
-        "schema": RUN_SCHEMA,
-        "schema_version": SCHEMA_VERSION,
-        "code_version": code_version(),
-        "config": {
-            "name": machine.name,
-            "issue_width": machine.core.issue_width,
-            "dcache": _dcache_dict(machine),
-        },
-        "workload": workload,
-        "scale": scale,
-        "seed": seed,
-        "trace_file": trace_file,
+        **envelope(RUN_SCHEMA, SCHEMA_VERSION, machine, workload=workload,
+                   scale=scale, seed=seed, trace_file=trace_file),
         "cycles": result.cycles,
         "instructions": result.instructions,
         "ipc": result.ipc,
@@ -152,7 +170,7 @@ def build_experiment_manifest(experiment: str, scale: str, table: "Table",
 
 
 # ----------------------------------------------------------------------
-# Validation
+# Validation: declarative field specs and one walker
 # ----------------------------------------------------------------------
 class SchemaError(ValueError):
     """A manifest failed validation; ``problems`` lists every issue."""
@@ -162,224 +180,237 @@ class SchemaError(ValueError):
         self.problems = problems
 
 
-def _check_code_version(document: dict, problems: list[str],
-                        context: str) -> None:
-    """``code_version`` is optional (pre-stamp manifests lack it) but
-    must be a non-empty string when present."""
-    if "code_version" not in document:
+#: A JSON number (``bool`` passes, as it does for ``int``).
+NUMBER = (int, float)
+
+
+@dataclass(frozen=True)
+class Opt:
+    """A key that may be absent, or null unless ``null=False``; a
+    present value must match ``spec``."""
+
+    spec: object
+    null: bool = True
+
+
+@dataclass(frozen=True)
+class Check:
+    """A value that passes ``test``; ``what`` names it in a problem."""
+
+    test: Callable[[object], bool]
+    what: str
+
+
+@dataclass(frozen=True)
+class MapOf:
+    """An object of any keys whose values match ``values``; a ``keys``
+    :class:`Check` constrains the keys too."""
+
+    values: object
+    keys: Check | None = None
+
+
+class Rules:
+    """``spec`` plus cross-field rules.  Each rule takes the value and
+    yields problems; rules run only once ``spec`` matched, so they may
+    assume every field they read is well typed."""
+
+    __slots__ = ("spec", "rules")
+
+    def __init__(self, spec: object,
+                 *rules: Callable[[dict], Iterable[str]]) -> None:
+        self.spec = spec
+        self.rules = rules
+
+
+def const(value: object) -> Check:
+    """A field that must equal *value* (a schema tag)."""
+    return Check(lambda seen: seen == value, repr(value))
+
+
+def _typed(value: object, types: type | tuple, path: str,
+           problems: list[str]) -> bool:
+    if isinstance(value, types):
+        return True
+    names = " or ".join(t.__name__ for t in types) \
+        if isinstance(types, tuple) else types.__name__
+    problems.append(f"{path}: should be {names}, got "
+                    f"{type(value).__name__}")
+    return False
+
+
+def _walk(value: object, spec: object, path: str,
+          problems: list[str]) -> None:
+    """Append every way *value* fails *spec* to *problems*.  A spec is
+    a dict (an object with those keys; :class:`Opt` marks optional
+    ones), ``[spec]`` (a list of it), a type or tuple of types, or a
+    :class:`Check`, :class:`MapOf` or :class:`Rules`."""
+    if isinstance(spec, Rules):
+        before = len(problems)
+        _walk(value, spec.spec, path, problems)
+        if len(problems) == before:
+            for rule in spec.rules:
+                problems.extend(f"{path}: {problem}"
+                                for problem in rule(value))
+    elif isinstance(spec, Check):
+        if not spec.test(value):
+            scalar = isinstance(value, (str, int, float, type(None)))
+            problems.append(f"{path}: should be {spec.what}"
+                            + (f", got {value!r}" if scalar else ""))
+    elif isinstance(spec, dict):
+        if _typed(value, dict, path, problems):
+            for key, field in spec.items():
+                if isinstance(field, Opt):
+                    if key not in value or (value[key] is None
+                                            and field.null):
+                        continue
+                    field = field.spec
+                elif key not in value:
+                    problems.append(f"{path}: missing key {key!r}")
+                    continue
+                _walk(value[key], field, f"{path}.{key}", problems)
+    elif isinstance(spec, list):
+        if _typed(value, list, path, problems):
+            for index, item in enumerate(value):
+                _walk(item, spec[0], f"{path}[{index}]", problems)
+    elif isinstance(spec, MapOf):
+        if _typed(value, dict, path, problems):
+            for key, item in value.items():
+                if spec.keys is not None and not spec.keys.test(key):
+                    problems.append(f"{path}: key {key!r} should be "
+                                    f"{spec.keys.what}")
+                _walk(item, spec.values, f"{path}.{key}", problems)
+    else:
+        _typed(value, spec, path, problems)
+
+
+def validate(document: object, spec: object, context: str) -> None:
+    """Raise :class:`SchemaError` listing every way *document* fails
+    *spec*, each problem located from *context*."""
+    problems: list[str] = []
+    _walk(document, spec, context, problems)
+    if problems:
+        raise SchemaError(problems)
+
+
+def head_spec(schema: str) -> dict[str, object]:
+    """The fields every manifest opens with.  ``code_version`` may be
+    absent (pre-stamp manifests lack it) but never null or empty."""
+    return {
+        "schema": const(schema),
+        "schema_version": int,
+        "code_version": Opt(Check(lambda v: isinstance(v, str) and v != "",
+                                  "a non-empty string"), null=False),
+    }
+
+
+def _one_identity(document: dict) -> Iterable[str]:
+    if isinstance(document.get("workload"), str) and \
+            isinstance(document.get("trace_file"), str):
+        yield "workload and trace_file are mutually exclusive"
+
+
+def envelope_spec(schema: str, fields: dict[str, object],
+                  *rules: Callable[[dict], Iterable[str]]) -> Rules:
+    """The spec of a run-shaped document: the :func:`envelope` head,
+    then *fields*, then ``host`` (whose ``wall_time_s`` is null for
+    untimed runs), checked by *rules* and the rule that a document
+    names a workload or a trace_file, not both."""
+    return Rules({
+        **head_spec(schema),
+        "config": {"name": str, "issue_width": int, "dcache": dict},
+        "workload": Opt(str),
+        "scale": Opt(str),
+        "seed": Opt(int),
+        "trace_file": Opt(str),
+        **fields,
+        "host": {"wall_time_s": object},
+    }, _one_identity, *rules)
+
+
+def used_without_reason(used: str, reason: str
+                        ) -> Callable[[dict], Iterable[str]]:
+    """Rule: a fast-path verdict whose *used* flag is true carries no
+    rejection *reason*."""
+    def rule(block: dict) -> Iterable[str]:
+        if block.get(used) is True and isinstance(block.get(reason), str):
+            yield f"{used}=true cannot carry a {reason}"
+    return rule
+
+
+def _conservative(stalls: dict) -> Iterable[str]:
+    if stalls["committed"] + stalls["total_lost"] != stalls["total_slots"]:
+        yield "ledger is not conservative"
+
+
+def _series_lengths(metrics: dict) -> Iterable[str]:
+    count = metrics["n_intervals"]
+    for key in ("start_cycle", "cycles", "committed", "ipc", "port_util"):
+        if len(metrics[key]) != count:
+            yield f"{key} has {len(metrics[key])} entries for {count} " \
+                  f"intervals"
+
+
+def _metrics_sums(report: dict) -> Iterable[str]:
+    metrics = report.get("metrics")
+    if metrics is None:
         return
-    value = document["code_version"]
-    if not isinstance(value, str) or not value:
-        problems.append(f"{context}: code_version must be a non-empty "
-                        f"string")
+    if sum(metrics["cycles"]) != report["cycles"]:
+        yield "metrics interval cycles do not sum to run cycles"
+    if sum(metrics["committed"]) != report["instructions"]:
+        yield "metrics interval committed does not sum to run instructions"
 
 
-def _require(document: dict, spec: dict[str, type | tuple],
-             problems: list[str], context: str) -> None:
-    for key, expected in spec.items():
-        if key not in document:
-            problems.append(f"{context}: missing key {key!r}")
-            continue
-        value = document[key]
-        if not isinstance(value, expected):
-            problems.append(
-                f"{context}: {key!r} should be "
-                f"{getattr(expected, '__name__', expected)}, "
-                f"got {type(value).__name__}")
+RUN_SPEC = envelope_spec(RUN_SCHEMA, {
+    "cycles": int,
+    "instructions": int,
+    "ipc": NUMBER,
+    "counters": dict,
+    # Optional blocks: older documents lack ``fastpath``.
+    "fastpath": Opt(Rules({"used": bool, "rejected_reason": Opt(str)},
+                          used_without_reason("used", "rejected_reason"))),
+    "stalls": Opt(Rules({"width": int, "cycles": int, "committed": int,
+                         "total_slots": int, "total_lost": int,
+                         "lost": dict, "timeline": dict}, _conservative)),
+    "metrics": Opt(Rules({
+        "interval": int, "ports": int, "n_intervals": int,
+        "start_cycle": list, "cycles": [NUMBER], "committed": [NUMBER],
+        "ipc": list, "port_util": list, "counters": dict,
+        "occupancy_mean": dict, "occupancy": dict}, _series_lengths)),
+    # Always null now; older documents carry an object.
+    "digests": Opt({"registers": str, "memory": str}),
+    "validation": Opt({"violations": [{"cycle": int, "check": str,
+                                       "detail": str}]}),
+}, _metrics_sums)
+
+EXPERIMENT_SPEC = {
+    **head_spec(EXPERIMENT_SCHEMA),
+    "experiment": str,
+    "scale": str,
+    "table": {"title": str, "columns": list, "rows": list},
+    "runs": [RUN_SPEC],
+    "engine": Opt({
+        "jobs": Opt(Check(lambda v: type(v) is int and v >= 1,
+                          "a positive integer")),
+        "trace_cache": Opt(dict),
+        "summary": Opt({
+            "elapsed_s": NUMBER,
+            "jobs": dict,
+            "workers": [{"pid": int, "jobs": int, "busy_s": NUMBER}],
+            "slowest": list,
+            "failed": list,
+        }),
+    }),
+    "host": dict,
+}
 
 
 def validate_run_report(report: dict) -> None:
     """Raise :class:`SchemaError` unless *report* is a valid run report."""
-    problems: list[str] = []
-    if not isinstance(report, dict):
-        raise SchemaError(["run report must be an object"])
-    _require(report, {
-        "schema": str,
-        "schema_version": int,
-        "config": dict,
-        "cycles": int,
-        "instructions": int,
-        "ipc": (int, float),
-        "counters": dict,
-        "host": dict,
-    }, problems, "run")
-    if report.get("schema") not in (None, RUN_SCHEMA):
-        problems.append(f"run: schema is {report['schema']!r}, "
-                        f"expected {RUN_SCHEMA!r}")
-    _check_code_version(report, problems, "run")
-    if "seed" in report and report["seed"] is not None and \
-            not isinstance(report["seed"], int):
-        problems.append("run: seed must be an integer or null")
-    for key in ("workload", "scale", "trace_file"):
-        if key in report and report[key] is not None and \
-                not isinstance(report[key], str):
-            problems.append(f"run: {key} must be a string or null")
-    if isinstance(report.get("workload"), str) and \
-            isinstance(report.get("trace_file"), str):
-        problems.append("run: workload and trace_file are mutually "
-                        "exclusive")
-    config = report.get("config")
-    if isinstance(config, dict):
-        _require(config, {"name": str, "issue_width": int, "dcache": dict},
-                 problems, "run.config")
-    fastpath = report.get("fastpath")
-    if fastpath is not None:  # optional: pre-PR8 reports lack it
-        if not isinstance(fastpath, dict):
-            problems.append("run: fastpath must be an object or null")
-        else:
-            _require(fastpath, {"used": bool}, problems, "run.fastpath")
-            reason = fastpath.get("rejected_reason")
-            if reason is not None and not isinstance(reason, str):
-                problems.append("run.fastpath: rejected_reason must be a "
-                                "string or null")
-            if fastpath.get("used") is True and isinstance(reason, str):
-                problems.append("run.fastpath: used=true cannot carry a "
-                                "rejected_reason")
-    stalls = report.get("stalls")
-    if stalls is not None:
-        if not isinstance(stalls, dict):
-            problems.append("run: stalls must be an object or null")
-        else:
-            _require(stalls, {
-                "width": int,
-                "cycles": int,
-                "committed": int,
-                "total_slots": int,
-                "total_lost": int,
-                "lost": dict,
-                "timeline": dict,
-            }, problems, "run.stalls")
-            if not problems and stalls["committed"] + stalls["total_lost"] \
-                    != stalls["total_slots"]:
-                problems.append("run.stalls: ledger is not conservative")
-    metrics = report.get("metrics")
-    if metrics is not None:
-        if not isinstance(metrics, dict):
-            problems.append("run: metrics must be an object or null")
-        else:
-            _require(metrics, {
-                "interval": int,
-                "ports": int,
-                "n_intervals": int,
-                "start_cycle": list,
-                "cycles": list,
-                "committed": list,
-                "ipc": list,
-                "port_util": list,
-                "counters": dict,
-                "occupancy_mean": dict,
-                "occupancy": dict,
-            }, problems, "run.metrics")
-            n = metrics.get("n_intervals")
-            if isinstance(n, int):
-                for key in ("start_cycle", "cycles", "committed", "ipc",
-                            "port_util"):
-                    series = metrics.get(key)
-                    if isinstance(series, list) and len(series) != n:
-                        problems.append(
-                            f"run.metrics: {key} has {len(series)} entries "
-                            f"for {n} intervals")
-            if not problems and isinstance(metrics.get("cycles"), list):
-                if sum(metrics["cycles"]) != report.get("cycles"):
-                    problems.append("run.metrics: interval cycles do not "
-                                    "sum to run cycles")
-                if sum(metrics["committed"]) != report.get("instructions"):
-                    problems.append("run.metrics: interval committed does "
-                                    "not sum to run instructions")
-    digests = report.get("digests")
-    if digests is not None:  # older documents may carry an object
-        if not isinstance(digests, dict):
-            problems.append("run: digests must be an object or null")
-        else:
-            _require(digests, {"registers": str, "memory": str},
-                     problems, "run.digests")
-    validation = report.get("validation")
-    if validation is not None:
-        if not isinstance(validation, dict):
-            problems.append("run: validation must be an object or null")
-        elif not isinstance(validation.get("violations"), list):
-            problems.append("run.validation: missing violations list")
-        else:
-            for index, entry in enumerate(validation["violations"]):
-                if not isinstance(entry, dict):
-                    problems.append(f"run.validation.violations[{index}]: "
-                                    f"must be an object")
-                    continue
-                _require(entry, {"cycle": int, "check": str,
-                                 "detail": str}, problems,
-                         f"run.validation.violations[{index}]")
-    host = report.get("host")
-    if isinstance(host, dict) and "wall_time_s" not in host:
-        problems.append("run.host: missing key 'wall_time_s'")
-    if problems:
-        raise SchemaError(problems)
+    validate(report, RUN_SPEC, "run")
 
 
 def validate_experiment_manifest(manifest: dict) -> None:
     """Raise :class:`SchemaError` unless *manifest* is valid; every
     embedded run report is validated too."""
-    problems: list[str] = []
-    if not isinstance(manifest, dict):
-        raise SchemaError(["experiment manifest must be an object"])
-    _require(manifest, {
-        "schema": str,
-        "schema_version": int,
-        "experiment": str,
-        "scale": str,
-        "table": dict,
-        "runs": list,
-        "host": dict,
-    }, problems, "experiment")
-    if manifest.get("schema") not in (None, EXPERIMENT_SCHEMA):
-        problems.append(f"experiment: schema is {manifest['schema']!r}, "
-                        f"expected {EXPERIMENT_SCHEMA!r}")
-    _check_code_version(manifest, problems, "experiment")
-    table = manifest.get("table")
-    if isinstance(table, dict):
-        _require(table, {"title": str, "columns": list, "rows": list},
-                 problems, "experiment.table")
-    engine = manifest.get("engine")
-    if engine is not None:
-        if not isinstance(engine, dict):
-            problems.append("experiment: engine must be an object or null")
-        else:
-            jobs = engine.get("jobs")
-            if jobs is not None and (not isinstance(jobs, int) or jobs < 1):
-                problems.append("experiment.engine: jobs must be a "
-                                "positive integer or null")
-            cache = engine.get("trace_cache")
-            if cache is not None and not isinstance(cache, dict):
-                problems.append("experiment.engine: trace_cache must be "
-                                "an object or null")
-            summary = engine.get("summary")
-            if summary is not None:
-                if not isinstance(summary, dict):
-                    problems.append("experiment.engine: summary must be "
-                                    "an object or null")
-                else:
-                    _require(summary, {
-                        "elapsed_s": (int, float),
-                        "jobs": dict,
-                        "workers": list,
-                        "slowest": list,
-                        "failed": list,
-                    }, problems, "experiment.engine.summary")
-                    for index, worker in enumerate(
-                            summary.get("workers") or ()):
-                        if not isinstance(worker, dict):
-                            problems.append(
-                                f"experiment.engine.summary.workers"
-                                f"[{index}]: must be an object")
-                            continue
-                        _require(worker, {"pid": int, "jobs": int,
-                                          "busy_s": (int, float)},
-                                 problems,
-                                 f"experiment.engine.summary."
-                                 f"workers[{index}]")
-    for index, run in enumerate(manifest.get("runs") or ()):
-        try:
-            validate_run_report(run)
-        except SchemaError as exc:
-            problems.extend(f"runs[{index}].{p}" for p in exc.problems)
-    if problems:
-        raise SchemaError(problems)
+    validate(manifest, EXPERIMENT_SPEC, "experiment")

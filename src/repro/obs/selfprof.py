@@ -50,6 +50,7 @@ from __future__ import annotations
 import functools
 import inspect
 import json
+import math
 import signal
 import time
 
@@ -243,7 +244,8 @@ class SelfProfiler:
             handle.write("\n")
 
     def summary(self) -> str:
-        """One human line: the sampled loop and the top components."""
+        """One human line: the sampled loop, the top components, and
+        the resolution of a share."""
         counts = self.counts()
         samples = sum(counts.values())
         if not samples:
@@ -253,6 +255,9 @@ class SelfProfiler:
         parts = [f"{name} {count / samples:.0%}"
                  for count, name in ranked[:3] if count]
         loop = self.loop or "no"
+        # The worst-case standard error of a share, sqrt(p(1-p)/n) at
+        # p = 1/2, in percentage points.
         return (f"{loop} loop, {samples} samples: {', '.join(parts)}; "
                 f"other {counts[OTHER] / samples:.0%}, unattributed "
-                f"{counts[UNATTRIBUTED] / samples:.0%}")
+                f"{counts[UNATTRIBUTED] / samples:.0%} "
+                f"(±{50 / math.sqrt(samples):.1f} pts per share)")

@@ -38,6 +38,7 @@ from ..asm import AsmError, assemble
 from ..atomic import atomic_write
 from ..func.exceptions import SimError
 from ..func.run import run_bare
+from ..obs.report import Opt, const, validate
 
 #: Schema tag of the ``.repro`` reproducer artifacts.
 ARTIFACT_SCHEMA = "repro.fuzz/1"
@@ -447,12 +448,23 @@ def save_artifact(path: str, failure: FuzzFailure,
         handle.write("\n")
 
 
+#: The ``.repro`` artifact, as :func:`load_artifact` checks it.
+ARTIFACT_SPEC = {
+    "schema": const(ARTIFACT_SCHEMA),
+    "seed": int,
+    "configs": Opt([str]),
+    "failures": [str],
+    "source": str,
+    "shrunk_source": Opt(str),
+}
+
+
 def load_artifact(path: str) -> dict[str, object]:
+    """Read a ``.repro`` artifact; a malformed one raises
+    :class:`~repro.obs.report.SchemaError`."""
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
-    if not isinstance(payload, dict) or \
-            payload.get("schema") != ARTIFACT_SCHEMA:
-        raise ValueError(f"{path} is not a {ARTIFACT_SCHEMA} artifact")
+    validate(payload, ARTIFACT_SPEC, "fuzz")
     return payload
 
 
@@ -461,4 +473,4 @@ def replay_artifact(payload: dict[str, object],
     """Re-check an artifact's (shrunk, if available) program."""
     source = payload.get("shrunk_source") or payload["source"]
     configs = tuple(payload.get("configs") or DEFAULT_CONFIGS)
-    return check_program(str(source), configs, max_instructions)
+    return check_program(source, configs, max_instructions)

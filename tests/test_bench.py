@@ -321,3 +321,11 @@ class TestCli:
         bogus.write_text("{}")
         assert main(["bench", "--compare", str(bogus),
                      "--candidate", str(bogus)]) == 2
+        with open(BASELINE_CI, encoding="utf-8") as handle:
+            malformed = dict(json.load(handle), results=7)
+        bogus.write_text(json.dumps(malformed))
+        capsys.readouterr()
+        assert main(["bench", "--compare", str(bogus),
+                     "--candidate", BASELINE_CI]) == 2
+        assert "bench.results: should be list, got int" in \
+            capsys.readouterr().err

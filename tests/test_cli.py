@@ -413,7 +413,7 @@ class TestEvents:
         assert main(["simulate", "--workload", "memops", "--scale", "tiny",
                      "--events", path]) == 0
         capsys.readouterr()
-        assert main(["events", path, "--since", "10", "--until", "20",
+        assert main(["events", path, "--cycle-range", "10:20",
                      "--limit", "100"]) == 0
         for line in capsys.readouterr().out.strip().splitlines():
             assert 10 <= json.loads(line)["cycle"] <= 20
@@ -643,13 +643,13 @@ class TestCompare:
 
 
 class TestEventsFilters:
-    def test_type_alias(self, tmp_path, capsys):
+    def test_event_filter(self, tmp_path, capsys):
         import json
         path = str(tmp_path / "run.jsonl")
         assert main(["simulate", "--workload", "stream", "--scale", "tiny",
                      "--events", path]) == 0
         capsys.readouterr()
-        assert main(["events", path, "--type", "commit",
+        assert main(["events", path, "--event", "commit",
                      "--limit", "5"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines
@@ -679,13 +679,6 @@ class TestEventsFilters:
                      "--limit", "10"]) == 0
         for line in capsys.readouterr().out.strip().splitlines():
             assert json.loads(line)["cycle"] >= 50
-
-    def test_cycle_range_conflicts_with_since(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        path.write_text("")
-        with pytest.raises(SystemExit, match="cycle-range"):
-            main(["events", str(path), "--cycle-range", "1:2",
-                  "--since", "1"])
 
     def test_cycle_range_malformed(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -867,10 +860,21 @@ class TestFuzz:
         assert "passes" in out
 
     def test_replay_rejects_non_artifact(self, tmp_path, capsys):
+        import json
+        from pathlib import Path
         bogus = tmp_path / "x.repro"
         bogus.write_text("{}", encoding="utf-8")
         assert main(["fuzz", "--replay", str(bogus)]) == 2
         assert "error" in capsys.readouterr().err
+        # Malformed artifacts are bad input (2), never "still failing" (1).
+        corpus = Path(__file__).parent / "corpus" / "seed101.repro"
+        good = json.loads(corpus.read_text(encoding="utf-8"))
+        for payload in ({"schema": "repro.fuzz/1"},
+                        dict(good, configs="1P"), dict(good, source=5),
+                        dict(good, configs=["1P", "9P"])):
+            bogus.write_text(json.dumps(payload), encoding="utf-8")
+            assert main(["fuzz", "--replay", str(bogus)]) == 2
+            assert str(bogus) in capsys.readouterr().err
 
 
 class TestSpansAndProgress:

@@ -97,6 +97,7 @@ class TestProfilerUnit:
         profiler.hits = {(fast, issue): 3}
         assert profiler.summary().startswith("fast loop, 3 samples: "
                                              "issue 100%")
+        assert profiler.summary().endswith("(±28.9 pts per share)")
 
 
 class TestSampler:
