@@ -1,9 +1,9 @@
 """Benchmark harness plumbing.
 
-Each benchmark regenerates one of the paper's tables/figures (see
-DESIGN.md's experiment index) at the "small" scale and registers the
-resulting table so it is printed after the pytest-benchmark summary —
-that printout is the reproduction artefact.
+``test_evaluation.py`` regenerates every table/figure of the paper (see
+DESIGN.md's experiment index) at the "small" scale and registers each
+table so it is printed after the pytest-benchmark summary — that
+printout is the reproduction artefact.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ def table_sink():
 
 
 def _engine_settings_line() -> str:
-    """One line recording how the grids were executed, so a benchmark
+    """One line recording how the grid was executed, so a benchmark
     printout is interpretable after the fact (parallel runs produce
     identical tables, but wall-clock numbers differ)."""
     from repro.experiments.engine import Engine

@@ -65,6 +65,7 @@ from .scenarios import SCENARIO_NAMES, SCENARIO_SCALES, SCENARIOS
 from .trace import SyntheticConfig, generate, load_trace, save_trace
 from .workloads import (SUITE_NAMES, WORKLOADS, build_os_mix_trace,
                         build_scenario_trace, build_trace)
+from .workloads.suite import OS_MIX_TIMER
 
 #: Synthetic-stream length per scale (mirrors the workload suite's
 #: tiny/small/full instruction budgets).
@@ -146,6 +147,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _build_named_trace(name: str, scale: str, seed: int | None = None):
+    scales = (_SYNTHETIC_INSTRUCTIONS if name == "synthetic"
+              else SCENARIOS[name].scales if name in SCENARIOS
+              else OS_MIX_TIMER if name == "os-mix"
+              else WORKLOADS[name].scales if name in WORKLOADS
+              else None)
+    if scales is not None and scale not in scales:
+        raise SystemExit(f"workload {name!r} has no scale {scale!r}; "
+                         f"choose from {', '.join(scales)}")
     if name == "synthetic":
         return generate(SyntheticConfig(
             instructions=_SYNTHETIC_INSTRUCTIONS[scale],
@@ -396,9 +405,8 @@ def _cmd_hotspots(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     import os
 
-    from .experiments import ALL_EXPERIMENTS
+    from .experiments import ALL_EXPERIMENTS, run_all
     from .experiments.engine import Engine, EngineJobError
-    from .experiments.runner import capture_reports
     from .obs import build_experiment_manifest
     from .workloads import trace_cache_dir, trace_cache_stats
     if args.id.lower() == "all":
@@ -417,46 +425,46 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.output:
         os.makedirs(args.output, exist_ok=True)
     status = 0
+    start = time.perf_counter()
+    before = trace_cache_stats()
     try:
-        for exp_id in ids:
-            if args.json:
-                start = time.perf_counter()
-                before = trace_cache_stats()
-                with capture_reports() as runs:
-                    table = ALL_EXPERIMENTS[exp_id](args.scale,
-                                                    engine=engine)
-                cache = {key: value - before[key]
-                         for key, value in trace_cache_stats().items()}
-                directory = trace_cache_dir()
-                cache["dir"] = str(directory) if directory else None
-                manifest = build_experiment_manifest(
-                    exp_id, args.scale, table, runs,
-                    wall_time=time.perf_counter() - start,
-                    jobs=engine.jobs, trace_cache=cache,
-                    engine_summary=engine.last_summary)
-                if args.output:
-                    path = os.path.join(
-                        args.output, f"{exp_id.lower()}_{args.scale}.json")
-                    _write_json(path, manifest)
-                    print(f"written to {path}")
-                else:
-                    print(json.dumps(manifest, indent=2))
-                continue
-            table = ALL_EXPERIMENTS[exp_id](args.scale, engine=engine)
-            print(table.render())
-            print()
-            if args.output:
-                extension = "csv" if args.csv else "txt"
-                path = os.path.join(
-                    args.output,
-                    f"{exp_id.lower()}_{args.scale}.{extension}")
-                with atomic_write(path) as handle:
-                    handle.write(table.to_csv() if args.csv
-                                 else table.render() + "\n")
-                print(f"written to {path}\n")
+        tables = run_all(args.scale, engine, ids)
     except EngineJobError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        tables = {}
         status = 1
+    wall_time = time.perf_counter() - start
+    cache = {key: value - before[key]
+             for key, value in trace_cache_stats().items()}
+    directory = trace_cache_dir()
+    cache["dir"] = str(directory) if directory else None
+    for exp_id, table in tables.items():
+        if args.json:
+            runs = [report for (owner, _), report
+                    in engine.last_reports.items() if owner == exp_id]
+            manifest = build_experiment_manifest(
+                exp_id, args.scale, table, runs, wall_time=wall_time,
+                jobs=engine.jobs, trace_cache=cache,
+                engine_summary=engine.last_summary)
+            if args.output:
+                path = os.path.join(
+                    args.output, f"{exp_id.lower()}_{args.scale}.json")
+                _write_json(path, manifest)
+                print(f"written to {path}")
+            else:
+                print(json.dumps(manifest, indent=2))
+            continue
+        print(table.render())
+        print()
+        if args.output:
+            extension = "csv" if args.csv else "txt"
+            path = os.path.join(
+                args.output,
+                f"{exp_id.lower()}_{args.scale}.{extension}")
+            with atomic_write(path) as handle:
+                handle.write(table.to_csv() if args.csv
+                             else table.render() + "\n")
+            print(f"written to {path}\n")
     if args.spans and engine.span_events is not None:
         write_chrome_trace(args.spans, engine.span_events)
         print(f"spans: {count_spans(engine.span_events)} -> "
@@ -1049,10 +1057,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="emit a versioned manifest (table + every "
                                  "run report) instead of the rendered table")
     experiment.add_argument("--jobs", type=int, metavar="N",
-                            help="run each experiment's simulation grid "
-                                 "across N worker processes (default: "
-                                 "REPRO_JOBS or 1; tables are identical "
-                                 "for any N)")
+                            help="run the simulation grid across N "
+                                 "worker processes (default: REPRO_JOBS "
+                                 "or 1; tables are identical for any N)")
     experiment.add_argument("--trace-cache", metavar="DIR",
                             help="persistent trace cache directory "
                                  "(default: REPRO_TRACE_CACHE or "

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 from ..presets import machine
 from ..stats.report import Table
-from .engine import Engine, SimJob, TraceSpec, execute
+from .engine import SimJob, TraceSpec
 from .runner import MEMORY_INTENSIVE
 
 _LIMITS = (1, 2, 4, 8)
@@ -37,7 +37,3 @@ def tabulate(scale: str, results: dict) -> Table:
     table.add_note("max_1 keeps the wide port but allows no sharing; the "
                    "line buffer read cap follows the same limit")
     return table
-
-
-def run(scale: str = "small", engine: Engine | None = None) -> Table:
-    return tabulate(scale, execute(plan(scale), engine))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..presets import machine
 from ..stats.report import Table
-from .engine import Engine, SimJob, TraceSpec, execute
+from .engine import SimJob, TraceSpec
 from .runner import MEMORY_INTENSIVE
 
 _ENTRIES = (1, 2, 4, 8)
@@ -42,7 +42,3 @@ def tabulate(scale: str, results: dict) -> Table:
             cells += [round(result.ipc, 3), round(fraction, 3)]
         table.add_row(*cells)
     return table
-
-
-def run(scale: str = "small", engine: Engine | None = None) -> Table:
-    return tabulate(scale, execute(plan(scale), engine))

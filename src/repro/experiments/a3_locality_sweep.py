@@ -8,15 +8,14 @@ access and the gap to the dual-ported cache cannot be closed.
 
 from __future__ import annotations
 
-from ..presets import BEST_SINGLE_PORT, DUAL_PORT
+from ..presets import BEST_SINGLE_PORT, DUAL_PORT, machine
 from ..stats.report import Table
 from ..trace.synthetic import SyntheticConfig
-from .engine import Engine, SimJob, TraceSpec, execute
-from .runner import config_machines
+from .engine import SimJob, TraceSpec
 
 _LOCALITIES = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)
 _CONFIGS = ("1P", BEST_SINGLE_PORT, DUAL_PORT)
-
+_SEED = 11
 
 _SCALE_PARAMS = {
     # (instructions, working set): the working set shrinks with the
@@ -27,17 +26,14 @@ _SCALE_PARAMS = {
 }
 
 
-def plan(scale: str = "small", instructions: int | None = None,
-         seed: int = 11) -> list[SimJob]:
-    default_instructions, working_set = _SCALE_PARAMS[scale]
-    if instructions is None:
-        instructions = default_instructions
-    machines = config_machines(_CONFIGS)
+def plan(scale: str = "small") -> list[SimJob]:
+    instructions, working_set = _SCALE_PARAMS[scale]
+    machines = {name: machine(name) for name in _CONFIGS}
     jobs = []
     for locality in _LOCALITIES:
         spec = TraceSpec.from_synthetic(SyntheticConfig(
             instructions=instructions,
-            seed=seed,
+            seed=_SEED,
             load_fraction=0.35,
             store_fraction=0.15,
             spatial_locality=locality,
@@ -69,8 +65,3 @@ def tabulate(scale: str, results: dict) -> Table:
                    f"{working_set // 1024} KiB working set (L1-resident) "
                    "so port bandwidth is the constraint")
     return table
-
-
-def run(scale: str = "small", instructions: int | None = None,
-        seed: int = 11, engine: Engine | None = None) -> Table:
-    return tabulate(scale, execute(plan(scale, instructions, seed), engine))

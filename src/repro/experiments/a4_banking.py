@@ -10,16 +10,17 @@ techniques it still pays one array access per load.
 
 from __future__ import annotations
 
-from ..presets import BEST_SINGLE_PORT, DUAL_PORT, EXTENDED_CONFIG_NAMES
+from ..presets import (BEST_SINGLE_PORT, DUAL_PORT, EXTENDED_CONFIG_NAMES,
+                       machine)
 from ..stats.report import Table
-from .engine import Engine, SimJob, TraceSpec, execute
-from .runner import MEMORY_INTENSIVE, config_machines
+from .engine import SimJob, TraceSpec
+from .runner import MEMORY_INTENSIVE
 
 _CONFIGS = ("1P", *EXTENDED_CONFIG_NAMES, BEST_SINGLE_PORT, DUAL_PORT)
 
 
 def plan(scale: str = "small") -> list[SimJob]:
-    machines = config_machines(_CONFIGS)
+    machines = {name: machine(name) for name in _CONFIGS}
     return [SimJob((name, config), TraceSpec.workload(name, scale),
                    machines[config])
             for name in MEMORY_INTENSIVE for config in _CONFIGS]
@@ -41,7 +42,3 @@ def tabulate(scale: str, results: dict) -> Table:
                    "line-interleaved banks; conflicts_4B counts same-bank "
                    "rejections in the 4-bank configuration")
     return table
-
-
-def run(scale: str = "small", engine: Engine | None = None) -> Table:
-    return tabulate(scale, execute(plan(scale), engine))

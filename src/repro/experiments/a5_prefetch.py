@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..presets import machine
 from ..stats.report import Table
-from .engine import Engine, SimJob, TraceSpec, execute
+from .engine import SimJob, TraceSpec
 
 _WORKLOADS = ("compress", "stream", "memops", "linked", "os-mix")
 _CONFIGS = ("1P", "1P-wide+LB+SC")
@@ -49,7 +49,3 @@ def tabulate(scale: str, results: dict) -> Table:
     table.add_note("+PF = prefetch_next_line enabled; prefetch count from "
                    "the techniques configuration")
     return table
-
-
-def run(scale: str = "small", engine: Engine | None = None) -> Table:
-    return tabulate(scale, execute(plan(scale), engine))

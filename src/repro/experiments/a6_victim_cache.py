@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..presets import machine
 from ..stats.report import Table
-from .engine import Engine, SimJob, TraceSpec, execute
+from .engine import SimJob, TraceSpec
 
 _WORKLOADS = ("compress", "qsort", "stream", "os-mix")
 _CONFIGS = ("1P", "1P-wide+LB+SC")
@@ -51,7 +51,3 @@ def tabulate(scale: str, results: dict) -> Table:
     table.add_note("+VC = victim cache enabled; vc_hits from the "
                    "techniques configuration")
     return table
-
-
-def run(scale: str = "small", engine: Engine | None = None) -> Table:
-    return tabulate(scale, execute(plan(scale), engine))

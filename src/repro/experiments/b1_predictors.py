@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from ..presets import DUAL_PORT, machine
 from ..stats.report import Table
-from .engine import Engine, SimJob, TraceSpec, execute
+from .engine import SimJob, TraceSpec
 
 _KINDS = ("twobit", "gshare")
 _VIEWS = (("with-kernel", False), ("user-only", True))
@@ -52,7 +52,3 @@ def tabulate(scale: str, results: dict) -> Table:
         row += ipcs
         table.add_row(*row)
     return table
-
-
-def run(scale: str = "small", engine: Engine | None = None) -> Table:
-    return tabulate(scale, execute(plan(scale), engine))

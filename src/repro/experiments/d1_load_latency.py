@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..stats.histogram import Histogram
 from ..presets import machine
 from ..stats.report import Table
-from .engine import Engine, SimJob, TraceSpec, execute
+from .engine import SimJob, TraceSpec
 from .runner import MEMORY_INTENSIVE
 
 _CONFIGS = ("1P", "1P+LB", "1P-wide+LB+SC", "2P")
@@ -46,7 +46,3 @@ def tabulate(scale: str, results: dict) -> Table:
     table.add_note(f"latency = address-ready to data-ready cycles, pooled "
                    f"over {MEMORY_INTENSIVE}")
     return table
-
-
-def run(scale: str = "small", engine: Engine | None = None) -> Table:
-    return tabulate(scale, execute(plan(scale), engine))

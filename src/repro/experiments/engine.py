@@ -12,10 +12,14 @@ step.  This module runs the grid:
   :class:`~repro.core.config.MachineConfig` and a hashable result key.
 * :class:`Engine` executes a job list — inline for ``jobs=1``, across
   a process pool otherwise — and merges results in
-  **insertion order**, so the result dict (and any captured run
-  reports) is identical whatever the completion order or worker
-  count.  Simulated cycles, counters, and rendered tables are
+  **insertion order**, so the result dict (and the run reports on
+  ``last_reports``) is identical whatever the completion order or
+  worker count.  Simulated cycles, counters, and rendered tables are
   byte-identical between ``jobs=1`` and ``jobs=N``.
+* Jobs that plan the same trace on the same machine are one **cell**:
+  the engine simulates each distinct cell once and files its result
+  and run report under every key that planned it, so a caller may
+  join several experiments' grids into one ``execute`` call.
 
 Every distinct trace is warmed once in the parent before the fan-out:
 forked workers inherit the in-memory cache, spawned workers load the
@@ -24,26 +28,27 @@ disk tier, and no worker ever repeats a functional simulation.
 Fleet observability (all opt-in, all free when off):
 
 * ``collect_spans=True`` records host-time spans — the parent's trace
-  warm-up, and each worker's jobs with the ``core.run`` inside each —
+  warm-up, and each worker's cells with the ``core.run`` inside each —
   against one shared epoch; after ``execute`` the merged,
   Perfetto-loadable event stream is on ``Engine.span_events``.  The
   core is never handed the recorder, so every job takes the cycle
   loop a plain run takes.
 * ``progress=True`` (or a stream) drives a live single-line display
-  from per-job started/finished/failed events the workers push
+  from per-cell started/finished/failed events the workers push
   through a queue (see :mod:`repro.experiments.progress`).
-* ``Engine.last_summary`` carries the post-run fleet summary —
-  per-worker utilisation, queue wait, the slowest jobs, and any
-  failures — which ``repro experiment --json`` embeds in the
-  manifest's ``engine`` block.
+* ``Engine.last_summary`` carries the post-run fleet summary — jobs
+  planned and cells simulated, per-worker utilisation, queue wait,
+  the slowest cells, and any failures — which ``repro experiment
+  --json`` embeds in the manifest's ``engine`` block.
 
-A job that raises inside a worker no longer surfaces as a bare
+A cell that raises inside a worker no longer surfaces as a bare
 multiprocessing traceback: the engine wraps it in
-:class:`EngineJobError` carrying the job key, configuration name,
-trace identity and generator seed, and records it in the run summary.
-A worker process that dies (killed by a signal, or crashed) fails
-every job that had not finished, through the same error, instead of
-leaving the engine waiting for results that never come.
+:class:`EngineJobError` carrying, for every key that planned the cell,
+the job key, configuration name, trace identity and generator seed,
+and records it in the run summary.  A worker process that dies
+(killed by a signal, or crashed) fails every cell that had not
+finished, through the same error, instead of leaving the engine
+waiting for results that never come.
 """
 
 from __future__ import annotations
@@ -70,9 +75,8 @@ from ..trace.io import Trace
 from ..trace.synthetic import SyntheticConfig, generate
 from ..workloads import suite
 from .progress import ProgressDisplay
-from .runner import current_report_sink
 
-__all__ = ["Engine", "EngineJobError", "SimJob", "TraceSpec", "execute"]
+__all__ = ["Engine", "EngineJobError", "SimJob", "TraceSpec"]
 
 
 @dataclass(frozen=True)
@@ -183,7 +187,7 @@ def _generator_fingerprint() -> str:
 
 @dataclass(frozen=True)
 class SimJob:
-    """One grid cell: simulate *trace* on *machine*, file the result
+    """One grid job: simulate *trace* on *machine*, file the result
     under *key* (any hashable, unique within one ``execute`` call)."""
 
     key: object
@@ -263,7 +267,7 @@ def _run_job_outcome(job: SimJob, metrics_interval: int | None,
         if recorder is not None:
             while recorder.depth > depth:
                 recorder.end()
-        outcome.update(ok=False, context=_job_context(job),
+        outcome.update(ok=False,
                        error={"type": type(exc).__name__,
                               "message": str(exc),
                               "traceback": traceback.format_exc()})
@@ -303,14 +307,14 @@ def _run_job(job: SimJob, metrics_interval: int | None) -> dict:
     return outcome
 
 
-def _pool_outcome(job: SimJob, future: Future) -> dict:
+def _pool_outcome(future: Future) -> dict:
     """The outcome a pool future carries or, when a worker process
-    died before the job finished, a failure saying so.  Such a job has
-    no ``pid`` or host times: nothing of it was timed."""
+    died before the cell finished, a failure saying so.  Such a cell
+    has no ``pid`` or host times: nothing of it was timed."""
     try:
         return future.result()
     except BrokenProcessPool:
-        return {"ok": False, "context": _job_context(job),
+        return {"ok": False,
                 "error": {"type": "BrokenProcessPool",
                           "message": "a worker process died (killed by "
                                      "a signal, or crashed) before the "
@@ -336,17 +340,18 @@ class Engine:
     process and every worker — a directory path, or ``"off"``/``None``
     semantics per :func:`repro.workloads.set_trace_cache_dir`; leaving
     it unset keeps the current (default) cache directory.
-    ``metrics_interval`` turns on per-job interval telemetry: every
+    ``metrics_interval`` turns on per-cell interval telemetry: every
     simulation in the grid samples :mod:`repro.obs.metrics` series at
-    that cycle interval and the captured run reports carry them, in
-    the same deterministic job order, whatever the worker count.
+    that cycle interval and the run reports carry them, in the same
+    deterministic job order, whatever the worker count.
 
     ``progress`` turns on the live fleet display (``True`` writes to
     stderr; a stream object redirects it).  ``collect_spans`` records
     a host-time span timeline across the parent and every worker;
     after ``execute`` the merged event stream is on ``span_events``
     (export with :func:`repro.obs.spans.write_chrome_trace`).  Each
-    ``execute`` also leaves a fleet summary on ``last_summary``.
+    ``execute`` also leaves a fleet summary on ``last_summary`` and
+    every job's run report on ``last_reports``.
     """
 
     def __init__(self, jobs: int | None = None,
@@ -360,9 +365,9 @@ class Engine:
         self.collect_spans = collect_spans
         self.span_events: list[dict] | None = None
         self.last_summary: dict | None = None
+        self.last_reports: dict[object, dict] | None = None
         # One recorder and epoch for the engine's lifetime, so several
-        # execute() calls (e.g. ``repro experiment all --spans``) land
-        # on a single coherent timeline.
+        # execute() calls land on a single coherent timeline.
         self._recorder: SpanRecorder | None = None
         self._epoch: int | None = None
         self._worker_events: list[list[dict]] = []
@@ -384,25 +389,37 @@ class Engine:
     def execute(self, sim_jobs: Sequence[SimJob],
                 ) -> dict[object, CoreResult]:
         """Run every job; returns ``{job.key: CoreResult}`` in job
-        order.  Captured run reports (see
-        :func:`repro.experiments.runner.capture_reports`) are appended
-        to the active sink in the same order.  Raises
-        :class:`EngineJobError` if any job failed (after every job has
-        run, or its worker died, and ``last_summary`` has recorded the
+        order and leaves ``{job.key: run report}`` on ``last_reports``
+        in the same order.  Jobs that plan an equal trace on an equal
+        machine are one cell: it is simulated once, and its result and
+        report (the same objects) are filed under every key that
+        planned it.  Raises :class:`EngineJobError` if any cell failed,
+        naming every key that planned it (after every cell has run, or
+        its worker died, and ``last_summary`` has recorded the
         failures)."""
         jobs = list(sim_jobs)
         keys = [job.key for job in jobs]
         if len(set(keys)) != len(keys):
             raise ValueError("SimJob keys must be unique within a grid")
+        # A MachineConfig is unhashable (its ``fu_specs`` is a dict);
+        # equal reprs are equal machines, name included.
+        owners: dict[tuple, int] = {}
+        cells: list[SimJob] = []
+        cell_of: list[int] = []
+        for job in jobs:
+            identity = (job.trace, repr(job.machine))
+            if identity not in owners:
+                owners[identity] = len(cells)
+                cells.append(job)
+            cell_of.append(owners[identity])
         recorder = self._recorder
-        epoch = self._epoch
-        display = self._make_display(len(jobs))
+        display = self._make_display(len(cells))
         fanout_start = time.time()
         # Warm every distinct trace once, in the parent: forked workers
         # inherit the in-memory tier, spawned workers read the disk
         # tier, and tabulate() helpers get cache hits.
         with obs_spans.activate(recorder):
-            specs = dict.fromkeys(job.trace for job in jobs)
+            specs = dict.fromkeys(cell.trace for cell in cells)
             if recorder is not None:
                 recorder.begin("engine.warm", "engine",
                                traces=len(specs))
@@ -410,36 +427,37 @@ class Engine:
                 try:
                     spec.build()
                 except Exception:
-                    # Warm-up is an optimisation only; the owning job
+                    # Warm-up is an optimisation only; the owning cell
                     # will hit the same error and report it with
                     # full context (key, config, trace, seed).
                     pass
             if recorder is not None:
                 recorder.end()
-        if self.jobs <= 1 or len(jobs) <= 1:
-            outcomes = self._execute_inline(jobs, recorder, display)
+        if self.jobs <= 1 or len(cells) <= 1:
+            outcomes = self._execute_inline(cells, recorder, display)
         else:
-            outcomes = self._execute_pool(jobs, epoch, display)
+            outcomes = self._execute_pool(cells, self._epoch, display)
         elapsed = time.time() - fanout_start
         if display is not None:
             display.close()
-        sink = current_report_sink()
         results: dict[object, CoreResult] = {}
+        reports: dict[object, dict] = {}
         failures: list[dict] = []
-        for job, outcome in zip(jobs, outcomes):
+        for job, cell in zip(jobs, cell_of):
+            outcome = outcomes[cell]
             if outcome["ok"]:
                 results[job.key] = outcome["result"]
-                if sink is not None:
-                    sink.append(outcome["report"])
+                reports[job.key] = outcome["report"]
             else:
-                failures.append({**outcome["context"],
-                                 "error": f"{outcome['error']['type']}: "
-                                          f"{outcome['error']['message']}",
-                                 "traceback":
-                                     outcome["error"]["traceback"]})
-        self.last_summary = self._build_summary(jobs, outcomes,
-                                                fanout_start, elapsed,
-                                                failures)
+                error = outcome["error"]
+                failures.append({**_job_context(job),
+                                 "error": f"{error['type']}: "
+                                          f"{error['message']}",
+                                 "traceback": error["traceback"]})
+        self.last_reports = reports
+        self.last_summary = self._build_summary(len(jobs), cells,
+                                                outcomes, fanout_start,
+                                                elapsed, failures)
         if self.collect_spans:
             self._worker_events.extend(
                 outcome["spans"] for outcome in outcomes
@@ -450,35 +468,35 @@ class Engine:
             raise EngineJobError(failures)
         return results
 
-    def _execute_inline(self, jobs: list[SimJob],
+    def _execute_inline(self, cells: list[SimJob],
                         recorder: SpanRecorder | None,
                         display: ProgressDisplay | None) -> list[dict]:
         outcomes = []
         with obs_spans.activate(recorder):
-            for job in jobs:
+            for cell in cells:
                 if display is not None:
-                    display.job_started(str(job.key))
-                outcome = _run_job_outcome(job, self.metrics_interval,
+                    display.job_started(str(cell.key))
+                outcome = _run_job_outcome(cell, self.metrics_interval,
                                            recorder)
                 outcomes.append(outcome)
                 if display is None:
                     continue
                 if outcome["ok"]:
-                    display.job_finished(str(job.key), outcome["wall"],
+                    display.job_finished(str(cell.key), outcome["wall"],
                                          outcome["result"].instructions)
                 else:
-                    display.job_failed(str(job.key))
+                    display.job_failed(str(cell.key))
         return outcomes
 
-    def _execute_pool(self, jobs: list[SimJob], epoch: int | None,
+    def _execute_pool(self, cells: list[SimJob], epoch: int | None,
                       display: ProgressDisplay | None) -> list[dict]:
-        workers = min(self.jobs, len(jobs))
+        workers = min(self.jobs, len(cells))
         queue = multiprocessing.Queue() if display is not None else None
         with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker,
                 initargs=(suite.trace_cache_dir(), queue, epoch)) as pool:
-            futures = [pool.submit(_run_job, job, self.metrics_interval)
-                       for job in jobs]
+            futures = [pool.submit(_run_job, cell, self.metrics_interval)
+                       for cell in cells]
             if display is not None:
                 while True:
                     try:
@@ -495,26 +513,26 @@ class Engine:
             # execute() is deterministic whichever worker finishes
             # first.  A dead worker breaks the pool, which fails every
             # unfinished future at once.
-            outcomes = [_pool_outcome(job, future)
-                        for job, future in zip(jobs, futures)]
+            outcomes = [_pool_outcome(future) for future in futures]
         if display is not None:
-            for job, outcome in zip(jobs, outcomes):
+            for cell, outcome in zip(cells, outcomes):
                 if "pid" not in outcome:
-                    display.job_failed(str(job.key))
+                    display.job_failed(str(cell.key))
         return outcomes
 
     @staticmethod
-    def _build_summary(jobs: list[SimJob], outcomes: list[dict],
-                       fanout_start: float, elapsed: float,
-                       failures: list[dict]) -> dict:
-        """The post-run ``engine`` summary: per-worker utilisation,
-        queue wait, slowest jobs, failures.  Host-time content — the
-        manifest's ``engine`` subtree is ignored by ``repro compare``
-        by default, like ``host``."""
+    def _build_summary(planned: int, cells: list[SimJob],
+                       outcomes: list[dict], fanout_start: float,
+                       elapsed: float, failures: list[dict]) -> dict:
+        """The post-run ``engine`` summary: jobs planned and cells
+        simulated, per-worker utilisation, queue wait, slowest cells,
+        failures.  Host-time content — the manifest's ``engine``
+        subtree is ignored by ``repro compare`` by default, like
+        ``host``."""
         workers: dict[int, dict] = {}
         waits = []
         timed = []
-        for job, outcome in zip(jobs, outcomes):
+        for cell, outcome in zip(cells, outcomes):
             if "pid" not in outcome:
                 continue  # lost with its worker: nothing was timed
             worker = workers.setdefault(
@@ -525,7 +543,7 @@ class Engine:
             busy = outcome["finished"] - outcome["started"]
             worker["busy_s"] += busy
             if outcome["ok"]:
-                timed.append({"key": str(job.key),
+                timed.append({"key": str(cell.key),
                               "wall_s": outcome["wall"]})
         for worker in workers.values():
             worker["utilization"] = (worker["busy_s"] / elapsed
@@ -533,8 +551,9 @@ class Engine:
         timed.sort(key=lambda entry: -entry["wall_s"])
         return {
             "elapsed_s": elapsed,
-            "jobs": {"total": len(jobs),
-                     "ok": len(jobs) - len(failures),
+            "jobs": {"total": planned,
+                     "simulated": len(cells),
+                     "ok": planned - len(failures),
                      "failed": len(failures)},
             "workers": sorted(workers.values(),
                               key=lambda worker: worker["pid"]),
@@ -544,9 +563,3 @@ class Engine:
             "failed": [{key: value for key, value in failure.items()
                         if key != "traceback"} for failure in failures],
         }
-
-
-def execute(sim_jobs: Sequence[SimJob],
-            engine: Engine | None = None) -> dict[object, CoreResult]:
-    """Run a job list on *engine* (or a fresh default one)."""
-    return (engine if engine is not None else Engine()).execute(sim_jobs)

@@ -6,14 +6,14 @@ over the full suite plus the multiprogrammed OS mix.
 
 from __future__ import annotations
 
-from ..presets import CONFIG_NAMES
+from ..presets import CONFIG_NAMES, machine
 from ..stats.report import Table
-from .engine import Engine, SimJob, TraceSpec, execute
-from .runner import ROW_NAMES, config_machines
+from .engine import SimJob, TraceSpec
+from .runner import ROW_NAMES
 
 
 def plan(scale: str = "small") -> list[SimJob]:
-    machines = config_machines(CONFIG_NAMES)
+    machines = {name: machine(name) for name in CONFIG_NAMES}
     return [SimJob((name, config), TraceSpec.workload(name, scale),
                    machines[config])
             for name in ROW_NAMES for config in CONFIG_NAMES]
@@ -28,7 +28,3 @@ def tabulate(scale: str, results: dict) -> Table:
         table.add_row(name, *(round(results[(name, config)].ipc, 3)
                               for config in CONFIG_NAMES))
     return table
-
-
-def run(scale: str = "small", engine: Engine | None = None) -> Table:
-    return tabulate(scale, execute(plan(scale), engine))

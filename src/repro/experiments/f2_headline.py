@@ -10,10 +10,10 @@ the dual-ported references (plain ``2P`` and the conservative
 
 from __future__ import annotations
 
-from ..presets import BEST_SINGLE_PORT, DUAL_PORT, STRONG_DUAL_PORT
+from ..presets import BEST_SINGLE_PORT, DUAL_PORT, STRONG_DUAL_PORT, machine
 from ..stats.report import Table
-from .engine import Engine, SimJob, TraceSpec, execute
-from .runner import MEMORY_INTENSIVE, ROW_NAMES, config_machines, mean
+from .engine import SimJob, TraceSpec
+from .runner import MEMORY_INTENSIVE, ROW_NAMES, mean
 
 _CONFIGS = ("1P", BEST_SINGLE_PORT, DUAL_PORT, STRONG_DUAL_PORT)
 
@@ -35,7 +35,7 @@ def _row_spec(name: str, scale: str) -> TraceSpec:
 
 
 def plan(scale: str = "small") -> list[SimJob]:
-    machines = config_machines(_CONFIGS)
+    machines = {name: machine(name) for name in _CONFIGS}
     return [SimJob((name, config), _row_spec(name, scale),
                    machines[config])
             for name in ROW_NAMES + SCENARIO_ROWS
@@ -70,23 +70,3 @@ def tabulate(scale: str, results: dict) -> Table:
                    "corpus entries; 'MEAN (all)' keeps its historical "
                    "suite membership")
     return table
-
-
-def run(scale: str = "small", engine: Engine | None = None) -> Table:
-    return tabulate(scale, execute(plan(scale), engine))
-
-
-def headline_ratios(scale: str = "small",
-                    engine: Engine | None = None) -> dict[str, float]:
-    """Machine-readable headline numbers (used by tests/benches)."""
-    table = run(scale, engine)
-    return {
-        "tech_vs_2p": float(table.cell("MEAN (all)", "tech/2P")),
-        "tech_vs_2p_sc": float(table.cell("MEAN (all)", "tech/2P+SC")),
-        "single_vs_2p": float(table.cell("MEAN (all)", "1P/2P")),
-        "single_vs_2p_sc": float(table.cell("MEAN (all)", "1P/2P+SC")),
-        "tech_vs_2p_memint": float(
-            table.cell("MEAN (memory-intensive)", "tech/2P")),
-        "single_vs_2p_memint": float(
-            table.cell("MEAN (memory-intensive)", "1P/2P")),
-    }

@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..mem.config import LineBufferFill
 from ..presets import machine
 from ..stats.report import Table
-from .engine import Engine, SimJob, TraceSpec, execute
+from .engine import SimJob, TraceSpec
 from .runner import ROW_NAMES
 
 
@@ -51,7 +51,3 @@ def tabulate(scale: str, results: dict) -> Table:
     table.add_note("ipc_fill_policy: line buffer filled only by miss fills "
                    "(weaker than the 'load all' on-access policy)")
     return table
-
-
-def run(scale: str = "small", engine: Engine | None = None) -> Table:
-    return tabulate(scale, execute(plan(scale), engine))

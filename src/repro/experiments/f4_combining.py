@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..presets import machine
 from ..stats.report import Table
-from .engine import Engine, SimJob, TraceSpec, execute
+from .engine import SimJob, TraceSpec
 from .runner import ROW_NAMES
 
 _WIDTHS = (8, 16, 32)
@@ -45,7 +45,3 @@ def tabulate(scale: str, results: dict) -> Table:
     table.add_note("comb_frac = loads sharing another load's port access / "
                    "all port loads; width 8 cannot combine 8-byte loads")
     return table
-
-
-def run(scale: str = "small", engine: Engine | None = None) -> Table:
-    return tabulate(scale, execute(plan(scale), engine))

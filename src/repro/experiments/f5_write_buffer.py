@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..presets import machine
 from ..stats.report import Table
-from .engine import Engine, SimJob, TraceSpec, execute
+from .engine import SimJob, TraceSpec
 
 _DEPTHS = (0, 1, 2, 4, 8, 16)
 _WORKLOADS = ("memops", "stream", "qsort", "os-mix")
@@ -41,7 +41,3 @@ def tabulate(scale: str, results: dict) -> Table:
     table.add_note("depth 0: no write buffer — stores claim a port at "
                    "commit and stall it when none is free")
     return table
-
-
-def run(scale: str = "small", engine: Engine | None = None) -> Table:
-    return tabulate(scale, execute(plan(scale), engine))

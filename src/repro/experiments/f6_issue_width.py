@@ -8,10 +8,10 @@ relative performance at each width.
 
 from __future__ import annotations
 
-from ..presets import BEST_SINGLE_PORT, DUAL_PORT
+from ..presets import BEST_SINGLE_PORT, DUAL_PORT, machine
 from ..stats.report import Table
-from .engine import Engine, SimJob, TraceSpec, execute
-from .runner import MEMORY_INTENSIVE, config_machines, mean
+from .engine import SimJob, TraceSpec
+from .runner import MEMORY_INTENSIVE, mean
 
 _WIDTHS = (2, 4, 8)
 _CONFIGS = ("1P", BEST_SINGLE_PORT, DUAL_PORT)
@@ -20,7 +20,7 @@ _CONFIGS = ("1P", BEST_SINGLE_PORT, DUAL_PORT)
 def plan(scale: str = "small") -> list[SimJob]:
     jobs = []
     for width in _WIDTHS:
-        machines = config_machines(_CONFIGS, issue_width=width)
+        machines = {name: machine(name, width) for name in _CONFIGS}
         jobs += [SimJob((width, name, config),
                         TraceSpec.workload(name, scale), machines[config])
                  for name in MEMORY_INTENSIVE for config in _CONFIGS]
@@ -48,7 +48,3 @@ def tabulate(scale: str, results: dict) -> Table:
         )
     table.add_note(f"rows are means over {MEMORY_INTENSIVE}")
     return table
-
-
-def run(scale: str = "small", engine: Engine | None = None) -> Table:
-    return tabulate(scale, execute(plan(scale), engine))

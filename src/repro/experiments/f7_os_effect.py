@@ -13,10 +13,9 @@ port-technique benefit.
 
 from __future__ import annotations
 
-from ..presets import BEST_SINGLE_PORT, DUAL_PORT
+from ..presets import BEST_SINGLE_PORT, DUAL_PORT, machine
 from ..stats.report import Table
-from .engine import Engine, SimJob, TraceSpec, execute
-from .runner import config_machines
+from .engine import SimJob, TraceSpec
 
 _CONFIGS = ("1P", BEST_SINGLE_PORT, DUAL_PORT)
 _VIEWS = (("with-kernel", False), ("user-only", True))
@@ -38,7 +37,7 @@ def _spec(stream: str, scale: str, user_only: bool) -> TraceSpec:
 
 
 def plan(scale: str = "small") -> list[SimJob]:
-    machines = config_machines(_CONFIGS)
+    machines = {name: machine(name) for name in _CONFIGS}
     return [SimJob((stream, label, config),
                    _spec(stream, scale, user_only), machines[config])
             for stream in STREAMS
@@ -89,7 +88,3 @@ def tabulate(scale: str, results: dict) -> Table:
                    "stream; iostorm/syspipe are scenario-corpus "
                    "entries (interrupt-heavy / syscall-dense)")
     return table
-
-
-def run(scale: str = "small", engine: Engine | None = None) -> Table:
-    return tabulate(scale, execute(plan(scale), engine))

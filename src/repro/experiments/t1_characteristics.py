@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..presets import DUAL_PORT, machine
 from ..stats.report import Table
 from ..workloads.suite import trace_summary
-from .engine import Engine, SimJob, TraceSpec, execute
+from .engine import SimJob, TraceSpec
 from .runner import ROW_NAMES, suite_traces
 
 
@@ -50,7 +50,3 @@ def tabulate(scale: str, results: dict) -> Table:
     table.add_note("bpred_acc and dmiss_rate measured on the dual-ported "
                    "reference (2P)")
     return table
-
-
-def run(scale: str = "small", engine: Engine | None = None) -> Table:
-    return tabulate(scale, execute(plan(scale), engine))

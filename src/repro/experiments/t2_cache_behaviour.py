@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..presets import CONFIG_NAMES, machine
 from ..stats.counters import Stats
 from ..stats.report import Table
-from .engine import Engine, SimJob, TraceSpec, execute
+from .engine import SimJob, TraceSpec
 from .runner import ROW_NAMES
 
 
@@ -54,7 +54,3 @@ def tabulate(scale: str, results: dict) -> Table:
         )
     table.add_note("aggregated over the full suite incl. the OS mix")
     return table
-
-
-def run(scale: str = "small", engine: Engine | None = None) -> Table:
-    return tabulate(scale, execute(plan(scale), engine))

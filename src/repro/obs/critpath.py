@@ -58,7 +58,7 @@ from ..trace.io import F_LOAD, F_STORE, OPCLASSES, Trace
 from .probe import (BLK_BANK, BLK_MSHR, BLK_NO_PORT, BLK_ORDER,
                     BLK_SQ_WAIT, BLK_WB_CONFLICT, SRC_HIT, SRC_LB,
                     SRC_MISS, SRC_SECONDARY, SRC_SQ, SRC_WB)
-from .report import (NUMBER, Check, MapOf, envelope, envelope_spec,
+from .report import (COUNT, NUMBER, Check, MapOf, envelope, envelope_spec,
                      validate)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -921,22 +921,41 @@ def build_critpath_report(recorder: CritPathRecorder,
 
 
 def _reconciles(report: dict) -> Iterable[str]:
-    total = sum(report["stack"].values())
-    if total != report["cycles"]:
+    """Rule: the stack sums to the run's cycles, and every share and
+    prediction is the one its counts give (as :meth:`as_dict` and
+    :meth:`whatif_results` compute them)."""
+    stack, cycles = report["stack"], report["cycles"]
+    total = sum(stack.values())
+    if total != cycles:
         yield (f"stack classes sum to {total} cycles, run took "
-               f"{report['cycles']} — the stack must reconcile exactly")
+               f"{cycles} — the stack must reconcile exactly")
+    shares = report["stack_share"]
+    if set(shares) != set(stack):
+        yield "stack_share and stack name different classes"
+    else:
+        for cls, charged in stack.items():
+            if shares[cls] != charged / (cycles or 1):
+                yield (f"stack_share[{cls}] is {shares[cls]}, the stack "
+                       f"gives {charged / (cycles or 1)}")
+    for index, entry in enumerate(report["whatif"]):
+        predicted = entry["predicted_cycles"]
+        for field, value in (("predicted_ipc", report["instructions"]),
+                             ("speedup", cycles)):
+            expected = value / predicted if predicted else 0.0
+            if entry[field] != expected:
+                yield (f"whatif[{index}].{field} is {entry[field]}, its "
+                       f"counts give {expected}")
 
 
 _EDGE_CLASS = Check(_EDGE_CLASS_SET.__contains__, "an edge class")
 
 CRITPATH_SPEC = envelope_spec(CRITPATH_SCHEMA, {
     "cycles": int,
-    "instructions": int,
+    "instructions": COUNT,
     "window": int,
     "windows": int,
-    "stack": MapOf(Check(lambda v: isinstance(v, int) and v >= 0,
-                         "a non-negative integer"), keys=_EDGE_CLASS),
-    "stack_share": dict,
+    "stack": MapOf(COUNT, keys=_EDGE_CLASS),
+    "stack_share": MapOf(NUMBER, keys=_EDGE_CLASS),
     "top_instructions": [{"pc": int, "kind": str, "cycles": int,
                           "events": int, "share": NUMBER}],
     "whatif": [{

@@ -152,6 +152,12 @@ class _Row:
         self.lines_full = False
 
 
+#: The counters :meth:`HotspotRecorder.split` sums over each side's
+#: rows, in manifest order.
+_SPLIT_FIELDS = ("executions", "stall_total", "port_conflict_slots",
+                 "port_uses", "rows")
+
+
 class HotspotRecorder:
     """Streams per-PC execution/memory/stall attribution.
 
@@ -401,12 +407,8 @@ class HotspotRecorder:
     def split(self) -> dict[str, dict[str, int]]:
         """Kernel-vs-user aggregate (sums over the matching rows)."""
         self._require_finalized()
-        out = {"kernel": {"executions": 0, "stall_total": 0,
-                          "port_conflict_slots": 0, "port_uses": 0,
-                          "rows": 0},
-               "user": {"executions": 0, "stall_total": 0,
-                        "port_conflict_slots": 0, "port_uses": 0,
-                        "rows": 0}}
+        out = {side: dict.fromkeys(_SPLIT_FIELDS, 0)
+               for side in ("kernel", "user")}
         for row in self._rows.values():
             side = out["kernel" if row.kernel else "user"]
             side["rows"] += 1
@@ -554,17 +556,34 @@ def _conserved(report: dict) -> Iterable[str]:
                f"{port_uses}")
 
 
-def _split_conserved(report: dict) -> Iterable[str]:
-    split = report["split"]
-    executions = sum(split[side].get("executions", 0)
-                     for side in ("kernel", "user"))
-    if executions != report["instructions"]:
-        yield (f"split kernel+user executions sum to {executions}, run "
-               f"committed {report['instructions']}")
+def _rows_add_up(report: dict) -> Iterable[str]:
+    """Rule: a row's ``stall_total`` is the sum of its ``stall`` map,
+    and each side of ``split`` sums that side's rows (as
+    :meth:`HotspotRecorder.split` builds it)."""
+    sums = {side: dict.fromkeys(_SPLIT_FIELDS, 0)
+            for side in ("kernel", "user")}
+    for index, row in enumerate(report["rows"]):
+        stalls = sum(row["stall"].values())
+        if row["stall_total"] != stalls:
+            yield (f"rows[{index}].stall_total is {row['stall_total']}, "
+                   f"its stall map sums to {stalls}")
+        side = sums["kernel" if row["kernel"] else "user"]
+        side["rows"] += 1
+        side["executions"] += row["executions"]
+        side["stall_total"] += stalls
+        side["port_conflict_slots"] += row["stall"].get("dcache_port", 0)
+        side["port_uses"] += row["dcache"].get("port_uses", 0)
+    for side, expected in sums.items():
+        for field, total in expected.items():
+            if report["split"][side][field] != total:
+                yield (f"split.{side}.{field} is "
+                       f"{report['split'][side][field]}, its rows sum to "
+                       f"{total}")
 
 
 _COUNTS = MapOf(int)
 _STALLS = MapOf(int, keys=Check(_CAUSE_SET.__contains__, "a stall cause"))
+_SIDE = {field: int for field in _SPLIT_FIELDS}
 
 HOTSPOTS_SPEC = envelope_spec(HOTSPOTS_SCHEMA, {
     "cycles": int,
@@ -585,10 +604,10 @@ HOTSPOTS_SPEC = envelope_spec(HOTSPOTS_SCHEMA, {
     "unattributed": {**{name: Opt(int, null=False)
                         for name in DCACHE_COUNTERS},
                      "ports": Opt([int])},
-    "split": {"kernel": _COUNTS, "user": _COUNTS},
+    "split": {"kernel": _SIDE, "user": _SIDE},
     "global": {"stall": Opt(_COUNTS), "lsq": Opt(_COUNTS),
                "dcache": Opt(_COUNTS)},
-}, _conserved, _split_conserved)
+}, _conserved, _rows_add_up)
 
 
 def validate_hotspots_report(report: dict) -> None:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .codeversion import code_version
+from .stall import CAUSE_ORDER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..core.config import MachineConfig
@@ -223,6 +224,11 @@ class Rules:
         self.rules = rules
 
 
+#: A count: a non-negative integer.
+COUNT = Check(lambda v: isinstance(v, int) and v >= 0,
+              "a non-negative integer")
+
+
 def const(value: object) -> Check:
     """A field that must equal *value* (a schema tag)."""
     return Check(lambda seen: seen == value, repr(value))
@@ -328,6 +334,11 @@ def envelope_spec(schema: str, fields: dict[str, object],
     }, _one_identity, *rules)
 
 
+#: The stall causes a ledger charges, in report order.
+_CAUSES = tuple(cause.value for cause in CAUSE_ORDER)
+_CAUSE = Check(frozenset(_CAUSES).__contains__, "a stall cause")
+
+
 def used_without_reason(used: str, reason: str
                         ) -> Callable[[dict], Iterable[str]]:
     """Rule: a fast-path verdict whose *used* flag is true carries no
@@ -339,8 +350,24 @@ def used_without_reason(used: str, reason: str
 
 
 def _conservative(stalls: dict) -> Iterable[str]:
+    """Rule: the ledger's totals agree with each other and with its
+    per-cause entries, and every cause's timeline sums to its total."""
     if stalls["committed"] + stalls["total_lost"] != stalls["total_slots"]:
         yield "ledger is not conservative"
+    if stalls["total_slots"] != stalls["width"] * stalls["cycles"]:
+        yield (f"total_slots {stalls['total_slots']} is not width x "
+               f"cycles ({stalls['width']} x {stalls['cycles']})")
+    lost = stalls["lost"]
+    missing = [cause for cause in _CAUSES if cause not in lost]
+    if missing:
+        yield f"lost lacks the causes {missing}"
+    elif sum(lost.values()) != stalls["total_lost"]:
+        yield (f"lost slots sum to {sum(lost.values())}, total_lost is "
+               f"{stalls['total_lost']}")
+    for cause, series in stalls["timeline"].items():
+        if sum(series.values()) != lost.get(cause, 0):
+            yield (f"timeline[{cause}] sums to {sum(series.values())}, "
+                   f"lost[{cause}] is {lost.get(cause, 0)}")
 
 
 def _series_lengths(metrics: dict) -> Iterable[str]:
@@ -349,6 +376,13 @@ def _series_lengths(metrics: dict) -> Iterable[str]:
         if len(metrics[key]) != count:
             yield f"{key} has {len(metrics[key])} entries for {count} " \
                   f"intervals"
+
+
+def _stall_cycles(report: dict) -> Iterable[str]:
+    stalls = report.get("stalls")
+    if stalls is not None and stalls["cycles"] != report["cycles"]:
+        yield (f"stalls.cycles is {stalls['cycles']}, the run took "
+               f"{report['cycles']}")
 
 
 def _metrics_sums(report: dict) -> Iterable[str]:
@@ -371,7 +405,9 @@ RUN_SPEC = envelope_spec(RUN_SCHEMA, {
                           used_without_reason("used", "rejected_reason"))),
     "stalls": Opt(Rules({"width": int, "cycles": int, "committed": int,
                          "total_slots": int, "total_lost": int,
-                         "lost": dict, "timeline": dict}, _conservative)),
+                         "lost": MapOf(COUNT, keys=_CAUSE),
+                         "timeline": MapOf(MapOf(int), keys=_CAUSE)},
+                        _conservative)),
     "metrics": Opt(Rules({
         "interval": int, "ports": int, "n_intervals": int,
         "start_cycle": list, "cycles": [NUMBER], "committed": [NUMBER],
@@ -381,7 +417,7 @@ RUN_SPEC = envelope_spec(RUN_SCHEMA, {
     "digests": Opt({"registers": str, "memory": str}),
     "validation": Opt({"violations": [{"cycle": int, "check": str,
                                        "detail": str}]}),
-}, _metrics_sums)
+}, _stall_cycles, _metrics_sums)
 
 EXPERIMENT_SPEC = {
     **head_spec(EXPERIMENT_SCHEMA),

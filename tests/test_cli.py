@@ -142,6 +142,25 @@ class TestSimulate:
         with pytest.raises(SystemExit, match="trace-file"):
             main(["simulate", "--trace-file", trace_path, "--seed", "3"])
 
+    @pytest.mark.parametrize("argv, scales", [
+        (["simulate", "--workload", "stream", "--scale", "medium"],
+         "tiny, small, full"),
+        (["critpath", "--workload", "iostorm", "--scale", "full"],
+         "tiny, small, medium"),
+        (["simulate", "--workload", "synthetic", "--scale", "medium"],
+         "tiny, small, full"),
+        (["simulate", "--workload", "os-mix", "--scale", "medium"],
+         "tiny, small, full"),
+    ], ids=["assembly", "scenario", "synthetic", "os-mix"])
+    def test_scale_the_workload_lacks_exits_with_one_line(self, argv,
+                                                          scales):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        workload, scale = argv[2], argv[4]
+        assert excinfo.value.code == (f"workload {workload!r} has no "
+                                      f"scale {scale!r}; choose from "
+                                      f"{scales}")
+
 
 class TestSimulateJson:
     def test_round_trips_and_has_required_fields(self, capsys):
@@ -766,6 +785,26 @@ class TestExperimentJson:
             assert sum(run["metrics"]["cycles"]) == run["cycles"]
         from repro.obs import validate_experiment_manifest
         validate_experiment_manifest(manifest)
+
+    def test_all_shares_one_pass(self, tmp_path, monkeypatch, capsys):
+        # A two-experiment evaluation: T1's ten cells on 2P and D1's
+        # sixteen share the four memory-intensive 2P cells.
+        import json
+
+        from repro import experiments
+        from repro.obs import validate_experiment_manifest
+        monkeypatch.setattr(experiments, "ALL_EXPERIMENTS", {
+            "T1": experiments.t1_characteristics,
+            "D1": experiments.d1_load_latency})
+        out = tmp_path / "results"
+        assert main(["experiment", "all", "--scale", "tiny", "--json",
+                     "--output", str(out)]) == 0
+        for exp_id, runs in (("t1", 10), ("d1", 16)):
+            manifest = json.loads((out / f"{exp_id}_tiny.json").read_text())
+            validate_experiment_manifest(manifest)
+            assert len(manifest["runs"]) == runs
+            assert manifest["engine"]["summary"]["jobs"] == \
+                {"total": 26, "simulated": 22, "ok": 26, "failed": 0}
 
     def test_manifest_records_engine_settings(self, tmp_path, capsys):
         import json

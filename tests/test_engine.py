@@ -1,10 +1,10 @@
 """Tests for the parallel experiment engine and the trace cache.
 
 The contract under test: a grid executed with ``jobs=N`` produces the
-same result dict, the same rendered table, and the same captured run
-reports (modulo host wall-time fields) as the serial path, and the
-persistent trace cache turns repeat grid runs into zero functional
-simulations.
+same result dict, the same rendered table, and the same run reports
+(modulo host wall-time fields) as the serial path; jobs that plan one
+trace on one machine are simulated once; and the persistent trace
+cache turns repeat grid runs into zero functional simulations.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ import pytest
 import repro
 from repro.experiments import engine as engine_module
 from repro.experiments import f2_headline, run_all
-from repro.experiments.engine import Engine, SimJob, TraceSpec, execute
-from repro.experiments.runner import capture_reports, mean, run_configs
-from repro.presets import DUAL_PORT, STRONG_DUAL_PORT, machine
+from repro.experiments.engine import Engine, EngineJobError, SimJob, TraceSpec
+from repro.experiments.runner import mean
+from repro.presets import machine
 from repro.trace import SyntheticConfig, load_trace
 from repro.trace import io as trace_io
 from repro.workloads import (build_trace, clear_trace_cache,
@@ -82,24 +82,32 @@ class TestTraceSpec:
             TraceSpec("nonsense").build()
 
 
-class TestEngineDeterminism:
-    def test_parallel_f2_table_and_reports_match_serial(self):
-        grid = f2_headline.plan("tiny")
-        with capture_reports() as serial_runs:
-            serial = f2_headline.tabulate(
-                "tiny", execute(grid, Engine(jobs=1)))
-        with capture_reports() as parallel_runs:
-            parallel = f2_headline.tabulate(
-                "tiny", execute(grid, Engine(jobs=4)))
-        assert serial.render() == parallel.render()
-        assert len(parallel_runs) == len(grid)
-        assert [_strip_host(r) for r in serial_runs] == \
-            [_strip_host(r) for r in parallel_runs]
+@pytest.fixture(scope="module")
+def f2_runs():
+    """F2's tiny grid run serially and on four workers:
+    ``{jobs: (engine, results)}``."""
+    runs = {}
+    for jobs in (1, 4):
+        engine = Engine(jobs=jobs)
+        runs[jobs] = engine, engine.execute(f2_headline.plan("tiny"))
+    return runs
 
-    def test_result_keys_preserve_job_order(self):
-        jobs = f2_headline.plan("tiny")
-        results = execute(jobs, Engine(jobs=4))
-        assert list(results) == [job.key for job in jobs]
+
+class TestEngineDeterminism:
+    def test_parallel_f2_table_and_reports_match_serial(self, f2_runs):
+        (serial, serial_results), (parallel, results) = f2_runs[1], \
+            f2_runs[4]
+        assert f2_headline.tabulate("tiny", serial_results).render() == \
+            f2_headline.tabulate("tiny", results).render()
+        assert len(parallel.last_reports) == len(results)
+        assert [_strip_host(r) for r in serial.last_reports.values()] == \
+            [_strip_host(r) for r in parallel.last_reports.values()]
+
+    def test_result_keys_preserve_job_order(self, f2_runs):
+        engine, results = f2_runs[4]
+        keys = [job.key for job in f2_headline.plan("tiny")]
+        assert list(results) == keys
+        assert list(engine.last_reports) == keys
 
     def test_duplicate_keys_rejected(self):
         job = SimJob("same", TraceSpec.workload("stream", "tiny"),
@@ -117,11 +125,67 @@ class TestEngineDeterminism:
         monkeypatch.setenv("REPRO_JOBS", "junk")
         assert Engine().jobs == 1
 
-    def test_run_all_accepts_engine(self):
-        import inspect
-        assert "engine" in inspect.signature(run_all).parameters
-        table = f2_headline.run("tiny", engine=Engine(jobs=2))
-        assert table.render() == f2_headline.run("tiny").render()
+    def test_run_all_accepts_engine(self, f2_runs):
+        _, results = f2_runs[1]
+        engine = Engine(jobs=2)
+        tables = run_all("tiny", engine=engine, ids=["F2"])
+        assert list(tables) == ["F2"]
+        assert tables["F2"].render() == \
+            f2_headline.tabulate("tiny", results).render()
+        assert list(engine.last_reports) == \
+            [("F2", job.key) for job in f2_headline.plan("tiny")]
+
+
+class TestSharedCells:
+    """Jobs that plan one trace on one machine are one simulation."""
+
+    @staticmethod
+    def _twins():
+        spec = TraceSpec.workload("stream", "tiny")
+        return [SimJob("first", spec, machine("1P")),
+                SimJob(("second", 2), spec, machine("1P"))]
+
+    def test_one_cell_serves_every_key(self):
+        import io
+        stream = io.StringIO()
+        engine = Engine(jobs=2, progress=stream)
+        results = engine.execute(self._twins())
+        assert list(results) == ["first", ("second", 2)]
+        assert engine.last_summary["jobs"] == \
+            {"total": 2, "simulated": 1, "ok": 2, "failed": 0}
+        assert results["first"] is results[("second", 2)]
+        assert list(engine.last_reports) == ["first", ("second", 2)]
+        assert engine.last_reports["first"] == \
+            engine.last_reports[("second", 2)]
+        assert sum(worker["jobs"]
+                   for worker in engine.last_summary["workers"]) == 1
+        assert "jobs 1/1" in stream.getvalue()
+
+    def test_machines_differing_only_by_name_are_two_cells(self):
+        from dataclasses import replace
+        first, second = self._twins()
+        second = replace(second, machine=replace(second.machine,
+                                                 name="renamed"))
+        engine = Engine(jobs=1)
+        engine.execute([first, second])
+        assert engine.last_summary["jobs"]["simulated"] == 2
+        assert engine.last_reports[second.key]["config"]["name"] == \
+            "renamed"
+
+    def test_failing_cell_fails_every_key_that_planned_it(self):
+        broken = TraceSpec("nonsense")
+        jobs = [SimJob("a", broken, machine("1P")),
+                SimJob("b", broken, machine("1P")),
+                SimJob("ok", TraceSpec.workload("stream", "tiny"),
+                       machine("1P"))]
+        engine = Engine(jobs=1)
+        with pytest.raises(EngineJobError) as excinfo:
+            engine.execute(jobs)
+        assert [failure["key"] for failure in excinfo.value.failures] == \
+            ["a", "b"]
+        assert engine.last_summary["jobs"] == \
+            {"total": 3, "simulated": 2, "ok": 1, "failed": 2}
+        assert list(engine.last_reports) == ["ok"]
 
 
 class TestTraceCache:
@@ -260,10 +324,10 @@ class TestTraceCache:
 
     def test_warm_grid_performs_no_builds(self, cache_dir):
         grid = f2_headline.plan("tiny")
-        execute(grid, Engine(jobs=1))
+        Engine(jobs=1).execute(grid)
         clear_trace_cache()  # fresh process simulation: disk tier only
         before = trace_cache_stats()
-        execute(grid, Engine(jobs=2))
+        Engine(jobs=2).execute(grid)
         after = trace_cache_stats()
         assert after["builds"] == before["builds"], \
             "warm-cache rerun repeated a functional simulation"
@@ -274,23 +338,6 @@ class TestRunnerRegressions:
         with pytest.raises(ValueError, match="empty"):
             mean([])
         assert mean([2.0, 4.0]) == 3.0
-
-    def test_reference_configs_ignore_sweep_overrides(self, stream_trace):
-        plain = run_configs(stream_trace, ("1P", DUAL_PORT,
-                                           STRONG_DUAL_PORT))
-        swept = run_configs(stream_trace, ("1P", DUAL_PORT,
-                                           STRONG_DUAL_PORT),
-                            dcache_overrides={"write_buffer_depth": 0})
-        for reference in (DUAL_PORT, STRONG_DUAL_PORT):
-            assert swept[reference].cycles == plain[reference].cycles, \
-                f"{reference} must not absorb sweep overrides"
-        assert swept["1P"].cycles != plain["1P"].cycles
-
-    def test_explicit_override_scope_is_validated(self, stream_trace):
-        with pytest.raises(ValueError, match="override_scope"):
-            run_configs(stream_trace, ("1P",),
-                        dcache_overrides={"write_buffer_depth": 4},
-                        override_scope=("2P",))
 
 
 class TestFleetObservability:
@@ -327,13 +374,12 @@ class TestFleetObservability:
 
     def test_spanned_jobs_take_the_fast_loop(self, monkeypatch):
         from repro.core import pipeline
-        from repro.experiments.runner import capture_reports
         from repro.obs.spans import chrome_trace, parse_chrome_trace
         monkeypatch.setattr(pipeline, "_ENV_VALIDATE", False)
         engine = Engine(jobs=1, collect_spans=True)
-        with capture_reports() as reports:
-            results = engine.execute(self._two_jobs())
-        assert [report["fastpath"] for report in reports] == \
+        results = engine.execute(self._two_jobs())
+        assert [report["fastpath"]
+                for report in engine.last_reports.values()] == \
             [{"used": True, "rejected_reason": None}] * 2
         tracks = parse_chrome_trace(chrome_trace(engine.span_events))
         jobs = [root for roots in tracks.values() for root in roots
@@ -364,7 +410,8 @@ class TestFleetObservability:
         engine = Engine(jobs=2)
         engine.execute(self._two_jobs())
         summary = engine.last_summary
-        assert summary["jobs"] == {"total": 2, "ok": 2, "failed": 0}
+        assert summary["jobs"] == \
+            {"total": 2, "simulated": 2, "ok": 2, "failed": 0}
         assert sum(worker["jobs"] for worker in summary["workers"]) == 2
         for worker in summary["workers"]:
             assert 0.0 <= worker["utilization"] <= 1.0
@@ -374,8 +421,6 @@ class TestFleetObservability:
             and summary["failed"] == []
 
     def test_worker_failure_carries_job_context(self):
-        from repro.experiments.engine import EngineJobError
-        from repro.trace import SyntheticConfig
         jobs = self._two_jobs()
         # A config that passes construction but yields an empty trace,
         # so the failure happens inside the worker's simulation.
@@ -397,12 +442,11 @@ class TestFleetObservability:
         assert failure["traceback"]
         # The two healthy jobs still ran and the summary recorded all 3.
         assert engine.last_summary["jobs"] == \
-            {"total": 3, "ok": 2, "failed": 1}
+            {"total": 3, "simulated": 3, "ok": 2, "failed": 1}
         assert engine.last_summary["failed"][0]["key"] == "broken"
         assert "traceback" not in engine.last_summary["failed"][0]
 
     def test_inline_failure_matches_parallel_contract(self):
-        from repro.experiments.engine import EngineJobError
         engine = Engine(jobs=1)
         with pytest.raises(EngineJobError):
             engine.execute([SimJob("bad", TraceSpec("nonsense"),

@@ -1,19 +1,27 @@
 """Integration tests: every experiment regenerates at tiny scale and its
 table satisfies basic sanity/shape properties."""
 
+import inspect
+
 import pytest
 
-from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments import ALL_EXPERIMENTS, d1_load_latency, run_all
+from repro.experiments.engine import Engine
 from repro.experiments.runner import ROW_NAMES
 from repro.presets import CONFIG_NAMES
 
 
 @pytest.fixture(scope="module")
-def tables():
-    # Run every experiment once at tiny scale; individual tests assert
-    # on the shared results (the runs are the expensive part).
-    return {exp_id: runner("tiny") for exp_id, runner
-            in ALL_EXPERIMENTS.items()}
+def engine():
+    return Engine(jobs=1)
+
+
+@pytest.fixture(scope="module")
+def tables(engine):
+    # Run the whole evaluation once at tiny scale, in one shared pass;
+    # individual tests assert on the shared results (the runs are the
+    # expensive part).
+    return run_all("tiny", engine=engine)
 
 
 class TestHarness:
@@ -22,11 +30,35 @@ class TestHarness:
             "T1", "F1", "F2", "F3", "F4", "F5", "F6", "T2", "F7",
             "A1", "A2", "A3", "A4", "A5", "A6", "B1", "D1"}
 
+    def test_modules_define_only_plan_and_tabulate(self):
+        for exp_id, module in ALL_EXPERIMENTS.items():
+            defined = {name for name, value in vars(module).items()
+                       if inspect.isfunction(value)
+                       and value.__module__ == module.__name__
+                       and not name.startswith("_")}
+            assert defined == {"plan", "tabulate"}, exp_id
+
     def test_every_table_renders(self, tables):
+        assert list(tables) == list(ALL_EXPERIMENTS)
         for exp_id, table in tables.items():
             text = table.render()
             assert text.strip(), exp_id
             assert table.rows, exp_id
+
+    def test_shared_pass_simulates_each_cell_once(self, tables, engine):
+        # 502 jobs planned over the 17 grids, 267 distinct cells.
+        assert engine.last_summary["jobs"] == \
+            {"total": 502, "simulated": 267, "ok": 502, "failed": 0}
+        planned = [(exp_id, job.key) for exp_id, module
+                   in ALL_EXPERIMENTS.items() for job in module.plan("tiny")]
+        assert list(engine.last_reports) == planned
+
+    def test_shared_table_matches_a_standalone_grid(self, tables):
+        # Every D1 cell is simulated for an earlier experiment's job in
+        # the shared pass; its table must not depend on which job ran it.
+        alone = Engine(jobs=1).execute(d1_load_latency.plan("tiny"))
+        assert tables["D1"].render() == \
+            d1_load_latency.tabulate("tiny", alone).render()
 
 
 class TestT1(object):

@@ -15,7 +15,6 @@ is slow-with-validator-off vs fast).
 
 from __future__ import annotations
 
-import sys
 from collections import OrderedDict
 from dataclasses import replace
 
@@ -51,8 +50,8 @@ def _planned_machines() -> list:
     by the first experiment that plans it."""
     seen: set[str] = set()
     params = []
-    for exp_id, run in ALL_EXPERIMENTS.items():
-        for job in sys.modules[run.__module__].plan("tiny"):
+    for exp_id, module in ALL_EXPERIMENTS.items():
+        for job in module.plan("tiny"):
             key = repr(job.machine)
             if key not in seen:
                 seen.add(key)

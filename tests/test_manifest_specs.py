@@ -16,7 +16,6 @@ import pytest
 from repro.bench.compare import BENCH_SPEC
 from repro.core import OoOCore
 from repro.experiments.engine import Engine, SimJob, TraceSpec
-from repro.experiments.runner import capture_reports
 from repro.obs import (WHATIF_PORT, CritPathRecorder, HotspotRecorder,
                        SchemaError, build_critpath_report,
                        build_experiment_manifest, build_hotspots_report,
@@ -58,9 +57,9 @@ def documents():
                                Violation(3, "rob.order", "swept")])
     run["digests"] = {"registers": "ab", "memory": "cd"}
     engine = Engine(jobs=1)
-    with capture_reports() as runs:
-        engine.execute([SimJob(name, TraceSpec.workload("stream", "tiny"),
-                               machine(name)) for name in ("1P", "2P")])
+    engine.execute([SimJob(name, TraceSpec.workload("stream", "tiny"),
+                           machine(name)) for name in ("1P", "2P")])
+    runs = list(engine.last_reports.values())
     table = Table(title="T", columns=["config"])
     table.add_row("1P")
     experiment = build_experiment_manifest(
@@ -165,6 +164,43 @@ def test_every_mutation_validates_or_raises_schema_error(documents, name):
             accepted = _verdict(_mutated(document, path, new), spec)
             if (new is not None or required) and _mistyped(field, new):
                 assert not accepted, f"{where} = {new!r} was accepted"
+
+
+def _at(document, path):
+    for step in path:
+        document = document[step]
+    return document
+
+
+#: Single-field edits that keep every field well typed but make a
+#: document contradict its own counts; each must be rejected.
+CONTRADICTIONS = [
+    ("run", ("stalls", "lost", "branch"), 7),
+    ("run", ("stalls", "lost", "dcache_port"), -1),
+    ("run", ("stalls", "cycles"), -1),
+    ("run", ("stalls", "width"), 7),
+    ("run", ("stalls", "total_slots"), 0),
+    ("run", ("stalls", "timeline", "exec", "0"), 1),
+    ("critpath", ("stack_share", "dcache_port"), 7),
+    ("critpath", ("instructions",), -1),
+    ("critpath", ("whatif", 0, "speedup"), -1),
+    ("critpath", ("whatif", 0, "predicted_ipc"), -1),
+    ("hotspots", ("rows", 0, "stall_total"), 7),
+    ("hotspots", ("split", "user", "port_uses"), -1),
+    ("hotspots", ("split", "user", "stall_total"), 7),
+    ("hotspots", ("split", "user", "port_conflict_slots"), 7),
+    ("hotspots", ("split", "kernel", "rows"), 1),
+    ("hotspots", ("split", "kernel", "executions"), 1),
+]
+
+
+@pytest.mark.parametrize("name, path, value", CONTRADICTIONS,
+                         ids=lambda part: ".".join(map(str, part))
+                         if isinstance(part, tuple) else None)
+def test_contradicting_counts_are_rejected(documents, name, path, value):
+    document, spec = documents[name]
+    assert _at(document, path[:-1]).get(path[-1]) != value
+    assert not _verdict(_mutated(document, path, value), spec)
 
 
 def test_rules_wait_for_well_typed_fields(documents):
