@@ -67,6 +67,11 @@ from .workloads import (SUITE_NAMES, WORKLOADS, build_os_mix_trace,
                         build_scenario_trace, build_trace)
 from .workloads.suite import OS_MIX_TIMER
 
+#: The ``--scale`` choices of the commands that build one workload
+#: trace (``trace``, ``simulate``, ``critpath``, ``hotspots``): a suite
+#: workload has tiny/small/full, a scenario tiny/small/medium.
+_WORKLOAD_SCALES = ("tiny", "small", "medium", "full")
+
 #: Synthetic-stream length per scale (mirrors the workload suite's
 #: tiny/small/full instruction budgets).
 _SYNTHETIC_INSTRUCTIONS = {"tiny": 4_000, "small": 20_000, "full": 100_000}
@@ -839,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("workload")
     trace.add_argument("output")
     trace.add_argument("--scale", default="small",
-                       choices=("tiny", "small", "medium", "full"))
+                       choices=_WORKLOAD_SCALES)
     trace.add_argument("--seed", type=int,
                        help="generator seed (synthetic or scenario "
                             "workloads only)")
@@ -850,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="suite workload, 'os-mix', a scenario, "
                                "or 'synthetic'")
     simulate.add_argument("--scale", default="small",
-                          choices=("tiny", "small", "medium", "full"))
+                          choices=_WORKLOAD_SCALES)
     simulate.add_argument("--trace-file",
                           help="simulate a saved .npz trace instead")
     simulate.add_argument("--config", default="1P",
@@ -915,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="suite workload, 'os-mix', a scenario "
                                "(default seed), or 'synthetic'")
     critpath.add_argument("--scale", default="small",
-                          choices=("tiny", "small", "full"))
+                          choices=_WORKLOAD_SCALES)
     critpath.add_argument("--trace-file",
                           help="analyse a saved .npz trace instead")
     critpath.add_argument("--config", default="1P",
@@ -946,7 +951,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="suite workload, 'os-mix', a scenario, "
                                "or 'synthetic'")
     hotspots.add_argument("--scale", default="small",
-                          choices=("tiny", "small", "medium", "full"))
+                          choices=_WORKLOAD_SCALES)
     hotspots.add_argument("--seed", type=int,
                           help="generator seed (synthetic or scenario "
                                "workloads only)")

@@ -75,7 +75,6 @@ class CoreConfig:
     iq_size: int = 32
     lq_size: int = 16
     sq_size: int = 16
-    decode_latency: int = 1       # fetch -> dispatch-visible delay
     fetch_queue_size: int = 16
     lb_latency: int = 1           # line-buffer load-to-use latency
     max_combine: int = 4          # loads merged into one wide-port access

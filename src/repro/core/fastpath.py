@@ -16,19 +16,20 @@ module is a flattened re-statement of the same machine:
   instruction is fetched, dispatched and committed once, in trace
   order: the ROB is the position range ``[commit_pos, dispatch_pos)``
   and the fetch queue ``[dispatch_pos, trace_pos)``.  Each mutable
-  field (fetch and complete cycle, operand and store-data waits,
-  address cycle, memory source, LSQ block code, consumers) is a list
-  per run indexed by position, and the issue queue, LSQ views and
-  event buckets hold positions, so their ordered inserts are
-  :func:`bisect.insort`;
+  field is one of nine lists per run indexed by position (complete
+  cycle, operand and store-data waits, address cycle, memory source,
+  LSQ block code, negative-scan epoch, the two consumer lists), and
+  the issue queue, LSQ views and event buckets hold positions, so
+  their ordered inserts are :func:`bisect.insort`;
 * per-record decode work (opclass index, fetch kind and block, the
   plain run fetch can take in one step, cache line / chunk / byte
-  mask, name and data producers) is precomputed from the trace's
-  columns (:class:`repro.trace.io.Trace`) by vector ops, into flat int
-  lists, without building a record.  A memo of the last four traces
-  run builds what the trace alone determines once per trace and each
-  geometry's columns once per geometry, so timing one trace on many
-  machines pays for one precompute (:class:`_Precompute`);
+  mask, name and data producers, the opclass histogram) is
+  precomputed from the trace's columns (:class:`repro.trace.io.Trace`)
+  by vector ops, into flat int lists, without building a record.  A
+  memo of the last four traces run builds what the trace alone
+  determines once per trace and each geometry's columns once per
+  geometry, so timing one trace on many machines pays for one
+  precompute (:class:`_Precompute`);
 * fetch advances over whole runs of plain instructions (no branch,
   jump or serializing instruction, one fetch block) and handles only
   the control and serializing instructions one by one;
@@ -37,16 +38,39 @@ module is a flattened re-statement of the same machine:
   when the class can run out in a cycle;
 * per-cycle bookkeeping scales with the work done: the active-load
   list takes each load, in ``seq`` order, when its address resolves,
-  a consumer list exists only while its producer is pending, and
-  fetch, decode and commit compute their bounds once per cycle, not
-  once per instruction;
+  a consumer list exists only while its producer is pending, fetch,
+  dispatch and commit compute their bounds once per cycle, not once
+  per instruction, and the issue scan stops at the issue width;
 * statistics, the stall ledger and the load-latency histogram
   accumulate in plain local ints/dicts and are flushed into the real
   :class:`Stats` / :class:`StallLedger` / :class:`Histogram` objects
   once, at loop exit.  All hot-path counters are integer-valued and
   far below 2**53, so batched accumulation is float-exact, and a
   counter key is flushed only when its count is non-zero — exactly the
-  keys the reference loop would have created.
+  keys the reference loop would have created.  The stall timeline
+  keeps the current interval's lost slots per cause and folds them
+  into its buckets when a stall lands in a later interval.
+
+The loop keeps no state whose outcome is already fixed:
+
+* *Readiness is implicit.*  An instruction's complete cycle is only
+  ever set to the current cycle: by its completion event, by a store's
+  address event once its data is in, or by its data wakeup.  So every
+  operand a dispatch finds complete was ready by that cycle, and a
+  wakeup lands in the cycle its producer completes: an entry of the
+  ready list can issue the cycle it is scanned, and a store whose data
+  producers are done has its data.  No ready cycle is kept, and a
+  non-empty ready list means something can issue next cycle, so the
+  idle skip does not skip.
+* *The decode delay is the stage order.*  Dispatch (stage 5) runs
+  before fetch (stage 6) in both loops, so every queued instruction
+  was fetched a cycle or more before dispatch sees it: the one-cycle
+  fetch-to-dispatch delay needs no gate and no per-run fetch cycle.
+* *FU op counts are the trace's.*  Every instruction issues exactly
+  once, so ``fu.<class>.ops`` is the trace's opclass histogram on a
+  normal exit.  Only after an exception is the window walked: the
+  committed instructions plus the in-flight ones that have left the
+  issue queue.
 
 Cold paths stay method calls on the real objects: L1 fills and victim
 disposal (``DataCacheSystem._start_fill`` / ``_dispose_victim``),
@@ -55,8 +79,8 @@ misses.  They read ``dcache._cycle`` and the shared ``_pending`` dict,
 which the loop keeps in step.
 
 The contract — enforced by ``tests/test_fastpath_diff.py`` across the
-F2 configuration grid, every machine the experiments plan and
-fuzzer-generated programs, and by ``repro fuzz`` and ``repro corpus
+F2 configuration grid, every machine the experiments plan, corner
+machines none plans and fuzzer-generated programs, and by ``repro fuzz`` and ``repro corpus
 verify`` (:func:`repro.validate.differential_views`) — is that
 :func:`run_fast` produces a **byte-identical** :class:`CoreResult`
 (cycles, every counter, the stall ledger, the load-latency histogram)
@@ -65,9 +89,11 @@ reference loop's deadlock report, word for word.
 
 The boxed region headers in :func:`run_fast` (``# 1. events`` …
 ``# 6. fetch``, the stall attribution and the idle-cycle skip) are
-read: the self-profiler charges each line to the header above it
-(:mod:`repro.obs.selfprof`), and ``tests/test_obs_selfprof.py`` fails
-when one goes missing.
+read: the self-profiler and the bytecode counter charge each line to
+the header above it (:mod:`repro.obs.selfprof`), and
+``tests/test_obs_selfprof.py`` fails when one goes missing.
+``tests/test_stage_table.py`` pins the loop's bytecode counts per
+stage on three tiny cells.
 """
 
 from __future__ import annotations
@@ -97,8 +123,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 
 __all__ = ["run_fast"]
 
-#: "Not yet": the complete cycle of an instruction still in flight, and
-#: the issue queue's earliest-ready cycle when nothing waits.
+#: "Not yet": the complete cycle of an instruction still in flight.
 _FAR = 1 << 60
 
 #: Opclasses in a fixed order (the trace's ``opclass`` column order);
@@ -136,13 +161,13 @@ class _Precompute:
     (a plain record list is encoded first) with vector ops.
 
     What the trace alone determines (opclass, fetch kind, jump decode,
-    pc, next pc, taken, load/store, the name and data producers) is
-    built here, once.  What a geometry adds (the fetch block and plain
-    run for an I-cache's ``fetch_bytes``; the D-cache line, chunk and
-    byte mask) is built on a geometry's first use and kept per value,
-    so one entry serves every machine a sweep runs the trace on.  Holds
-    a strong reference to the trace, which keeps an ``id()`` key on it
-    safe.
+    pc, next pc, taken, load/store, the name and data producers, the
+    opclass histogram) is built here, once.  What a geometry adds (the
+    fetch block and plain run for an I-cache's ``fetch_bytes``; the
+    D-cache line, chunk and byte mask) is built on a geometry's first
+    use and kept per value, so one entry serves every machine a sweep
+    runs the trace on.  Holds a strong reference to the trace, which
+    keeps an ``id()`` key on it safe.
     """
 
     __slots__ = ("trace", "_columns", "_static", "_fetch", "_shifted",
@@ -161,17 +186,19 @@ class _Precompute:
                         columns.next_pc.tolist(),
                         ((flags & F_TAKEN) != 0).tolist(), is_load.tolist(),
                         is_store.tolist(), (is_load | is_store).tolist(),
-                        name_producers, data_producers)
+                        name_producers, data_producers,
+                        np.bincount(columns.opclass,
+                                    minlength=len(_OPCS)).tolist())
         self._fetch: dict[int, tuple] = {}    # by fetch_bytes
         self._shifted: dict[int, list] = {}   # address >> shift, by shift
         self._masks: dict[int, list] = {}     # by line size
 
     def lists(self, line_shift: int, chunk_shift: int, line_size: int,
               fetch_bytes: int) -> tuple:
-        """The sixteen lists :func:`run_fast` unpacks, for one
+        """The seventeen lists :func:`run_fast` unpacks, for one
         geometry."""
         (opclass, kind, jdec, pc, next_pc, taken, is_load, is_store,
-         is_mem, name_producers, data_producers) = self._static
+         is_mem, name_producers, data_producers, opclasses) = self._static
         fetch = self._fetch.get(fetch_bytes)
         if fetch is None:
             fetch = self._fetch[fetch_bytes] = self._runs(fetch_bytes)
@@ -179,7 +206,7 @@ class _Precompute:
         return (opclass, kind, jdec, pc, next_pc, taken, blocks, runs,
                 is_load, is_store, is_mem, self._shift(line_shift),
                 self._shift(chunk_shift), self._mask(line_size),
-                name_producers, data_producers)
+                name_producers, data_producers, opclasses)
 
     def _runs(self, fetch_bytes: int) -> tuple[list, list]:
         """Each record's fetch block, and how many records from it on
@@ -339,7 +366,6 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     iq_size = cfg.iq_size
     lq_size = cfg.lq_size
     sq_size = cfg.sq_size
-    decode_latency = cfg.decode_latency
     fetch_queue_size = cfg.fetch_queue_size
     lb_latency = cfg.lb_latency
     max_combine = cfg.max_combine
@@ -422,9 +448,15 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     ci_next_level = cause_index[StallCause.NEXT_LEVEL]
     ci_drain = cause_index[StallCause.DRAIN]
 
+    # The stall timeline: lost slots per cause in the current interval
+    # (bucket led_at, whose cycles end before led_end), folded into the
+    # per-cause buckets when a stall lands in a later interval.
     led_width = core.ledger.width
     led_interval = core.ledger.interval
-    led_lost = [0] * len(CAUSE_ORDER)
+    led_causes = tuple(range(len(CAUSE_ORDER)))
+    led_now = [0] * len(CAUSE_ORDER)
+    led_at = 0
+    led_end = led_interval
     led_series: list[dict[int, int]] = [{} for _ in CAUSE_ORDER]
     cap_rob = cap_iq = cap_lq = cap_sq = 0
 
@@ -432,9 +464,10 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     # Trace precompute.
     # ------------------------------------------------------------------
     (r_opc, r_kind, r_jdec, r_pc, r_npc, r_taken, r_block, r_run,
-     r_load, r_store, r_mem, r_line, r_chunk, r_mask, r_nprod, r_dprod) = \
-        _precompute_cached(trace, dcache.line_shift, dcache.chunk_shift,
-                           dcache.line_size, icache.fetch_bytes)
+     r_load, r_store, r_mem, r_line, r_chunk, r_mask, r_nprod, r_dprod,
+     r_ops) = _precompute_cached(
+        trace, dcache.line_shift, dcache.chunk_shift, dcache.line_size,
+        icache.fetch_bytes)
     total = len(trace)
 
     # ------------------------------------------------------------------
@@ -444,12 +477,9 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     # by position.
     # ------------------------------------------------------------------
     far = _FAR
-    fetch_at = [0] * total       # fetch cycle
     done_at = [far] * total      # complete cycle; far until completed
     nwait = [0] * total          # outstanding operand producers
-    oprdy = [0] * total          # operands-ready cycle
     dwait = [0] * total          # outstanding store-data producers
-    drdy = [0] * total           # store-data-ready cycle
     acyc = [-1] * total          # address-resolve cycle; -1 until known
     msrc = [0] * total           # load data source (probe code); 0: none
     blk = [0] * total            # why the LSQ last skipped the load
@@ -463,7 +493,8 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     dcons: list[list[int] | None] = [None] * total
     commit_pos = dispatch_pos = trace_pos = 0
     # Issue queue, split: iq_ready holds only entries whose name
-    # operands are all resolved (nwait == 0), in position order;
+    # operands are all resolved (nwait == 0), in position order, and
+    # each can issue the cycle it is scanned (readiness is implicit);
     # waiters are reachable solely through their producers' consumer
     # lists and enter iq_ready at wakeup.  iq_count tracks total
     # occupancy for the dispatch capacity check.
@@ -507,13 +538,6 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     memo_block = -1
     memo_ready = 0
     watchdog_limit = core._watchdog_limit
-    # Earliest cycle any IQ entry could issue: the issue scan is
-    # skipped entirely while cycle < iq_min_ready (identical to the
-    # reference loop, which would scan and find nothing ready — no
-    # stats fire on a scan that issues nothing and hits no FU limit).
-    # Maintained conservatively low: wakeups and dispatches lower it,
-    # each real scan recomputes it exactly.
-    iq_min_ready = 0
 
     # Memory-disambiguation epoch: bumped whenever the store set a load
     # scans against changes (store address resolved, store retired,
@@ -544,7 +568,6 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     st_p_br = st_p_brc = st_p_brm = 0
     st_p_j = st_p_jc = st_p_jm = 0
     st_i_acc = st_i_pend = st_i_hit = st_i_miss = 0
-    fu_ops = [0] * n_opc
     fu_stalls = [0] * n_opc
     ll_counts: dict[int, int] = {}
 
@@ -571,9 +594,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                     acyc[index] = cycle
                     if r_store[index]:
                         if dwait[index] == 0:
-                            ready = drdy[index]
-                            done_at[index] = cycle if cycle >= ready \
-                                else ready
+                            done_at[index] = cycle
                         line = r_line[index]
                         line_stores = sqline_get(line)
                         if line_stores is None:
@@ -594,12 +615,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                         for consumer in consumers:
                             waits = nwait[consumer] - 1
                             nwait[consumer] = waits
-                            if cycle > oprdy[consumer]:
-                                oprdy[consumer] = cycle
                             if waits == 0:
-                                ready = oprdy[consumer]
-                                if ready < iq_min_ready:
-                                    iq_min_ready = ready
                                 insort(iq_ready, consumer)
                     consumers = dcons[index]
                     if consumers is not None:
@@ -607,12 +623,8 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                         for consumer in consumers:
                             waits = dwait[consumer] - 1
                             dwait[consumer] = waits
-                            if cycle > drdy[consumer]:
-                                drdy[consumer] = cycle
                             if waits == 0 and acyc[consumer] >= 0:
-                                ready = drdy[consumer]
-                                done_at[consumer] = cycle \
-                                    if cycle >= ready else ready
+                                done_at[consumer] = cycle
                     opc = r_opc[index]
                     if opc == opc_branch:
                         # BranchPredictor.resolve_branch, inlined.  A
@@ -810,13 +822,16 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                     ci = fb_cause
                 else:
                     ci = ci_fetch
-                led_lost[ci] += lost
-                buckets = led_series[ci]
-                bucket = cycle // led_interval
-                if bucket in buckets:
-                    buckets[bucket] += lost
-                else:
-                    buckets[bucket] = lost
+                if cycle >= led_end:
+                    for ci_done in led_causes:
+                        slots = led_now[ci_done]
+                        if slots:
+                            buckets = led_series[ci_done]
+                            buckets[led_at] = buckets.get(led_at, 0) + slots
+                            led_now[ci_done] = 0
+                    led_at = cycle // led_interval
+                    led_end = led_at * led_interval + led_interval
+                led_now[ci] += lost
 
             # ----------------------------------------------------------
             # 3a. memory: LSQ load scheduling
@@ -855,8 +870,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                             if not overlap:
                                 continue
                             if overlap == load_mask and \
-                                    dwait[store] == 0 and \
-                                    drdy[store] <= cycle:
+                                    dwait[store] == 0:
                                 action = 1
                             else:
                                 action = 2
@@ -1226,24 +1240,16 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
             # 4. issue (wakeup/select + FU allocation)
             # ----------------------------------------------------------
             issued = 0
-            if iq_ready and iq_min_ready <= cycle:
+            if iq_ready:
                 fu_used[:] = fu_unused
                 keep = []
-                next_ready = far
                 for index in iq_ready:
-                    ready = oprdy[index]
-                    if ready > cycle or issued >= issue_width:
-                        keep.append(index)
-                        if ready < next_ready:
-                            next_ready = ready
-                        continue
                     opc = r_opc[index]
                     if fu_limited[opc]:
                         used = fu_used[opc]
                         if used >= fu_count[opc]:
                             fu_stalls[opc] += 1
                             keep.append(index)
-                            next_ready = cycle
                             continue
                         busy = fu_busy[opc]
                         if busy is not None:
@@ -1251,11 +1257,9 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                             if len(busy) >= fu_count[opc]:
                                 fu_stalls[opc] += 1
                                 keep.append(index)
-                                next_ready = cycle
                                 continue
                             busy.append(cycle + fu_latency[opc])
                         fu_used[opc] = used + 1
-                    fu_ops[opc] += 1
                     done = cycle + fu_latency[opc]
                     issued += 1
                     if r_mem[index]:
@@ -1270,8 +1274,15 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                             ev_complete[done] = [index]
                         else:
                             bucket.append(index)
+                    if issued == issue_width:
+                        # The width is spent: the unscanned tail waits,
+                        # in order, behind the FU-blocked entries.
+                        if keep:
+                            keep += iq_ready[issued + len(keep):]
+                        else:
+                            keep = iq_ready[issued:]
+                        break
                 iq_ready = keep
-                iq_min_ready = next_ready
                 if issued:
                     iq_count -= issued
                     st_issued += issued
@@ -1285,12 +1296,9 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                 stop = start + dispatch_width
                 if trace_pos < stop:
                     stop = trace_pos
-                decoded_by = cycle - decode_latency   # latest visible fetch
                 rob_stop = commit_pos + rob_size
                 while dispatch_pos < stop:
                     index = dispatch_pos
-                    if fetch_at[index] > decoded_by:
-                        break
                     if index >= rob_stop:
                         st_rob_full += 1
                         cap_rob += 1
@@ -1314,46 +1322,33 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                         sq_unknown.append(index)
                         producers = r_dprod[index]
                         if producers:
-                            waits = ready = 0
+                            waits = 0
                             for producer in producers:
-                                when = done_at[producer]
-                                if when != far:
-                                    if when > ready:
-                                        ready = when
-                                    continue
-                                consumers = dcons[producer]
-                                if consumers is None:
-                                    dcons[producer] = [index]
-                                else:
-                                    consumers.append(index)
-                                waits += 1
-                            drdy[index] = ready
-                            dwait[index] = waits
+                                if done_at[producer] == far:
+                                    consumers = dcons[producer]
+                                    if consumers is None:
+                                        dcons[producer] = [index]
+                                    else:
+                                        consumers.append(index)
+                                    waits += 1
+                            if waits:
+                                dwait[index] = waits
                     dispatch_pos = index + 1
                     iq_count += 1
                     producers = r_nprod[index]
                     if producers:
-                        waits = ready = 0
+                        waits = 0
                         for producer in producers:
-                            when = done_at[producer]
-                            if when != far:
-                                if when > ready:
-                                    ready = when
-                                continue
-                            consumers = ncons[producer]
-                            if consumers is None:
-                                ncons[producer] = [index]
-                            else:
-                                consumers.append(index)
-                            waits += 1
-                        oprdy[index] = ready
+                            if done_at[producer] == far:
+                                consumers = ncons[producer]
+                                if consumers is None:
+                                    ncons[producer] = [index]
+                                else:
+                                    consumers.append(index)
+                                waits += 1
                         if waits:
                             nwait[index] = waits
                             continue
-                        if ready < iq_min_ready:
-                            iq_min_ready = ready
-                    elif iq_min_ready > 0:
-                        iq_min_ready = 0
                     iq_ready.append(index)
                 dispatched = dispatch_pos - start
                 if dispatched:
@@ -1477,7 +1472,6 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                         break
                 fetched = trace_pos - start
                 if fetched:
-                    fetch_at[start:trace_pos] = [cycle] * fetched
                     last_activity = cycle
                     st_fetched += fetched
                 break
@@ -1486,19 +1480,19 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
             # Idle-cycle skip.  When this cycle performed no work at
             # all, every stall statistic the reference loop would emit
             # is constant until the next scheduled event: events are
-            # always scheduled in the future, commit is capped by the
-            # head's completion cycle, wakeup/issue by iq_min_ready,
-            # decode by the head-of-queue fetch gate, and blocked loads
-            # re-classify identically while the stores they wait on are
-            # unchanged.  Jump straight to the earliest cycle anything
-            # can change and apply the per-cycle statistics in bulk —
+            # always scheduled in the future, a head that completes
+            # does so at an event, and blocked loads re-classify
+            # identically while the stores they wait on are unchanged.
+            # Jump straight to the earliest cycle anything can change
+            # and apply the per-cycle statistics in bulk —
             # byte-identical to running the intermediate cycles.
             # Cycles that touched a port, drained (or merely retried)
             # the write buffer, or blocked a commit are never skipped:
-            # their cache-side statistics are not state-constant.
+            # their cache-side statistics are not state-constant; nor
+            # is one with a ready entry, which can issue next cycle.
             # ----------------------------------------------------------
             if not (commits or dispatched or issued or fetched or
-                    commit_block or ports_used or wbl_lines):
+                    commit_block or ports_used or wbl_lines or iq_ready):
                 skip_to = last_activity + watchdog_limit + 1
                 if ev_complete:
                     event_at = min(ev_complete)
@@ -1509,19 +1503,6 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                     if event_at < skip_to:
                         skip_to = event_at
                 ok_skip = True
-                if commit_pos < dispatch_pos and \
-                        done_at[commit_pos] < skip_to:
-                    skip_to = done_at[commit_pos]
-                if iq_ready and iq_min_ready < skip_to:
-                    skip_to = iq_min_ready
-                gate_passed = False
-                if dispatch_pos < trace_pos:
-                    gate = fetch_at[dispatch_pos] + decode_latency
-                    if gate > cycle:
-                        if gate < skip_to:
-                            skip_to = gate
-                    else:
-                        gate_passed = True
                 if cycle < fetch_blocked_until < skip_to:
                     skip_to = fetch_blocked_until
                 n_order = n_sqwait = 0
@@ -1536,13 +1517,8 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                         # per-cycle cache state: not skippable.
                         ok_skip = False
                         break
-                if ok_skip and n_sqwait:
-                    for store in sq:
-                        ready = drdy[store]
-                        if cycle < ready < skip_to:
-                            skip_to = ready
                 dispatch_full = 0
-                if ok_skip and gate_passed:
+                if ok_skip and dispatch_pos < trace_pos:
                     if dispatch_pos - commit_pos >= rob_size:
                         dispatch_full = 1
                     elif iq_count >= iq_size:
@@ -1632,7 +1608,6 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                             ci = fb_cause
                         else:
                             ci = ci_fetch
-                        led_lost[ci] += led_width * k
                         buckets = led_series[ci]
                         b_first = (cycle + 1) // led_interval
                         b_last = (cycle + k) // led_interval
@@ -1760,6 +1735,18 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                 ("icache.misses", st_i_miss)):
             if count:
                 inc(name, count)
+        if commit_pos == total:
+            fu_ops = r_ops
+        else:
+            # After an exception: every committed instruction has
+            # issued, and so has each in-flight one that has left the
+            # issue queue.
+            fu_ops = [0] * n_opc
+            waiting = set(iq_ready)
+            for index in range(dispatch_pos):
+                if index < commit_pos or (nwait[index] == 0
+                                          and index not in waiting):
+                    fu_ops[r_opc[index]] += 1
         for index, count in enumerate(fu_ops):
             if count:
                 inc(f"fu.{_OPCS[index].value}.ops", count)
@@ -1774,19 +1761,25 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                 counts[value] += count
             histogram._total += sum(ll_counts.values())
 
+        for ci in led_causes:
+            slots = led_now[ci]
+            if slots:
+                buckets = led_series[ci]
+                buckets[led_at] = buckets.get(led_at, 0) + slots
         ledger = core.ledger
         ledger.cycles += cycle
         ledger.committed += committed
         for ci, cause in enumerate(CAUSE_ORDER):
-            lost = led_lost[ci]
-            if not lost:
+            buckets = led_series[ci]
+            if not buckets:
                 continue
+            lost = sum(buckets.values())
             ledger.lost[cause] += lost
             series = ledger.series.get(cause)
             if series is None:
                 series = ledger.series[cause] = Histogram(cause.value)
             series_counts = series._counts
-            for bucket, slots in led_series[ci].items():
+            for bucket, slots in buckets.items():
                 series_counts[bucket] += slots
             series._total += lost
         for name, count in (("rob", cap_rob), ("iq", cap_iq),

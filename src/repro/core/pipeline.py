@@ -92,8 +92,7 @@ def watchdog_limit(machine: MachineConfig) -> int:
             next_level.occupancy * (dcache.mshrs + 2))
     victim = dcache.victim_latency if dcache.victim_entries else 0
     max_fu = max(spec.latency for spec in core.fu_specs.values())
-    per_op = (fill + victim + dcache.hit_latency + max_fu +
-              core.decode_latency)
+    per_op = fill + victim + dcache.hit_latency + max_fu + 1  # + decode
     return max(_WATCHDOG_FLOOR, 4 * inflight * per_op)
 
 #: Opclass indices the loop tests (the trace's ``opclass`` column).
@@ -544,10 +543,10 @@ class OoOCore:
         fq = self._fetch_queue
         cfg = self.cfg
         dispatched = 0
+        # Fetch runs after dispatch, so every queued uop was fetched a
+        # cycle or more ago: the one-cycle decode delay is the stage order.
         while fq and dispatched < cfg.dispatch_width:
             uop = fq[0]
-            if uop.fetch_cycle + cfg.decode_latency > cycle:
-                break
             if len(self._rob) >= cfg.rob_size:
                 full = "rob"
             elif len(self._iq) >= cfg.iq_size:

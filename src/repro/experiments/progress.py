@@ -1,11 +1,12 @@
 """Live fleet progress for the parallel experiment engine.
 
-One single-line TTY display, repainted in place (``\\r``) as per-job
-started/finished/failed events arrive from the worker fleet: jobs
-done/total, how many are in flight, an ETA extrapolated from the
-throughput so far, the aggregate simulation rate (kilo-instructions
-simulated per host second, summed over finished jobs), and the trace
-cache hit ratio for this run.
+One single-line TTY display, repainted in place (``\\r``) as
+started/finished/failed events arrive from the worker fleet: cells
+done/total (the engine simulates each distinct (trace, machine) cell
+once, however many jobs plan it), how many are in flight, an ETA
+extrapolated from the throughput so far, the aggregate simulation rate
+(kilo-instructions simulated per host second, summed over finished
+cells), and the trace cache hit ratio for this run.
 
 The display is inert unless the output stream is a TTY (or ``force``
 is set, which tests and ``--progress`` on a pipe use); either way a
@@ -80,7 +81,7 @@ class ProgressDisplay:
 
     def status_line(self) -> str:
         elapsed = max(self._clock() - self._start, 1e-9)
-        parts = [f"jobs {self.done}/{self.total}"]
+        parts = [f"cells {self.done}/{self.total}"]
         if self.failed:
             parts.append(f"{self.failed} failed")
         if self.running:

@@ -33,10 +33,10 @@ class ICacheSystem:
     def fetch(self, address: int, cycle: int) -> int:
         """Access the block containing *address*.
 
-        Returns the cycle the block is fetchable: *cycle* itself on a
-        hit (the hit pipeline stage is part of the front-end depth the
-        core models as decode latency), or the fill-ready cycle on a
-        miss.
+        Returns the cycle the block is fetchable: ``hit_latency - 1``
+        cycles after *cycle* on a hit (*cycle* itself at the default
+        one-cycle hit), the pending fill's ready cycle on a line already
+        being filled, or the fill-ready cycle on a miss.
         """
         line = self.cache.line_of(address)
         self.stats.inc("icache.accesses")

@@ -73,6 +73,11 @@ CRITPATH_SCHEMA = f"repro.critpath/{CRITPATH_SCHEMA_VERSION}"
 #: Commits per analysis window (memory stays O(window) on long runs).
 DEFAULT_WINDOW = 8192
 
+#: The fetch->dispatch latency: the core dispatches before it fetches
+#: each cycle, so an instruction dispatches one cycle after its fetch
+#: at the earliest.
+_DECODE_LATENCY = 1
+
 #: Documented relative error bound for the 1P -> 2P what-if
 #: (:data:`WHATIF_PORT` predicted cycles vs a real 2P simulation).
 #: The prediction replays recorded waits with the port classes
@@ -279,7 +284,6 @@ class CritPathRecorder:
         # Walk state carried across windows.
         self._boundary = 0        # last flushed retirement (walk anchor)
         self._prev_orig = (0, 0, 0)  # measured (fetch, dispatch, retire)
-        self._decode = 1
         self._dispatch_width = 4
         self._commit_width = 4
         self._fq_size = 0
@@ -309,7 +313,6 @@ class CritPathRecorder:
         self._opclasses = lists["opclass"]
         self._flags = lists["flags"]
         cfg = core.cfg
-        self._decode = cfg.decode_latency
         self._dispatch_width = cfg.dispatch_width
         self._commit_width = cfg.commit_width
         self._fq_size = cfg.fetch_queue_size
@@ -546,7 +549,7 @@ class CritPathRecorder:
             # block — whose binding predecessor is the event that freed
             # the slot (the blocker's retire; its issue for the IQ).
             cap = _CAPACITY_CLASS.get(rec.dispatch_block)
-            best_eff = rec.fetch + self._decode
+            best_eff = rec.fetch + _DECODE_LATENCY
             best = ("F", i, rec.fetch, cap or "decode")
             if i > 0 and records[i - 1].dispatch > best_eff:
                 best_eff = records[i - 1].dispatch
@@ -615,7 +618,7 @@ class CritPathRecorder:
         zero latency; every other measured delay is preserved."""
         zeroed = sc.zeroed
         scaled = sc.scaled
-        decode = self._decode
+        decode = _DECODE_LATENCY
         fqs = self._fq_size
         of_prev, od_prev, or_prev = self._prev_orig
         pf_prev, pd_prev, pr_prev = sc.prev_f, sc.prev_d, sc.prev_r

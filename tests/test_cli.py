@@ -151,7 +151,10 @@ class TestSimulate:
          "tiny, small, full"),
         (["simulate", "--workload", "os-mix", "--scale", "medium"],
          "tiny, small, full"),
-    ], ids=["assembly", "scenario", "synthetic", "os-mix"])
+        # critpath offers the scales simulate and hotspots offer.
+        (["critpath", "--workload", "stream", "--scale", "medium"],
+         "tiny, small, full"),
+    ], ids=["assembly", "scenario", "synthetic", "os-mix", "critpath"])
     def test_scale_the_workload_lacks_exits_with_one_line(self, argv,
                                                           scales):
         with pytest.raises(SystemExit) as excinfo:
@@ -954,7 +957,7 @@ class TestSpansAndProgress:
         assert main(["experiment", "F2", "--scale", "tiny",
                      "--jobs", "2", "--progress"]) == 0
         err = capsys.readouterr().err
-        assert "jobs" in err and "/" in err
+        assert "cells" in err and "/" in err
 
     def test_manifest_embeds_engine_summary(self, capsys):
         import json

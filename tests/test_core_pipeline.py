@@ -357,6 +357,41 @@ class TestWatchdog:
         assert core.used_fastpath == fastpath
         return str(caught.value)
 
+    def test_trip_leaves_the_reference_loops_counters(self, monkeypatch):
+        # At the trip the head divide is issued, the second divide is
+        # blocked on the one unpipelined divider, an ALU op waits on
+        # the first and the rest have issued behind the head: the fast
+        # loop's counters, FU op counts included, must read as the
+        # reference loop's.
+        from dataclasses import replace
+        from repro import SimError
+        from repro.core import pipeline as pipeline_module
+        monkeypatch.setattr(pipeline_module, "_ENV_VALIDATE", False)
+        base = machine("1P")
+        mem = base.mem
+        config = replace(base, mem=replace(mem, next_level=replace(
+            mem.next_level, hit_latency=2, memory_latency=2)))
+        tb = TraceBuilder()
+        tb.alu(dest=1)
+        for dest in (2, 3):
+            tb._push(TraceRecord(pc=tb.pc, opclass=OpClass.DIV, dest=dest,
+                                 sources=(1,), next_pc=tb.pc + 4))
+            tb.pc += 4
+        tb.alu(dest=4, sources=(2,))
+        tb.alu(dest=5)
+        tb.mul(dest=6, sources=(5,))
+        counters = []
+        for fastpath in (False, True):
+            core = OoOCore(config, fastpath=fastpath)
+            core._watchdog_limit = 8
+            with pytest.raises(SimError, match="no progress"):
+                core.run(tb.build())
+            counters.append(core.stats.as_dict())
+        assert counters[1] == counters[0]
+        assert counters[1]["fu.div.ops"] == 1
+        assert counters[1]["fu.div.structural_stalls"] > 0
+        assert counters[1]["core.issued"] == 4
+
     @pytest.mark.parametrize("fastpath", [False, True])
     def test_forced_low_limit_fires(self, fastpath, monkeypatch):
         # Both loops trip at the same cycle and report the same

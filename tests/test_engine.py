@@ -159,7 +159,7 @@ class TestSharedCells:
             engine.last_reports[("second", 2)]
         assert sum(worker["jobs"]
                    for worker in engine.last_summary["workers"]) == 1
-        assert "jobs 1/1" in stream.getvalue()
+        assert "cells 1/1" in stream.getvalue()
 
     def test_machines_differing_only_by_name_are_two_cells(self):
         from dataclasses import replace
@@ -519,7 +519,7 @@ class TestFleetObservability:
         engine = Engine(jobs=2, progress=stream)
         engine.execute(self._two_jobs())
         output = stream.getvalue()
-        assert "jobs 2/2" in output
+        assert "cells 2/2" in output
         assert "kIPS" in output
 
     def test_progress_inline_path(self):
@@ -527,7 +527,7 @@ class TestFleetObservability:
         stream = io.StringIO()
         engine = Engine(jobs=1, progress=stream)
         engine.execute(self._two_jobs())
-        assert "jobs 2/2" in stream.getvalue()
+        assert "cells 2/2" in stream.getvalue()
 
 
 class TestProgressDisplay:
@@ -541,11 +541,11 @@ class TestProgressDisplay:
         display.job_started("a")
         display.job_started("b")
         line = display.status_line()
-        assert "jobs 0/4" in line and "2 running" in line
+        assert "cells 0/4" in line and "2 running" in line
         display.job_finished("a", 1.0, 50_000)
         display.job_failed("b")
         line = display.status_line()
-        assert "jobs 2/4" in line and "1 failed" in line
+        assert "cells 2/4" in line and "1 failed" in line
         assert "ETA" in line and "kIPS" in line
 
     def test_close_always_prints_summary(self):
@@ -558,4 +558,4 @@ class TestProgressDisplay:
         display.job_finished("a", 0.5, 1000)
         assert stream.getvalue() == ""  # inert while running
         display.close()
-        assert "jobs 1/1" in stream.getvalue()
+        assert "cells 1/1" in stream.getvalue()

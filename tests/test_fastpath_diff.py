@@ -22,7 +22,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.core import fastpath, pipeline
-from repro.core.config import MachineConfig
+from repro.core.config import FUSpec, MachineConfig
 from repro.core.pipeline import OoOCore
 from repro.experiments import ALL_EXPERIMENTS
 from repro.func import run_bare
@@ -59,6 +59,70 @@ def _planned_machines() -> list:
                     job.machine,
                     id=f"{exp_id}-{job.machine.name}-{len(params)}"))
     return params
+
+
+def _corner_machines() -> dict[str, MachineConfig]:
+    """Machines no experiment plans, at the corners of the issue scan
+    and of dispatch: narrow issue, one unit of every FU class with an
+    unpipelined three-cycle ALU (FU-blocked entries ahead of ready ones
+    while the width runs out), and queues so small that every dispatch
+    capacity check and the fetch queue stop the front end."""
+    base = machine("1P-wide+LB+SC")
+    core = base.core
+    one_unit = {opclass: replace(spec, count=1)
+                for opclass, spec in core.fu_specs.items()}
+    one_unit[OpClass.ALU] = FUSpec(count=1, latency=3, pipelined=False)
+    cores = {
+        "issue1": replace(core, issue_width=1),
+        "issue2": replace(core, issue_width=2),
+        "fu1-alu3": replace(core, fu_specs=one_unit),
+        "fq1-rob4": replace(core, fetch_queue_size=1, rob_size=4),
+        "iq2-lq1-sq1": replace(core, iq_size=2, lq_size=1, sq_size=1),
+    }
+    return {name: replace(base, name=name, core=corner)
+            for name, corner in cores.items()}
+
+
+CORNER_MACHINES = _corner_machines()
+
+#: Counters that show a corner machine reaches its corner.
+CORNER_COUNTERS = {
+    "fu1-alu3": ("fu.alu.structural_stalls", "fu.load.structural_stalls"),
+    "fq1-rob4": ("core.dispatch_rob_full", "fetch.stall_queue_cycles"),
+    "iq2-lq1-sq1": ("core.dispatch_iq_full", "core.dispatch_lq_full",
+                    "core.dispatch_sq_full"),
+}
+
+
+#: The traces the corner machines run: both grid workloads and one
+#: scenario.
+CORNER_TRACES = GRID_WORKLOADS + ("iostorm",)
+
+
+def _corner_trace(name: str):
+    if name in GRID_WORKLOADS:
+        return build_trace(name, "tiny")
+    return build_scenario_trace(name, "tiny")
+
+
+@pytest.mark.parametrize("trace_name", CORNER_TRACES)
+@pytest.mark.parametrize("corner", sorted(CORNER_MACHINES))
+def test_fastpath_matches_reference_on_corner_machines(trace_name, corner):
+    slow, fast = differential_views(CORNER_MACHINES[corner],
+                                    _corner_trace(trace_name))
+    assert fast == slow
+
+
+@pytest.mark.parametrize("corner", sorted(CORNER_COUNTERS))
+def test_corner_machines_reach_their_corners(corner, monkeypatch):
+    monkeypatch.setattr(pipeline, "_ENV_VALIDATE", False)
+    totals: dict[str, float] = {}
+    for trace_name in CORNER_TRACES:
+        stats = OoOCore(CORNER_MACHINES[corner]).run(
+            _corner_trace(trace_name)).stats
+        for name in CORNER_COUNTERS[corner]:
+            totals[name] = totals.get(name, 0) + stats.get(name)
+    assert all(totals.values()), totals
 
 
 @pytest.mark.parametrize("workload", GRID_WORKLOADS)
@@ -167,7 +231,9 @@ def _reference_precompute(trace, line_shift: int, chunk_shift: int,
         if kinds[i] == fastpath._K_PLAIN:
             runs[i] = 1 + (runs[i + 1] if i + 1 < n
                            and blocks[i + 1] == blocks[i] else 0)
-    return (*lists, name_producers, data_producers)
+    opclasses = [lists[0].count(index)
+                 for index in range(len(fastpath._OPCS))]
+    return (*lists, name_producers, data_producers, opclasses)
 
 
 #: The geometries the precompute is checked on; plain runs depend on the
