@@ -1,8 +1,7 @@
 """The dynamic superscalar timing core (the paper's host machine)."""
 
-from .bpred import BTB, AlwaysTaken, BranchPredictor, GShare, TwoBitCounters
+from .bpred import BTB, BranchPredictor, GShare, TwoBitCounters
 from .config import (
-    BranchPredictorConfig,
     CoreConfig,
     FUSpec,
     MachineConfig,
@@ -15,11 +14,9 @@ from .uop import Uop
 
 __all__ = [
     "BTB",
-    "AlwaysTaken",
     "BranchPredictor",
     "GShare",
     "TwoBitCounters",
-    "BranchPredictorConfig",
     "CoreConfig",
     "FUSpec",
     "MachineConfig",

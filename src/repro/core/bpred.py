@@ -1,9 +1,24 @@
-"""Branch prediction: direction predictors and a branch target buffer."""
+"""Branch prediction: direction predictors and a branch target buffer.
+
+The table sizes and redirect penalties are fixed: no experiment varies
+them.  Only the direction predictor's kind is a setting
+(``CoreConfig.predictor``), which B1 turns.
+"""
 
 from __future__ import annotations
 
 from ..stats.counters import Stats
-from .config import BranchPredictorConfig
+
+#: Direction predictor kinds (``CoreConfig.predictor``).
+PREDICTOR_KINDS = ("twobit", "gshare")
+#: 2^TABLE_BITS two-bit counters; gshare's global history length.
+TABLE_BITS = 11
+HISTORY_BITS = 8
+BTB_ENTRIES = 512
+#: Extra fetch-stall cycles after a mispredict resolves, and after the
+#: decode-time redirect of a direct jump that missed in the BTB.
+MISPREDICT_REDIRECT = 1
+BTB_MISS_REDIRECT = 1
 
 
 class TwoBitCounters:
@@ -55,16 +70,6 @@ class GShare:
         self.history = ((self.history << 1) | int(taken)) & self.history_mask
 
 
-class AlwaysTaken:
-    """Degenerate predictor for experiments isolating the BTB."""
-
-    def predict(self, pc: int) -> bool:
-        return True
-
-    def update(self, pc: int, taken: bool) -> None:
-        pass
-
-
 class BTB:
     """Direct-mapped branch target buffer with tags."""
 
@@ -92,17 +97,16 @@ class BranchPredictor:
     when the direction says taken.
     """
 
-    def __init__(self, config: BranchPredictorConfig,
+    def __init__(self, kind: str = "twobit",
                  stats: Stats | None = None) -> None:
-        self.config = config
         self.stats = stats if stats is not None else Stats()
-        if config.kind == "twobit":
-            self.direction = TwoBitCounters(config.table_bits)
-        elif config.kind == "gshare":
-            self.direction = GShare(config.table_bits, config.history_bits)
+        if kind == "twobit":
+            self.direction = TwoBitCounters(TABLE_BITS)
+        elif kind == "gshare":
+            self.direction = GShare(TABLE_BITS, HISTORY_BITS)
         else:
-            self.direction = AlwaysTaken()
-        self.btb = BTB(config.btb_entries)
+            raise ValueError(f"unknown predictor kind {kind!r}")
+        self.btb = BTB(BTB_ENTRIES)
 
     def predict_branch(self, pc: int) -> tuple[bool, int | None]:
         """Predict a conditional branch."""

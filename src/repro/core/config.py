@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 from ..isa import OpClass
 from ..mem.config import MemSystemConfig
+from .bpred import PREDICTOR_KINDS
 
 
 @dataclass(frozen=True)
@@ -46,24 +47,6 @@ def default_fu_specs() -> dict[OpClass, FUSpec]:
 
 
 @dataclass(frozen=True)
-class BranchPredictorConfig:
-    """Direction predictor + branch target buffer."""
-
-    kind: str = "twobit"        # "twobit", "gshare" or "always_taken"
-    table_bits: int = 11        # 2^bits two-bit counters
-    history_bits: int = 8       # gshare global history length
-    btb_entries: int = 512
-    mispredict_redirect: int = 1   # extra cycles after resolution
-    btb_miss_redirect: int = 1     # decode-time redirect for direct jumps
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("twobit", "gshare", "always_taken"):
-            raise ValueError(f"unknown predictor kind {self.kind!r}")
-        if self.table_bits < 1 or self.btb_entries < 1:
-            raise ValueError("predictor sizes must be positive")
-
-
-@dataclass(frozen=True)
 class CoreConfig:
     """The dynamic superscalar processor."""
 
@@ -76,12 +59,9 @@ class CoreConfig:
     lq_size: int = 16
     sq_size: int = 16
     fetch_queue_size: int = 16
-    lb_latency: int = 1           # line-buffer load-to-use latency
     max_combine: int = 4          # loads merged into one wide-port access
-    speculative_loads: bool = False  # loads may pass unknown store addresses
     fu_specs: dict[OpClass, FUSpec] = field(default_factory=default_fu_specs)
-    bpred: BranchPredictorConfig = field(
-        default_factory=BranchPredictorConfig)
+    predictor: str = "twobit"     # direction predictor: "twobit" or "gshare"
 
     def __post_init__(self) -> None:
         for name in ("fetch_width", "dispatch_width", "issue_width",
@@ -92,6 +72,8 @@ class CoreConfig:
         missing = set(OpClass) - set(self.fu_specs)
         if missing:
             raise ValueError(f"fu_specs missing classes: {missing}")
+        if self.predictor not in PREDICTOR_KINDS:
+            raise ValueError(f"unknown predictor kind {self.predictor!r}")
 
 
 @dataclass(frozen=True)

@@ -107,7 +107,7 @@ import numpy as np
 
 from ..func.exceptions import SimError
 from ..isa import OpClass
-from ..mem.config import LineBufferFill, LineBufferOnStore
+from ..mem.config import L1_HIT_LATENCY, LB_LATENCY, LineBufferFill
 from ..obs.probe import (BLK_BANK, BLK_MSHR, BLK_NO_PORT, BLK_ORDER,
                          BLK_SQ_WAIT, BLK_WB_CONFLICT, SRC_HIT, SRC_LB,
                          SRC_MISS, SRC_SECONDARY, SRC_SQ, SRC_WB)
@@ -116,6 +116,7 @@ from ..stats.histogram import Histogram
 from ..trace.io import (MAX_SOURCES, NO_DEST, NO_SPLIT, F_CONTROL,
                         F_LOAD, F_REDIRECT, F_SERIALIZES, F_STORE, F_TAKEN,
                         OPCLASSES, Trace, as_trace)
+from .bpred import BTB_MISS_REDIRECT, MISPREDICT_REDIRECT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..trace.record import TraceRecord
@@ -356,7 +357,6 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     icache = mem.icache
     dcfg = dcache.config
     bpred = core.bpred
-    bpcfg = cfg.bpred
 
     fetch_width = cfg.fetch_width
     dispatch_width = cfg.dispatch_width
@@ -367,15 +367,10 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     lq_size = cfg.lq_size
     sq_size = cfg.sq_size
     fetch_queue_size = cfg.fetch_queue_size
-    lb_latency = cfg.lb_latency
     max_combine = cfg.max_combine
-    speculative_loads = cfg.speculative_loads
-    mispredict_redirect = bpcfg.mispredict_redirect
-    btb_miss_redirect = bpcfg.btb_miss_redirect
 
     n_ports = dcfg.ports
     n_mshrs = dcfg.mshrs
-    hit_latency = dcfg.hit_latency
     bank_mask = dcfg.banks - 1
     combine_loads = dcfg.combine_loads
     direct_stores = dcfg.write_buffer_depth == 0
@@ -384,13 +379,12 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     pending_cap = 2 * n_mshrs
 
     line_buffer = dcache.line_buffer
-    lb_fill_on_access = dcfg.line_buffer_fill is LineBufferFill.ON_ACCESS
-    lb_invalidate = dcfg.line_buffer_on_store is LineBufferOnStore.INVALIDATE
     lb_entries = dcfg.line_buffer_entries
     lb_lines = line_buffer._lines if line_buffer is not None else None
     has_lb = line_buffer is not None
+    lb_fill_on_access = has_lb and \
+        dcfg.line_buffer_fill is LineBufferFill.ON_ACCESS
 
-    ic_hit_latency = icache.config.hit_latency
     ic_shift = icache.cache.line_shift
     ic_sets = icache.cache._sets
     ic_set_mask = icache.cache._set_mask
@@ -564,7 +558,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
     st_d_snp = st_d_smerge = st_d_shit = st_d_smiss = st_d_smshr = 0
     st_w_comb = st_w_full = st_w_alloc = st_w_drain = 0
     st_w_lf = st_w_lc = 0
-    st_b_hits = st_b_miss = st_b_fill = st_b_sinv = st_b_supd = 0
+    st_b_hits = st_b_miss = st_b_fill = st_b_supd = 0
     st_p_br = st_p_brc = st_p_brm = 0
     st_p_j = st_p_jc = st_p_jm = 0
     st_i_acc = st_i_pend = st_i_hit = st_i_miss = 0
@@ -653,7 +647,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                     if index == waiting_branch:
                         waiting_branch = -1
                         fb_cause = ci_branch
-                        resume = cycle + mispredict_redirect
+                        resume = cycle + MISPREDICT_REDIRECT
                         if resume > fetch_blocked_until:
                             fetch_blocked_until = resume
 
@@ -734,12 +728,8 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                     st_d_smiss += 1
                                     dcache._start_fill(line, dirty=True)
                             if has_lb and line in lb_lines:
-                                if lb_invalidate:
-                                    del lb_lines[line]
-                                    st_b_sinv += 1
-                                else:
-                                    od_move(lb_lines, line)
-                                    st_b_supd += 1
+                                od_move(lb_lines, line)
+                                st_b_supd += 1
                         elif wb_combine and line in wbl_count:
                             # WriteBuffer.add, inlined.
                             wbl_masks[wbl_lines.index(line)] |= \
@@ -851,7 +841,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                         else:
                             port_requests.append(load)
                         continue
-                    if load > barrier and not speculative_loads:
+                    if load > barrier:
                         st_l_order += 1
                         blk[load] = BLK_ORDER
                         continue
@@ -945,8 +935,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                             scheduled += 1
                             msrc[load] = SRC_LB
                             blk[load] = 0
-                            ready = cycle + lb_latency
-                            assert ready > cycle
+                            ready = cycle + LB_LATENCY
                             latency = ready - acyc[load]
                             if latency in ll_counts:
                                 ll_counts[latency] += 1
@@ -1014,7 +1003,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                     st_d_portu += 1
                                     od_move(dset, line)
                                     st_d_lhit += 1
-                                    ready = cycle + hit_latency
+                                    ready = cycle + L1_HIT_LATENCY
                                     source = SRC_HIT
                                 else:
                                     mshr_busy = 0
@@ -1038,7 +1027,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                     ready = dcache._start_fill(line)
                                     source = SRC_MISS
                                     dcache._maybe_prefetch(line + 1)
-                            if lb_fill_on_access and has_lb:
+                            if lb_fill_on_access:
                                 # LineBuffer.insert, inlined.
                                 if line in lb_lines:
                                     od_move(lb_lines, line)
@@ -1109,7 +1098,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                     st_d_portu += 1
                                     od_move(dset, line)
                                     st_d_lhit += 1
-                                    ready = cycle + hit_latency
+                                    ready = cycle + L1_HIT_LATENCY
                                     source = SRC_HIT
                                 else:
                                     mshr_busy = 0
@@ -1134,7 +1123,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                                     ready = dcache._start_fill(line)
                                     source = SRC_MISS
                                     dcache._maybe_prefetch(line + 1)
-                            if lb_fill_on_access and has_lb:
+                            if lb_fill_on_access:
                                 # LineBuffer.insert, inlined.
                                 if line in lb_lines:
                                     od_move(lb_lines, line)
@@ -1218,12 +1207,8 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                             dcache._start_fill(line, dirty=True)
                 if ok:
                     if has_lb and line in lb_lines:
-                        if lb_invalidate:
-                            del lb_lines[line]
-                            st_b_sinv += 1
-                        else:
-                            od_move(lb_lines, line)
-                            st_b_supd += 1
+                        od_move(lb_lines, line)
+                        st_b_supd += 1
                     del wbl_lines[0]
                     del wbl_masks[0]
                     remaining = wbl_count[line] - 1
@@ -1390,7 +1375,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                         if ic_line in ic_set:
                             od_move(ic_set, ic_line)
                             st_i_hit += 1
-                            ready = cycle + ic_hit_latency - 1
+                            ready = cycle
                         else:
                             st_i_miss += 1
                             ready = next_level.request(ic_line, cycle)
@@ -1460,7 +1445,7 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                             break
                         if r_jdec[index]:
                             fetch_blocked_until = \
-                                cycle + 1 + btb_miss_redirect
+                                cycle + 1 + BTB_MISS_REDIRECT
                             fb_cause = ci_branch
                             st_f_jdec += 1
                             break
@@ -1643,12 +1628,17 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                         else f"opclass {r_opc[commit_pos]}"
                     head = (f"Uop#{commit_pos}({kind} completed="
                             f"{done_at[commit_pos] != far})")
-                raise SimError(
+                report = (
                     f"timing core made no progress for "
                     f"{watchdog_limit} cycles (cycle={cycle}, "
                     f"committed={commit_pos}, "
                     f"rob={dispatch_pos - commit_pos}, iq={iq_count}, "
                     f"fq={trace_pos - dispatch_pos}, head={head})")
+                # The trip cycle ran: the exit below counts it, as the
+                # reference loop's ledger does, and leaves the core's
+                # cycle at it.
+                cycle += 1
+                raise SimError(report)
             cycle += 1
     finally:
         # --------------------------------------------------------------
@@ -1721,7 +1711,6 @@ def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
                 ("lb.hits", st_b_hits),
                 ("lb.misses", st_b_miss),
                 ("lb.fills", st_b_fill),
-                ("lb.store_invalidations", st_b_sinv),
                 ("lb.store_updates", st_b_supd),
                 ("bpred.branches", st_p_br),
                 ("bpred.correct", st_p_brc),

@@ -17,8 +17,8 @@ of cost:
    win), up to ``max_combine`` per access.
 
 Loads behind an older store with an unknown address wait (conservative
-memory disambiguation, the common choice for this era), unless
-``speculative_loads`` is set.
+memory disambiguation, the common choice for this era): every store a
+load's forwarding check sees has a known address.
 
 A load's source and its last block reason are the int codes of
 :mod:`repro.obs.probe`, and the probe events fired here carry ints
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
+from ..mem.config import LB_LATENCY
 from ..mem.dcache import AccessStatus, DataCacheSystem
 from ..obs.probe import (BLK_BANK, BLK_MSHR, BLK_NO_PORT, BLK_ORDER,
                          BLK_SQ_WAIT, BLK_WB_CONFLICT, SRC_LB, SRC_SQ,
@@ -119,7 +120,7 @@ class LoadStoreQueue:
         for load in self.loads:
             if not load.addr_known or load.mem_done:
                 continue
-            if load.seq > barrier and not self.config.speculative_loads:
+            if load.seq > barrier:
                 self._wait(load, BLK_ORDER)
                 continue
             action = self._store_forwarding(load, cycle)
@@ -141,8 +142,7 @@ class LoadStoreQueue:
             if lb_reads < lb_cap and dcache.line_buffer_hit(load.line):
                 lb_reads += 1
                 stats.inc("lsq.lb_loads")
-                self._finish(load, cycle + self.config.lb_latency, complete,
-                             SRC_LB)
+                self._finish(load, cycle + LB_LATENCY, complete, SRC_LB)
                 continue
             port_requests.append(load)
         return port_requests
@@ -226,10 +226,6 @@ class LoadStoreQueue:
         """
         for store in reversed(self.stores):
             if store.seq >= load.seq:
-                continue
-            if not store.addr_known:
-                # Only reachable with speculative loads: optimistically
-                # assume no conflict (replay is not modelled).
                 continue
             if store.line != load.line:
                 continue

@@ -38,13 +38,14 @@ from typing import TYPE_CHECKING, Sequence
 
 from ..func.exceptions import SimError
 from ..isa import OpClass
+from ..mem.config import L1_HIT_LATENCY, VICTIM_LATENCY
 from ..mem.hierarchy import MemorySystem
 from ..obs.critpath import CritPathRecorder
 from ..obs.hotspots import HotspotRecorder
 from ..obs.metrics import IntervalMetrics
 from ..obs.pipetrace import PipeTrace
 from ..obs.probe import (BLK_NO_PORT, NO_SEQ, SRC_HIT, SRC_MISS, Probe)
-from ..obs.stall import DEFAULT_INTERVAL, StallCause, StallLedger
+from ..obs.stall import StallCause, StallLedger
 from ..obs.tracer import Tracer
 from ..stats.counters import Stats
 from ..stats.histogram import Histogram
@@ -52,7 +53,7 @@ from ..trace.io import (F_CONTROL, F_LOAD, F_REDIRECT, F_SERIALIZES,
                         F_STORE, F_TAKEN, MAX_SOURCES, NO_DEST, NO_SPLIT,
                         OPCLASSES, Trace, as_trace)
 from ..trace.record import TraceRecord
-from .bpred import BranchPredictor
+from .bpred import BTB_MISS_REDIRECT, MISPREDICT_REDIRECT, BranchPredictor
 from .config import CoreConfig, MachineConfig
 from .fastpath import run_fast
 from .fu import FUPool
@@ -90,9 +91,9 @@ def watchdog_limit(machine: MachineConfig) -> int:
                 dcache.write_buffer_depth + dcache.mshrs)
     fill = (next_level.hit_latency + next_level.memory_latency +
             next_level.occupancy * (dcache.mshrs + 2))
-    victim = dcache.victim_latency if dcache.victim_entries else 0
+    victim = VICTIM_LATENCY if dcache.victim_entries else 0
     max_fu = max(spec.latency for spec in core.fu_specs.values())
-    per_op = fill + victim + dcache.hit_latency + max_fu + 1  # + decode
+    per_op = fill + victim + L1_HIT_LATENCY + max_fu + 1  # + decode
     return max(_WATCHDOG_FLOOR, 4 * inflight * per_op)
 
 #: Opclass indices the loop tests (the trace's ``opclass`` column).
@@ -146,7 +147,6 @@ class OoOCore:
 
     def __init__(self, machine: MachineConfig,
                  tracer: Tracer | None = None,
-                 stall_interval: int = DEFAULT_INTERVAL,
                  metrics_interval: int | None = None,
                  pipe_trace: PipeTrace | None = None,
                  validator: "Validator | None" = None,
@@ -178,14 +178,13 @@ class OoOCore:
         self.probe = Probe(listeners) if listeners else None
         self.mem = MemorySystem(machine.mem, stats=self.stats,
                                 probe=self.probe)
-        self.bpred = BranchPredictor(self.cfg.bpred, stats=self.stats)
+        self.bpred = BranchPredictor(self.cfg.predictor, stats=self.stats)
         self.fu = FUPool(self.cfg.fu_specs, stats=self.stats)
         self.lsq = LoadStoreQueue(self.cfg, self.mem.dcache,
                                   stats=self.stats, probe=self.probe)
         # Stall attribution: one slot-conservation ledger per run.
         self.ledger = StallLedger(
-            max(self.cfg.issue_width, self.cfg.commit_width),
-            interval=stall_interval)
+            max(self.cfg.issue_width, self.cfg.commit_width))
         # Pipeline state.
         self._fetch_queue: deque[Uop] = deque()
         self._rob: deque[Uop] = deque()
@@ -386,7 +385,7 @@ class OoOCore:
         if uop is self._waiting_branch:
             self._waiting_branch = None
             self._redirect(cycle, "branch", uop,
-                           cycle + self.cfg.bpred.mispredict_redirect)
+                           cycle + MISPREDICT_REDIRECT)
 
     def _redirect(self, cycle: int, kind: str, uop: Uop,
                   resume: int) -> None:
@@ -687,7 +686,6 @@ class OoOCore:
         seq = uop.seq
         pc = self._pcs[seq]
         next_pc = self._next_pcs[seq]
-        cfg = self.cfg.bpred
         if uop.opclass == _BRANCH:
             taken = (self._flags[seq] & F_TAKEN) != 0
             predicted_taken, predicted_target = self.bpred.predict_branch(pc)
@@ -711,7 +709,7 @@ class OoOCore:
             # later).
             self.stats.inc("fetch.jump_decode_redirects")
             self._redirect(cycle, "decode", uop,
-                           cycle + 1 + cfg.btb_miss_redirect)
+                           cycle + 1 + BTB_MISS_REDIRECT)
             return True
         # Register-indirect target: wait for execute.
         uop.mispredicted = True

@@ -22,8 +22,7 @@ _VIEWS = (("with-kernel", False), ("user-only", True))
 
 def _with_predictor(kind: str):
     base = machine(DUAL_PORT)
-    return replace(base, core=replace(
-        base.core, bpred=replace(base.core.bpred, kind=kind)))
+    return replace(base, core=replace(base.core, predictor=kind))
 
 
 def plan(scale: str = "small") -> list[SimJob]:

@@ -6,7 +6,6 @@ from .config import (
     DCacheConfig,
     ICacheConfig,
     LineBufferFill,
-    LineBufferOnStore,
     MemSystemConfig,
     NextLevelConfig,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "DCacheConfig",
     "ICacheConfig",
     "LineBufferFill",
-    "LineBufferOnStore",
     "MemSystemConfig",
     "NextLevelConfig",
     "AccessResult",

@@ -2,7 +2,9 @@
 
 The D-cache port subsystem knobs here are the paper's experimental
 variables: number of ports, port width, line buffer policy, write
-buffer depth and store combining.
+buffer depth and store combining.  The L1 hit, line-buffer and
+victim-cache latencies are fixed, named once below; the next level's
+latencies and occupancy stay settable.
 """
 
 from __future__ import annotations
@@ -16,19 +18,19 @@ def _power_of_two(value: int, what: str) -> None:
         raise ValueError(f"{what} must be a positive power of two, got {value}")
 
 
+#: Cycles from a D-cache port grant to data ready on an L1 hit.
+L1_HIT_LATENCY = 1
+#: Cycles from a line-buffer read to data ready (no port used).
+LB_LATENCY = 1
+#: Cycles from a victim-cache hit to data ready, instead of the L2 trip.
+VICTIM_LATENCY = 2
+
+
 class LineBufferFill(enum.Enum):
     """When the line buffer captures a line."""
 
-    NONE = "none"          # no line buffer
     ON_ACCESS = "access"   # every load port-access captures its whole line
     ON_FILL = "fill"       # only miss fills from L2 land in the buffer
-
-
-class LineBufferOnStore(enum.Enum):
-    """What a store does to a matching line-buffer entry."""
-
-    INVALIDATE = "invalidate"
-    UPDATE = "update"
 
 
 @dataclass(frozen=True)
@@ -54,17 +56,20 @@ class CacheGeometry:
 
 @dataclass(frozen=True)
 class DCacheConfig:
-    """L1 data cache and its port subsystem."""
+    """L1 data cache and its port subsystem.
+
+    ``line_buffer_entries`` alone says whether a line buffer exists
+    (0: none); ``line_buffer_fill`` applies only when one does.  A store
+    to a buffered line updates the entry in place.
+    """
 
     geometry: CacheGeometry = field(default_factory=CacheGeometry)
     ports: int = 1
     port_width: int = 8            # bytes returned per port access
-    hit_latency: int = 1           # cycles from port grant to data ready
     mshrs: int = 8                 # outstanding misses (distinct lines)
     combine_loads: bool = False    # wide-port access combining in the LSQ
     line_buffer_entries: int = 0
-    line_buffer_fill: LineBufferFill = LineBufferFill.NONE
-    line_buffer_on_store: LineBufferOnStore = LineBufferOnStore.UPDATE
+    line_buffer_fill: LineBufferFill = LineBufferFill.ON_ACCESS
     write_buffer_depth: int = 8
     combine_stores: bool = False   # merge same-line stores in the write buffer
     #: Line-interleaved single-ported banks (1 = a monolithic array).
@@ -76,9 +81,8 @@ class DCacheConfig:
     #: MSHR (no port cost; uses L2 bandwidth).
     prefetch_next_line: bool = False
     #: Fully-associative victim cache capturing L1 evictions (0 = none);
-    #: misses that hit it pay ``victim_latency`` instead of the L2 trip.
+    #: misses that hit it pay ``VICTIM_LATENCY`` instead of the L2 trip.
     victim_entries: int = 0
-    victim_latency: int = 2
 
     def __post_init__(self) -> None:
         _power_of_two(self.port_width, "port width")
@@ -87,20 +91,14 @@ class DCacheConfig:
             raise ValueError("need at least one port")
         if self.port_width > self.geometry.line_size:
             raise ValueError("port width cannot exceed the line size")
-        if self.hit_latency < 1:
-            raise ValueError("hit latency must be at least 1")
         if self.mshrs < 1:
             raise ValueError("need at least one MSHR")
-        if self.line_buffer_entries and \
-                self.line_buffer_fill is LineBufferFill.NONE:
-            raise ValueError("line buffer entries need a fill policy")
-        if self.line_buffer_fill is not LineBufferFill.NONE and \
-                not self.line_buffer_entries:
-            raise ValueError("line buffer fill policy needs entries > 0")
+        if self.line_buffer_entries < 0:
+            raise ValueError("line buffer entries cannot be negative")
         if self.write_buffer_depth < 0:
             raise ValueError("write buffer depth cannot be negative")
-        if self.victim_entries < 0 or self.victim_latency < 1:
-            raise ValueError("bad victim cache parameters")
+        if self.victim_entries < 0:
+            raise ValueError("victim cache entries cannot be negative")
 
     @property
     def has_line_buffer(self) -> bool:
@@ -109,11 +107,11 @@ class DCacheConfig:
 
 @dataclass(frozen=True)
 class ICacheConfig:
-    """L1 instruction cache (always a single wide port)."""
+    """L1 instruction cache (always a single wide port); a hit is
+    fetchable in the cycle it is made."""
 
     geometry: CacheGeometry = field(default_factory=CacheGeometry)
     fetch_bytes: int = 16          # aligned bytes delivered per access
-    hit_latency: int = 1
 
     def __post_init__(self) -> None:
         _power_of_two(self.fetch_bytes, "fetch width")

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from ..obs.probe import NO_SEQ, SRC_HIT, SRC_MISS, SRC_SECONDARY, Probe
 from ..stats.counters import Stats
 from .cache import SetAssocCache
-from .config import DCacheConfig, LineBufferFill
+from .config import (L1_HIT_LATENCY, VICTIM_LATENCY, DCacheConfig,
+                     LineBufferFill)
 from .linebuffer import LineBuffer
 from .nextlevel import NextLevel
 from .victim import VictimCache
@@ -85,7 +86,6 @@ class DataCacheSystem:
         self.line_buffer: LineBuffer | None = None
         if config.has_line_buffer:
             self.line_buffer = LineBuffer(config.line_buffer_entries,
-                                          config.line_buffer_on_store,
                                           name="lb", stats=self.stats,
                                           probe=probe)
         self.write_buffer = WriteBuffer(config.write_buffer_depth,
@@ -218,7 +218,7 @@ class DataCacheSystem:
             source = SRC_SECONDARY
         elif self.cache.lookup(line):
             self._count("load_hits")
-            ready = cycle + self.config.hit_latency
+            ready = cycle + L1_HIT_LATENCY
             source = SRC_HIT
         else:
             if self.mshrs_busy() >= self.config.mshrs:
@@ -228,8 +228,8 @@ class DataCacheSystem:
             ready = self._start_fill(line)
             source = SRC_MISS
             self._maybe_prefetch(line + 1)
-        if self.config.line_buffer_fill is LineBufferFill.ON_ACCESS and \
-                self.line_buffer is not None:
+        if self.line_buffer is not None and \
+                self.config.line_buffer_fill is LineBufferFill.ON_ACCESS:
             self.line_buffer.insert(line)
         if self.probe is not None:
             self.probe.dcache_load(cycle, line, source, ready)
@@ -287,7 +287,7 @@ class DataCacheSystem:
         if recovered is not None:
             if self.probe is not None:  # the victim cache counts the hit
                 self.probe.dcache_count(self.access_context, "victim_hits")
-            ready = self._cycle + self.config.victim_latency
+            ready = self._cycle + VICTIM_LATENCY
             dirty = dirty or recovered
         else:
             ready = self.next_level.request(line, self._cycle)

@@ -33,10 +33,9 @@ class ICacheSystem:
     def fetch(self, address: int, cycle: int) -> int:
         """Access the block containing *address*.
 
-        Returns the cycle the block is fetchable: ``hit_latency - 1``
-        cycles after *cycle* on a hit (*cycle* itself at the default
-        one-cycle hit), the pending fill's ready cycle on a line already
-        being filled, or the fill-ready cycle on a miss.
+        Returns the cycle the block is fetchable: *cycle* itself on a
+        hit, the pending fill's ready cycle on a line already being
+        filled, or the fill-ready cycle on a miss.
         """
         line = self.cache.line_of(address)
         self.stats.inc("icache.accesses")
@@ -46,7 +45,7 @@ class ICacheSystem:
             return pending_ready
         if self.cache.lookup(line):
             self.stats.inc("icache.hits")
-            return cycle + self.config.hit_latency - 1
+            return cycle
         self.stats.inc("icache.misses")
         ready = self.next_level.request(line, cycle)
         self._pending[line] = ready

@@ -7,9 +7,9 @@ the "load all of the line" idea: the data array reads a full line
 internally anyway, so latching that line lets subsequent spatially-local
 loads reuse it for free.
 
-Stores must keep the buffer coherent: depending on configuration they
-either invalidate a matching entry or update it in place (the store's
-data is merged as it is written to the cache).
+Stores keep the buffer coherent by updating a matching entry in place
+(the store's data is merged as it is written to the cache); an entry
+leaves only by LRU replacement or when its L1 line is replaced.
 """
 
 from __future__ import annotations
@@ -18,19 +18,17 @@ from collections import OrderedDict
 
 from ..obs.probe import Probe
 from ..stats.counters import Stats
-from .config import LineBufferOnStore
 
 
 class LineBuffer:
     """Fully-associative LRU buffer of line numbers."""
 
-    def __init__(self, entries: int, on_store: LineBufferOnStore,
-                 name: str = "lb", stats: Stats | None = None,
+    def __init__(self, entries: int, name: str = "lb",
+                 stats: Stats | None = None,
                  probe: Probe | None = None) -> None:
         if entries < 1:
             raise ValueError("line buffer needs at least one entry")
         self.entries = entries
-        self.on_store = on_store
         self.name = name
         self.stats = stats if stats is not None else Stats()
         self.probe = probe
@@ -68,15 +66,9 @@ class LineBuffer:
             self.probe.lb_insert(self.cycle, line, evicted)
 
     def note_store(self, line: int) -> None:
-        """Apply the configured store policy to a matching entry."""
-        if line not in self._lines:
-            return
-        if self.on_store is LineBufferOnStore.INVALIDATE:
-            del self._lines[line]
-            self.stats.inc(f"{self.name}.store_invalidations")
-            if self.probe is not None:
-                self.probe.lb_invalidate(self.cycle, line, "store")
-        else:
+        """A store wrote *line*: update a matching entry in place (it
+        becomes the MRU entry)."""
+        if line in self._lines:
             self._lines.move_to_end(line)
             self.stats.inc(f"{self.name}.store_updates")
 

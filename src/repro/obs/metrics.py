@@ -93,8 +93,7 @@ class IntervalMetrics:
     """Per-interval telemetry collector (one per simulation run)."""
 
     def __init__(self, stats: Stats, ports: int,
-                 interval: int = DEFAULT_METRICS_INTERVAL,
-                 counters: tuple[str, ...] = TRACKED_COUNTERS) -> None:
+                 interval: int = DEFAULT_METRICS_INTERVAL) -> None:
         if interval < 1:
             raise ValueError("interval must be positive")
         if ports < 1:
@@ -102,11 +101,10 @@ class IntervalMetrics:
         self.stats = stats
         self.ports = ports
         self.interval = interval
-        self.counters = tuple(counters)
         self.intervals: list[Interval] = []
         self.histograms = {name: Histogram(name)
                            for name in OCCUPANCY_STRUCTURES}
-        self._snapshot = {name: 0.0 for name in self.counters}
+        self._snapshot = {name: 0.0 for name in TRACKED_COUNTERS}
         self._committed_at_close = 0
         self._start_cycle = 0
         #: The open interval's ``cycle_end`` samples.
@@ -135,7 +133,7 @@ class IntervalMetrics:
         cycles = len(samples)
         deltas: dict[str, float] = {}
         stats = self.stats
-        for name in self.counters:
+        for name in TRACKED_COUNTERS:
             value = stats.get(name)
             deltas[name] = value - self._snapshot[name]
             self._snapshot[name] = value
@@ -192,7 +190,7 @@ class IntervalMetrics:
             problems.append(
                 f"interval committed sums to {self.total_committed}, "
                 f"run retired {instructions}")
-        for name in self.counters:
+        for name in TRACKED_COUNTERS:
             total = sum(self.series(name))
             final = self.stats.get(name)
             if total != final:
@@ -233,7 +231,7 @@ class IntervalMetrics:
             "port_util": [self.port_utilization(i) for i in intervals],
             "counters": {name: [integral(i.counters[name])
                                 for i in intervals]
-                         for name in self.counters},
+                         for name in TRACKED_COUNTERS},
             "occupancy_mean": {name: [i.occupancy[name] for i in intervals]
                                for name in OCCUPANCY_STRUCTURES},
             "occupancy": {name: {

@@ -59,7 +59,7 @@ EVENTS = ("run_begin", "run_end", "cycle_end", "dep_wired",
           "commit", "commit_count", "stall", "lsq_wait", "load_serviced",
           "lsq_combine", "dcache_count", "port_use", "dcache_load",
           "dcache_store", "dcache_fill", "wb_add", "wb_full", "wb_drain",
-          "lb_insert", "lb_invalidate", "violation")
+          "lb_insert", "violation")
 
 
 def _ignore(*args: object) -> None:

@@ -50,7 +50,6 @@ EVENT_SCHEMA: dict[str, tuple[str, ...]] = {
     "wb.full": ("line",),
     "wb.drain": ("line", "occupancy"),
     "lb.insert": ("line", "evicted"),
-    "lb.invalidate": ("line", "reason"),
     "validate.violation": ("check", "detail"),
 }
 
@@ -90,7 +89,6 @@ class Tracer:
     wb_full = _emits("wb.full")
     wb_drain = _emits("wb.drain")
     lb_insert = _emits("lb.insert")
-    lb_invalidate = _emits("lb.invalidate")
     violation = _emits("validate.violation")
 
     def run_begin(self, core: object, trace: "Trace") -> None:
@@ -118,14 +116,10 @@ class Tracer:
 
 
 class JsonlTracer(Tracer):
-    """Streams events as JSON Lines to a path or file-like object.
+    """Streams every event as JSON Lines to a path or file-like object;
+    readers filter (:func:`iter_events`, ``repro events --event``)."""
 
-    ``events`` optionally restricts emission to a set of event names
-    (cheap server-side filtering for long runs); ``None`` keeps all.
-    """
-
-    def __init__(self, destination: str | io.TextIOBase,
-                 events: Collection[str] | None = None) -> None:
+    def __init__(self, destination: str | io.TextIOBase) -> None:
         self._owns_handle = isinstance(destination, str)
         if isinstance(destination, str):
             if destination.endswith(".gz"):
@@ -135,12 +129,9 @@ class JsonlTracer(Tracer):
                 self._handle = open(destination, "w", encoding="utf-8")
         else:
             self._handle = destination
-        self._events = frozenset(events) if events is not None else None
         self.emitted = 0
 
     def emit(self, cycle: int, event: str, **fields: object) -> None:
-        if self._events is not None and event not in self._events:
-            return
         record = {"cycle": cycle, "event": event}
         record.update(fields)
         self._handle.write(json.dumps(record, separators=(",", ":")))

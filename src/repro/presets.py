@@ -19,13 +19,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .core.config import BranchPredictorConfig, CoreConfig, MachineConfig
+from .core.config import CoreConfig, MachineConfig
 from .mem.config import (
     CacheGeometry,
     DCacheConfig,
     ICacheConfig,
-    LineBufferFill,
-    LineBufferOnStore,
     MemSystemConfig,
     NextLevelConfig,
 )
@@ -58,7 +56,6 @@ def default_core(issue_width: int = 4) -> CoreConfig:
         iq_size=8 * width,
         lq_size=4 * width,
         sq_size=4 * width,
-        bpred=BranchPredictorConfig(kind="twobit"),
     )
 
 
@@ -72,9 +69,6 @@ def _dcache(ports: int, port_width: int, line_buffer: bool,
         port_width=port_width,
         combine_loads=combine_loads,
         line_buffer_entries=line_buffer_entries if line_buffer else 0,
-        line_buffer_fill=(LineBufferFill.ON_ACCESS if line_buffer
-                          else LineBufferFill.NONE),
-        line_buffer_on_store=LineBufferOnStore.UPDATE,
         write_buffer_depth=write_buffer_depth,
         combine_stores=combine_stores,
     )

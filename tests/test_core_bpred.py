@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import BTB, BranchPredictor, GShare, TwoBitCounters
-from repro.core.config import BranchPredictorConfig
+from repro.core.config import CoreConfig
 
 
 class TestTwoBit:
@@ -87,9 +87,7 @@ class TestBTB:
 
 class TestFacade:
     def _predictor(self, kind="twobit"):
-        return BranchPredictor(BranchPredictorConfig(kind=kind,
-                                                     table_bits=8,
-                                                     btb_entries=64))
+        return BranchPredictor(kind)
 
     def test_taken_without_btb_target_falls_through(self):
         predictor = self._predictor()
@@ -117,12 +115,8 @@ class TestFacade:
         assert predictor.predict_jump(0x1000) == 0x4000
         assert predictor.stats["bpred.jump_mispredicts"] == 1
 
-    def test_always_taken_kind(self):
-        predictor = self._predictor(kind="always_taken")
-        predictor.resolve_branch(0x1000, True, 0x2000, True, True)
-        taken, target = predictor.predict_branch(0x1000)
-        assert taken and target == 0x2000
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            BranchPredictorConfig(kind="oracle")
+            CoreConfig(predictor="oracle")
+        with pytest.raises(ValueError):
+            BranchPredictor("oracle")

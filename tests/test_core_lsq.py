@@ -8,7 +8,6 @@ from repro.mem import (
     CacheGeometry,
     DataCacheSystem,
     DCacheConfig,
-    LineBufferFill,
     NextLevel,
     NextLevelConfig,
 )
@@ -17,18 +16,15 @@ from repro.trace.io import OPCLASSES
 
 
 def make_lsq(combine=False, ports=1, port_width=8, line_buffer=False,
-             speculative=False, max_combine=4):
+             max_combine=4):
     stats = Stats()
     next_level = NextLevel(NextLevelConfig(), stats=stats)
     dconfig = DCacheConfig(
         geometry=CacheGeometry(size=4 * 1024, line_size=32, assoc=2),
         ports=ports, port_width=port_width, combine_loads=combine,
-        line_buffer_entries=1 if line_buffer else 0,
-        line_buffer_fill=(LineBufferFill.ON_ACCESS if line_buffer
-                          else LineBufferFill.NONE))
+        line_buffer_entries=1 if line_buffer else 0)
     dcache = DataCacheSystem(dconfig, next_level, stats=stats)
-    core = CoreConfig(speculative_loads=speculative,
-                      max_combine=max_combine)
+    core = CoreConfig(max_combine=max_combine)
     lsq = LoadStoreQueue(core, dcache, stats=stats)
     dcache.begin_cycle(0)
     return lsq, dcache
@@ -102,16 +98,6 @@ class TestOrdering:
         lsq.schedule(0, done)
         assert not load.mem_done
         assert lsq.stats["lsq.order_stalls"] == 1
-
-    def test_speculative_loads_pass_unknown_stores(self):
-        lsq, _ = make_lsq(speculative=True)
-        done = _Completions()
-        store = mem_uop(0, 0x100, is_load=False, addr_known=False)
-        load = mem_uop(1, 0x200, lsq=lsq)
-        lsq.add_store(store)
-        lsq.add_load(load)
-        lsq.schedule(0, done)
-        assert load.mem_done
 
     def test_load_older_than_store_proceeds(self):
         lsq, _ = make_lsq()

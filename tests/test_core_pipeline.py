@@ -380,14 +380,21 @@ class TestWatchdog:
         tb.alu(dest=4, sources=(2,))
         tb.alu(dest=5)
         tb.mul(dest=6, sources=(5,))
-        counters = []
+        counters, ledgers, cycles = [], [], []
         for fastpath in (False, True):
             core = OoOCore(config, fastpath=fastpath)
             core._watchdog_limit = 8
             with pytest.raises(SimError, match="no progress"):
                 core.run(tb.build())
             counters.append(core.stats.as_dict())
+            # The trip cycle ran: both loops count it in the ledger and
+            # leave the core's cycle at it.
+            assert core.ledger.check_conservation()
+            ledgers.append(core.ledger.as_dict())
+            cycles.append(core._cycle)
         assert counters[1] == counters[0]
+        assert ledgers[1] == ledgers[0]
+        assert cycles[1] == cycles[0] == ledgers[0]["cycles"] - 1
         assert counters[1]["fu.div.ops"] == 1
         assert counters[1]["fu.div.structural_stalls"] > 0
         assert counters[1]["core.issued"] == 4

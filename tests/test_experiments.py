@@ -213,6 +213,24 @@ class TestF7OsEffect:
             else:
                 assert row[kernel_frac] == 0.0, row[0]
 
+    def test_kernel_fraction_reads_the_flags_column(self, tables,
+                                                    monkeypatch):
+        # The share is trace_summary's, read without decoding a record.
+        from repro.experiments.f7_os_effect import (STREAMS,
+                                                    _kernel_fraction, _spec)
+        from repro.trace.io import Trace
+        from repro.workloads.suite import trace_summary
+
+        def refuse(trace):
+            raise AssertionError("the kernel share decoded the trace")
+
+        monkeypatch.setattr(Trace, "_decode", refuse)
+        for stream in STREAMS:
+            trace = _spec(stream, "tiny", user_only=False).build()
+            monkeypatch.setattr(trace, "_records", None)
+            assert _kernel_fraction(stream, "tiny") == \
+                trace_summary(trace)["kernel_fraction"], stream
+
 
 class TestAblations:
     def test_a1_more_combining_never_hurts_much(self, tables):

@@ -3,30 +3,29 @@
 import pytest
 
 from repro.mem import LineBuffer, WriteBuffer
-from repro.mem.config import LineBufferOnStore
 from repro.stats import Stats
 
 
 class TestLineBuffer:
     def test_needs_capacity(self):
         with pytest.raises(ValueError):
-            LineBuffer(0, LineBufferOnStore.UPDATE)
+            LineBuffer(0)
 
     def test_miss_then_hit(self):
-        lb = LineBuffer(1, LineBufferOnStore.UPDATE)
+        lb = LineBuffer(1)
         assert not lb.lookup(7)
         lb.insert(7)
         assert lb.lookup(7)
 
     def test_single_entry_replacement(self):
-        lb = LineBuffer(1, LineBufferOnStore.UPDATE)
+        lb = LineBuffer(1)
         lb.insert(1)
         lb.insert(2)
         assert not lb.lookup(1)
         assert lb.lookup(2)
 
     def test_lru_with_multiple_entries(self):
-        lb = LineBuffer(2, LineBufferOnStore.UPDATE)
+        lb = LineBuffer(2)
         lb.insert(1)
         lb.insert(2)
         lb.lookup(1)      # 1 becomes MRU
@@ -34,40 +33,34 @@ class TestLineBuffer:
         assert lb.lookup(1) and lb.lookup(3) and not lb.lookup(2)
 
     def test_reinsert_refreshes(self):
-        lb = LineBuffer(2, LineBufferOnStore.UPDATE)
+        lb = LineBuffer(2)
         lb.insert(1)
         lb.insert(2)
         lb.insert(1)
         lb.insert(3)
         assert not lb.lookup(2)
 
-    def test_store_invalidate_policy(self):
-        lb = LineBuffer(1, LineBufferOnStore.INVALIDATE)
-        lb.insert(4)
-        lb.note_store(4)
-        assert not lb.lookup(4)
-
     def test_store_update_policy_keeps_entry(self):
-        lb = LineBuffer(1, LineBufferOnStore.UPDATE)
+        lb = LineBuffer(1)
         lb.insert(4)
         lb.note_store(4)
         assert lb.lookup(4)
 
     def test_store_to_absent_line_is_noop(self):
-        lb = LineBuffer(1, LineBufferOnStore.INVALIDATE)
+        lb = LineBuffer(1)
         lb.insert(4)
         lb.note_store(9)
         assert lb.lookup(4)
 
     def test_explicit_invalidate(self):
-        lb = LineBuffer(2, LineBufferOnStore.UPDATE)
+        lb = LineBuffer(2)
         lb.insert(4)
         lb.invalidate(4)
         assert not lb.lookup(4)
 
     def test_stats(self):
         stats = Stats()
-        lb = LineBuffer(1, LineBufferOnStore.UPDATE, name="lb", stats=stats)
+        lb = LineBuffer(1, name="lb", stats=stats)
         lb.lookup(1)
         lb.insert(1)
         lb.lookup(1)
@@ -198,13 +191,13 @@ class TestValidationProbes:
         assert not wb.covers(1, 1)
 
     def test_lb_contains_matches_lookup(self):
-        lb = LineBuffer(2, LineBufferOnStore.UPDATE)
+        lb = LineBuffer(2)
         lb.insert(7)
         assert lb.contains(7)
         assert not lb.contains(8)
 
     def test_lb_contains_does_not_refresh_lru(self):
-        lb = LineBuffer(2, LineBufferOnStore.UPDATE)
+        lb = LineBuffer(2)
         lb.insert(1)
         lb.insert(2)
         lb.contains(1)      # must NOT make 1 the MRU entry
@@ -214,7 +207,7 @@ class TestValidationProbes:
 
     def test_lb_contains_does_not_count(self):
         stats = Stats()
-        lb = LineBuffer(1, LineBufferOnStore.UPDATE, name="lb",
+        lb = LineBuffer(1, name="lb",
                         stats=stats)
         lb.insert(1)
         lb.contains(1)
@@ -223,7 +216,7 @@ class TestValidationProbes:
         assert stats["lb.misses"] == 0
 
     def test_lb_len(self):
-        lb = LineBuffer(2, LineBufferOnStore.UPDATE)
+        lb = LineBuffer(2)
         assert len(lb) == 0
         lb.insert(1)
         lb.insert(2)

@@ -8,7 +8,6 @@ from repro.mem import (
     DataCacheSystem,
     DCacheConfig,
     LineBufferFill,
-    LineBufferOnStore,
     NextLevel,
     NextLevelConfig,
 )
@@ -36,12 +35,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DCacheConfig(port_width=64,
                          geometry=CacheGeometry(line_size=32))
-
-    def test_line_buffer_needs_consistent_settings(self):
-        with pytest.raises(ValueError):
-            DCacheConfig(line_buffer_entries=1)  # no fill policy
-        with pytest.raises(ValueError):
-            DCacheConfig(line_buffer_fill=LineBufferFill.ON_ACCESS)
 
     def test_needs_a_port(self):
         with pytest.raises(ValueError):
@@ -135,10 +128,9 @@ class TestLoadPath:
 
 
 class TestLineBufferIntegration:
-    def _lb_dcache(self, fill=LineBufferFill.ON_ACCESS,
-                   on_store=LineBufferOnStore.UPDATE):
+    def _lb_dcache(self, fill=LineBufferFill.ON_ACCESS):
         return make_dcache(line_buffer_entries=1, line_buffer_fill=fill,
-                           line_buffer_on_store=on_store, ports=2)
+                           ports=2)
 
     def test_load_access_fills_line_buffer(self):
         dcache = self._lb_dcache()
@@ -164,12 +156,15 @@ class TestLineBufferIntegration:
         assert not dcache.line_buffer_hit(4)
 
     def test_store_updates_line_buffer_by_policy(self):
-        dcache = self._lb_dcache(on_store=LineBufferOnStore.INVALIDATE)
+        # A store to a buffered line updates the entry in place: later
+        # loads to the line still bypass the ports.
+        dcache = self._lb_dcache()
         ready = dcache.load_access(4).ready
         dcache.begin_cycle(ready + 1)
         assert dcache.line_buffer_hit(4)
         dcache.store_access(4)
-        assert not dcache.line_buffer_hit(4)
+        assert dcache.stats["lb.store_updates"] == 1
+        assert dcache.line_buffer_hit(4)
 
     def test_eviction_invalidates_line_buffer(self):
         dcache = make_dcache(

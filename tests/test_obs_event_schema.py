@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro.core import OoOCore
-from repro.mem.config import LineBufferOnStore
 from repro.obs import EVENT_SCHEMA, JsonlTracer, iter_events
 from repro.presets import BEST_SINGLE_PORT, machine
 from repro.workloads import build_trace
@@ -63,11 +62,11 @@ class TestDocumentationMatchesSchema:
             f"schema says {EVENT_SCHEMA[event]}")
 
 
-def _capture(workload, config, **overrides):
+def _capture(workload, config):
     trace = build_trace(workload, "tiny")
     buffer = io.StringIO()
     tracer = JsonlTracer(buffer)
-    OoOCore(machine(config, **overrides), tracer=tracer).run(trace)
+    OoOCore(machine(config), tracer=tracer).run(trace)
     tracer.close()
     buffer.seek(0)
     import json
@@ -100,13 +99,12 @@ def _capture_injected_violation():
 def all_captured_events():
     """Four runs chosen so every schema'd event type fires at least
     once: a port-starved streaming run, a branchy run on the line-buffer
-    configuration, a store-heavy run with invalidate-on-store, and a
-    validated run with an injected invariant violation."""
+    configuration, a store-heavy line-buffer run, and a validated run
+    with an injected invariant violation."""
     records = []
     records += _capture("stream", "1P")
     records += _capture("qsort", BEST_SINGLE_PORT)
-    records += _capture("compress", "1P+LB",
-                        line_buffer_on_store=LineBufferOnStore.INVALIDATE)
+    records += _capture("compress", "1P+LB")
     records += _capture_injected_violation()
     return records
 
